@@ -61,6 +61,7 @@ from .transport import (
 )
 from .oracle import (
     dual_optimum,
+    oracle_maximal_support,
     oracle_tc_norm,
     oracle_tree_norm,
     supporting_unique_probe,

@@ -46,13 +46,7 @@ from .obstruction import (
 from .oracle import oracle_tc_norm
 from .rational import frac_str
 from .randgen import random_metric_space, random_problem
-from .transport import (
-    Optimal,
-    cycle_basis,
-    improving_cycle,
-    maximal_roadmap,
-    tc_norm,
-)
+from .transport import cycle_basis, maximal_roadmap, tc_norm
 from .vectors import TransportationProblem
 
 
@@ -129,12 +123,9 @@ def _cmd_norm(args) -> int:
 def _cmd_roadmap(args) -> int:
     graph = _load_graph(args.space)
     f = TransportationProblem.from_json_obj(graph, _load_json(args.problem))
-    if args.maximal:
-        rm = maximal_roadmap(f)
-    else:
-        _, rm = tc_norm(f)
-    optimal = isinstance(improving_cycle(rm), Optimal)
-    _emit(rm.to_json_obj(optimal=optimal))
+    # Optimal by tc_norm's certificate; maximal_roadmap asserts its cost.
+    rm = maximal_roadmap(f) if args.maximal else tc_norm(f)[1]
+    _emit(rm.to_json_obj(optimal=True))
     return 0
 
 
@@ -231,7 +222,23 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _gen_points(args) -> int:
+    """Point count of the `gen` instance, known before it is built: a K_{2,L}
+    recursion (L = 2 for diamonds) adds L points per edge, (2L)^j at level j."""
+    n = max(args.n, 0)  # the generators reject negative sizes themselves
+    if args.family == "grid":
+        return n * n
+    if args.family == "cycle":
+        return n
+    if args.family == "complete-bipartite":
+        return args.m + n
+    legs = args.legs if args.family == "recursive" and args.base == "k2n" else 2
+    return 2 + legs * ((2 * legs) ** n - 1) // (2 * legs - 1)
+
+
 def _cmd_gen(args) -> int:
+    points = _gen_points(args)
+    _check_cap(points)
     descriptor = None
     if args.family == "diamond":
         space, descriptor = diamond(args.n)
@@ -253,7 +260,7 @@ def _cmd_gen(args) -> int:
         space, descriptor = recursive_family(base, args.n)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInput(f"unknown family {args.family!r}")
-    _check_cap(space.n)
+    assert space.n == points
     if args.out:
         out = json.dumps(space.to_json_obj(), indent=2, sort_keys=True) + "\n"
         _write_file(args.out, out)

@@ -2,28 +2,29 @@
 
 A supporting function for a problem f is a 1-Lipschitz function vanishing at
 the base point whose pairing with f attains the TC norm.  A plan is optimal
-iff it is tight for some such potential.  The supporting function is unique
-iff the maximal-support graph of f is connected; otherwise whole components
-can be shifted by half the minimum boundary slack, which is exactly the
-witness construction used here.
+iff it is tight for some such potential.  By complementary slackness the
+supporting functions are the l with -l a potential of the residual digraph
+of an optimal roadmap: between the least, l(v) = -dist(base -> v), and the
+greatest, l(v) = dist(v -> base).  They coincide iff the maximal-support
+graph of f is connected, the paper's uniqueness criterion.
 
 Downhill graphs (all edges where a 1-Lipschitz function drops at full
-metric speed, directed downward) are characterized by an exact LP: a
-directed edge set is a downhill graph iff the tightness system admits a
-function with strictly slack remaining edges.
+metric speed, directed downward) are characterized by difference
+constraints: a directed edge set is a downhill graph iff the tightness
+system admits a function with strictly slack remaining edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInput, NotLipschitz, NotRealizable, NullProblem, PreconditionFailed
 from .graph import CanonicalGraph, DirectedSubgraph, connected_components
-from .lp import ExactLP, LPStatus
-from .oracle import _supporting_lp
 from .rational import ZERO, frac_str, to_fraction
-from .transport import TransportationPlan, maximal_support
+from .transport import (TransportationPlan, bellman_ford, residual_distances, tc_norm,
+                        zero_cost_cycles)
 from .vectors import TransportationProblem
 
 DownhillGraph = DirectedSubgraph
@@ -92,17 +93,16 @@ def evaluate(l: LipschitzFunction, f: TransportationProblem) -> Fraction:
 
 
 def supporting_function(f: TransportationProblem) -> LipschitzFunction:
-    """A potential attaining the TC norm, by the exact dual LP.
+    """The least potential attaining the TC norm: l(v) = -dist(base -> v) in
+    the residual digraph of an optimal roadmap.
 
     Returns the zero function for f = 0 (every feasible function pairs to
     zero with it).
     """
     if f.is_zero():
         return LipschitzFunction.zero(f.graph)
-    lp, lvar = _supporting_lp(f)
-    res = lp.solve()
-    assert res.status == LPStatus.OPTIMAL
-    return LipschitzFunction(f.graph, tuple(res.x[col] for col in lvar))
+    _, p = tc_norm(f)
+    return LipschitzFunction(f.graph, tuple(-x for x in residual_distances(p)))
 
 
 def is_potential(plan: TransportationPlan, l: LipschitzFunction) -> bool:
@@ -127,77 +127,26 @@ def downhill_graph(l: LipschitzFunction) -> DirectedSubgraph:
 
 # --- uniqueness ----------------------------------------------------------------
 
-def _support_components(f: TransportationProblem):
-    edges, _ = maximal_support(f)
-    pairs = [(f.graph.edges[i].tail, f.graph.edges[i].head) for i in sorted(edges)]
-    return connected_components(f.graph.n, pairs)
-
-
 def is_unique_supporting(f: TransportationProblem) -> tuple[bool, LipschitzFunction | None]:
     """Uniqueness of the supporting function, with a witness when not unique.
 
     The supporting function is unique iff the maximal-support graph is
-    connected.  When it is not, a second supporting function is produced by
-    shifting components by half the minimum slack over boundary edges
-    (choosing the shifted side so the known tight boundary edges, if any,
-    stay feasible and the base point keeps value zero).
+    connected.  The witness is the greatest supporting function,
+    l(v) = dist(v -> base) in the residual digraph, which differs from the
+    least (supporting_function) exactly when the support is disconnected.
     """
     if f.is_zero():
         raise NullProblem("uniqueness undefined for the zero problem")
-    comp = _support_components(f)
-    if len(set(comp)) == 1:
-        return True, None
-    s = supporting_function(f)
     graph = f.graph
-
-    cross = [e for e in graph.edges if comp[e.tail] != comp[e.head]]
-    tight_cross = [e for e in cross if abs(s[e.tail] - s[e.head]) == e.weight]
-    if not tight_cross:
-        base_comp = comp[graph.space.base_point]
-        delta = min(e.weight - abs(s[e.tail] - s[e.head]) for e in cross)
-        assert delta > 0
-        shifted = frozenset(v for v in range(graph.n) if comp[v] != base_comp)
-    else:
-        e = tight_cross[0]
-        hi, lo = (e.tail, e.head) if s[e.tail] > s[e.head] else (e.head, e.tail)
-        # Component order: comp(a) precedes comp(b) when some boundary edge
-        # is tight going up from a-side to b-side.
-        up_arcs = set()
-        for c in cross:
-            if s[c.head] - s[c.tail] == c.weight:
-                up_arcs.add((comp[c.tail], comp[c.head]))
-            elif s[c.tail] - s[c.head] == c.weight:
-                up_arcs.add((comp[c.head], comp[c.tail]))
-        into = {}
-        for a, b in up_arcs:
-            into.setdefault(b, []).append(a)
-        down_set = {comp[lo]}
-        queue = [comp[lo]]
-        while queue:
-            c = queue.pop()
-            for a in into.get(c, ()):
-                if a not in down_set:
-                    down_set.add(a)
-                    queue.append(a)
-        assert comp[hi] not in down_set
-        slacks = []
-        for c in cross:
-            for a, b in ((c.tail, c.head), (c.head, c.tail)):
-                if comp[a] not in down_set and comp[b] in down_set:
-                    slacks.append(c.weight - (s[b] - s[a]))
-        delta = min(slacks)
-        assert delta > 0
-        shifted = frozenset(v for v in range(graph.n) if comp[v] in down_set)
-
-    half = delta / 2
-    if graph.space.base_point in shifted:
-        vals = tuple(s[v] - half if v not in shifted else s[v] for v in range(graph.n))
-    else:
-        vals = tuple(s[v] + half if v in shifted else s[v] for v in range(graph.n))
-    witness = LipschitzFunction(graph, vals)
-    assert evaluate(witness, f) == evaluate(s, f)
-    assert witness.values != s.values
-    return False, witness
+    _, p = tc_norm(f)
+    edges = p.support() | zero_cost_cycles(p).keys()
+    comp = connected_components(
+        graph.n, ((graph.edges[i].tail, graph.edges[i].head) for i in edges))
+    connected = len(set(comp)) == 1
+    least = tuple(-x for x in residual_distances(p))
+    greatest = LipschitzFunction(graph, tuple(residual_distances(p, reverse=True)))
+    assert (least == greatest.values) == connected
+    return (True, None) if connected else (False, greatest)
 
 
 # --- downhill realizability -----------------------------------------------------
@@ -205,40 +154,28 @@ def is_unique_supporting(f: TransportationProblem) -> tuple[bool, LipschitzFunct
 def realizable_as_downhill(H: DirectedSubgraph) -> tuple[bool, LipschitzFunction | None]:
     """Whether H is exactly the downhill graph of some 1-Lipschitz function.
 
-    Solves max t subject to tightness on H's arcs and slack at least t on
-    every other edge; realizable iff the optimum is strictly positive (or
-    the tight system is feasible when H covers every edge).
+    Difference constraints: l(u) - l(v) = d(u,v) on H's arcs and slack at
+    least t on every other edge, decided by one Bellman-Ford run.  If any
+    t > 0 works, t = 1/(D(n+1)) does, D the lcm of the weight denominators:
+    nonzero cycle costs at t = 0 are multiples of 1/D, and a simple cycle
+    has at most n arcs.
     """
     if len(H) == 0:
         raise PreconditionFailed("need at least one directed edge")
     graph = H.graph
-    lp = ExactLP()
-    lvar = [lp.add_var(free=True) for _ in range(graph.n)]
-    lp.add_eq({lvar[graph.space.base_point]: Fraction(1)}, 0)
+    t = Fraction(1, lcm(*(e.weight.denominator for e in graph.edges)) * (graph.n + 1))
     used = H.edge_indices()
+    arcs = []  # (a, b, c) stands for l(b) <= l(a) + c
     for u, v in H.arcs:
-        idx = graph.edge_index(u, v)
-        lp.add_eq({lvar[u]: Fraction(1), lvar[v]: Fraction(-1)},
-                  graph.edges[idx].weight)
-    rest = [i for i in range(graph.m) if i not in used]
-    if rest:
-        t = lp.add_var(free=True)
-        for i in rest:
-            e = graph.edges[i]
-            lp.add_le({lvar[e.tail]: Fraction(1), lvar[e.head]: Fraction(-1),
-                       t: Fraction(1)}, e.weight)
-            lp.add_le({lvar[e.tail]: Fraction(-1), lvar[e.head]: Fraction(1),
-                       t: Fraction(1)}, e.weight)
-        lp.maximize({t: Fraction(1)})
-    else:
-        lp.maximize({})
-    res = lp.solve()
-    if res.status == LPStatus.INFEASIBLE:
+        w = graph.edges[graph.edge_index(u, v)].weight
+        arcs += [(u, v, -w), (v, u, w)]
+    for i, e in enumerate(graph.edges):
+        if i not in used:
+            arcs += [(e.tail, e.head, e.weight - t), (e.head, e.tail, e.weight - t)]
+    dist = bellman_ford(graph.n, arcs, graph.space.base_point)
+    if dist is None:
         return False, None
-    assert res.status == LPStatus.OPTIMAL
-    if rest and res.value <= 0:
-        return False, None
-    func = LipschitzFunction(graph, tuple(res.x[col] for col in lvar))
+    func = LipschitzFunction(graph, tuple(dist))
     assert downhill_graph(func).arc_set() == H.arc_set()
     return True, func
 

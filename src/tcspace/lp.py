@@ -2,10 +2,9 @@
 
 A dense two-phase simplex over Fractions with Bland's pivoting rule, which
 guarantees termination without any tolerance machinery.  Speed is not the
-point: this backs the verification oracle and the small dual/support LPs,
-all of which have a handful of rows and columns.  Still, pivots skip zero
-entries and slack columns seed the initial basis, so artificial variables
-appear only for equality-like rows.
+point: this backs the verification oracle only, on small instances.  Still,
+pivots skip zero entries and slack columns seed the initial basis, so
+artificial variables appear only for equality-like rows.
 
 Variables are nonnegative unless declared free (free variables are split
 into positive and negative parts internally).  Constraints are <=, >=, or ==

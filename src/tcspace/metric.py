@@ -138,7 +138,11 @@ def metric_violations(points, dist) -> list:
     Structural problems (non-square matrix, bad literals) still raise
     InvalidInput since no per-axiom report is possible for them.
     """
-    names, rows = _coerce_matrix(points, dist)
+    return _axiom_violations(*_coerce_matrix(points, dist))
+
+
+def _axiom_violations(names, rows) -> list:
+    """metric_violations on names and rows already coerced to Fractions."""
     out = []
     n = len(names)
     for i in range(n):
@@ -193,7 +197,7 @@ def validate_metric(points, dist, base=None) -> MetricSpace:
     to the first point.
     """
     names, rows = _coerce_matrix(points, dist)
-    violations = metric_violations(names, rows)
+    violations = _axiom_violations(names, rows)
     if violations:
         raise violations[0]
     if base is None:

@@ -6,7 +6,8 @@ These deliberately avoid the cycle-canceling solver's code paths:
   giving the exact TC norm,
 * a cut-sum evaluator for spaces whose canonical graph is a tree,
 * the dual (supporting-function) LP and an exact uniqueness probe over its
-  optimal face.
+  optimal face,
+* per-edge LPs over the optimal face of roadmaps for the maximal support.
 
 All run on the exact simplex in :mod:`tcspace.lp`.
 """
@@ -76,6 +77,36 @@ def oracle_tree_norm(f: TransportationProblem) -> Fraction:
     for v, eidx in parent_edge.items():
         total += graph.edges[eidx].weight * abs(subtree[v])
     return total
+
+
+def oracle_maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int, int]]:
+    """Maximal optimal support and signs: an edge is in it iff some sign
+    sigma has max sigma * p(edge) > 0 over roadmaps p for f (forward and
+    backward flows) of linearized cost at most oracle_tc_norm(f)."""
+    if f.is_zero():
+        return frozenset(), {}
+    graph = f.graph
+    lp = ExactLP()
+    fwd = [lp.add_var() for _ in range(graph.m)]
+    bwd = [lp.add_var() for _ in range(graph.m)]
+    for v in range(graph.n):
+        coeffs: dict[int, Fraction] = {}
+        for eidx, _ in graph.incident(v):
+            s = 1 if graph.edges[eidx].tail == v else -1
+            coeffs[fwd[eidx]], coeffs[bwd[eidx]] = Fraction(s), Fraction(-s)
+        lp.add_eq(coeffs, f[v])
+    lp.add_le({col: graph.edges[i].weight for cols in (fwd, bwd)
+               for i, col in enumerate(cols)}, oracle_tc_norm(f))
+    signs: dict[int, int] = {}
+    for edge in range(graph.m):
+        for sigma in (1, -1):
+            lp.maximize({fwd[edge]: Fraction(sigma), bwd[edge]: Fraction(-sigma)})
+            res = lp.solve()
+            assert res.status == LPStatus.OPTIMAL
+            if res.value > 0:
+                assert edge not in signs, "optimal roadmaps disagree in sign"
+                signs[edge] = sigma
+    return frozenset(signs), signs
 
 
 # --- the supporting (dual) LP -------------------------------------------------

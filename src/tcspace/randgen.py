@@ -36,15 +36,13 @@ def random_metric_space(rng: random.Random, n_points: int) -> MetricSpace:
         return validate_metric(names, rows)
     edges = []
     for i in range(1, n_points):
-        edges.append((names[rng.randrange(i)], names[i], _random_weight(rng)))
-    pairs = {(min(u, v), max(u, v)) for u, v, _ in edges}
+        edges.append((rng.randrange(i), i, _random_weight(rng)))
+    tree = {(j, i) for j, i, _ in edges}
     for i in range(n_points):
         for j in range(i + 1, n_points):
-            key = (names[i], names[j])
-            if key not in pairs and rng.random() < 0.3:
-                pairs.add(key)
-                edges.append((names[i], names[j], _random_weight(rng)))
-    return space_from_weighted_graph(names, edges)
+            if (i, j) not in tree and rng.random() < 0.3:
+                edges.append((i, j, _random_weight(rng)))
+    return space_from_weighted_graph(names, [(names[i], names[j], w) for i, j, w in edges])
 
 
 def _random_weight(rng: random.Random) -> Fraction:

@@ -7,8 +7,10 @@ improving cycle (Karp's algorithm over the residual digraph, exact
 rationals) until no improving cycle exists; nonexistence of an improving
 cycle is exactly optimality, which is also the emitted certificate.
 
-The maximal optimal support of a problem (union of supports of all optimal
-roadmaps) is computed by per-edge LPs over the optimal face.
+The optimal face is read off that roadmap's residual digraph by
+complementary slackness (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9):
+its zero-cost cycles give the maximal optimal support (union of supports
+of all optimal roadmaps), and its distances the supporting potentials.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .graph import (
     shortest_path_arcs,
     shortest_path_tree,
 )
-from .lp import ExactLP, LPStatus
 from .rational import ZERO, frac_str, to_fraction
 from .vectors import EdgeVector, TransportationProblem, apply_incidence
 
@@ -339,21 +340,31 @@ def _min_mean(n: int, arcs) -> Fraction | None:
     return mu
 
 
+def bellman_ford(n: int, arcs, source: int | None = None) -> list[Fraction] | None:
+    """Shortest distances over arcs (u, v, cost, ...), None on a negative cycle.
+
+    Distances run from source, or from a virtual source with zero-cost arcs
+    to every vertex when source is None; unreachable vertices stay None.
+    """
+    dist: list = [ZERO if source is None else None] * n
+    if source is not None:
+        dist[source] = ZERO
+    for _ in range(n):
+        changed = False
+        for u, v, c, *_ in arcs:
+            if dist[u] is not None and (dist[v] is None or dist[u] + c < dist[v]):
+                dist[v] = dist[u] + c
+                changed = True
+        if not changed:
+            return dist
+    return None
+
+
 def _extract_cycle(graph: CanonicalGraph, arcs, mu: Fraction) -> OrientedCycle:
     """A directed cycle of mean cost mu, via tight arcs under shifted costs."""
     n = graph.n
-    pot = [ZERO] * n
-    for _ in range(n):
-        changed = False
-        for u, v, c, _, _ in arcs:
-            cand = pot[u] + c - mu
-            if cand < pot[v]:
-                pot[v] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise AssertionError("negative cycle under shifted costs")
+    pot = bellman_ford(n, [(u, v, c - mu) for u, v, c, _, _ in arcs])
+    assert pot is not None, "negative cycle under shifted costs"
     tight: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for u, v, c, eidx, sign in arcs:
         if pot[u] + c - mu == pot[v]:
@@ -512,84 +523,96 @@ def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
     raise RuntimeError("cycle canceling failed to terminate")
 
 
-# --- maximal optimal support --------------------------------------------------
+# --- the optimal face, from the residual digraph ------------------------------
 
-def _support_lp(f: TransportationProblem, tc: Fraction, edge: int, sigma: int):
-    """Maximize sigma * p(edge) over optimal roadmaps for f.
+def residual_distances(p: Roadmap, reverse: bool = False) -> list[Fraction]:
+    """Distances from the base point in p's residual digraph (to it when
+    reverse).  p must be optimal, so the digraph has no negative cycle."""
+    arcs = _residual_arcs(p.vec)
+    if reverse:
+        arcs = [(v, u, c) for u, v, c, _, _ in arcs]
+    dist = bellman_ford(p.graph.n, arcs, p.graph.space.base_point)
+    assert dist is not None, "optimal roadmaps have no negative residual cycle"
+    return dist
 
-    Flows are split into nonnegative forward/backward parts; the linearized
-    cost bounds the true cost, so feasible points are optimal roadmaps and
-    the optimum is attained by one.
+
+def zero_cost_cycles(p: Roadmap) -> dict[int, OrientedCycle]:
+    """A zero-cost residual cycle through each edge outside supp(p) that
+    some optimal roadmap uses (p optimal; the others differ from it by such
+    cycles).  With no negative residual cycle these are the cycles of arcs
+    tight under the distance potentials, pot[u] + c == pot[v].
     """
-    graph = f.graph
-    lp = ExactLP()
-    fwd = [lp.add_var() for _ in range(graph.m)]
-    bwd = [lp.add_var() for _ in range(graph.m)]
-    for v in range(graph.n):
-        coeffs: dict[int, Fraction] = {}
-        for eidx, _ in graph.incident(v):
-            s = 1 if graph.edges[eidx].tail == v else -1
-            coeffs[fwd[eidx]] = Fraction(s)
-            coeffs[bwd[eidx]] = Fraction(-s)
-        lp.add_eq(coeffs, f[v])
-    lp.add_le({col: graph.edges[i].weight for i, col in enumerate(fwd)}
-              | {col: graph.edges[i].weight for i, col in enumerate(bwd)}, tc)
-    lp.maximize({fwd[edge]: Fraction(sigma), bwd[edge]: Fraction(-sigma)})
-    res = lp.solve()
-    assert res.status == LPStatus.OPTIMAL
-    witness = Roadmap(EdgeVector(graph, {
-        i: res.x[fwd[i]] - res.x[bwd[i]] for i in range(graph.m)}))
-    return res.value, witness
+    graph = p.graph
+    pot = residual_distances(p)
+    tight: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
+    for u, v, c, e, s in _residual_arcs(p.vec):
+        if pot[u] + c == pot[v]:
+            tight[u].append((v, e, s))
+    trees: dict[int, dict] = {}
+    cycles: dict[int, OrientedCycle] = {}
+    for u in range(graph.n):
+        for v, e, s in tight[u]:
+            if p.vec[e] != 0:
+                continue
+            if v not in trees:
+                trees[v] = _tight_tree(tight, v)
+            pred = trees[v]
+            if u not in pred:
+                continue
+            path, x = [], u
+            while x != v:
+                x, pe, ps = pred[x]
+                path.append((pe, ps))
+            cycles[e] = OrientedCycle(graph, ((e, s), *reversed(path)))
+    return cycles
 
 
-def _maximal_support_witnesses(f: TransportationProblem):
-    if f.is_zero():
-        return frozenset(), {}, []
-    tc, popt = tc_norm(f)
-    signs: dict[int, int] = {e: popt.induced_sign(e) for e in popt.support()}
-    witnesses: list[Roadmap] = [popt]
-    for edge in range(f.graph.m):
-        if edge in signs:
-            continue
-        hit = None
-        for sigma in (1, -1):
-            value, witness = _support_lp(f, tc, edge, sigma)
-            if value > 0:
-                assert hit is None, "optimal roadmaps disagree in sign"
-                hit = sigma
-                signs[edge] = sigma
-                witnesses.append(witness)
-    return frozenset(signs), signs, witnesses
+def _tight_tree(tight, root: int) -> dict:
+    """Breadth-first predecessors (vertex, edge, sign) along tight arcs."""
+    pred = {root: None}
+    queue = [root]
+    for x in queue:
+        for y, e, s in tight[x]:
+            if y not in pred:
+                pred[y] = (x, e, s)
+                queue.append(y)
+    return pred
 
 
 def maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int, int]]:
     """Edges used by some optimal roadmap for f, with their common signs.
 
-    Per edge and sign, an LP maximizes the signed flow over the optimal
-    face; the edge belongs to the maximal support iff some sign attains a
-    positive value.  All optimal roadmaps agree in sign on these edges.
+    The support of one optimal roadmap plus every edge on a zero-cost
+    residual cycle (see zero_cost_cycles), signed by the cycle's direction.
     """
-    edges, signs, _ = _maximal_support_witnesses(f)
-    return edges, signs
+    if f.is_zero():
+        return frozenset(), {}
+    _, p = tc_norm(f)
+    signs = {e: p.induced_sign(e) for e in p.support()}
+    signs.update((e, cyc.arcs[0][1]) for e, cyc in zero_cost_cycles(p).items())
+    return frozenset(signs), signs
 
 
 def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     """An optimal roadmap whose support is the whole maximal support.
 
-    Averaging optimal roadmaps that jointly cover the maximal support stays
-    optimal, and sign agreement prevents cancellation, so the average is
-    supported everywhere.
+    Adds eps times each zero-cost cycle to an optimal roadmap p.  With eps
+    below min |p(e)| / (number of cycles), no support edge empties or flips,
+    and added edges are traversed one way only, so the cost stays the norm.
     """
-    edges, _, witnesses = _maximal_support_witnesses(f)
-    if not witnesses:
+    if f.is_zero():
         return Roadmap.zero(f.graph)
-    acc = EdgeVector.zero(f.graph)
-    for w in witnesses:
-        acc = acc + w.vec
-    avg = Roadmap(acc.scale(Fraction(1, len(witnesses))))
-    assert avg.support() == edges
-    assert avg.problem() == f
-    return avg
+    tc, p = tc_norm(f)
+    cycles = zero_cost_cycles(p)
+    eps = min(abs(x) for x in p.vec.values.values()) / (len(cycles) + 1)
+    acc = p.vec
+    for cyc in cycles.values():
+        acc = acc + cyc.indicator().scale(eps)
+    out = Roadmap(acc)
+    assert out.support() == p.support() | cycles.keys()
+    assert out.problem() == f
+    assert out.cost() == tc
+    return out
 
 
 def directed_graph_of(f: TransportationProblem) -> DirectedSubgraph:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tcspace import cli, transport
 from tcspace.cli import main
 
 
@@ -241,3 +242,49 @@ def test_oracle_check_parallel_matches_serial(capsys):
                                    "--seed", "3"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_oracle_check_batch_above_ten_points(capsys):
+    code, out, _ = _run(capsys, ["oracle-check", "--random", "40", "--seed", "1",
+                                 "--min-points", "12", "--max-points", "14"])
+    assert code == 0
+    assert json.loads(out)["mismatches"] == 0
+
+
+def test_gen_point_count_is_known_before_building(capsys):
+    for argv in (["grid", "--n", "3"], ["cycle", "--n", "5"],
+                 ["complete-bipartite", "--m", "2", "--n", "3"],
+                 ["diamond", "--n", "0"], ["diamond", "--n", "1"],
+                 ["diamond", "--n", "2"], ["recursive", "--n", "2"],
+                 ["recursive", "--base", "k2n", "--legs", "3", "--n", "2"],
+                 ["recursive", "--base", "k2n", "--legs", "4", "--n", "1"]):
+        code, out, _ = _run(capsys, ["gen", *argv])
+        assert code == 0
+        args = cli._build_parser().parse_args(["gen", *argv])
+        assert len(json.loads(out)["points"]) == cli._gen_points(args)
+
+
+def test_gen_over_the_cap_builds_nothing(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("generator called")
+
+    monkeypatch.setenv("TCSPACE_MAX_POINTS", "64")
+    monkeypatch.setattr(cli, "diamond", never)
+    code, _, err = _run(capsys, ["gen", "diamond", "--n", "5"])
+    assert code == 1
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_path):
+    calls = []
+    karp = transport._min_mean
+    monkeypatch.setattr(transport, "_min_mean",
+                        lambda n, arcs: calls.append(n) or karp(n, arcs))
+    problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c2": "-1"}})
+    counts = []
+    for command in ("norm", "roadmap"):
+        calls.clear()
+        code, _, _ = _run(capsys, [command, "--space", c4, "--problem", problem])
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

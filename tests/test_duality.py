@@ -5,6 +5,8 @@ import pytest
 from corpus import c4_graph
 from tcspace import (
     DirectedSubgraph,
+    ExactLP,
+    LPStatus,
     LipschitzFunction,
     NotLipschitz,
     NotRealizable,
@@ -302,3 +304,48 @@ def test_unrealizable_subgraph_raises():
     g = c4_graph()
     with pytest.raises(NotRealizable):
         downhill_to_problem(DirectedSubgraph(g, ((0, 1), (1, 0))))
+
+
+def test_subgraph_forcing_other_tight_edges_is_not_realizable():
+    g = c4_graph()
+    # c0 -> c1 -> c2 drops by 2 = d(c0, c2), so c0 -> c3 -> c2 is tight too
+    ok, l = realizable_as_downhill(DirectedSubgraph(g, ((0, 1), (1, 2))))
+    assert not ok and l is None
+
+
+def _lp_realizable(H) -> bool:
+    """Reference verdict: max t with H's arcs tight and slack >= t elsewhere."""
+    graph = H.graph
+    lp = ExactLP()
+    lvar = [lp.add_var(free=True) for _ in range(graph.n)]
+    t = lp.add_var(free=True)
+    lp.add_eq({lvar[graph.space.base_point]: 1}, 0)
+    lp.add_le({t: 1}, 1)
+    used = H.edge_indices()
+    for u, v in H.arcs:
+        lp.add_eq({lvar[u]: 1, lvar[v]: -1}, graph.edges[graph.edge_index(u, v)].weight)
+    for i, e in enumerate(graph.edges):
+        if i not in used:
+            lp.add_le({lvar[e.tail]: 1, lvar[e.head]: -1, t: 1}, e.weight)
+            lp.add_le({lvar[e.tail]: -1, lvar[e.head]: 1, t: 1}, e.weight)
+    lp.maximize({t: 1})
+    res = lp.solve()
+    return res.status == LPStatus.OPTIMAL and res.value > 0
+
+
+def test_realizability_matches_an_lp_reference(small_corpus, rng):
+    verdicts = []
+    for inst in small_corpus:
+        for _ in range(4):
+            arcs = list(downhill_graph(random_lipschitz(rng, inst.graph)).arcs)
+            if not arcs:
+                continue
+            flipped = [(arcs[0][1], arcs[0][0])] + arcs[1:]
+            for sub in (arcs, arcs[1:], flipped):
+                if sub:
+                    H = DirectedSubgraph(inst.graph, tuple(sub))
+                    ok, l = realizable_as_downhill(H)
+                    assert ok == _lp_realizable(H)
+                    assert (l is not None) == ok
+                    verdicts.append(ok)
+    assert any(verdicts) and not all(verdicts)

@@ -1,0 +1,38 @@
+"""Module boundaries: the exact simplex serves the independent oracle only."""
+
+import ast
+from pathlib import Path
+
+import tcspace
+
+SRC = Path(tcspace.__file__).parent
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The tcspace modules a source file imports, by short name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("tcspace."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "tcspace":
+                out.update(a.name for a in node.names)
+            elif node.module and node.module.startswith("tcspace."):
+                out.add(node.module.split(".")[1])
+    return out
+
+
+def _importers(module: str) -> set[str]:
+    return {p.name for p in SRC.glob("*.py") if module in _imported_modules(p)}
+
+
+def test_only_the_oracle_uses_the_simplex():
+    assert _importers("lp") == {"oracle.py", "__init__.py"}
+
+
+def test_no_solver_module_imports_the_oracle():
+    # cli.py is the front end of `oracle-check`; __init__ re-exports.
+    assert _importers("oracle") == {"cli.py", "__init__.py"}

@@ -144,3 +144,13 @@ def test_distances_in_unit_band_always_form_a_metric(raws):
             rows[i][j] = rows[j][i] = d
     space = validate_metric([f"P{i}" for i in range(n)], rows)
     assert space.n == n
+
+
+def test_validate_metric_coerces_each_entry_once(monkeypatch):
+    import tcspace.metric as metric
+
+    seen = []
+    monkeypatch.setattr(metric, "to_fraction", lambda x: seen.append(x) or to_fraction(x))
+    validate_metric(["A", "B", "C"],
+                    [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]])
+    assert len(seen) == 9

@@ -9,6 +9,8 @@ from tcspace import (
     TransportationProblem,
     canonical_graph,
     dual_optimum,
+    maximal_support,
+    oracle_maximal_support,
     oracle_tc_norm,
     oracle_tree_norm,
     space_from_weighted_graph,
@@ -95,3 +97,9 @@ def test_unique_probe_known_cases():
 def test_unique_probe_rejects_zero():
     with pytest.raises(NullProblem):
         supporting_unique_probe(TransportationProblem.zero(c4_graph()))
+
+
+def test_maximal_support_matches_the_lp_oracle(small_corpus):
+    for inst in small_corpus:
+        for f in inst.problems:
+            assert maximal_support(f) == oracle_maximal_support(f)
