@@ -18,11 +18,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .duality import (
     LipschitzFunction,
+    _least_supporting,
+    _uniqueness,
     downhill_graph,
     evaluate,
-    is_unique_supporting,
     realizable_as_downhill,
-    supporting_function,
 )
 from .errors import DomainError, InvalidInput
 from .families import (
@@ -59,8 +59,13 @@ def _max_points() -> int:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _check_cap(n: int):
@@ -149,11 +154,12 @@ def _cmd_basis(args) -> int:
 def _cmd_dual(args) -> int:
     graph = _load_graph(args.space)
     f = TransportationProblem.from_json_obj(graph, _load_json(args.problem))
-    s = supporting_function(f)
+    _, p = tc_norm(f)  # one solve serves both the potential and --unique
+    s = _least_supporting(p)
     out = s.to_json_obj()
     out["value"] = frac_str(evaluate(s, f))
     if args.unique:
-        unique, witness = is_unique_supporting(f)
+        unique, witness = _uniqueness(p)
         out["unique"] = unique
         if witness is not None:
             out["witness"] = witness.to_json_obj()

@@ -23,8 +23,8 @@ from math import lcm
 from .errors import InvalidInput, NotLipschitz, NotRealizable, NullProblem, PreconditionFailed
 from .graph import CanonicalGraph, DirectedSubgraph, connected_components
 from .rational import ZERO, frac_str, to_fraction
-from .transport import (TransportationPlan, bellman_ford, residual_distances, tc_norm,
-                        zero_cost_cycles)
+from .transport import (Roadmap, TransportationPlan, bellman_ford, residual_distances,
+                        tc_norm, zero_cost_cycles)
 from .vectors import TransportationProblem
 
 DownhillGraph = DirectedSubgraph
@@ -99,10 +99,15 @@ def supporting_function(f: TransportationProblem) -> LipschitzFunction:
     Returns the zero function for f = 0 (every feasible function pairs to
     zero with it).
     """
-    if f.is_zero():
-        return LipschitzFunction.zero(f.graph)
-    _, p = tc_norm(f)
-    return LipschitzFunction(f.graph, tuple(-x for x in residual_distances(p)))
+    return _least_supporting(tc_norm(f)[1])
+
+
+def _least_supporting(p: Roadmap) -> LipschitzFunction:
+    """supporting_function of the problem that p, an optimal roadmap, solves
+    (p has empty support exactly when that problem is zero)."""
+    if not p.support():
+        return LipschitzFunction.zero(p.graph)
+    return LipschitzFunction(p.graph, tuple(-x for x in residual_distances(p)))
 
 
 def is_potential(plan: TransportationPlan, l: LipschitzFunction) -> bool:
@@ -135,10 +140,15 @@ def is_unique_supporting(f: TransportationProblem) -> tuple[bool, LipschitzFunct
     l(v) = dist(v -> base) in the residual digraph, which differs from the
     least (supporting_function) exactly when the support is disconnected.
     """
-    if f.is_zero():
+    return _uniqueness(tc_norm(f)[1])
+
+
+def _uniqueness(p: Roadmap) -> tuple[bool, LipschitzFunction | None]:
+    """is_unique_supporting of the problem that p, an optimal roadmap, solves
+    (p has empty support exactly when that problem is zero)."""
+    if not p.support():
         raise NullProblem("uniqueness undefined for the zero problem")
-    graph = f.graph
-    _, p = tc_norm(f)
+    graph = p.graph
     edges = p.support() | zero_cost_cycles(p).keys()
     comp = connected_components(
         graph.n, ((graph.edges[i].tail, graph.edges[i].head) for i in edges))

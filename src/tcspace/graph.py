@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +74,13 @@ class CanonicalGraph:
 
     def max_degree(self) -> int:
         return max(self.degrees())
+
+    @cached_property
+    def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(D, edge weights times D), D the lcm of the weight denominators."""
+        denom = lcm(*{e.weight.denominator for e in self.edges})
+        return denom, tuple(e.weight.numerator * (denom // e.weight.denominator)
+                            for e in self.edges)
 
     def endpoints_name(self, idx: int) -> tuple[str, str]:
         e = self.edges[idx]
@@ -182,14 +191,17 @@ def shortest_path_tree(graph: CanonicalGraph, source: int):
 
     Deterministic: among equal-length paths the predecessor with the smaller
     vertex index wins, so every (source, target) pair has one fixed path.
+    Runs on the weights scaled to integers (graph.scaled_weights), which
+    keeps the heap order and the ties, and returns Fraction distances.
     """
     n = graph.n
-    dist: list[Fraction | None] = [None] * n
+    denom, weights = graph.scaled_weights
+    dist: list[int | None] = [None] * n
     pred_vertex: list[int | None] = [None] * n
     pred_edge: list[int | None] = [None] * n
     done = [False] * n
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
-    dist[source] = Fraction(0)
+    heap: list[tuple[int, int]] = [(0, source)]
+    dist[source] = 0
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
@@ -198,7 +210,7 @@ def shortest_path_tree(graph: CanonicalGraph, source: int):
         for eidx, v in graph.incident(u):
             if done[v]:
                 continue
-            nd = d + graph.edges[eidx].weight
+            nd = d + weights[eidx]
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 pred_vertex[v] = u
@@ -207,7 +219,7 @@ def shortest_path_tree(graph: CanonicalGraph, source: int):
             elif nd == dist[v] and pred_vertex[v] is not None and u < pred_vertex[v]:
                 pred_vertex[v] = u
                 pred_edge[v] = eidx
-    return dist, pred_edge
+    return [None if d is None else Fraction(d, denom) for d in dist], pred_edge
 
 
 def shortest_path_arcs(graph: CanonicalGraph, u: int, v: int) -> list[tuple[int, int]]:

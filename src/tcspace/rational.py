@@ -21,11 +21,14 @@ def to_fraction(value) -> Fraction:
     """Convert an int, Fraction, or string literal to an exact Fraction.
 
     Strings may be integers ("7"), ratios ("5/2", "-3/4"), or decimal
-    literals ("0.125"), all converted exactly.  Floats raise InvalidInput.
+    literals ("0.125"), all converted exactly.  Floats and booleans (JSON
+    true/false, which Python counts as ints) raise InvalidInput.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if isinstance(value, bool):
+            raise InvalidInput(f"boolean {value!r} rejected: pass a number")
         return Fraction(value)
     if isinstance(value, float):
         raise InvalidInput(

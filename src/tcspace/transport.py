@@ -3,9 +3,12 @@
 The TC norm of a zero-sum problem is the minimum weighted-l1 cost of an
 edge-level transportation (a roadmap) realizing it.  The solver starts from
 a greedy shortest-path routing and repeatedly cancels a minimum-mean
-improving cycle (Karp's algorithm over the residual digraph, exact
-rationals) until no improving cycle exists; nonexistence of an improving
-cycle is exactly optimality, which is also the emitted certificate.
+improving cycle (Karp's algorithm over the residual digraph) until no
+improving cycle exists; nonexistence of an improving cycle is exactly
+optimality, which is also the emitted certificate.  Karp and the cycle
+extraction run on the residual costs scaled to exact integers (vectorized
+with numpy, int64 under an overflow guard and Python ints beyond it);
+Fractions appear only in their inputs and results.
 
 The optimal face is read off that roadmap's residual digraph by
 complementary slackness (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9):
@@ -17,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from .errors import InvalidInput, NotImprovable, NullProblem
 from .graph import (
@@ -26,6 +32,7 @@ from .graph import (
     shortest_path_arcs,
     shortest_path_tree,
 )
+from .metric import _INT64_SAFE
 from .rational import ZERO, frac_str, to_fraction
 from .vectors import EdgeVector, TransportationProblem, apply_incidence
 
@@ -298,46 +305,57 @@ def _residual_arcs(p: EdgeVector) -> list[tuple[int, int, Fraction, int, int]]:
     return arcs
 
 
+def _scaled_costs(arcs) -> tuple[int, list[int]]:
+    """Arc costs times D, the lcm of their denominators: (D, exact integers)."""
+    denom = lcm(*{c.denominator for _, _, c, *_ in arcs})
+    return denom, [c.numerator * (denom // c.denominator) for _, _, c, *_ in arcs]
+
+
+def _int_dtype(peak: int):
+    """int64 for integers of magnitude at most peak when that is safe, else
+    Python ints (object dtype); both run the same numpy code."""
+    return np.int64 if peak < _INT64_SAFE else object
+
+
 def _min_mean(n: int, arcs) -> Fraction | None:
     """Karp: minimum mean cost over directed cycles, None if acyclic.
 
-    A virtual source with zero-cost arcs to every vertex makes all walks
-    start uniformly; vertices are 0..n-1 plus the source n.
+    Runs on integer costs (scaled by D, see _scaled_costs).  A virtual
+    source with zero-cost arcs to every vertex makes all walks start
+    uniformly; vertices are 0..n-1 plus the source n.  Layer k holds the
+    least cost of a k-arc walk from the source, `big` marking no walk; each
+    layer is one vectorized relaxation.  The ratio step compares
+    (top[v] - d_k[v]) / (n + 1 - k) by cross-multiplication, so the only
+    Fraction built is the result.
     """
+    denom, costs = _scaled_costs(arcs)
     size = n + 1
-    in_arcs: list[list[tuple[int, Fraction]]] = [[] for _ in range(size)]
-    for u, v, c, _, _ in arcs:
-        in_arcs[v].append((u, c))
-    for v in range(n):
-        in_arcs[v].append((n, ZERO))
-    dist = [[None] * size for _ in range(size + 1)]
-    dist[0][n] = ZERO
+    tails = np.array([u for u, *_ in arcs] + [n] * n, dtype=np.intp)
+    heads = np.array([v for _, v, *_ in arcs] + list(range(n)), dtype=np.intp)
+    big = max(map(abs, costs), default=0) * (size + 1) + 1  # above any walk's cost
+    dtype = _int_dtype(big)
+    cost = np.array(costs + [0] * n, dtype=dtype)
+    dist = np.full((size + 1, size), big, dtype=dtype)
+    dist[0, n] = 0
     for k in range(1, size + 1):
-        row = dist[k]
         prev = dist[k - 1]
-        for v in range(size):
-            best = None
-            for u, c in in_arcs[v]:
-                du = prev[u]
-                if du is not None and (best is None or du + c < best):
-                    best = du + c
-            row[v] = best
-    mu = None
-    top = dist[size]
-    for v in range(size):
-        if top[v] is None:
+        live = prev[tails] < big
+        np.minimum.at(dist[k], heads[live], prev[tails[live]] + cost[live])
+    mu = None  # (numerator, positive denominator)
+    for col in dist.T.tolist():
+        top = col[size]
+        if top == big:
             continue
-        worst = None
+        worst = None  # set: a walk reaching v makes d_1[v] = 0 finite
         for k in range(size):
-            dk = dist[k][v]
-            if dk is None:
+            if col[k] == big:
                 continue
-            cand = (top[v] - dk) / (size - k)
-            if worst is None or cand > worst:
+            cand = (top - col[k], size - k)
+            if worst is None or cand[0] * worst[1] > worst[0] * cand[1]:
                 worst = cand
-        if worst is not None and (mu is None or worst < mu):
+        if mu is None or worst[0] * mu[1] < mu[0] * worst[1]:
             mu = worst
-    return mu
+    return None if mu is None else Fraction(mu[0], mu[1] * denom)
 
 
 def bellman_ford(n: int, arcs, source: int | None = None) -> list[Fraction] | None:
@@ -360,14 +378,43 @@ def bellman_ford(n: int, arcs, source: int | None = None) -> list[Fraction] | No
     return None
 
 
+def _potentials(n: int, tails, heads, costs: list[int]) -> list[int] | None:
+    """Bellman-Ford on integer costs from a virtual source with zero-cost
+    arcs to every vertex, one vectorized relaxation per round; None on a
+    negative cycle.  The distances are unique, so they equal those of any
+    relaxation order."""
+    peak = max(map(abs, costs), default=0) * (n + 1)
+    dtype = _int_dtype(peak)
+    cost = np.array(costs, dtype=dtype)
+    pot = np.zeros(n, dtype=dtype)
+    for _ in range(n):
+        nxt = pot.copy()
+        np.minimum.at(nxt, heads, pot[tails] + cost)
+        if (nxt == pot).all():
+            return pot.tolist()
+        pot = nxt
+    return None
+
+
 def _extract_cycle(graph: CanonicalGraph, arcs, mu: Fraction) -> OrientedCycle:
-    """A directed cycle of mean cost mu, via tight arcs under shifted costs."""
+    """A directed cycle of mean cost mu, via tight arcs under shifted costs.
+
+    With integer costs c (scaled by D) and mu * D = a / b, the shifted cost
+    b * c - a is b * D * (cost - mu): a positive multiple, so potentials,
+    tight arcs and the cycle found are those of the costs cost - mu.
+    """
     n = graph.n
-    pot = bellman_ford(n, [(u, v, c - mu) for u, v, c, _, _ in arcs])
+    denom, costs = _scaled_costs(arcs)
+    scaled_mu = mu * denom
+    a, b = scaled_mu.numerator, scaled_mu.denominator
+    shifted = [b * c - a for c in costs]
+    tails = np.array([u for u, *_ in arcs], dtype=np.intp)
+    heads = np.array([v for _, v, *_ in arcs], dtype=np.intp)
+    pot = _potentials(n, tails, heads, shifted)
     assert pot is not None, "negative cycle under shifted costs"
     tight: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for u, v, c, eidx, sign in arcs:
-        if pot[u] + c - mu == pot[v]:
+    for (u, v, _, eidx, sign), c in zip(arcs, shifted):
+        if pot[u] + c == pot[v]:
             tight[u].append((v, eidx, sign))
 
     color = [0] * n
@@ -400,9 +447,9 @@ def _extract_cycle(graph: CanonicalGraph, arcs, mu: Fraction) -> OrientedCycle:
             if found:
                 cyc = OrientedCycle(graph, tuple(found))
                 members = set(found)
-                total = sum((c for _, _, c, e, s2 in arcs if (e, s2) in members),
-                            ZERO)
-                assert total == mu * len(found)
+                total = sum(c for (_, _, _, e, s2), c in zip(arcs, costs)
+                            if (e, s2) in members)
+                assert total * b == a * len(found)  # total / D == mu * len
                 return cyc
     raise AssertionError("tight subgraph must contain a cycle")
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tcspace import cli, transport
+from tcspace import cli, duality, transport
 from tcspace.cli import main
 
 
@@ -288,3 +288,59 @@ def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_pat
         assert code == 0
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_dual_unique_solves_once(capsys, monkeypatch, c4, tmp_path):
+    calls = []
+    solve = transport.tc_norm
+
+    def counting(f):
+        calls.append(f)
+        return solve(f)
+
+    for module in (cli, duality, transport):
+        monkeypatch.setattr(module, "tc_norm", counting)
+    problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c1": "-1"}})
+    code, out, _ = _run(capsys, ["dual", "--space", c4, "--problem", problem, "--unique"])
+    assert code == 0
+    assert json.loads(out)["unique"] is False
+    assert len(calls) == 1
+
+
+def test_dual_unique_of_the_zero_problem_is_a_null_problem(capsys, c4, tmp_path):
+    problem = _write(tmp_path / "f.json", {"f": {}})
+    code, out, _ = _run(capsys, ["dual", "--space", c4, "--problem", problem])
+    assert code == 0
+    assert set(json.loads(out)["l"].values()) == {"0"}
+    code, _, err = _run(capsys, ["dual", "--space", c4, "--problem", problem, "--unique"])
+    assert code == 1
+    assert json.loads(err)["error"] == "NullProblem"
+
+
+def test_boolean_mass_is_rejected(capsys, path3, tmp_path):
+    problem = _write(tmp_path / "f.json", {"f": {"A": True, "B": "-1"}})
+    code, out, err = _run(capsys, ["norm", "--space", path3, "--problem", problem])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_malformed_json_is_a_structured_error(capsys, path3, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    for argv in (["norm", "--space", str(bad), "--problem", str(bad)],
+                 ["norm", "--space", path3, "--problem", str(bad)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_missing_file_is_a_structured_error(capsys, path3, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["validate", "--space", missing],
+                 ["norm", "--space", path3, "--problem", missing]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidInput"

@@ -372,3 +372,47 @@ def test_solver_is_deterministic():
     second = tc_norm(f)
     assert first[0] == second[0]
     assert first[1].vec == second[1].vec
+
+
+def _coprime_graph(rng, n, offset):
+    """Canonical graph of a random connected graph on n points whose weights
+    are offset + k/d with d in {7, 11, 13}."""
+    names = [f"v{i}" for i in range(n)]
+
+    def weight():
+        return offset + Fraction(rng.randint(1, 20), rng.choice((7, 11, 13)))
+
+    edges = [(names[rng.randrange(i)], names[i], weight()) for i in range(1, n)]
+    tree = {(a, b) for a, b, _ in edges}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (names[i], names[j]) not in tree and rng.random() < 0.6:
+                edges.append((names[i], names[j], weight()))
+    return canonical_graph(space_from_weighted_graph(names, edges))
+
+
+@pytest.mark.parametrize("offset, wide", [(0, False), (2**58, True)])
+def test_integer_karp_matches_brute_force_on_coprime_denominators(rng, offset, wide):
+    """Karp on integer-scaled costs, on the int64 path and, with weights near
+    2**58, on the Python-int path; the solver built on it agrees with the
+    oracle there too."""
+    from math import lcm
+
+    from tcspace.metric import _INT64_SAFE
+    from tcspace.randgen import random_problem
+    from tcspace.transport import _min_mean, _residual_arcs
+
+    denominators = set()
+    for n in (3, 4, 5, 6):
+        graph = _coprime_graph(rng, n, offset)
+        denoms = {e.weight.denominator for e in graph.edges}
+        denominators |= denoms
+        peak = lcm(*denoms) * max(e.weight for e in graph.edges) * (n + 2)
+        assert (peak >= _INT64_SAFE) == wide
+        for _ in range(3):
+            p = Roadmap(random_roadmap(rng, graph))
+            karp = _min_mean(graph.n, _residual_arcs(p.vec))
+            assert karp == min(_all_simple_cycle_means(p))
+        f = random_problem(rng, graph, nonzero=True)
+        assert tc_norm(f)[0] == oracle_tc_norm(f)
+    assert denominators >= {7, 11, 13}

@@ -14,6 +14,7 @@ from tcspace import (
     canonical_graph,
     cycle_basis,
     l1d_norm,
+    to_fraction,
     validate_metric,
 )
 from tcspace.randgen import random_roadmap
@@ -109,3 +110,11 @@ def test_edge_vector_rejects_bad_index():
     g = c4_graph()
     with pytest.raises(InvalidInput):
         EdgeVector(g, {99: Fraction(1)})
+
+
+def test_booleans_are_not_masses():
+    for value in (True, False):
+        with pytest.raises(InvalidInput):
+            to_fraction(value)
+    with pytest.raises(InvalidInput):
+        TransportationProblem(c4_graph(), {0: True, 1: -1})
