@@ -67,7 +67,6 @@ from .oracle import (
     supporting_unique_probe,
 )
 from .duality import (
-    DownhillGraph,
     LipschitzFunction,
     downhill_graph,
     downhill_to_problem,

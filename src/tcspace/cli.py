@@ -97,8 +97,11 @@ def _emit(obj, stream=None) -> None:
 
 
 def _write_file(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 # --- subcommands ---------------------------------------------------------------

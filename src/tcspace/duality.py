@@ -27,8 +27,6 @@ from .transport import (Roadmap, TransportationPlan, bellman_ford, residual_dist
                         tc_norm, zero_cost_cycles)
 from .vectors import TransportationProblem
 
-DownhillGraph = DirectedSubgraph
-
 
 @dataclass(frozen=True)
 class LipschitzFunction:

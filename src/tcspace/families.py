@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, NotNormalized
+from .graph import connected_components
 from .metric import MetricSpace, single_source_distances, space_from_weighted_graph
 from .rational import ONE, to_fraction
 
@@ -52,7 +53,11 @@ class FamilyDescriptor:
             raise InvalidInput("descriptor JSON needs 'family'") from exc
         gens = obj.get("generations")
         if gens is not None:
-            gens = {str(k): int(v) for k, v in gens.items()}
+            try:
+                gens = {str(k): int(v) for k, v in gens.items()}
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise InvalidInput(
+                    "descriptor 'generations' must map point names to integers") from exc
         return cls(str(family), dict(obj.get("params", {})), gens)
 
 
@@ -83,18 +88,9 @@ class TwoPortGraph:
             seen.add(key)
             if to_fraction(w) <= 0:
                 raise InvalidInput("edge weights must be positive")
-        reached = {self.points[0]}
-        frontier = [self.points[0]]
-        adj: dict[str, list[str]] = {p: [] for p in self.points}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while frontier:
-            for q in adj[frontier.pop()]:
-                if q not in reached:
-                    reached.add(q)
-                    frontier.append(q)
-        if len(reached) != len(self.points):
+        labels = connected_components(
+            len(self.points), ((u, v) for u, v, _ in self._index_edges()))
+        if any(labels):
             raise InvalidInput("two-port graph must be connected")
 
     def _index_edges(self):

@@ -8,17 +8,16 @@ smaller point index) so that signed edge vectors are well defined.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput
-from .metric import MetricSpace, _INT64_SAFE, _scaled_int_rows, path_metric
+from .metric import (MetricSpace, _INT64_SAFE, _adjacency, _dijkstra, _distance_rows,
+                     _scaled_adjacency, _scaled_int_rows)
 from .rational import frac_str
 
 
@@ -76,11 +75,10 @@ class CanonicalGraph:
         return max(self.degrees())
 
     @cached_property
-    def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
-        """(D, edge weights times D), D the lcm of the weight denominators."""
-        denom = lcm(*{e.weight.denominator for e in self.edges})
-        return denom, tuple(e.weight.numerator * (denom // e.weight.denominator)
-                            for e in self.edges)
+    def scaled_adjacency(self) -> tuple[int, list[list[tuple[int, int, int]]]]:
+        """(D, adj): adj[u] the (v, weight times D, edge index) arcs at u, D
+        the lcm of the weight denominators (see metric._scaled_adjacency)."""
+        return _scaled_adjacency(self.n, self.edges)
 
     def endpoints_name(self, idx: int) -> tuple[str, str]:
         e = self.edges[idx]
@@ -110,10 +108,10 @@ class CanonicalGraph:
         return "\n".join(lines) + "\n"
 
 
-def _deletion_mask(space: MetricSpace) -> list[list[bool]]:
-    """mask[i][k] true iff some j outside {i,k} gives d(i,j)+d(j,k) = d(i,k)."""
-    n = space.n
-    scaled, _ = _scaled_int_rows(space.dist)
+def _deletion_mask(scaled: list[list[int]]) -> list[list[bool]]:
+    """mask[i][k] true iff some j outside {i,k} gives d(i,j)+d(j,k) = d(i,k),
+    on the distances scaled to integers (metric._scaled_int_rows)."""
+    n = len(scaled)
     peak = max(max(r) for r in scaled)
     if peak < _INT64_SAFE:
         mat = np.array(scaled, dtype=np.int64)
@@ -140,24 +138,35 @@ def _deletion_mask(space: MetricSpace) -> list[list[bool]]:
     return drop
 
 
-def connected_components(n: int, pairs) -> list[int]:
-    """Component label per vertex (labels are the minimal member indices)."""
-    parent = list(range(n))
+class UnionFind:
+    """Disjoint sets of 0..n-1.  A union keeps the smaller root, so every
+    root is the least member of its set."""
 
-    def find(x):
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(self, u: int, v: int) -> bool:
+        """Merge the sets of u and v; False if they were one set already."""
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self.parent[max(ru, rv)] = min(ru, rv)
+        return True
+
+
+def connected_components(n: int, pairs) -> list[int]:
+    """Component label per vertex (labels are the minimal member indices)."""
+    sets = UnionFind(n)
     for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    return [find(v) for v in range(n)]
+        sets.union(u, v)
+    return [sets.find(v) for v in range(n)]
 
 
 def canonical_graph(space: MetricSpace) -> CanonicalGraph:
@@ -169,7 +178,8 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     path metric reproduces the input metric exactly.
     """
     n = space.n
-    drop = _deletion_mask(space)
+    scaled, _ = _scaled_int_rows(space.dist)
+    drop = _deletion_mask(scaled)
     edges = tuple(
         Edge(i, k, space.dist[i][k])
         for i in range(n) for k in range(i + 1, n)
@@ -177,10 +187,9 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     )
     labels = connected_components(n, ((e.tail, e.head) for e in edges))
     assert all(c == 0 for c in labels), "canonical graph must be connected"
-    realized = path_metric(n, [(e.tail, e.head, e.weight) for e in edges])
-    assert all(
-        tuple(realized[i]) == space.dist[i] for i in range(n)
-    ), "canonical graph path metric must equal the input metric"
+    realized = _distance_rows(_adjacency(n, [(e.tail, e.head, scaled[e.tail][e.head])
+                                             for e in edges]))
+    assert realized == scaled, "canonical graph path metric must equal the input metric"
     return CanonicalGraph(space, edges)
 
 
@@ -191,44 +200,18 @@ def shortest_path_tree(graph: CanonicalGraph, source: int):
 
     Deterministic: among equal-length paths the predecessor with the smaller
     vertex index wins, so every (source, target) pair has one fixed path.
-    Runs on the weights scaled to integers (graph.scaled_weights), which
-    keeps the heap order and the ties, and returns Fraction distances.
+    Runs on the weights scaled to integers (graph.scaled_adjacency), which
+    keeps the ties, and returns Fraction distances.
     """
-    n = graph.n
-    denom, weights = graph.scaled_weights
-    dist: list[int | None] = [None] * n
-    pred_vertex: list[int | None] = [None] * n
-    pred_edge: list[int | None] = [None] * n
-    done = [False] * n
-    heap: list[tuple[int, int]] = [(0, source)]
-    dist[source] = 0
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for eidx, v in graph.incident(u):
-            if done[v]:
-                continue
-            nd = d + weights[eidx]
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                pred_vertex[v] = u
-                pred_edge[v] = eidx
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and pred_vertex[v] is not None and u < pred_vertex[v]:
-                pred_vertex[v] = u
-                pred_edge[v] = eidx
+    denom, adj = graph.scaled_adjacency
+    dist, pred_edge = _dijkstra(adj, source)
     return [None if d is None else Fraction(d, denom) for d in dist], pred_edge
 
 
-def shortest_path_arcs(graph: CanonicalGraph, u: int, v: int) -> list[tuple[int, int]]:
-    """Edges of the fixed shortest u-v path as (edge_index, sign) arcs.
-
-    The sign is +1 when the path traverses the edge along its reference
-    orientation, -1 otherwise.
-    """
-    _, pred_edge = shortest_path_tree(graph, u)
+def tree_path_arcs(graph: CanonicalGraph, pred_edge, u: int, v: int) -> list[tuple[int, int]]:
+    """The u-v path of a shortest-path tree from u (its predecessor edges)
+    as (edge_index, sign) arcs from u; sign +1 along the reference
+    orientation, -1 against it."""
     arcs = []
     cur = v
     while cur != u:
@@ -244,6 +227,15 @@ def shortest_path_arcs(graph: CanonicalGraph, u: int, v: int) -> list[tuple[int,
             cur = e.head
     arcs.reverse()
     return arcs
+
+
+def shortest_path_arcs(graph: CanonicalGraph, u: int, v: int) -> list[tuple[int, int]]:
+    """Edges of the fixed shortest u-v path as (edge_index, sign) arcs.
+
+    The sign is +1 when the path traverses the edge along its reference
+    orientation, -1 otherwise.
+    """
+    return tree_path_arcs(graph, shortest_path_tree(graph, u)[1], u, v)
 
 
 # --- directed subgraphs -------------------------------------------------------

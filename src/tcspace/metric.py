@@ -173,7 +173,11 @@ def _axiom_violations(names, rows) -> list:
 
 
 def _coerce_matrix(points, dist):
-    names = tuple(str(p) for p in points)
+    try:
+        names = tuple(str(p) for p in points)
+        dist = [list(row) for row in dist]
+    except TypeError as exc:
+        raise InvalidInput("'points' must be a list of names and 'dist' a list of rows") from exc
     if len(set(names)) != len(names):
         raise InvalidInput("point names must be distinct")
     if len(names) < 2:
@@ -215,6 +219,84 @@ def validate_metric(points, dist, base=None) -> MetricSpace:
 
 # --- shortest-path metrics of weighted graphs --------------------------------
 
+def _adjacency(n: int, edges) -> list[list[tuple[int, int, int]]]:
+    """adj[u]: the (v, w, edge index) arcs at u of undirected edges (u, v, w)."""
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for idx, (u, v, w) in enumerate(edges):
+        adj[u].append((v, w, idx))
+        adj[v].append((u, w, idx))
+    return adj
+
+
+def _scaled_adjacency(n: int, edges) -> tuple[int, list[list[tuple[int, int, int]]]]:
+    """(D, _adjacency of the edges with weights times D), D the lcm of the
+    weight denominators, so every arc weight is an exact integer."""
+    denom = lcm(*{w.denominator for _, _, w in edges})
+    return denom, _adjacency(
+        n, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges])
+
+
+def _dijkstra(adj, source: int) -> tuple[list[int | None], list[int | None]]:
+    """Integer Dijkstra over _adjacency arcs: (distances, predecessor edge
+    indices), None where unreachable.
+
+    Deterministic: among equal-length paths the predecessor with the smaller
+    vertex index wins, so every (source, target) pair has one fixed path.
+    """
+    n = len(adj)
+    dist: list[int | None] = [None] * n
+    pred_vertex: list[int | None] = [None] * n
+    pred_edge: list[int | None] = [None] * n
+    done = [False] * n
+    heap: list[tuple[int, int]] = [(0, source)]
+    dist[source] = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w, eidx in adj[u]:
+            if done[v]:
+                continue
+            nd = d + w
+            if dist[v] is None or nd < dist[v]:
+                dist[v] = nd
+                pred_vertex[v] = u
+                pred_edge[v] = eidx
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and u < pred_vertex[v]:
+                pred_vertex[v] = u
+                pred_edge[v] = eidx
+    return dist, pred_edge
+
+
+def _bfs_hops(adj, source: int) -> list[int | None]:
+    hops: list[int | None] = [None] * len(adj)
+    hops[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v, _, _ in adj[u]:
+            if hops[v] is None:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
+
+
+def _distance_rows(adj) -> list[list[int | None]]:
+    """All-pairs integer distances over _adjacency arcs (None: unreachable).
+
+    When every edge has the same weight w the rows are BFS hop counts times
+    w: on diamond(5) that is about three times faster than Dijkstra.
+    """
+    weights = {w for arcs in adj for _, w, _ in arcs}
+    if len(weights) == 1:
+        (w,) = weights
+        return [[None if h is None else h * w for h in _bfs_hops(adj, s)]
+                for s in range(len(adj))]
+    return [_dijkstra(adj, s)[0] for s in range(len(adj))]
+
+
 def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fraction]]:
     """Exact all-pairs shortest-path matrix of a connected weighted graph.
 
@@ -227,71 +309,20 @@ def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fra
             raise InvalidInput("self-loops are not allowed")
         if w <= 0:
             raise InvalidInput("edge weights must be positive")
-    denom = 1
-    for _, _, w in edges:
-        denom = lcm(denom, w.denominator)
-    iw = [int(w.numerator * (denom // w.denominator)) for _, _, w in edges]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v, _), w in zip(edges, iw):
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-
-    uniform = len(set(iw)) <= 1
-    rows: list[list[Fraction]] = []
-    for s in range(n):
-        if uniform and edges:
-            hops = _bfs_hops(n, adj, s)
-            w0 = Fraction(iw[0], denom)
-            row = [None if h is None else h * w0 for h in hops]
-        else:
-            ints = _dijkstra_int(n, adj, s)
-            row = [None if x is None else Fraction(x, denom) for x in ints]
-        if any(x is None for x in row):
-            raise InvalidInput("graph is not connected")
-        rows.append(row)
-    return rows
+    denom, adj = _scaled_adjacency(n, edges)
+    rows = _distance_rows(adj)
+    if any(None in row for row in rows):
+        raise InvalidInput("graph is not connected")
+    fractions = {x: Fraction(x, denom) for x in set().union(*rows)}  # one per value
+    return [[fractions[x] for x in row] for row in rows]
 
 
 def single_source_distances(n: int, edges: list[tuple[int, int, Fraction]],
                             source: int) -> list[Fraction | None]:
     """One row of the shortest-path metric (None marks unreachable)."""
-    denom = 1
-    for _, _, w in edges:
-        denom = lcm(denom, w.denominator)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
-        iw = int(w.numerator * (denom // w.denominator))
-        adj[u].append((v, iw))
-        adj[v].append((u, iw))
-    ints = _dijkstra_int(n, adj, source)
-    return [None if x is None else Fraction(x, denom) for x in ints]
-
-
-def _bfs_hops(n, adj, source):
-    hops = [None] * n
-    hops[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj[u]:
-            if hops[v] is None:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    return hops
-
-
-def _dijkstra_int(n, adj, source):
-    dist = [None] * n
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if dist[u] is not None:
-            continue
-        dist[u] = d
-        for v, w in adj[u]:
-            if dist[v] is None:
-                heapq.heappush(heap, (d + w, v))
-    return dist
+    denom, adj = _scaled_adjacency(n, edges)
+    return [None if x is None else Fraction(x, denom)
+            for x in _dijkstra(adj, source)[0]]
 
 
 def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:

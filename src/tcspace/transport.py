@@ -28,9 +28,11 @@ from .errors import InvalidInput, NotImprovable, NullProblem
 from .graph import (
     CanonicalGraph,
     DirectedSubgraph,
+    UnionFind,
     connected_components,
     shortest_path_arcs,
     shortest_path_tree,
+    tree_path_arcs,
 )
 from .metric import _INT64_SAFE
 from .rational import ZERO, frac_str, to_fraction
@@ -241,21 +243,12 @@ def plan_to_roadmap(plan: TransportationPlan) -> Roadmap:
 
 def cycle_basis(graph: CanonicalGraph) -> CycleBasis:
     """One fundamental cycle per non-forest edge (edges scanned in order)."""
-    parent = list(range(graph.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(graph.n)
     forest: list[int] = []
     rest: list[int] = []
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(graph.n)}
     for idx, e in enumerate(graph.edges):
-        ru, rv = find(e.tail), find(e.head)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+        if sets.union(e.tail, e.head):
             forest.append(idx)
             adj[e.tail].append((idx, e.head))
             adj[e.head].append((idx, e.tail))
@@ -524,8 +517,7 @@ def _initial_roadmap(f: TransportationProblem) -> Roadmap:
         amt = min(supply, demand)
         if u not in trees:
             trees[u] = shortest_path_tree(graph, u)[1]
-        arcs = _arcs_from_tree(graph, trees[u], u, v)
-        for e, s in arcs:
+        for e, s in tree_path_arcs(graph, trees[u], u, v):
             vals[e] = vals.get(e, ZERO) + s * amt
         pos[i][1] -= amt
         neg[j][1] -= amt
@@ -534,21 +526,6 @@ def _initial_roadmap(f: TransportationProblem) -> Roadmap:
         if neg[j][1] == 0:
             j += 1
     return Roadmap(EdgeVector(graph, vals))
-
-
-def _arcs_from_tree(graph, pred_edge, src, dst):
-    arcs = []
-    cur = dst
-    while cur != src:
-        eidx = pred_edge[cur]
-        e = graph.edges[eidx]
-        if e.head == cur:
-            arcs.append((eidx, 1))
-            cur = e.tail
-        else:
-            arcs.append((eidx, -1))
-            cur = e.head
-    return arcs
 
 
 def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:

@@ -21,24 +21,27 @@ def _clean(values: dict) -> dict:
 
 
 @dataclass(frozen=True)
-class EdgeVector:
-    """Sparse map edge index -> Fraction; an element of l_{1,d}(E)."""
+class _SparseVector:
+    """Sparse map index -> nonzero Fraction on a graph, with exact linear
+    arithmetic.  Subclasses set the index range (_size) and the nouns of
+    their error messages (_index_noun, _plural)."""
 
     graph: CanonicalGraph
     values: dict
 
     def __post_init__(self):
+        size = self._size()
         vals = {}
         for k, v in self.values.items():
-            if not isinstance(k, int) or not 0 <= k < self.graph.m:
-                raise InvalidInput(f"edge index {k!r} out of range")
+            if not isinstance(k, int) or not 0 <= k < size:
+                raise InvalidInput(f"{self._index_noun} index {k!r} out of range")
             f = to_fraction(v)
             if f != 0:
                 vals[k] = f
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def zero(cls, graph: CanonicalGraph) -> EdgeVector:
+    def zero(cls, graph: CanonicalGraph):
         return cls(graph, {})
 
     def __getitem__(self, idx: int) -> Fraction:
@@ -50,31 +53,41 @@ class EdgeVector:
     def is_zero(self) -> bool:
         return not self.values
 
-    def _same_graph(self, other: EdgeVector):
+    def _same_graph(self, other):
         if self.graph is not other.graph:
-            raise InvalidInput("edge vectors live on different graphs")
+            raise InvalidInput(f"{self._plural} live on different graphs")
 
-    def __add__(self, other: EdgeVector) -> EdgeVector:
+    def __add__(self, other):
         self._same_graph(other)
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out.get(k, ZERO) + v
-        return EdgeVector(self.graph, _clean(out))
+        return type(self)(self.graph, _clean(out))
 
-    def __sub__(self, other: EdgeVector) -> EdgeVector:
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> EdgeVector:
-        return EdgeVector(self.graph, {k: -v for k, v in self.values.items()})
+    def __neg__(self):
+        return type(self)(self.graph, {k: -v for k, v in self.values.items()})
 
-    def scale(self, a) -> EdgeVector:
+    def scale(self, a):
         a = to_fraction(a)
-        return EdgeVector(self.graph, {k: a * v for k, v in self.values.items()})
+        return type(self)(self.graph, {k: a * v for k, v in self.values.items()})
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, EdgeVector)
+        return (isinstance(other, type(self))
                 and self.graph is other.graph
                 and self.values == other.values)
+
+
+class EdgeVector(_SparseVector):
+    """Sparse map edge index -> Fraction; an element of l_{1,d}(E)."""
+
+    _index_noun = "edge"
+    _plural = "edge vectors"
+
+    def _size(self) -> int:
+        return self.graph.m
 
     def l1d_norm(self) -> Fraction:
         """Weighted l1 norm: sum over edges of |value| * weight."""
@@ -88,33 +101,24 @@ def l1d_norm(p: EdgeVector) -> Fraction:
     return p.l1d_norm()
 
 
-@dataclass(frozen=True)
-class TransportationProblem:
+class TransportationProblem(_SparseVector):
     """Zero-sum sparse vertex vector: supplies (>0) and demands (<0)."""
 
-    graph: CanonicalGraph
-    values: dict
+    _index_noun = "vertex"
+    _plural = "problems"
+
+    def _size(self) -> int:
+        return self.graph.n
 
     def __post_init__(self):
-        vals = {}
-        total = ZERO
-        for k, v in self.values.items():
-            if not isinstance(k, int) or not 0 <= k < self.graph.n:
-                raise InvalidInput(f"vertex index {k!r} out of range")
-            f = to_fraction(v)
-            total += f
-            if f != 0:
-                vals[k] = f
-        if total != 0:
+        super().__post_init__()
+        if sum(self.values.values(), ZERO) != 0:
             raise InvalidInput("transportation problem must have zero sum")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def zero(cls, graph: CanonicalGraph) -> TransportationProblem:
-        return cls(graph, {})
 
     @classmethod
     def from_names(cls, graph: CanonicalGraph, named: dict) -> TransportationProblem:
+        if not isinstance(named, dict):
+            raise InvalidInput("a problem maps point names to masses")
         idx = {graph.space.index_of(name): v for name, v in named.items()}
         return cls(graph, idx)
 
@@ -124,41 +128,6 @@ class TransportationProblem:
         """amount * (indicator(u) - indicator(v))."""
         a = to_fraction(amount)
         return cls.from_names(graph, {u: a, v: -a}) if u != v else cls.zero(graph)
-
-    def __getitem__(self, idx: int) -> Fraction:
-        return self.values.get(idx, ZERO)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.values)
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def _same_graph(self, other: TransportationProblem):
-        if self.graph is not other.graph:
-            raise InvalidInput("problems live on different graphs")
-
-    def __add__(self, other: TransportationProblem) -> TransportationProblem:
-        self._same_graph(other)
-        out = dict(self.values)
-        for k, v in other.values.items():
-            out[k] = out.get(k, ZERO) + v
-        return TransportationProblem(self.graph, _clean(out))
-
-    def __sub__(self, other: TransportationProblem) -> TransportationProblem:
-        return self + (-other)
-
-    def __neg__(self) -> TransportationProblem:
-        return TransportationProblem(self.graph, {k: -v for k, v in self.values.items()})
-
-    def scale(self, a) -> TransportationProblem:
-        a = to_fraction(a)
-        return TransportationProblem(self.graph, {k: a * v for k, v in self.values.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TransportationProblem)
-                and self.graph is other.graph
-                and self.values == other.values)
 
     def by_name(self) -> dict[str, Fraction]:
         pts = self.graph.space.points

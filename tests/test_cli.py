@@ -344,3 +344,35 @@ def test_missing_file_is_a_structured_error(capsys, path3, tmp_path):
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "InvalidInput"
+
+
+def _assert_invalid_input(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_writing_into_a_missing_directory_is_a_structured_error(capsys, c4, tmp_path):
+    target = str(tmp_path / "missing" / "x.json")
+    lipschitz = _write(tmp_path / "l.json", {"l": {"c0": "0", "c1": "1"}})
+    for argv in (["gen", "grid", "--n", "2", "--out", target],
+                 ["canon", "--space", c4, "--dot", target],
+                 ["downhill", "--space", c4, "--lipschitz", lipschitz, "--dot", target]):
+        _assert_invalid_input(capsys, argv)
+
+
+def test_problem_masses_given_as_a_list_are_a_structured_error(capsys, path3, tmp_path):
+    problem = _write(tmp_path / "f.json", {"f": [1, 2]})
+    _assert_invalid_input(capsys, ["norm", "--space", path3, "--problem", problem])
+
+
+def test_non_integer_descriptor_generation_is_a_structured_error(capsys, c4, tmp_path):
+    desc = _write(tmp_path / "d.json", {"family": "diamond", "params": {"n": 1},
+                                        "generations": {"c0": "x"}})
+    _assert_invalid_input(capsys, ["certify", "--space", c4, "--k", "3", "--peel", desc])
+
+
+def test_space_with_scalar_points_and_dist_is_a_structured_error(capsys, tmp_path):
+    space = _write(tmp_path / "s.json", {"points": 5, "dist": 3})
+    _assert_invalid_input(capsys, ["validate", "--space", space])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ from tcspace import (
     canonical_graph,
     connected_components,
     cycle,
+    diamond,
+    grid,
     path_metric,
     space_from_weighted_graph,
     validate_metric,
 )
-from tcspace.graph import shortest_path_arcs
+from tcspace.graph import shortest_path_arcs, shortest_path_tree
+from tcspace.randgen import random_metric_space
 
 
 def _edge_names(graph):
@@ -129,3 +133,27 @@ def test_two_point_space_has_one_edge():
     graph = canonical_graph(space)
     assert graph.m == 1
     assert graph.edges[0].weight == Fraction(5, 2)
+
+
+def _tie_break_instances():
+    for seed in range(5):
+        for n in (8, 16, 32, 48):
+            yield random_metric_space(random.Random(seed), n)
+    yield grid(6)
+    yield diamond(3)[0]
+
+
+def test_shortest_path_tree_matches_a_brute_force_tie_break():
+    for space in _tie_break_instances():
+        graph = canonical_graph(space)
+        for s in range(graph.n):
+            dist, pred = shortest_path_tree(graph, s)
+            # The canonical graph's path metric is the input metric.
+            assert dist == list(space.dist[s])
+            assert pred[s] is None
+            for v in range(graph.n):
+                if v == s:
+                    continue
+                best = min(u for e, u in graph.incident(v)
+                           if dist[u] + graph.edges[e].weight == dist[v])
+                assert pred[v] == graph.edge_index(best, v)

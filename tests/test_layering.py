@@ -1,4 +1,5 @@
-"""Module boundaries: the exact simplex serves the independent oracle only."""
+"""Module boundaries: the exact simplex serves the independent oracle only,
+and each graph mechanism (Dijkstra, BFS, union-find) has one home."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,32 @@ def test_only_the_oracle_uses_the_simplex():
 def test_no_solver_module_imports_the_oracle():
     # cli.py is the front end of `oracle-check`; __init__ re-exports.
     assert _importers("oracle") == {"cli.py", "__init__.py"}
+
+
+def _absolute_imports(path: Path) -> set[str]:
+    """Absolute imports of a source file: each module, and module.name for
+    every name taken from one."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+            out.update(f"{node.module}.{a.name}" for a in node.names)
+    return out
+
+
+def _files_importing(name: str) -> set[str]:
+    return {p.name for p in SRC.glob("*.py") if name in _absolute_imports(p)}
+
+
+def test_one_dijkstra_and_one_bfs():
+    assert _files_importing("heapq") == {"metric.py"}
+    assert _files_importing("collections.deque") == {"metric.py"}
+
+
+def test_one_union_find():
+    definers = {p.name for p in SRC.glob("*.py")
+                for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef) and node.name == "find"}
+    assert definers == {"graph.py"}
