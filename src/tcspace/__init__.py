@@ -1,7 +1,7 @@
 """Exact transportation-cost spaces on finite metric spaces.
 
 Build a canonical graph from an exact metric, compute TC norms and optimal
-roadmaps by negative-cycle canceling, pass to the Lipschitz dual side
+roadmaps by successive shortest paths, pass to the Lipschitz dual side
 (supporting functions, downhill graphs, uniqueness), and certify
 nonexistence of isometric l_infty^k subspaces via degree obstructions.
 Everything is exact rational arithmetic.

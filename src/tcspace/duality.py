@@ -56,6 +56,8 @@ class LipschitzFunction:
 
     @classmethod
     def from_map(cls, graph: CanonicalGraph, named: dict) -> LipschitzFunction:
+        if not isinstance(named, dict):
+            raise InvalidInput("a Lipschitz function maps point names to values")
         vals = [ZERO] * graph.n
         for name, v in named.items():
             vals[graph.space.index_of(name)] = to_fraction(v)

@@ -204,20 +204,18 @@ def shortest_path_tree(graph: CanonicalGraph, source: int):
     keeps the ties, and returns Fraction distances.
     """
     denom, adj = graph.scaled_adjacency
-    dist, pred_edge = _dijkstra(adj, source)
+    dist, pred_edge = _dijkstra(adj, [source])
     return [None if d is None else Fraction(d, denom) for d in dist], pred_edge
 
 
-def tree_path_arcs(graph: CanonicalGraph, pred_edge, u: int, v: int) -> list[tuple[int, int]]:
-    """The u-v path of a shortest-path tree from u (its predecessor edges)
-    as (edge_index, sign) arcs from u; sign +1 along the reference
-    orientation, -1 against it."""
+def tree_path(graph: CanonicalGraph, pred_edge, v: int) -> tuple[int, list[tuple[int, int]]]:
+    """The path of a shortest-path tree (its predecessor edges) from its
+    root to v: (root, (edge_index, sign) arcs from the root); sign +1 along
+    the reference orientation, -1 against it.  The root is the first vertex
+    without a predecessor edge, v itself when v has none."""
     arcs = []
     cur = v
-    while cur != u:
-        eidx = pred_edge[cur]
-        if eidx is None:
-            raise InvalidInput("graph is not connected")
+    while (eidx := pred_edge[cur]) is not None:
         e = graph.edges[eidx]
         if e.head == cur:
             arcs.append((eidx, 1))
@@ -226,7 +224,7 @@ def tree_path_arcs(graph: CanonicalGraph, pred_edge, u: int, v: int) -> list[tup
             arcs.append((eidx, -1))
             cur = e.head
     arcs.reverse()
-    return arcs
+    return cur, arcs
 
 
 def shortest_path_arcs(graph: CanonicalGraph, u: int, v: int) -> list[tuple[int, int]]:
@@ -235,7 +233,10 @@ def shortest_path_arcs(graph: CanonicalGraph, u: int, v: int) -> list[tuple[int,
     The sign is +1 when the path traverses the edge along its reference
     orientation, -1 otherwise.
     """
-    return tree_path_arcs(graph, shortest_path_tree(graph, u)[1], u, v)
+    root, arcs = tree_path(graph, shortest_path_tree(graph, u)[1], v)
+    if root != u:
+        raise InvalidInput("graph is not connected")
+    return arcs
 
 
 # --- directed subgraphs -------------------------------------------------------
@@ -301,6 +302,8 @@ class DirectedSubgraph:
             raw = obj["edges"]
         except (TypeError, KeyError) as exc:
             raise InvalidInput("directed subgraph JSON needs 'edges'") from exc
+        if not isinstance(raw, list):
+            raise InvalidInput("directed subgraph 'edges' must be a list")
         arcs = []
         for e in raw:
             try:

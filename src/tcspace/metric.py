@@ -116,9 +116,9 @@ def _first_triangle_violation(rows) -> tuple[int, int, int] | None:
         mat = np.array(scaled, dtype=np.int64)
         for j in range(n):
             via = mat[:, j][:, None] + mat[j, :][None, :]
-            bad = np.argwhere(mat > via)
-            if bad.size:
-                i, k = map(int, bad[0])
+            bad = mat > via
+            if bad.any():
+                i, k = map(int, np.argwhere(bad)[0])
                 return i, j, k
         return None
     for j in range(n):
@@ -236,25 +236,39 @@ def _scaled_adjacency(n: int, edges) -> tuple[int, list[list[tuple[int, int, int
         n, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges])
 
 
-def _dijkstra(adj, source: int) -> tuple[list[int | None], list[int | None]]:
-    """Integer Dijkstra over _adjacency arcs: (distances, predecessor edge
-    indices), None where unreachable.
+def _dijkstra(adj, sources, stop=frozenset()) -> tuple[list[int | None], list[int | None]]:
+    """Integer Dijkstra over _adjacency arcs (weights >= 0) from one or more
+    sources, all at distance 0: (distances, predecessor edge indices), None
+    at vertices not settled.
+
+    With a stop set the search ends as soon as one of its vertices is
+    settled, before that vertex's arcs are relaxed, so exactly one vertex of
+    stop has a distance.  Without one every reachable vertex is settled.
 
     Deterministic: among equal-length paths the predecessor with the smaller
     vertex index wins, so every (source, target) pair has one fixed path.
+    Sources keep no predecessor: they are the roots of the tree.
     """
     n = len(adj)
     dist: list[int | None] = [None] * n
     pred_vertex: list[int | None] = [None] * n
     pred_edge: list[int | None] = [None] * n
     done = [False] * n
-    heap: list[tuple[int, int]] = [(0, source)]
-    dist[source] = 0
+    heap: list[tuple[int, int]] = []
+    for s in sources:
+        dist[s] = 0
+        heap.append((0, s))
+    heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
         done[u] = True
+        if u in stop:
+            for v in range(n):
+                if not done[v]:
+                    dist[v] = pred_edge[v] = None
+            break
         for v, w, eidx in adj[u]:
             if done[v]:
                 continue
@@ -264,7 +278,7 @@ def _dijkstra(adj, source: int) -> tuple[list[int | None], list[int | None]]:
                 pred_vertex[v] = u
                 pred_edge[v] = eidx
                 heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and u < pred_vertex[v]:
+            elif nd == dist[v] and pred_vertex[v] is not None and u < pred_vertex[v]:
                 pred_vertex[v] = u
                 pred_edge[v] = eidx
     return dist, pred_edge
@@ -294,7 +308,7 @@ def _distance_rows(adj) -> list[list[int | None]]:
         (w,) = weights
         return [[None if h is None else h * w for h in _bfs_hops(adj, s)]
                 for s in range(len(adj))]
-    return [_dijkstra(adj, s)[0] for s in range(len(adj))]
+    return [_dijkstra(adj, [s])[0] for s in range(len(adj))]
 
 
 def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fraction]]:
@@ -322,7 +336,7 @@ def single_source_distances(n: int, edges: list[tuple[int, int, Fraction]],
     """One row of the shortest-path metric (None marks unreachable)."""
     denom, adj = _scaled_adjacency(n, edges)
     return [None if x is None else Fraction(x, denom)
-            for x in _dijkstra(adj, source)[0]]
+            for x in _dijkstra(adj, [source])[0]]
 
 
 def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:

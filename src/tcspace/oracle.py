@@ -1,6 +1,6 @@
 """Independent verification backends.
 
-These deliberately avoid the cycle-canceling solver's code paths:
+These deliberately avoid the solver's code paths:
 
 * a dense transportation LP over supply x demand pairs (no graph at all)
   giving the exact TC norm,
@@ -27,7 +27,7 @@ def oracle_tc_norm(f: TransportationProblem) -> Fraction:
 
     Minimizes sum a_xy * d(x,y) over nonnegative moves between the supply
     and demand supports with the marginals prescribed by f.  No shortest
-    paths, no edges: this shares nothing with the cycle-canceling solver.
+    paths, no edges: this shares nothing with the shortest-path solver.
     """
     if f.is_zero():
         return ZERO

@@ -1,16 +1,20 @@
 """Exact transportation-cost solver on canonical graphs.
 
 The TC norm of a zero-sum problem is the minimum weighted-l1 cost of an
-edge-level transportation (a roadmap) realizing it.  The solver starts from
-a greedy shortest-path routing and repeatedly cancels a minimum-mean
-improving cycle (Karp's algorithm over the residual digraph) until no
-improving cycle exists; nonexistence of an improving cycle is exactly
-optimality, which is also the emitted certificate.  Karp and the cycle
-extraction run on the residual costs scaled to exact integers (vectorized
-with numpy, int64 under an overflow guard and Python ints beyond it);
-Fractions appear only in their inputs and results.
+edge-level transportation (a roadmap) realizing it, a min-cost flow.
+`tc_norm` finds it by successive shortest paths with node potentials
+(Tomizawa 1971; Edmonds-Karp 1972) on weights and masses scaled to exact
+integers; its certificate is a potential under which every residual arc has
+reduced cost >= 0, checked in integers before the Fractions of the result
+are built.
 
-The optimal face is read off that roadmap's residual digraph by
+Karp's minimum-mean cycle search (`improving_cycle`) and `cancel_cycle` are
+the independent check of a roadmap given by the user: a roadmap is optimal
+iff its residual digraph has no negative cycle.  They run on the residual
+costs scaled to exact integers (vectorized with numpy, int64 under an
+overflow guard and Python ints beyond it).
+
+The optimal face is read off an optimal roadmap's residual digraph by
 complementary slackness (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9):
 its zero-cost cycles give the maximal optimal support (union of supports
 of all optimal roadmaps), and its distances the supporting potentials.
@@ -31,10 +35,9 @@ from .graph import (
     UnionFind,
     connected_components,
     shortest_path_arcs,
-    shortest_path_tree,
-    tree_path_arcs,
+    tree_path,
 )
-from .metric import _INT64_SAFE
+from .metric import _INT64_SAFE, _dijkstra
 from .rational import ZERO, frac_str, to_fraction
 from .vectors import EdgeVector, TransportationProblem, apply_incidence
 
@@ -503,48 +506,89 @@ def cancel_cycle(p: Roadmap, cert: OptimalityCertificate) -> Roadmap:
     return out
 
 
-def _initial_roadmap(f: TransportationProblem) -> Roadmap:
-    """Greedy pairing of supplies to demands along fixed shortest paths."""
-    graph = f.graph
-    pos = [[v, f[v]] for v in sorted(f.support()) if f[v] > 0]
-    neg = [[v, -f[v]] for v in sorted(f.support()) if f[v] < 0]
-    trees: dict[int, list] = {}
-    vals: dict[int, Fraction] = {}
-    i = j = 0
-    while i < len(pos) and j < len(neg):
-        u, supply = pos[i]
-        v, demand = neg[j]
-        amt = min(supply, demand)
-        if u not in trees:
-            trees[u] = shortest_path_tree(graph, u)[1]
-        for e, s in tree_path_arcs(graph, trees[u], u, v):
-            vals[e] = vals.get(e, ZERO) + s * amt
-        pos[i][1] -= amt
-        neg[j][1] -= amt
-        if pos[i][1] == 0:
-            i += 1
-        if neg[j][1] == 0:
-            j += 1
-    return Roadmap(EdgeVector(graph, vals))
+def _reduced_adjacency(adj, flow: list[int], pot: list[int]):
+    """The residual digraph on scaled_adjacency arcs at reduced costs.
+
+    The arc u -> v of edge e costs -w when it runs against the flow on e
+    (capacity |flow[e]|) and +w otherwise, w the scaled weight; its reduced
+    cost is that plus pot[u] - pot[v].  Tails are the smaller indices, so
+    flow runs v -> u on e exactly when flow[e] * (v - u) < 0.
+    """
+    return [[(v, (-w if flow[e] * (v - u) < 0 else w) + pu - pot[v], e) for v, w, e in arcs]
+            for u, (arcs, pu) in enumerate(zip(adj, pot))]
+
+
+def _certifies(adj, flow: list[int], pot: list[int]) -> bool:
+    """Whether pot proves flow optimal: every residual arc has reduced cost
+    >= 0, so no residual cycle has negative cost."""
+    return all(c >= 0 for arcs in _reduced_adjacency(adj, flow, pot) for _, c, _ in arcs)
+
+
+def _augment(flow: list[int], excess: list[int], source: int, sink: int, path) -> int:
+    """Push flow along path, (edge, sign) arcs from source to sink: the
+    least of the excess at source, the deficit at sink and |flow| on each
+    arc that runs against the flow.  Returns the amount pushed."""
+    amount = min(excess[source], -excess[sink],
+                 *(abs(flow[e]) for e, s in path if flow[e] * s < 0))
+    for e, s in path:
+        flow[e] += s * amount
+    excess[source] -= amount
+    excess[sink] += amount
+    return amount
+
+
+def _successive_shortest_paths(graph: CanonicalGraph,
+                               excess: list[int]) -> tuple[list[int], list[int]]:
+    """Min-cost flow routing excess (integer supplies > 0, demands < 0):
+    (flow per edge along its reference orientation, potentials), integers
+    on the scaled weights of graph.scaled_adjacency.
+
+    Each round runs one Dijkstra on reduced costs from every vertex with
+    excess left, stops at the first deficit vertex settled, augments along
+    that shortest path and adds min(dist, dist[sink]) to the potentials,
+    which keeps every reduced cost >= 0 (Ahuja-Magnanti-Orlin, ch. 9).
+    Each round lowers the total excess, so the loop ends; excess is updated
+    in place and ends zero.
+    """
+    _, adj = graph.scaled_adjacency
+    flow = [0] * graph.m
+    pot = [0] * graph.n
+    while sources := [v for v, x in enumerate(excess) if x > 0]:
+        sinks = {v for v, x in enumerate(excess) if x < 0}
+        dist, pred_edge = _dijkstra(_reduced_adjacency(adj, flow, pot), sources, sinks)
+        (sink,) = (v for v in sinks if dist[v] is not None)
+        source, path = tree_path(graph, pred_edge, sink)
+        _augment(flow, excess, source, sink, path)
+        reach = dist[sink]
+        pot = [p + (reach if d is None else d) for p, d in zip(pot, dist)]
+    return flow, pot
 
 
 def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
     """Exact TC norm of f and an optimal roadmap achieving it.
 
-    Start from the greedy shortest-path roadmap and cancel minimum-mean
-    improving cycles until improving_cycle certifies optimality.  The cost
-    strictly decreases at every step, and each step zeroes a support edge.
+    A min-cost flow by successive shortest paths, on weights scaled by D
+    (graph.scaled_adjacency) and masses scaled by M, the lcm of f's
+    denominators, so flows, excesses and potentials stay integers.  The
+    result is certified in integers before any Fraction is built: the
+    excess is zero everywhere and the final potentials leave every residual
+    arc a reduced cost >= 0, which is optimality.
     """
+    graph = f.graph
     if f.is_zero():
-        return ZERO, Roadmap.zero(f.graph)
-    p = _initial_roadmap(f)
-    guard = 10_000 + 50 * f.graph.m * f.graph.m
-    for _ in range(guard):
-        cert = improving_cycle(p)
-        if isinstance(cert, Optimal):
-            return p.cost(), p
-        p = cancel_cycle(p, cert)
-    raise RuntimeError("cycle canceling failed to terminate")
+        return ZERO, Roadmap.zero(graph)
+    scale = lcm(*(x.denominator for x in f.values.values()))
+    excess = [int(f[v] * scale) for v in range(graph.n)]
+    flow, pot = _successive_shortest_paths(graph, excess)
+    denom, adj = graph.scaled_adjacency
+    assert not any(excess)
+    assert _certifies(adj, flow, pot)
+    total = sum(abs(flow[e]) * w for u, arcs in enumerate(adj) for v, w, e in arcs if u < v)
+    cost = Fraction(total, denom * scale)
+    p = Roadmap(EdgeVector(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x}))
+    assert p.problem() == f
+    assert cost == p.cost()
+    return cost, p
 
 
 # --- the optimal face, from the residual digraph ------------------------------

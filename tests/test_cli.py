@@ -276,18 +276,24 @@ def test_gen_over_the_cap_builds_nothing(capsys, monkeypatch):
 
 
 def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_path):
-    calls = []
-    karp = transport._min_mean
+    """`roadmap` prints tc_norm's certified roadmap: the same Dijkstra runs
+    as `norm`, and no command that solves runs Karp at all."""
+    runs, karps = [], []
+    dijkstra, karp = transport._dijkstra, transport._min_mean
+    monkeypatch.setattr(transport, "_dijkstra",
+                        lambda *a: runs.append(a) or dijkstra(*a))
     monkeypatch.setattr(transport, "_min_mean",
-                        lambda n, arcs: calls.append(n) or karp(n, arcs))
+                        lambda n, arcs: karps.append(n) or karp(n, arcs))
     problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c2": "-1"}})
     counts = []
-    for command in ("norm", "roadmap"):
-        calls.clear()
-        code, _, _ = _run(capsys, [command, "--space", c4, "--problem", problem])
+    for command in ("norm", "roadmap", "dual --unique"):
+        runs.clear()
+        name, *flags = command.split()
+        code, _, _ = _run(capsys, [name, "--space", c4, "--problem", problem, *flags])
         assert code == 0
-        counts.append(len(calls))
+        counts.append(len(runs))
     assert counts[0] == counts[1] > 0
+    assert karps == []
 
 
 def test_dual_unique_solves_once(capsys, monkeypatch, c4, tmp_path):
@@ -376,3 +382,13 @@ def test_non_integer_descriptor_generation_is_a_structured_error(capsys, c4, tmp
 def test_space_with_scalar_points_and_dist_is_a_structured_error(capsys, tmp_path):
     space = _write(tmp_path / "s.json", {"points": 5, "dist": 3})
     _assert_invalid_input(capsys, ["validate", "--space", space])
+
+
+def test_lipschitz_values_given_as_a_list_are_a_structured_error(capsys, c4, tmp_path):
+    lipschitz = _write(tmp_path / "l.json", {"l": [1, 2]})
+    _assert_invalid_input(capsys, ["downhill", "--space", c4, "--lipschitz", lipschitz])
+
+
+def test_subgraph_edges_given_as_a_number_are_a_structured_error(capsys, c4, tmp_path):
+    sub = _write(tmp_path / "h.json", {"edges": 5})
+    _assert_invalid_input(capsys, ["realizable", "--space", c4, "--subgraph", sub])

@@ -1,12 +1,14 @@
 """The solver's work and output on fixed random instances, byte for byte.
 
-golden_solver.json holds, per instance below, the cycles `tc_norm` cancels
-(in order, as (edge, sign) arcs) and the stdout of `norm`, `roadmap`,
-`roadmap --maximal` and `dual --unique`, recorded with the solver that ran
-Karp, cycle extraction and Dijkstra on Fraction costs.  The integer-scaled
-core must cancel the same cycles and print the same text.  The cycles are
-kept because most of these optima are unique, so the final roadmap alone
-would not show a different cancelling sequence.  Re-record with
+golden_solver.json holds, per instance below, the augmentations `tc_norm`
+performs (in order: the shortest path as (edge, sign) arcs and the amount
+pushed, in units of 1/M, M the lcm of the mass denominators) and the stdout
+of `norm`, `roadmap`, `roadmap --maximal` and `dual --unique`, recorded with
+the successive-shortest-path solver.  The augmentations are kept because
+where the optimum is unique the final roadmap alone would not show a
+different sequence of paths.  The `norm` and `dual --unique` stdouts are
+those of the earlier cycle-cancelling solver too; its `roadmap` outputs
+differed on seeds 1, 3 and 4, whose optima are not unique.  Re-record with
 `PYTHONPATH=src python tests/test_golden.py` only when a change of either is
 intended.
 """
@@ -36,12 +38,13 @@ def _record(directory: Path, seed: int, points: int, monkeypatch) -> dict:
     sp.write_text(json.dumps(space.to_json_obj()))
     pr.write_text(json.dumps(f.to_json_obj()))
 
-    cycles = []
-    cancel = transport.cancel_cycle
+    augmentations = []
+    augment = transport._augment
 
-    def recording(p, cert):
-        cycles.append([list(arc) for arc in cert.cycle.arcs])
-        return cancel(p, cert)
+    def recording(flow, excess, source, sink, path):
+        amount = augment(flow, excess, source, sink, path)
+        augmentations.append({"path": [list(arc) for arc in path], "amount": amount})
+        return amount
 
     def run(command: str) -> str:
         name, *flags = command.split()
@@ -51,18 +54,18 @@ def _record(directory: Path, seed: int, points: int, monkeypatch) -> dict:
         assert code == 0
         return buf.getvalue()
 
-    monkeypatch.setattr(transport, "cancel_cycle", recording)
+    monkeypatch.setattr(transport, "_augment", recording)
     stdout = {"norm": run("norm")}
-    solved = list(cycles)  # those of `norm`; the other commands solve again
+    solved = list(augmentations)  # those of `norm`; the other commands solve again
     stdout.update((command, run(command)) for command in COMMANDS[1:])
-    return {"seed": seed, "points": points, "cycles": solved, "stdout": stdout}
+    return {"seed": seed, "points": points, "augmentations": solved, "stdout": stdout}
 
 
 @pytest.mark.parametrize("seed, points", INSTANCES)
 def test_solver_matches_the_recording(tmp_path, monkeypatch, seed, points):
     want = next(r for r in json.loads(GOLDEN.read_text()) if r["seed"] == seed)
     got = _record(tmp_path, seed, points, monkeypatch)
-    assert got["cycles"] == want["cycles"]
+    assert got["augmentations"] == want["augmentations"]
     for command in COMMANDS:
         assert got["stdout"][command] == want["stdout"][command], command
 

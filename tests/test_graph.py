@@ -17,6 +17,7 @@ from tcspace import (
     validate_metric,
 )
 from tcspace.graph import shortest_path_arcs, shortest_path_tree
+from tcspace.metric import _adjacency, _dijkstra
 from tcspace.randgen import random_metric_space
 
 
@@ -157,3 +158,43 @@ def test_shortest_path_tree_matches_a_brute_force_tie_break():
                 best = min(u for e, u in graph.incident(v)
                            if dist[u] + graph.edges[e].weight == dist[v])
                 assert pred[v] == graph.edge_index(best, v)
+
+
+def _random_weighted_graph(rng, n):
+    """Edges (u, v, w) of a random connected graph, weights 0..3: zero
+    weights stand for the zero reduced costs the solver's Dijkstra meets."""
+    edges = [(rng.randrange(i), i, rng.randint(0, 3)) for i in range(1, n)]
+    tree = {(u, v) for u, v, _ in edges}
+    edges += [(u, v, rng.randint(0, 3)) for u in range(n) for v in range(u + 1, n)
+              if (u, v) not in tree and rng.random() < 0.2]
+    return edges
+
+
+def test_dijkstra_from_several_sources_with_an_early_stop():
+    """Every source is a root at distance 0, also when another source
+    reaches it first over a zero-weight arc; with a stop set the search
+    reports exactly the vertices settled up to the first stop vertex."""
+    rng = random.Random(11)
+    cases = [(3, [(0, 1, 0), (1, 2, 1)], [0, 1])]
+    for n in (6, 12, 24):
+        for _ in range(15):
+            cases.append((n, _random_weighted_graph(rng, n),
+                          rng.sample(range(n), rng.randint(2, n // 2 + 1))))
+    for n, edges, sources in cases:
+        adj = _adjacency(n, edges)
+        single = [_dijkstra(adj, [s])[0] for s in range(n)]
+        dist, pred = _dijkstra(adj, sources)
+        assert dist == [min(single[s][v] for s in sources) for v in range(n)]
+        for v in range(n):
+            if v in sources:
+                assert pred[v] is None
+                continue
+            u, x, w = edges[pred[v]]
+            assert dist[u if x == v else x] + w == dist[v]
+        stop = set(rng.sample([v for v in range(n) if v not in sources], 1 + n // 4))
+        early, _ = _dijkstra(adj, sources, stop)
+        (sink,) = (v for v in stop if early[v] is not None)
+        assert early[sink] == min(dist[v] for v in stop)
+        for v in range(n):
+            assert early[v] in (None, dist[v])
+            assert (early[v] is None) <= (dist[v] >= early[sink])

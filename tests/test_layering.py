@@ -61,8 +61,16 @@ def test_one_dijkstra_and_one_bfs():
     assert _files_importing("collections.deque") == {"metric.py"}
 
 
+def _definers(matches) -> set[str]:
+    """Source files defining a function whose name matches."""
+    return {p.name for p in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and matches(node.name)}
+
+
 def test_one_union_find():
-    definers = {p.name for p in SRC.glob("*.py")
-                for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
-                if isinstance(node, ast.FunctionDef) and node.name == "find"}
-    assert definers == {"graph.py"}
+    assert _definers(lambda name: name == "find") == {"graph.py"}
+
+
+def test_the_solver_has_no_dijkstra_of_its_own():
+    assert _definers(lambda name: name.startswith("_dijkstra")) == {"metric.py"}

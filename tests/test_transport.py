@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -26,7 +28,7 @@ from tcspace import (
     tc_norm,
     validate_metric,
 )
-from tcspace.randgen import random_cycle_element, random_roadmap
+from tcspace.randgen import random_cycle_element, random_metric_space, random_roadmap
 
 
 def _path3_weighted():
@@ -207,6 +209,70 @@ def test_norm_matches_oracle_on_the_corpus(corpus):
     for inst in corpus:
         for f in inst.problems:
             assert tc_norm(f)[0] == oracle_tc_norm(f)
+
+
+PRIMES = (7919, 104729, 1299709)
+
+
+def _prime_denominator_problem(rng, graph):
+    """A zero-sum problem on every point, masses k/p with p from PRIMES."""
+    masses = [Fraction(rng.randint(-6, 6), rng.choice(PRIMES)) for _ in range(graph.n - 1)]
+    masses.append(-sum(masses))
+    return TransportationProblem(graph, dict(enumerate(masses)))
+
+
+def _solver_cases():
+    """(name, problem): SMALL_CORPUS with its problems and one with prime
+    denominators each, then random spaces of 8 to 48 points with those."""
+    rng = random.Random(20241018)
+    for inst in SMALL_CORPUS:
+        for i, f in enumerate([*inst.problems, _prime_denominator_problem(rng, inst.graph)]):
+            yield f"{inst.name}/{i}", f
+    for n, seeds in ((8, range(6)), (10, range(6)), (16, range(3)), (32, range(2)), (48, range(2))):
+        for seed in seeds:
+            graph = canonical_graph(random_metric_space(random.Random(seed), n))
+            yield f"random-{n}/{seed}", _prime_denominator_problem(rng, graph)
+
+
+def test_solver_agrees_with_the_oracle_and_karp():
+    """tc_norm against the dense-LP oracle where that is small enough, and
+    its roadmap against Karp's improving-cycle search, which shares no code
+    with the successive shortest paths."""
+    seen = set()
+    for name, f in _solver_cases():
+        value, rm = tc_norm(f)
+        assert rm.problem() == f and rm.cost() == value, name
+        if f.graph.n <= 10:
+            assert value == oracle_tc_norm(f), name
+        assert isinstance(improving_cycle(rm), Optimal), name
+        seen.add(f.graph.n)
+    assert seen >= {8, 10, 16, 32, 48}
+
+
+def test_potential_certificate_holds_exactly_for_optimal_roadmaps():
+    """The final potentials certify the solver's flow, and an optimal
+    roadmap plus one basis-cycle indicator exactly when it is optimal too
+    (complementary slackness holds for every optimal flow)."""
+    from tcspace.transport import _certifies, _successive_shortest_paths
+
+    rejected = 0
+    for name, f in _solver_cases():
+        graph = f.graph
+        if graph.n > 16:
+            continue
+        scale = lcm(*(x.denominator for x in f.values.values()))
+        flow, pot = _successive_shortest_paths(graph, [int(f[v] * scale) for v in range(graph.n)])
+        _, adj = graph.scaled_adjacency
+        assert _certifies(adj, flow, pot), name
+        value, rm = tc_norm(f)
+        assert [rm.vec[e] * scale for e in range(graph.m)] == flow
+        for cycle in cycle_basis(graph).cycles:
+            shifted = Roadmap(rm.vec + cycle.indicator())
+            scaled = [int(shifted.vec[e] * scale) for e in range(graph.m)]
+            optimal = shifted.cost() == value
+            assert _certifies(adj, scaled, pot) == optimal, name
+            rejected += not optimal
+    assert rejected > 0
 
 
 def test_cost_decreases_monotonically():
