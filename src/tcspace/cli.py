@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON/DOT out, deterministic.
 
 Exit codes: 0 success, 1 domain error (structured JSON on stderr), 2 usage
-error.  Instance sizes are capped by TCSPACE_MAX_POINTS (default 64).
+error.  Instance sizes are capped by TCSPACE_MAX_POINTS (default 64), before
+any validation.
 Space files may hold either metric-space JSON ({"points","dist"}) or
 weighted-graph JSON ({"vertices","edges"}); the latter is converted to its
 path metric before the canonical graph is rebuilt.
@@ -10,10 +11,12 @@ path metric before the canonical graph is rebuilt.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
+from collections.abc import Sized
 from concurrent.futures import ProcessPoolExecutor
 
 from .duality import (
@@ -78,13 +81,14 @@ def _check_cap(n: int):
 def _load_space(path: str) -> MetricSpace:
     obj = _load_json(path)
     if isinstance(obj, dict) and "dist" in obj:
-        space = MetricSpace.from_json_obj(obj)
+        names, parse = obj.get("points"), MetricSpace.from_json_obj
     elif isinstance(obj, dict) and "vertices" in obj:
-        space = weighted_graph_json_to_space(obj)
+        names, parse = obj["vertices"], weighted_graph_json_to_space
     else:
         raise InvalidInput(f"{path}: neither metric-space nor graph JSON")
-    _check_cap(space.n)
-    return space
+    if isinstance(names, Sized):  # the cap acts before validation; the
+        _check_cap(len(names))     # parser rejects a list without a length
+    return parse(obj)
 
 
 def _load_graph(path: str):
@@ -162,7 +166,7 @@ def _cmd_dual(args) -> int:
     out = s.to_json_obj()
     out["value"] = frac_str(evaluate(s, f))
     if args.unique:
-        unique, witness = _uniqueness(p)
+        unique, witness = _uniqueness(p, s)
         out["unique"] = unique
         if witness is not None:
             out["witness"] = witness.to_json_obj()
@@ -326,7 +330,9 @@ def _cmd_oracle_check(args) -> int:
 
 # --- parser ---------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process for every main call."""
     parser = argparse.ArgumentParser(
         prog="tcspace",
         description="Exact transportation-cost space toolkit")

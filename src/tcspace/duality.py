@@ -140,22 +140,22 @@ def is_unique_supporting(f: TransportationProblem) -> tuple[bool, LipschitzFunct
     l(v) = dist(v -> base) in the residual digraph, which differs from the
     least (supporting_function) exactly when the support is disconnected.
     """
-    return _uniqueness(tc_norm(f)[1])
+    p = tc_norm(f)[1]
+    return _uniqueness(p, _least_supporting(p))
 
 
-def _uniqueness(p: Roadmap) -> tuple[bool, LipschitzFunction | None]:
+def _uniqueness(p: Roadmap, least: LipschitzFunction) -> tuple[bool, LipschitzFunction | None]:
     """is_unique_supporting of the problem that p, an optimal roadmap, solves
-    (p has empty support exactly when that problem is zero)."""
+    (empty support exactly when that problem is zero); least is _least_supporting(p)."""
     if not p.support():
         raise NullProblem("uniqueness undefined for the zero problem")
     graph = p.graph
-    edges = p.support() | zero_cost_cycles(p).keys()
+    edges = p.support() | zero_cost_cycles(p, [-x for x in least.values]).keys()
     comp = connected_components(
         graph.n, ((graph.edges[i].tail, graph.edges[i].head) for i in edges))
     connected = len(set(comp)) == 1
-    least = tuple(-x for x in residual_distances(p))
     greatest = LipschitzFunction(graph, tuple(residual_distances(p, reverse=True)))
-    assert (least == greatest.values) == connected
+    assert (least.values == greatest.values) == connected
     return (True, None) if connected else (False, greatest)
 
 

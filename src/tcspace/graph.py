@@ -2,8 +2,10 @@
 
 The canonical graph keeps exactly the pairs uv such that no third point w
 satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
-original metric.  Each edge carries a fixed reference orientation (tail =
-smaller point index) so that signed edge vectors are well defined.
+original metric.  The dropped pairs are the deletion mask of the metric
+core's scan (metric._midpoint_scan), which validation kept on the space.
+Each edge carries a fixed reference orientation (tail = smaller point
+index) so that signed edge vectors are well defined.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .metric import (MetricSpace, _INT64_SAFE, _adjacency, _dijkstra, _distance_rows,
-                     _scaled_adjacency, _scaled_int_rows)
+from .metric import (MetricSpace, _adjacency, _dijkstra, _distance_rows, _midpoint_scan,
+                     _scaled_adjacency, _scaled_matrix)
 from .rational import frac_str
 
 
@@ -108,36 +110,6 @@ class CanonicalGraph:
         return "\n".join(lines) + "\n"
 
 
-def _deletion_mask(scaled: list[list[int]]) -> list[list[bool]]:
-    """mask[i][k] true iff some j outside {i,k} gives d(i,j)+d(j,k) = d(i,k),
-    on the distances scaled to integers (metric._scaled_int_rows)."""
-    n = len(scaled)
-    peak = max(max(r) for r in scaled)
-    if peak < _INT64_SAFE:
-        mat = np.array(scaled, dtype=np.int64)
-        drop = np.zeros((n, n), dtype=bool)
-        for j in range(n):
-            via = mat[:, j][:, None] + mat[j, :][None, :]
-            eq = mat == via
-            eq[j, :] = False
-            eq[:, j] = False
-            drop |= eq
-        return drop.tolist()
-    drop = [[False] * n for _ in range(n)]
-    for j in range(n):
-        rj = scaled[j]
-        for i in range(n):
-            if i == j:
-                continue
-            dij = scaled[i][j]
-            ri = scaled[i]
-            row = drop[i]
-            for k in range(n):
-                if k != j and ri[k] == dij + rj[k]:
-                    row[k] = True
-    return drop
-
-
 class UnionFind:
     """Disjoint sets of 0..n-1.  A union keeps the smaller root, so every
     root is the least member of its set."""
@@ -174,19 +146,20 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
 
     An unordered pair {u, v} is an edge iff no w outside {u, v} satisfies
     d(u,w) + d(w,v) = d(u,v).  Tails are the smaller point indices.  The
-    construction asserts that the result is connected and that its weighted
-    path metric reproduces the input metric exactly.
+    construction asserts that its weighted path metric reproduces the input
+    metric exactly (so it is connected).  The deletion mask is the space's,
+    or scanned here for a space without one (a restricted space, say).
     """
     n = space.n
-    scaled, _ = _scaled_int_rows(space.dist)
-    drop = _deletion_mask(scaled)
-    edges = tuple(
-        Edge(i, k, space.dist[i][k])
-        for i in range(n) for k in range(i + 1, n)
-        if not drop[i][k]
-    )
-    labels = connected_components(n, ((e.tail, e.head) for e in edges))
-    assert all(c == 0 for c in labels), "canonical graph must be connected"
+    mat = _scaled_matrix(space.dist)
+    drop = space._deletion_mask
+    if drop is None:
+        hit, drop = _midpoint_scan(mat)
+        assert hit is None, "a metric space satisfies the triangle inequality"
+    tails, heads = np.nonzero(np.triu(~drop, 1))  # row-major: by (tail, head)
+    edges = tuple(Edge(i, k, space.dist[i][k])
+                  for i, k in zip(tails.tolist(), heads.tolist()))
+    scaled = mat.tolist()
     realized = _distance_rows(_adjacency(n, [(e.tail, e.head, scaled[e.tail][e.head])
                                              for e in edges]))
     assert realized == scaled, "canonical graph path metric must equal the input metric"

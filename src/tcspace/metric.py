@@ -1,14 +1,16 @@
-"""Finite metric spaces with exact rational distances.
+"""Finite metric spaces with exact rational distances: the integer metric core.
 
 A :class:`MetricSpace` is an ordered list of named points, a symmetric
 matrix of Fraction distances, and a distinguished base point.  Validation
-checks every metric axiom exactly; the triangle scan is vectorized by
-scaling all distances to a common integer denominator (exactness is
-preserved, numpy only compares integers).
+scales all distances once to a common integer denominator (exact; numpy
+only compares integers, in int64 or, past the overflow guard, as Python
+ints: `_int_dtype`).  The diagonal, symmetry and sign tests are vectorized,
+and one midpoint-major scan yields both the first triangle violation and
+the canonical graph's deletion mask (the triangle test with `>` replaced by
+`==`), which the validated space keeps for graph.canonical_graph.
 
-The module also computes exact shortest-path metrics of weighted graphs,
-which is how generated families and weighted-graph JSON inputs become
-metric spaces.
+Shortest-path metrics of weighted graphs (generated families, weighted-graph
+JSON) enter the same checks as integer rows, without a Fraction round trip.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .errors import (
 )
 from .rational import frac_str, to_fraction
 
-# Scaled integers above this bound fall back to pure-Python checks; below it
-# an int64 sum of two entries cannot overflow.
+# Below this bound an int64 sum of two integers cannot overflow (_int_dtype).
 _INT64_SAFE = 2**59
 
 
@@ -41,12 +42,14 @@ class MetricSpace:
 
     Instances are built by :func:`validate_metric` (or by the family
     generators, which validate too); the constructor itself trusts its input.
+    Validated instances keep the deletion mask of _midpoint_scan.
     """
 
     points: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
     base_point: int = 0
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _deletion_mask: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._index.update({name: i for i, name in enumerate(self.points)})
@@ -78,7 +81,8 @@ class MetricSpace:
         return MetricSpace(pts, rows, base if base is not None else 0)
 
     def with_base(self, name: str) -> MetricSpace:
-        return MetricSpace(self.points, self.dist, self.index_of(name))
+        return MetricSpace(self.points, self.dist, self.index_of(name),
+                           _deletion_mask=self._deletion_mask)
 
     def to_json_obj(self) -> dict:
         return {
@@ -97,39 +101,46 @@ class MetricSpace:
         return validate_metric(points, dist, base=obj.get("base"))
 
 
-def _scaled_int_rows(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[list[list[int]], int]:
-    """Multiply all entries by the lcm of denominators; exact integers."""
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    scaled = [[int(x.numerator * (denom // x.denominator)) for x in row] for row in rows]
-    return scaled, denom
+def _int_dtype(peak: int):
+    """int64 for integers of magnitude at most peak when that is safe, else
+    Python ints (object dtype); both run the same numpy code."""
+    return np.int64 if peak < _INT64_SAFE else object
 
 
-def _first_triangle_violation(rows) -> tuple[int, int, int] | None:
-    """First (i, j, k) with d(i,k) > d(i,j) + d(j,k), in midpoint-major order."""
-    n = len(rows)
-    scaled, _ = _scaled_int_rows(rows)
-    peak = max(max(r) for r in scaled) if n else 0
-    if peak < _INT64_SAFE:
-        mat = np.array(scaled, dtype=np.int64)
-        for j in range(n):
-            via = mat[:, j][:, None] + mat[j, :][None, :]
-            bad = mat > via
-            if bad.any():
-                i, k = map(int, np.argwhere(bad)[0])
-                return i, j, k
-        return None
+def _int_matrix(rows: list[list[int]]) -> np.ndarray:
+    """Integer rows as an n x n array of dtype _int_dtype."""
+    peak = max(max(map(max, rows)), -min(map(min, rows)))
+    return np.array(rows, dtype=_int_dtype(peak))
+
+
+def _scaled_matrix(rows: tuple[tuple[Fraction, ...], ...]) -> np.ndarray:
+    """The distances times the lcm of their denominators: exact integers."""
+    denom = lcm(*{x.denominator for row in rows for x in row})
+    return _int_matrix([[x.numerator * (denom // x.denominator) for x in row]
+                        for row in rows])
+
+
+def _midpoint_scan(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:
+    """Over the midpoints j of a scaled matrix with zero diagonal and positive
+    entries elsewhere: (the first (i, j, k) with d(i,k) > d(i,j) + d(j,k),
+    None), or (None, mask) when there is none, mask[i, k] true iff some j
+    outside {i, k} gives d(i,j) + d(j,k) = d(i,k): the pairs the canonical
+    graph drops."""
+    n = len(mat)
+    via = np.empty_like(mat)
+    hit = np.empty((n, n), dtype=bool)
+    mask = np.zeros((n, n), dtype=bool)
     for j in range(n):
-        rj = scaled[j]
-        for i in range(n):
-            dij = scaled[i][j]
-            ri = scaled[i]
-            for k in range(n):
-                if ri[k] > dij + rj[k]:
-                    return i, j, k
-    return None
+        np.add(mat[:, j, None], mat[j], out=via)
+        np.greater(mat, via, out=hit)
+        if hit.any():
+            i, k = divmod(int(hit.argmax()), n)  # first in row-major order
+            return (i, j, k), None
+        np.equal(mat, via, out=hit)
+        hit[j, :] = False  # j = i and j = k always give equality
+        hit[:, j] = False
+        mask |= hit
+    return None, mask
 
 
 def metric_violations(points, dist) -> list:
@@ -138,38 +149,32 @@ def metric_violations(points, dist) -> list:
     Structural problems (non-square matrix, bad literals) still raise
     InvalidInput since no per-axiom report is possible for them.
     """
-    return _axiom_violations(*_coerce_matrix(points, dist))
+    names, rows = _coerce_matrix(points, dist)
+    return _violations(names, _scaled_matrix(rows))[0]
 
 
-def _axiom_violations(names, rows) -> list:
-    """metric_violations on names and rows already coerced to Fractions."""
-    out = []
-    n = len(names)
-    for i in range(n):
-        if rows[i][i] != 0:
-            out.append(InvalidInput(f"self-distance of {names[i]!r} must be 0"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                out.append(NonSymmetric(
-                    f"d({names[i]},{names[j]}) != d({names[j]},{names[i]})",
-                    (names[i], names[j])))
-            elif rows[i][j] < 0:
-                out.append(NegativeDistance(
-                    f"d({names[i]},{names[j]}) < 0", (names[i], names[j])))
-            elif rows[i][j] == 0:
-                out.append(ZeroDistanceDistinctPoints(
-                    f"d({names[i]},{names[j]}) = 0 for distinct points",
-                    (names[i], names[j])))
-    if not out:
-        hit = _first_triangle_violation(rows)
-        if hit is not None:
-            i, j, k = hit
-            out.append(TriangleViolation(
-                f"d({names[i]},{names[k]}) > d({names[i]},{names[j]}) + "
-                f"d({names[j]},{names[k]})",
-                (names[i], names[j], names[k])))
-    return out
+def _violations(names, mat: np.ndarray) -> tuple[list, np.ndarray | None]:
+    """(metric_violations, deletion mask or None) of a scaled matrix: the
+    diagonal, then each pair i < j in row-major order (asymmetry before
+    sign), then, on an otherwise clean matrix, the _midpoint_scan."""
+    out: list = [InvalidInput(f"self-distance of {names[i]!r} must be 0")
+                 for i in np.flatnonzero(np.diagonal(mat) != 0)]
+    bad = np.triu((mat != mat.T) | (mat <= 0), 1)
+    for i, j in zip(*np.nonzero(bad)):
+        a, b = pair = (names[i], names[j])
+        if mat[i, j] != mat[j, i]:
+            out.append(NonSymmetric(f"d({a},{b}) != d({b},{a})", pair))
+        elif mat[i, j] < 0:
+            out.append(NegativeDistance(f"d({a},{b}) < 0", pair))
+        else:
+            out.append(ZeroDistanceDistinctPoints(f"d({a},{b}) = 0 for distinct points", pair))
+    if out:
+        return out, None
+    hit, mask = _midpoint_scan(mat)
+    if hit is not None:
+        i, j, k = (names[x] for x in hit)
+        out.append(TriangleViolation(f"d({i},{k}) > d({i},{j}) + d({j},{k})", (i, j, k)))
+    return out, mask
 
 
 def _coerce_matrix(points, dist):
@@ -201,20 +206,23 @@ def validate_metric(points, dist, base=None) -> MetricSpace:
     to the first point.
     """
     names, rows = _coerce_matrix(points, dist)
-    violations = _axiom_violations(names, rows)
+    return _checked(names, rows, _scaled_matrix(rows), base)
+
+
+def _checked(names, rows, mat: np.ndarray, base) -> MetricSpace:
+    """validate_metric on coerced rows and their scaled matrix."""
+    violations, mask = _violations(names, mat)
     if violations:
         raise violations[0]
     if base is None:
-        base_idx = 0
-    elif isinstance(base, int):
-        if not 0 <= base < len(names):
-            raise InvalidInput(f"base index {base} out of range")
-        base_idx = base
-    else:
+        base = 0
+    elif not isinstance(base, int):
         if base not in names:
             raise InvalidInput(f"base point {base!r} not among the points")
-        base_idx = names.index(base)
-    return MetricSpace(names, rows, base_idx)
+        base = names.index(base)
+    elif not 0 <= base < len(names):
+        raise InvalidInput(f"base index {base} out of range")
+    return MetricSpace(names, rows, base, _deletion_mask=mask)
 
 
 # --- shortest-path metrics of weighted graphs --------------------------------
@@ -318,6 +326,12 @@ def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fra
     graphs use BFS; general weights use Dijkstra over integer-scaled weights.
     Raises InvalidInput if the graph is disconnected or a weight is invalid.
     """
+    return [list(row) for row in _fraction_rows(*_path_rows(n, edges))]
+
+
+def _path_rows(n: int, edges) -> tuple[list[list[int]], int]:
+    """path_metric as (integer rows, D): the distances times D, the lcm of
+    the weight denominators."""
     for u, v, w in edges:
         if u == v:
             raise InvalidInput("self-loops are not allowed")
@@ -327,8 +341,13 @@ def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fra
     rows = _distance_rows(adj)
     if any(None in row for row in rows):
         raise InvalidInput("graph is not connected")
-    fractions = {x: Fraction(x, denom) for x in set().union(*rows)}  # one per value
-    return [[fractions[x] for x in row] for row in rows]
+    return rows, denom
+
+
+def _fraction_rows(rows: list[list[int]], denom: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The integer rows divided by denom, one Fraction per distinct value."""
+    fractions = {x: Fraction(x, denom) for x in set().union(*rows)}
+    return tuple(tuple(fractions[x] for x in row) for row in rows)
 
 
 def single_source_distances(n: int, edges: list[tuple[int, int, Fraction]],
@@ -346,29 +365,34 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
     remembers only the metric: rebuilding the canonical graph may drop edges
     that lie on shortest paths through other vertices.
     """
-    names = tuple(str(v) for v in vertices)
+    try:
+        names = tuple(str(v) for v in vertices)
+    except TypeError as exc:
+        raise InvalidInput("'vertices' must be a list of names") from exc
     if len(set(names)) != len(names):
         raise InvalidInput("vertex names must be distinct")
     index = {v: i for i, v in enumerate(names)}
     seen = set()
     idx_edges = []
     for u, v, w in edges:
-        if u not in index or v not in index:
+        if not (isinstance(u, str) and isinstance(v, str) and u in index and v in index):
             raise InvalidInput(f"edge ({u},{v}) uses an unknown vertex")
         key = (min(index[u], index[v]), max(index[u], index[v]))
         if key in seen:
             raise InvalidInput(f"duplicate edge {{{u},{v}}}")
         seen.add(key)
         idx_edges.append((index[u], index[v], to_fraction(w)))
-    rows = path_metric(len(names), idx_edges)
-    return validate_metric(names, rows, base=base)
+    rows, denom = _path_rows(len(names), idx_edges)
+    if len(names) < 2:
+        raise InvalidInput("a metric space needs at least 2 points")
+    return _checked(names, _fraction_rows(rows, denom), _int_matrix(rows), base)
 
 
 def weighted_graph_json_to_space(obj: dict) -> MetricSpace:
     """Parse {"vertices": [...], "edges": [{"u","v","w"}], "base": ...}."""
     try:
         vertices = obj["vertices"]
-        raw_edges = obj["edges"]
+        raw_edges = list(obj["edges"])
     except (TypeError, KeyError) as exc:
         raise InvalidInput("graph JSON needs 'vertices' and 'edges'") from exc
     edges = []

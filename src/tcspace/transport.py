@@ -37,7 +37,7 @@ from .graph import (
     shortest_path_arcs,
     tree_path,
 )
-from .metric import _INT64_SAFE, _dijkstra
+from .metric import _dijkstra, _int_dtype
 from .rational import ZERO, frac_str, to_fraction
 from .vectors import EdgeVector, TransportationProblem, apply_incidence
 
@@ -305,12 +305,6 @@ def _scaled_costs(arcs) -> tuple[int, list[int]]:
     """Arc costs times D, the lcm of their denominators: (D, exact integers)."""
     denom = lcm(*{c.denominator for _, _, c, *_ in arcs})
     return denom, [c.numerator * (denom // c.denominator) for _, _, c, *_ in arcs]
-
-
-def _int_dtype(peak: int):
-    """int64 for integers of magnitude at most peak when that is safe, else
-    Python ints (object dtype); both run the same numpy code."""
-    return np.int64 if peak < _INT64_SAFE else object
 
 
 def _min_mean(n: int, arcs) -> Fraction | None:
@@ -604,14 +598,13 @@ def residual_distances(p: Roadmap, reverse: bool = False) -> list[Fraction]:
     return dist
 
 
-def zero_cost_cycles(p: Roadmap) -> dict[int, OrientedCycle]:
+def zero_cost_cycles(p: Roadmap, pot: list[Fraction]) -> dict[int, OrientedCycle]:
     """A zero-cost residual cycle through each edge outside supp(p) that
     some optimal roadmap uses (p optimal; the others differ from it by such
     cycles).  With no negative residual cycle these are the cycles of arcs
-    tight under the distance potentials, pot[u] + c == pot[v].
+    tight under pot = residual_distances(p): pot[u] + c == pot[v].
     """
     graph = p.graph
-    pot = residual_distances(p)
     tight: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
     for u, v, c, e, s in _residual_arcs(p.vec):
         if pot[u] + c == pot[v]:
@@ -657,7 +650,8 @@ def maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int,
         return frozenset(), {}
     _, p = tc_norm(f)
     signs = {e: p.induced_sign(e) for e in p.support()}
-    signs.update((e, cyc.arcs[0][1]) for e, cyc in zero_cost_cycles(p).items())
+    cycles = zero_cost_cycles(p, residual_distances(p))
+    signs.update((e, cyc.arcs[0][1]) for e, cyc in cycles.items())
     return frozenset(signs), signs
 
 
@@ -671,7 +665,7 @@ def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     if f.is_zero():
         return Roadmap.zero(f.graph)
     tc, p = tc_norm(f)
-    cycles = zero_cost_cycles(p)
+    cycles = zero_cost_cycles(p, residual_distances(p))
     eps = min(abs(x) for x in p.vec.values.values()) / (len(cycles) + 1)
     acc = p.vec
     for cyc in cycles.values():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tcspace import cli, duality, transport
+from tcspace import cli, duality, metric, transport
 from tcspace.cli import main
 
 
@@ -392,3 +392,86 @@ def test_lipschitz_values_given_as_a_list_are_a_structured_error(capsys, c4, tmp
 def test_subgraph_edges_given_as_a_number_are_a_structured_error(capsys, c4, tmp_path):
     sub = _write(tmp_path / "h.json", {"edges": 5})
     _assert_invalid_input(capsys, ["realizable", "--space", c4, "--subgraph", sub])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("validation called")
+
+
+@pytest.mark.parametrize("kind", ["space", "graph"])
+def test_over_the_cap_input_is_rejected_before_validation(capsys, monkeypatch, tmp_path, kind):
+    names = [f"P{i}" for i in range(65)]
+    if kind == "space":
+        obj = {"points": names,
+               "dist": [["0" if u == v else "1" for v in names] for u in names]}
+    else:
+        obj = {"vertices": names,
+               "edges": [{"u": u, "v": v, "w": "1"} for u, v in zip(names, names[1:])]}
+    monkeypatch.setenv("TCSPACE_MAX_POINTS", "64")
+    monkeypatch.setattr(cli.MetricSpace, "from_json_obj", _never)
+    monkeypatch.setattr(cli, "weighted_graph_json_to_space", _never)
+    for name in ("validate_metric", "_path_rows", "_violations"):
+        monkeypatch.setattr(metric, name, _never)
+    code, out, err = _run(capsys, ["canon", "--space", _write(tmp_path / "big.json", obj)])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidInput"
+    assert "65 points, above TCSPACE_MAX_POINTS=64" in payload["message"]
+
+
+@pytest.mark.parametrize("obj", [
+    {"points": 7, "dist": []},
+    {"points": None, "dist": [["0"]]},
+    {"vertices": 7, "edges": []},
+    {"vertices": ["A", "B"], "edges": 7},
+])
+def test_malformed_point_lists_are_still_invalid_input(capsys, tmp_path, obj):
+    space = _write(tmp_path / "bad.json", obj)
+    code, _, err = _run(capsys, ["validate", "--space", space])
+    assert code == 1
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_dual_runs_one_bellman_ford_per_direction(capsys, monkeypatch, c4, tmp_path):
+    """The forward residual distances of the optimal roadmap are computed
+    once and shared by the least potential and the uniqueness test."""
+    runs, directions = [], []
+    bellman_ford, residual = transport.bellman_ford, transport.residual_distances
+
+    def counting_residual(p, reverse=False):
+        directions.append(reverse)
+        return residual(p, reverse)
+
+    monkeypatch.setattr(transport, "bellman_ford",
+                        lambda *a: runs.append(a) or bellman_ford(*a))
+    monkeypatch.setattr(transport, "residual_distances", counting_residual)
+    monkeypatch.setattr(duality, "residual_distances", counting_residual)
+    problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c1": "-1"}})
+    expected = {(): ([False], 1), ("--unique",): ([False, True], 2)}
+    for flags, (want_directions, want_runs) in expected.items():
+        runs.clear()
+        directions.clear()
+        code, _, _ = _run(capsys, ["dual", "--space", c4, "--problem", problem, *flags])
+        assert code == 0
+        assert sorted(directions) == want_directions
+        assert len(runs) == want_runs
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch, path3):
+    main(["validate", "--space", path3])
+    built = []
+
+    class Counting(cli.argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", Counting)
+    for _ in range(2):
+        code, _, _ = _run(capsys, ["validate", "--space", path3])
+        assert code == 0
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "complete-bipartite", "--n", "3"])
+    assert err.value.code == 2
+    assert "complete-bipartite needs --m" in capsys.readouterr().err
+    assert built == []

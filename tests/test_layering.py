@@ -1,5 +1,6 @@
 """Module boundaries: the exact simplex serves the independent oracle only,
-and each graph mechanism (Dijkstra, BFS, union-find) has one home."""
+and each graph mechanism (Dijkstra, BFS, union-find) and the integer metric
+core (its int64 overflow guard) has one home."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,22 @@ def test_one_union_find():
 
 def test_the_solver_has_no_dijkstra_of_its_own():
     assert _definers(lambda name: name.startswith("_dijkstra")) == {"metric.py"}
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every identifier a source file reads, binds or imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+            out.add(node.name)
+    return out
+
+
+def test_one_integer_metric_core():
+    assert _definers(lambda name: name == "_int_dtype") == {"metric.py"}
+    assert {p.name for p in SRC.glob("*.py") if "_INT64_SAFE" in _names_used(p)} == {"metric.py"}

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from tcspace import (
     validate_metric,
     weighted_graph_json_to_space,
 )
+from tcspace import canonical_graph, complete_bipartite, cycle, metric
+from tcspace.randgen import random_metric_space
 
 
 def test_triangle_equality_is_allowed():
@@ -154,3 +158,158 @@ def test_validate_metric_coerces_each_entry_once(monkeypatch):
     validate_metric(["A", "B", "C"],
                     [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]])
     assert len(seen) == 9
+
+
+# --- the integer metric core: one scan, int64 and object dtype ---------------
+
+BIG = 2**60  # scaled copies overflow int64 sums: the scan runs on Python ints
+
+
+def _reference_violations(names, rows):
+    """metric_violations by brute force: a per-pair Fraction loop, then the
+    first triangle violation of a midpoint-major triple loop."""
+    out = []
+    n = len(names)
+    for i in range(n):
+        if rows[i][i] != 0:
+            out.append((InvalidInput, None, f"self-distance of {names[i]!r} must be 0"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = names[i], names[j]
+            if rows[i][j] != rows[j][i]:
+                out.append((NonSymmetric, (a, b), f"d({a},{b}) != d({b},{a})"))
+            elif rows[i][j] < 0:
+                out.append((NegativeDistance, (a, b), f"d({a},{b}) < 0"))
+            elif rows[i][j] == 0:
+                out.append((ZeroDistanceDistinctPoints, (a, b),
+                            f"d({a},{b}) = 0 for distinct points"))
+    if out:
+        return out
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                if rows[i][k] > rows[i][j] + rows[j][k]:
+                    a, b, c = names[i], names[j], names[k]
+                    return [(TriangleViolation, (a, b, c),
+                             f"d({a},{c}) > d({a},{b}) + d({b},{c})")]
+    return out
+
+
+def _described(violations):
+    return [(type(v), getattr(v, "points", None), str(v)) for v in violations]
+
+
+def _matrix_pool():
+    """Small rational matrices: metrics, near-metrics with triangle
+    violations, and matrices breaking the diagonal, symmetry and sign axioms
+    (several at once)."""
+    rng = random.Random(7)
+    pool = []
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = Fraction(rng.randint(-2, 3), rng.choice((1, 2)))
+            if rng.random() < 0.5:
+                rows[j][i] = rows[i][j]
+        pool.append(rows)
+    return pool
+
+
+def _dtype_spy(monkeypatch, name):
+    seen = []
+    real = getattr(metric, name)
+    monkeypatch.setattr(metric, name, lambda *a: seen.append(a[-1].dtype) or real(*a))
+    return seen
+
+
+def test_violations_match_a_brute_force_reference_in_both_dtypes(monkeypatch):
+    seen = _dtype_spy(monkeypatch, "_violations")
+    kinds = set()
+    for rows in _matrix_pool():
+        names = [f"P{i}" for i in range(len(rows))]
+        want = _reference_violations(names, rows)
+        kinds.update(kind for kind, _, _ in want)
+        big = [[x * BIG for x in row] for row in rows]
+        assert _reference_violations(names, big) == want
+        seen.clear()
+        assert _described(metric_violations(names, rows)) == want
+        assert _described(metric_violations(names, big)) == want
+        assert seen == [np.dtype(np.int64), np.dtype(object)]
+        if want:
+            with pytest.raises(want[0][0]) as err:
+                validate_metric(names, big)
+            assert _described([err.value]) == want[:1]
+    assert kinds == {InvalidInput, NonSymmetric, NegativeDistance,
+                     ZeroDistanceDistinctPoints, TriangleViolation}
+
+
+def test_first_triangle_violation_is_the_same_in_both_dtypes(monkeypatch):
+    seen = _dtype_spy(monkeypatch, "_midpoint_scan")
+    rows = [[0, 1, 5, 9], [1, 0, 1, 3], [5, 1, 0, 1], [9, 3, 1, 0]]
+    found = []
+    for scale in (1, BIG):
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric(["A", "B", "C", "D"], [[x * scale for x in r] for r in rows])
+        found.append(err.value.points)
+    assert found == [("A", "B", "C"), ("A", "B", "C")]
+    assert seen == [np.dtype(np.int64), np.dtype(object)]
+
+
+def test_canonical_edges_are_the_same_in_both_dtypes(monkeypatch):
+    rng = random.Random(11)
+    spaces = [random_metric_space(rng, n) for n in (3, 5, 8, 12) for _ in range(3)]
+    spaces += [cycle(6), complete_bipartite(2, 3)]
+    seen = _dtype_spy(monkeypatch, "_midpoint_scan")
+    for space in spaces:
+        seen.clear()
+        big = validate_metric(space.points, [[x * BIG for x in row] for row in space.dist])
+        assert seen == [np.dtype(object)]
+        seen.clear()
+        edges = canonical_graph(space).edges
+        big_edges = canonical_graph(big).edges
+        assert seen == []  # both graphs reuse the mask validation kept
+        assert [(e.tail, e.head, e.weight * BIG) for e in edges] == list(big_edges)
+        assert [(e.tail, e.head) for e in edges] == _reference_edges(space.dist)
+
+
+def _reference_edges(d):
+    """Canonical-graph pairs i < k by brute force: no third point j with
+    d(i,j) + d(j,k) = d(i,k)."""
+    n = len(d)
+    return [(i, k) for i in range(n) for k in range(i + 1, n)
+            if all(d[i][j] + d[j][k] != d[i][k] for j in range(n) if j not in (i, k))]
+
+
+def test_the_mask_is_kept_by_with_base_and_dropped_by_restrict():
+    space = cycle(6)
+    assert space._deletion_mask is not None
+    assert space.with_base("c3")._deletion_mask is space._deletion_mask
+    everything = space.restrict(list(range(space.n)))
+    assert everything._deletion_mask is None
+    assert canonical_graph(everything).edges == canonical_graph(space).edges
+    sub = space.restrict([0, 1, 2, 4])
+    again = validate_metric(sub.points, sub.dist)
+    assert canonical_graph(sub).edges == canonical_graph(again).edges
+
+
+def test_weighted_graphs_are_validated_without_a_fraction_round_trip(monkeypatch):
+    scans = []
+    real = metric._violations
+    monkeypatch.setattr(metric, "validate_metric", _forbidden)
+    monkeypatch.setattr(metric, "path_metric", _forbidden)
+    monkeypatch.setattr(metric, "_violations", lambda *a: scans.append(a) or real(*a))
+    space = space_from_weighted_graph(
+        ["A", "B", "C", "D"], [("A", "B", "1"), ("B", "C", "1/2"), ("C", "D", "1")])
+    assert len(scans) == 1
+    assert space._deletion_mask is not None
+    assert space.dist == validate_metric(space.points, space.dist).dist
+    assert all(type(x) is Fraction for row in space.dist for x in row)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called")
