@@ -55,10 +55,13 @@ class FamilyDescriptor:
         if gens is not None:
             try:
                 gens = {str(k): int(v) for k, v in gens.items()}
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidInput(
                     "descriptor 'generations' must map point names to integers") from exc
-        return cls(str(family), dict(obj.get("params", {})), gens)
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidInput("descriptor 'params' must be an object")
+        return cls(str(family), dict(params), gens)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ only compares integers, in int64 or, past the overflow guard, as Python
 ints: `_int_dtype`).  The diagonal, symmetry and sign tests are vectorized,
 and one midpoint-major scan yields both the first triangle violation and
 the canonical graph's deletion mask (the triangle test with `>` replaced by
-`==`), which the validated space keeps for graph.canonical_graph.
+`==`), which the validated space keeps for graph.canonical_graph.  At the
+JSON boundary each distinct distance literal is parsed once and each
+distinct distance object printed once.
 
 Shortest-path metrics of weighted graphs (generated families, weighted-graph
 JSON) enter the same checks as integer rows, without a Fraction round trip.
@@ -61,7 +63,7 @@ class MetricSpace:
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a JSON list or object as a name
             raise InvalidInput(f"unknown point {name!r}") from None
 
     def d(self, i: int, j: int) -> Fraction:
@@ -85,9 +87,16 @@ class MetricSpace:
                            _deletion_mask=self._deletion_mask)
 
     def to_json_obj(self) -> dict:
+        # Validated rows share one Fraction per distinct value (_coerce_matrix,
+        # _fraction_rows), so each distinct object is formatted once, keyed by
+        # its id while self.dist holds it.
+        distinct: dict = {}
+        for row in self.dist:
+            distinct.update(zip(map(id, row), row))
+        text = {key: frac_str(x) for key, x in distinct.items()}
         return {
             "points": list(self.points),
-            "dist": [[frac_str(x) for x in row] for row in self.dist],
+            "dist": [[text[id(x)] for x in row] for row in self.dist],
             "base": self.points[self.base_point],
         }
 
@@ -189,11 +198,30 @@ def _coerce_matrix(points, dist):
         raise InvalidInput("a metric space needs at least 2 points")
     if len(dist) != len(names):
         raise InvalidInput("distance matrix must be square, one row per point")
+    # One to_fraction per distinct literal, so the rows share one Fraction per
+    # value.  The key holds the type because True == 1 == 1.0 hash alike but
+    # only 1 is a valid entry; an unhashable entry goes straight to to_fraction,
+    # which rejects it.  A Fraction is kept as it is (to_fraction returns it):
+    # hashing one costs more than the lookup saves.
+    parsed: dict = {}
     rows = []
     for row in dist:
         if len(row) != len(names):
             raise InvalidInput("distance matrix must be square, one row per point")
-        rows.append(tuple(to_fraction(x) for x in row))
+        out = []
+        for x in row:
+            if type(x) is Fraction:
+                out.append(x)
+                continue
+            key = type(x), x
+            try:
+                value = parsed[key]
+            except KeyError:
+                value = parsed[key] = to_fraction(x)
+            except TypeError:
+                value = to_fraction(x)
+            out.append(value)
+        rows.append(tuple(out))
     return names, tuple(rows)
 
 

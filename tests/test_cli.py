@@ -394,6 +394,22 @@ def test_subgraph_edges_given_as_a_number_are_a_structured_error(capsys, c4, tmp
     _assert_invalid_input(capsys, ["realizable", "--space", c4, "--subgraph", sub])
 
 
+@pytest.mark.parametrize("command,option,obj", [
+    ("downhill", "--lipschitz", {"l": {}, "base": []}),
+    ("downhill", "--lipschitz", {"l": {}, "base": {"c0": 1}}),
+    ("realizable", "--subgraph", {"edges": [{"u": ["c0"], "v": "c1"}]}),
+    ("certify", "--peel", {"family": "diamond", "params": None, "generations": {"c0": 0}}),
+    ("certify", "--peel", {"family": "diamond", "params": 3}),
+    ("certify", "--peel", {"family": "diamond", "generations": {"c0": float("inf")}}),
+], ids=["base-list", "base-object", "edge-end-list", "params-null", "params-number",
+        "generation-1e400"])
+def test_unhashable_names_and_malformed_descriptors_are_structured_errors(
+        capsys, c4, tmp_path, command, option, obj):
+    extra = ["--k", "3"] if command == "certify" else []
+    path = _write(tmp_path / "in.json", obj)
+    _assert_invalid_input(capsys, [command, "--space", c4, *extra, option, path])
+
+
 def _never(*args, **kwargs):
     raise AssertionError("validation called")
 

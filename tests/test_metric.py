@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from tcspace import (
     weighted_graph_json_to_space,
 )
 from tcspace import canonical_graph, complete_bipartite, cycle, metric
+from tcspace.cli import main
 from tcspace.randgen import random_metric_space
+from tcspace.rational import frac_str
 
 
 def test_triangle_equality_is_allowed():
@@ -151,13 +154,78 @@ def test_distances_in_unit_band_always_form_a_metric(raws):
 
 
 def test_validate_metric_coerces_each_entry_once(monkeypatch):
-    import tcspace.metric as metric
-
+    """Exactly one to_fraction call per distinct (type, literal), not per entry."""
     seen = []
     monkeypatch.setattr(metric, "to_fraction", lambda x: seen.append(x) or to_fraction(x))
     validate_metric(["A", "B", "C"],
                     [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]])
-    assert len(seen) == 9
+    assert seen == ["0", "1", "2"]
+    seen.clear()
+    validate_metric(["A", "B"], [[0, "1"], [1, "0"]])
+    assert seen == [0, "1", 1, "0"]
+
+
+# --- the JSON boundary: each distinct literal parsed and printed once --------
+
+@pytest.mark.parametrize("odd,message", [
+    (True, "boolean True rejected: pass a number"),
+    (False, "boolean False rejected: pass a number"),
+    (1.0, "float 1.0 rejected: pass an exact string or Fraction"),
+    ([1], "cannot convert list to a rational"),
+    ({"a": 1}, "cannot convert dict to a rational"),
+    (None, "cannot convert NoneType to a rational"),
+], ids=["true", "false", "float", "list", "object", "null"])
+def test_entries_equal_to_a_valid_one_are_still_rejected(odd, message):
+    """The memo is keyed by type: 1 (or 0) parsed first does not let True,
+    False or 1.0 through, and unhashable entries are rejected as before."""
+    rows = [[0, 1, odd], [1, 0, 1], [odd, 1, 0]]
+    for check in (validate_metric, metric_violations):
+        with pytest.raises(InvalidInput) as err:
+            check(["A", "B", "C"], rows)
+        assert str(err.value) == message
+
+
+def test_equal_values_written_differently_validate_and_rows_share_objects():
+    space = validate_metric(["A", "B", "C"],
+                            [[0, 1, "2"], ["2/2", "0", "1"], ["4/2", Fraction(1), "0"]])
+    assert space.dist == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert MetricSpace.from_json_obj(space.to_json_obj()) == space
+    rng = random.Random(5)
+    n = 12
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = rng.choice(["5/4", "3/2", "7/4"])  # always a metric
+    space = validate_metric([f"p{i}" for i in range(n)], rows)
+    distinct = {id(x) for row in space.dist for x in row}
+    assert len(distinct) == len({x for row in rows for x in row})
+    assert space.dist[0][1] is space.dist[1][0]
+
+
+def test_json_output_bytes_are_pinned(tmp_path, monkeypatch):
+    """`gen` files and to_json_obj are byte for byte those of per-entry
+    formatting (digests recorded before the output was memoized)."""
+    monkeypatch.setenv("TCSPACE_MAX_POINTS", "64")
+    digests = {
+        "diamond --n 3": "1a5030a9beab4eba36ab9c427f491c3aa9d761c10363217dbe7ea9479ce785d7",
+        "recursive --base k2n --legs 3 --n 2":
+            "bf14752eb4e20aae2239687fe0b016ff49d0bdad1bf206fcc82d73b1aa27b6af",
+        "grid --n 5": "dd940b2af508400d2f765ebcfa240a1c7e1b2410024415d356f6c2e0a5c8a081",
+    }
+    for args, digest in digests.items():
+        out = tmp_path / "space.json"
+        assert main(["gen", *args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+    n = 9
+    rows = tuple(tuple(Fraction(0) if i == j else Fraction(4 + (i + j) % 8, 4)
+                       for j in range(n)) for i in range(n))  # no two entries share an object
+    assert len({id(x) for row in rows for x in row}) == n * n
+    space = MetricSpace(tuple(f"q{i}" for i in range(n)), rows, 2)
+    assert space.to_json_obj() == {
+        "points": list(space.points),
+        "dist": [[frac_str(x) for x in row] for row in rows],
+        "base": "q2",
+    }
 
 
 # --- the integer metric core: one scan, int64 and object dtype ---------------
