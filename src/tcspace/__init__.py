@@ -19,6 +19,7 @@ from .errors import (
     NotNormalized,
     NotRealizable,
     NullProblem,
+    OversizedResult,
     PeelNotApplicable,
     PreconditionFailed,
     TriangleViolation,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvalidInput, NotLipschitz, NotRealizable, NullProblem, PreconditionFailed
 from .graph import CanonicalGraph, DirectedSubgraph, connected_components
@@ -168,24 +167,26 @@ def realizable_as_downhill(H: DirectedSubgraph) -> tuple[bool, LipschitzFunction
     least t on every other edge, decided by one Bellman-Ford run.  If any
     t > 0 works, t = 1/(D(n+1)) does, D the lcm of the weight denominators:
     nonzero cycle costs at t = 0 are multiples of 1/D, and a simple cycle
-    has at most n arcs.
+    has at most n arcs.  Costs are scaled by D(n+1), so t becomes 1.
     """
     if len(H) == 0:
         raise PreconditionFailed("need at least one directed edge")
     graph = H.graph
-    t = Fraction(1, lcm(*(e.weight.denominator for e in graph.edges)) * (graph.n + 1))
+    denom, adj = graph.scaled_adjacency
+    scale = graph.n + 1
     used = H.edge_indices()
-    arcs = []  # (a, b, c) stands for l(b) <= l(a) + c
-    for u, v in H.arcs:
-        w = graph.edges[graph.edge_index(u, v)].weight
-        arcs += [(u, v, -w), (v, u, w)]
-    for i, e in enumerate(graph.edges):
-        if i not in used:
-            arcs += [(e.tail, e.head, e.weight - t), (e.head, e.tail, e.weight - t)]
-    dist = bellman_ford(graph.n, arcs, graph.space.base_point)
+    downhill = H.arc_set()
+    arcs = [[] for _ in adj]  # the arc u -> v of cost c stands for l(v) <= l(u) + c
+    for u, out in enumerate(adj):
+        for v, w, e in out:
+            if e not in used:
+                arcs[u].append((v, w * scale - 1, e))
+            else:
+                arcs[u].append((v, (-w if (u, v) in downhill else w) * scale, e))
+    dist, _ = bellman_ford(arcs, graph.space.base_point)
     if dist is None:
         return False, None
-    func = LipschitzFunction(graph, tuple(dist))
+    func = LipschitzFunction(graph, tuple(Fraction(d, denom * scale) for d in dist))
     assert downhill_graph(func).arc_set() == H.arc_set()
     return True, func
 

@@ -80,5 +80,9 @@ class PeelNotApplicable(DomainError):
     """Peeled certificate requested without usable generation metadata."""
 
 
+class OversizedResult(DomainError):
+    """A result has more digits than Python converts to a string."""
+
+
 class PreconditionFailed(DomainError):
     """A stated operation precondition does not hold for the given input."""

@@ -8,11 +8,11 @@ integers; its certificate is a potential under which every residual arc has
 reduced cost >= 0, checked in integers before the Fractions of the result
 are built.
 
-Karp's minimum-mean cycle search (`improving_cycle`) and `cancel_cycle` are
-the independent check of a roadmap given by the user: a roadmap is optimal
-iff its residual digraph has no negative cycle.  They run on the residual
-costs scaled to exact integers (vectorized with numpy, int64 under an
-overflow guard and Python ints beyond it).
+`improving_cycle` and `cancel_cycle` are the independent check of a
+roadmap given by the user: a roadmap is optimal iff its residual digraph
+has no negative cycle.  One integer Bellman-Ford (`bellman_ford`) on the
+residual digraph, its costs scaled by the lcm of the weight denominators,
+finds such a cycle or the residual distances.
 
 The optimal face is read off an optimal roadmap's residual digraph by
 complementary slackness (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9):
@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .errors import InvalidInput, NotImprovable, NullProblem
 from .graph import (
     CanonicalGraph,
@@ -37,7 +35,7 @@ from .graph import (
     shortest_path_arcs,
     tree_path,
 )
-from .metric import _dijkstra, _int_dtype
+from .metric import _dijkstra
 from .rational import ZERO, frac_str, to_fraction
 from .vectors import EdgeVector, TransportationProblem, apply_incidence
 
@@ -289,159 +287,63 @@ def cycle_basis(graph: CanonicalGraph) -> CycleBasis:
 
 # --- improving cycles ---------------------------------------------------------
 
-def _residual_arcs(p: EdgeVector) -> list[tuple[int, int, Fraction, int, int]]:
-    """Arcs (u, v, cost, edge, sign): +weight to push more flow, -weight to
-    push against the direction induced by p on a support edge."""
-    arcs = []
-    for idx, e in enumerate(p.graph.edges):
-        val = p[idx]
-        w = e.weight
-        arcs.append((e.tail, e.head, -w if val < 0 else w, idx, 1))
-        arcs.append((e.head, e.tail, -w if val > 0 else w, idx, -1))
-    return arcs
+def _residual_digraph(p: Roadmap, reverse: bool = False) -> tuple[int, list]:
+    """(D, p's residual digraph): _reduced_adjacency at zero potentials, arcs
+    (v, cost times D, edge) that cost -weight against p's flow on an edge
+    and +weight otherwise.  Only the sign of each edge value matters, and
+    the transposed digraph (reverse) is that of -p."""
+    denom, adj = p.graph.scaled_adjacency
+    flip = -1 if reverse else 1
+    signs = [flip * p.induced_sign(e) for e in range(p.graph.m)]
+    return denom, _reduced_adjacency(adj, signs, [0] * p.graph.n)
 
 
-def _scaled_costs(arcs) -> tuple[int, list[int]]:
-    """Arc costs times D, the lcm of their denominators: (D, exact integers)."""
-    denom = lcm(*{c.denominator for _, _, c, *_ in arcs})
-    return denom, [c.numerator * (denom // c.denominator) for _, _, c, *_ in arcs]
-
-
-def _min_mean(n: int, arcs) -> Fraction | None:
-    """Karp: minimum mean cost over directed cycles, None if acyclic.
-
-    Runs on integer costs (scaled by D, see _scaled_costs).  A virtual
-    source with zero-cost arcs to every vertex makes all walks start
-    uniformly; vertices are 0..n-1 plus the source n.  Layer k holds the
-    least cost of a k-arc walk from the source, `big` marking no walk; each
-    layer is one vectorized relaxation.  The ratio step compares
-    (top[v] - d_k[v]) / (n + 1 - k) by cross-multiplication, so the only
-    Fraction built is the result.
-    """
-    denom, costs = _scaled_costs(arcs)
-    size = n + 1
-    tails = np.array([u for u, *_ in arcs] + [n] * n, dtype=np.intp)
-    heads = np.array([v for _, v, *_ in arcs] + list(range(n)), dtype=np.intp)
-    big = max(map(abs, costs), default=0) * (size + 1) + 1  # above any walk's cost
-    dtype = _int_dtype(big)
-    cost = np.array(costs + [0] * n, dtype=dtype)
-    dist = np.full((size + 1, size), big, dtype=dtype)
-    dist[0, n] = 0
-    for k in range(1, size + 1):
-        prev = dist[k - 1]
-        live = prev[tails] < big
-        np.minimum.at(dist[k], heads[live], prev[tails[live]] + cost[live])
-    mu = None  # (numerator, positive denominator)
-    for col in dist.T.tolist():
-        top = col[size]
-        if top == big:
-            continue
-        worst = None  # set: a walk reaching v makes d_1[v] = 0 finite
-        for k in range(size):
-            if col[k] == big:
-                continue
-            cand = (top - col[k], size - k)
-            if worst is None or cand[0] * worst[1] > worst[0] * cand[1]:
-                worst = cand
-        if mu is None or worst[0] * mu[1] < mu[0] * worst[1]:
-            mu = worst
-    return None if mu is None else Fraction(mu[0], mu[1] * denom)
-
-
-def bellman_ford(n: int, arcs, source: int | None = None) -> list[Fraction] | None:
-    """Shortest distances over arcs (u, v, cost, ...), None on a negative cycle.
+def bellman_ford(adj, source: int | None = None):
+    """Integer Bellman-Ford over adjacency lists of (v, cost, edge) arcs, the
+    arc u -> v of an edge following its reference orientation iff u < v.
 
     Distances run from source, or from a virtual source with zero-cost arcs
     to every vertex when source is None; unreachable vertices stay None.
+    Returns (dist, None), or (None, arcs) with arcs the (edge, sign) arcs of
+    a negative cycle.  Without one, n rounds of relaxation leave the last
+    round idle; a vertex relaxed in round n lies n predecessor steps behind
+    a cycle of the predecessor graph, and every such cycle has negative cost
+    (its arcs were tight, one strictly, when it closed), so it is simple and
+    never runs forth and back along one edge.
     """
-    dist: list = [ZERO if source is None else None] * n
-    if source is not None:
-        dist[source] = ZERO
-    for _ in range(n):
+    n = len(adj)
+    dist: list[int | None] = [0 if source in (None, v) else None for v in range(n)]
+    pred: list[tuple[int, int] | None] = [None] * n  # (tail, edge) of the arc into v
+    for rnd in range(1, n + 1):
         changed = False
-        for u, v, c, *_ in arcs:
-            if dist[u] is not None and (dist[v] is None or dist[u] + c < dist[v]):
-                dist[v] = dist[u] + c
-                changed = True
-        if not changed:
-            return dist
-    return None
-
-
-def _potentials(n: int, tails, heads, costs: list[int]) -> list[int] | None:
-    """Bellman-Ford on integer costs from a virtual source with zero-cost
-    arcs to every vertex, one vectorized relaxation per round; None on a
-    negative cycle.  The distances are unique, so they equal those of any
-    relaxation order."""
-    peak = max(map(abs, costs), default=0) * (n + 1)
-    dtype = _int_dtype(peak)
-    cost = np.array(costs, dtype=dtype)
-    pot = np.zeros(n, dtype=dtype)
-    for _ in range(n):
-        nxt = pot.copy()
-        np.minimum.at(nxt, heads, pot[tails] + cost)
-        if (nxt == pot).all():
-            return pot.tolist()
-        pot = nxt
-    return None
-
-
-def _extract_cycle(graph: CanonicalGraph, arcs, mu: Fraction) -> OrientedCycle:
-    """A directed cycle of mean cost mu, via tight arcs under shifted costs.
-
-    With integer costs c (scaled by D) and mu * D = a / b, the shifted cost
-    b * c - a is b * D * (cost - mu): a positive multiple, so potentials,
-    tight arcs and the cycle found are those of the costs cost - mu.
-    """
-    n = graph.n
-    denom, costs = _scaled_costs(arcs)
-    scaled_mu = mu * denom
-    a, b = scaled_mu.numerator, scaled_mu.denominator
-    shifted = [b * c - a for c in costs]
-    tails = np.array([u for u, *_ in arcs], dtype=np.intp)
-    heads = np.array([v for _, v, *_ in arcs], dtype=np.intp)
-    pot = _potentials(n, tails, heads, shifted)
-    assert pot is not None, "negative cycle under shifted costs"
-    tight: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (u, v, _, eidx, sign), c in zip(arcs, shifted):
-        if pot[u] + c == pot[v]:
-            tight[u].append((v, eidx, sign))
-
-    color = [0] * n
-
-    def dfs(start: int) -> list[tuple[int, int]] | None:
-        path: list[tuple[int, int, int]] = [(start, -1, 0)]
-        color[start] = 1
-        it = [iter(tight[start])]
-        while it:
-            try:
-                v, eidx, sign = next(it[-1])
-            except StopIteration:
-                it.pop()
-                node, _, _ = path.pop()
-                color[node] = 2
+        for u, arcs in enumerate(adj):
+            du = dist[u]
+            if du is None:
                 continue
-            if color[v] == 1:
-                pos = next(i for i, (w, _, _) in enumerate(path) if w == v)
-                cycle = [(pe, ps) for _, pe, ps in path[pos + 1:]] + [(eidx, sign)]
-                return cycle
-            if color[v] == 0:
-                color[v] = 1
-                path.append((v, eidx, sign))
-                it.append(iter(tight[v]))
-        return None
+            for v, c, e in arcs:
+                if dist[v] is None or du + c < dist[v]:
+                    dist[v] = du + c
+                    pred[v] = (u, e)
+                    changed = True
+                    if rnd == n:
+                        return None, _predecessor_cycle(pred, v, n)
+        if not changed:
+            break
+    return dist, None
 
-    for s in range(n):
-        if color[s] == 0:
-            found = dfs(s)
-            if found:
-                cyc = OrientedCycle(graph, tuple(found))
-                members = set(found)
-                total = sum(c for (_, _, _, e, s2), c in zip(arcs, costs)
-                            if (e, s2) in members)
-                assert total * b == a * len(found)  # total / D == mu * len
-                return cyc
-    raise AssertionError("tight subgraph must contain a cycle")
+
+def _predecessor_cycle(pred, v: int, n: int) -> list[tuple[int, int]]:
+    """The (edge, sign) arcs, in order, of the predecessor-graph cycle that
+    n steps back from v reach."""
+    for _ in range(n):
+        v = pred[v][0]
+    arcs, x = [], v
+    while True:
+        u, e = pred[x]
+        arcs.append((e, 1 if u < x else -1))
+        x = u
+        if x == v:
+            return arcs[::-1]
 
 
 def improving_cycle(p: Roadmap) -> OptimalityCertificate:
@@ -452,11 +354,10 @@ def improving_cycle(p: Roadmap) -> OptimalityCertificate:
     -weight.  A negative-cost directed cycle is exactly a cycle whose
     support-reversing weight exceeds the rest, and canceling it pays off.
     """
-    arcs = _residual_arcs(p.vec)
-    mu = _min_mean(p.graph.n, arcs)
-    if mu is None or mu >= 0:
+    _, arcs = bellman_ford(_residual_digraph(p)[1])
+    if arcs is None:
         return Optimal()
-    cycle = _extract_cycle(p.graph, arcs, mu)
+    cycle = OrientedCycle(p.graph, tuple(arcs))
     gain = _cycle_gain(p, cycle)
     assert gain > 0
     return Improving(cycle, gain)
@@ -590,12 +491,10 @@ def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
 def residual_distances(p: Roadmap, reverse: bool = False) -> list[Fraction]:
     """Distances from the base point in p's residual digraph (to it when
     reverse).  p must be optimal, so the digraph has no negative cycle."""
-    arcs = _residual_arcs(p.vec)
-    if reverse:
-        arcs = [(v, u, c) for u, v, c, _, _ in arcs]
-    dist = bellman_ford(p.graph.n, arcs, p.graph.space.base_point)
-    assert dist is not None, "optimal roadmaps have no negative residual cycle"
-    return dist
+    denom, adj = _residual_digraph(p, reverse)
+    dist, cycle = bellman_ford(adj, p.graph.space.base_point)
+    assert cycle is None, "optimal roadmaps have no negative residual cycle"
+    return [Fraction(d, denom) for d in dist]
 
 
 def zero_cost_cycles(p: Roadmap, pot: list[Fraction]) -> dict[int, OrientedCycle]:
@@ -605,37 +504,33 @@ def zero_cost_cycles(p: Roadmap, pot: list[Fraction]) -> dict[int, OrientedCycle
     tight under pot = residual_distances(p): pot[u] + c == pot[v].
     """
     graph = p.graph
-    tight: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
-    for u, v, c, e, s in _residual_arcs(p.vec):
-        if pot[u] + c == pot[v]:
-            tight[u].append((v, e, s))
-    trees: dict[int, dict] = {}
+    denom, adj = _residual_digraph(p)
+    scaled = [x.numerator * (denom // x.denominator) for x in pot]
+    tight = [[(v, e) for v, c, e in arcs if scaled[u] + c == scaled[v]]
+             for u, arcs in enumerate(adj)]
+    trees: dict[int, list] = {}
     cycles: dict[int, OrientedCycle] = {}
     for u in range(graph.n):
-        for v, e, s in tight[u]:
+        for v, e in tight[u]:
             if p.vec[e] != 0:
                 continue
             if v not in trees:
                 trees[v] = _tight_tree(tight, v)
-            pred = trees[v]
-            if u not in pred:
-                continue
-            path, x = [], u
-            while x != v:
-                x, pe, ps = pred[x]
-                path.append((pe, ps))
-            cycles[e] = OrientedCycle(graph, ((e, s), *reversed(path)))
+            root, path = tree_path(graph, trees[v], u)
+            if root == v:
+                cycles[e] = OrientedCycle(graph, ((e, 1 if u < v else -1), *path))
     return cycles
 
 
-def _tight_tree(tight, root: int) -> dict:
-    """Breadth-first predecessors (vertex, edge, sign) along tight arcs."""
-    pred = {root: None}
-    queue = [root]
+def _tight_tree(tight, root: int) -> list[int | None]:
+    """Breadth-first predecessor edges along tight arcs from root."""
+    pred: list[int | None] = [None] * len(tight)
+    queue, seen = [root], {root}
     for x in queue:
-        for y, e, s in tight[x]:
-            if y not in pred:
-                pred[y] = (x, e, s)
+        for y, e in tight[x]:
+            if y not in seen:
+                seen.add(y)
+                pred[y] = e
                 queue.append(y)
     return pred
 

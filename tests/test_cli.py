@@ -277,23 +277,25 @@ def test_gen_over_the_cap_builds_nothing(capsys, monkeypatch):
 
 def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_path):
     """`roadmap` prints tc_norm's certified roadmap: the same Dijkstra runs
-    as `norm`, and no command that solves runs Karp at all."""
-    runs, karps = [], []
-    dijkstra, karp = transport._dijkstra, transport._min_mean
+    as `norm`, and neither runs a Bellman-Ford (no cycle search, no residual
+    distances) beyond the solver."""
+    runs, searches = [], []
+    dijkstra, bellman_ford = transport._dijkstra, transport.bellman_ford
     monkeypatch.setattr(transport, "_dijkstra",
                         lambda *a: runs.append(a) or dijkstra(*a))
-    monkeypatch.setattr(transport, "_min_mean",
-                        lambda n, arcs: karps.append(n) or karp(n, arcs))
+    monkeypatch.setattr(transport, "bellman_ford",
+                        lambda *a: searches.append(a) or bellman_ford(*a))
     problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c2": "-1"}})
     counts = []
     for command in ("norm", "roadmap", "dual --unique"):
         runs.clear()
+        searches.clear()
         name, *flags = command.split()
         code, _, _ = _run(capsys, [name, "--space", c4, "--problem", problem, *flags])
         assert code == 0
-        counts.append(len(runs))
-    assert counts[0] == counts[1] > 0
-    assert karps == []
+        counts.append((len(runs), len(searches)))
+    assert counts[0] == counts[1] and counts[0][0] > 0
+    assert counts[0][1] == 0
 
 
 def test_dual_unique_solves_once(capsys, monkeypatch, c4, tmp_path):
@@ -329,6 +331,17 @@ def test_boolean_mass_is_rejected(capsys, path3, tmp_path):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_a_result_too_large_to_print_is_a_structured_error(capsys, tmp_path):
+    """A norm of 10**5000 has more digits than Python turns into a string."""
+    space = _write(tmp_path / "s.json", {"points": ["A", "B"],
+                                         "dist": [["0", "1e4000"], ["1e4000", "0"]]})
+    problem = _write(tmp_path / "f.json", {"f": {"A": "1e1000", "B": "-1e1000"}})
+    code, out, err = _run(capsys, ["norm", "--space", space, "--problem", problem])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "OversizedResult"
 
 
 def test_malformed_json_is_a_structured_error(capsys, path3, tmp_path):

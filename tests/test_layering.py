@@ -1,6 +1,6 @@
 """Module boundaries: the exact simplex serves the independent oracle only,
-and each graph mechanism (Dijkstra, BFS, union-find) and the integer metric
-core (its int64 overflow guard) has one home."""
+and each graph mechanism (Dijkstra, Bellman-Ford, BFS, union-find) and the
+integer metric core (its int64 overflow guard) has one home."""
 
 import ast
 from pathlib import Path
@@ -75,6 +75,12 @@ def test_one_union_find():
 
 def test_the_solver_has_no_dijkstra_of_its_own():
     assert _definers(lambda name: name.startswith("_dijkstra")) == {"metric.py"}
+
+
+def test_one_bellman_ford():
+    assert _definers(lambda name: name == "bellman_ford") == {"transport.py"}
+    assert _definers(lambda name: name in {"_min_mean", "_potentials", "_extract_cycle"}) == set()
+    assert "transport.py" not in _files_importing("numpy")
 
 
 def _names_used(path: Path) -> set[str]:

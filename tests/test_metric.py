@@ -49,6 +49,16 @@ def test_decimal_literals_parse_exactly():
     assert to_fraction("-2.5") == Fraction(-5, 2)
 
 
+def test_huge_decimal_exponents_are_rejected_before_parsing():
+    """An exponent beyond 4300 in magnitude (Python's int/str digit limit)
+    would build a number of that many digits; it is rejected first."""
+    for literal in ("1e10000000", "1e-10000000"):
+        with pytest.raises(InvalidInput):
+            to_fraction(literal)
+    assert to_fraction("1e4300") == 10**4300
+    assert to_fraction("12.5e-3") == Fraction(1, 80)
+
+
 def test_floats_are_rejected():
     with pytest.raises(InvalidInput):
         to_fraction(0.1)

@@ -236,8 +236,8 @@ def _solver_cases():
 
 def test_solver_agrees_with_the_oracle_and_karp():
     """tc_norm against the dense-LP oracle where that is small enough, and
-    its roadmap against Karp's improving-cycle search, which shares no code
-    with the successive shortest paths."""
+    its roadmap against the Bellman-Ford improving-cycle search, which shares
+    only the residual digraph's arc costs with the successive shortest paths."""
     seen = set()
     for name, f in _solver_cases():
         value, rm = tc_norm(f)
@@ -385,40 +385,46 @@ def test_roadmap_json_round_trip():
 def _all_simple_cycle_means(p):
     """Brute force: enumerate simple directed cycles in the residual graph
     (including two-arc cycles that traverse one edge forth and back)."""
-    from tcspace.transport import _residual_arcs
+    from tcspace.transport import _residual_digraph
 
-    graph = p.graph
-    arcs = _residual_arcs(p.vec)
-    out = {}
-    for u, v, c, e, s in arcs:
-        out.setdefault(u, []).append((v, c, e, s))
+    denom, adj = _residual_digraph(p)
     best = []
 
     def walk(start, node, cost, used_arcs, visited):
-        for v, c, e, s in out.get(node, ()):
-            if (e, s) in used_arcs:
+        for v, c, e in adj[node]:
+            if (e, node) in used_arcs:
                 continue
             if v == start:
-                best.append((cost + c) / (len(used_arcs) + 1))
+                best.append(Fraction(cost + c, denom) / (len(used_arcs) + 1))
             elif v not in visited and v > start:
-                walk(start, v, cost + c, used_arcs | {(e, s)}, visited | {v})
+                walk(start, v, cost + c, used_arcs | {(e, node)}, visited | {v})
 
-    for s in range(graph.n):
-        walk(s, s, Fraction(0), frozenset(), frozenset({s}))
+    for s in range(p.graph.n):
+        walk(s, s, 0, frozenset(), frozenset({s}))
     return best
 
 
-def test_min_mean_cycle_matches_brute_force(rng):
-    from tcspace.transport import _min_mean, _residual_arcs
+def _assert_certificate_matches_brute_force(p):
+    """improving_cycle finds a cycle iff some residual cycle has negative
+    mean, and the cycle it returns costs exactly -gain in the residual graph."""
+    from tcspace.transport import _residual_digraph
 
+    cert = improving_cycle(p)
+    assert isinstance(cert, Improving) == (min(_all_simple_cycle_means(p)) < 0)
+    if isinstance(cert, Improving):
+        denom, adj = _residual_digraph(p)
+        tails = [e.tail for e in p.graph.edges]
+        cost = {(e, 1 if u == tails[e] else -1): c for u, arcs in enumerate(adj) for v, c, e in arcs}
+        total = sum(cost[arc] for arc in cert.cycle.arcs)
+        assert Fraction(total, denom) == -cert.gain
+
+
+def test_min_mean_cycle_matches_brute_force(rng):
     for inst in SMALL_CORPUS:
         if not cycle_basis(inst.graph).cycles:
             continue
         for _ in range(3):
-            p = Roadmap(random_roadmap(rng, inst.graph))
-            means = _all_simple_cycle_means(p)
-            karp = _min_mean(inst.graph.n, _residual_arcs(p.vec))
-            assert karp == min(means)
+            _assert_certificate_matches_brute_force(Roadmap(random_roadmap(rng, inst.graph)))
 
 
 def test_stale_certificate_is_rejected():
@@ -459,14 +465,13 @@ def _coprime_graph(rng, n, offset):
 
 @pytest.mark.parametrize("offset, wide", [(0, False), (2**58, True)])
 def test_integer_karp_matches_brute_force_on_coprime_denominators(rng, offset, wide):
-    """Karp on integer-scaled costs, on the int64 path and, with weights near
-    2**58, on the Python-int path; the solver built on it agrees with the
-    oracle there too."""
+    """The improving-cycle certificate on integer-scaled costs, with small
+    weights and with weights near 2**58 (beyond int64 once scaled); the
+    solver agrees with the oracle there too."""
     from math import lcm
 
     from tcspace.metric import _INT64_SAFE
     from tcspace.randgen import random_problem
-    from tcspace.transport import _min_mean, _residual_arcs
 
     denominators = set()
     for n in (3, 4, 5, 6):
@@ -476,9 +481,7 @@ def test_integer_karp_matches_brute_force_on_coprime_denominators(rng, offset, w
         peak = lcm(*denoms) * max(e.weight for e in graph.edges) * (n + 2)
         assert (peak >= _INT64_SAFE) == wide
         for _ in range(3):
-            p = Roadmap(random_roadmap(rng, graph))
-            karp = _min_mean(graph.n, _residual_arcs(p.vec))
-            assert karp == min(_all_simple_cycle_means(p))
+            _assert_certificate_matches_brute_force(Roadmap(random_roadmap(rng, graph)))
         f = random_problem(rng, graph, nonzero=True)
         assert tc_norm(f)[0] == oracle_tc_norm(f)
     assert denominators >= {7, 11, 13}
