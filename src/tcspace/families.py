@@ -27,11 +27,6 @@ class FamilyDescriptor:
     params: dict
     generations: dict | None = None
 
-    def max_generation(self) -> int:
-        if self.generations is None:
-            raise InvalidInput("family has no generation metadata")
-        return max(self.generations.values())
-
     def level_label(self, j: int) -> str:
         if self.family == "diamond":
             return f"D_{j}"

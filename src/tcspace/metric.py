@@ -2,9 +2,10 @@
 
 A :class:`MetricSpace` is an ordered list of named points, a symmetric
 matrix of Fraction distances, and a distinguished base point.  Validation
-scales all distances once to a common integer denominator (exact; numpy
-only compares integers, in int64 or, past the overflow guard, as Python
-ints: `_int_dtype`).  The diagonal, symmetry and sign tests are vectorized,
+scales each distinct distance once to a common integer denominator (exact;
+numpy only compares integers, at the narrowest of int8, int16, int32 and
+int64 in which a sum of two entries cannot wrap, or as Python ints past
+that: `_int_dtype`).  The diagonal, symmetry and sign tests are vectorized,
 and one midpoint-major scan yields both the first triangle violation and
 the canonical graph's deletion mask (the triangle test with `>` replaced by
 `==`), which the validated space keeps for graph.canonical_graph.  At the
@@ -21,6 +22,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -36,6 +38,10 @@ from .rational import frac_str, to_fraction
 
 # Below this bound an int64 sum of two integers cannot overflow (_int_dtype).
 _INT64_SAFE = 2**59
+# The width ladder: (dtype, bound), narrowest first.  A sum of two integers of
+# magnitude below the bound lies strictly inside the dtype's range.
+_INT_WIDTHS = ((np.int8, 2**6), (np.int16, 2**14), (np.int32, 2**30),
+               (np.int64, _INT64_SAFE))
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,11 @@ class MetricSpace:
 
 
 def _int_dtype(peak: int):
-    """int64 for integers of magnitude at most peak when that is safe, else
-    Python ints (object dtype); both run the same numpy code."""
-    return np.int64 if peak < _INT64_SAFE else object
+    """For integers of magnitude at most peak: the narrowest of int8, int16,
+    int32 and int64 in which a sum of two of them cannot wrap, else Python
+    ints (object dtype).  All of them run the same numpy code, and the
+    narrower the dtype the faster the midpoint scan."""
+    return next((dtype for dtype, bound in _INT_WIDTHS if peak < bound), object)
 
 
 def _int_matrix(rows: list[list[int]]) -> np.ndarray:
@@ -123,10 +131,18 @@ def _int_matrix(rows: list[list[int]]) -> np.ndarray:
 
 
 def _scaled_matrix(rows: tuple[tuple[Fraction, ...], ...]) -> np.ndarray:
-    """The distances times the lcm of their denominators: exact integers."""
-    denom = lcm(*{x.denominator for row in rows for x in row})
-    return _int_matrix([[x.numerator * (denom // x.denominator) for x in row]
-                        for row in rows])
+    """The distances times the lcm of their denominators: exact integers.
+
+    Validated rows share one Fraction per distinct value (_coerce_matrix,
+    _fraction_rows), so each distinct object is scaled once, keyed by its id
+    while rows holds it, as in MetricSpace.to_json_obj."""
+    flat = list(chain.from_iterable(rows))
+    ids = list(map(id, flat))
+    distinct = dict(zip(ids, flat))
+    denom = lcm(*{x.denominator for x in distinct.values()})
+    scaled = {key: x.numerator * (denom // x.denominator) for key, x in distinct.items()}
+    dtype = _int_dtype(max(map(abs, scaled.values())))
+    return np.array(list(map(scaled.__getitem__, ids)), dtype=dtype).reshape(len(rows), -1)
 
 
 def _midpoint_scan(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:

@@ -1,6 +1,6 @@
 """Module boundaries: the exact simplex serves the independent oracle only,
 and each graph mechanism (Dijkstra, Bellman-Ford, BFS, union-find) and the
-integer metric core (its int64 overflow guard) has one home."""
+integer metric core (its width ladder and overflow guard) has one home."""
 
 import ast
 from pathlib import Path
@@ -97,6 +97,19 @@ def _names_used(path: Path) -> set[str]:
     return out
 
 
+def _strings_used(path: Path) -> set[str]:
+    """Every string constant of a source file (a dtype can be named by one)."""
+    return {node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+INT_DTYPES = {f"{sign}int{bits}" for sign in ("", "u") for bits in (8, 16, 32, 64)}
+
+
 def test_one_integer_metric_core():
     assert _definers(lambda name: name == "_int_dtype") == {"metric.py"}
-    assert {p.name for p in SRC.glob("*.py") if "_INT64_SAFE" in _names_used(p)} == {"metric.py"}
+    for guard in ("_INT64_SAFE", "_INT_WIDTHS"):
+        assert {p.name for p in SRC.glob("*.py") if guard in _names_used(p)} == {"metric.py"}
+    # One width policy, one home: no other module names a numpy integer dtype.
+    assert {p.name for p in SRC.glob("*.py")
+            if INT_DTYPES & (_names_used(p) | _strings_used(p))} == {"metric.py"}

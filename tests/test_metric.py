@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -238,9 +239,13 @@ def test_json_output_bytes_are_pinned(tmp_path, monkeypatch):
     }
 
 
-# --- the integer metric core: one scan, int64 and object dtype ---------------
+# --- the integer metric core: one scan at every width ---------------------
 
 BIG = 2**60  # scaled copies overflow int64 sums: the scan runs on Python ints
+# The pool's entries are at most 6 in magnitude, with denominators 1, 2 or 3,
+# so its matrices scaled by these factors run in these dtypes.
+SCALES = (1, 2**8, 2**16, 2**32, BIG)
+WIDTHS = [np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64, object)]
 
 
 def _reference_violations(names, rows):
@@ -305,37 +310,95 @@ def _dtype_spy(monkeypatch, name):
     return seen
 
 
-def test_violations_match_a_brute_force_reference_in_both_dtypes(monkeypatch):
+def test_violations_match_a_brute_force_reference_at_every_width(monkeypatch):
     seen = _dtype_spy(monkeypatch, "_violations")
     kinds = set()
     for rows in _matrix_pool():
         names = [f"P{i}" for i in range(len(rows))]
         want = _reference_violations(names, rows)
         kinds.update(kind for kind, _, _ in want)
-        big = [[x * BIG for x in row] for row in rows]
-        assert _reference_violations(names, big) == want
         seen.clear()
-        assert _described(metric_violations(names, rows)) == want
-        assert _described(metric_violations(names, big)) == want
-        assert seen == [np.dtype(np.int64), np.dtype(object)]
+        for scale in SCALES:
+            scaled = [[x * scale for x in row] for row in rows]
+            assert _reference_violations(names, scaled) == want
+            assert _described(metric_violations(names, scaled)) == want
+        assert seen == WIDTHS
         if want:
             with pytest.raises(want[0][0]) as err:
-                validate_metric(names, big)
+                validate_metric(names, scaled)
             assert _described([err.value]) == want[:1]
     assert kinds == {InvalidInput, NonSymmetric, NegativeDistance,
                      ZeroDistanceDistinctPoints, TriangleViolation}
 
 
-def test_first_triangle_violation_is_the_same_in_both_dtypes(monkeypatch):
+def test_first_triangle_violation_is_the_same_at_every_width(monkeypatch):
     seen = _dtype_spy(monkeypatch, "_midpoint_scan")
     rows = [[0, 1, 5, 9], [1, 0, 1, 3], [5, 1, 0, 1], [9, 3, 1, 0]]
     found = []
-    for scale in (1, BIG):
+    for scale in SCALES:
         with pytest.raises(TriangleViolation) as err:
             validate_metric(["A", "B", "C", "D"], [[x * scale for x in r] for r in rows])
         found.append(err.value.points)
-    assert found == [("A", "B", "C"), ("A", "B", "C")]
-    assert seen == [np.dtype(np.int64), np.dtype(object)]
+    assert found == [("A", "B", "C")] * len(SCALES)
+    assert seen == WIDTHS
+
+
+def _peak_metrics(peak):
+    """Two 4-point matrices of largest entry peak, where sums of two entries
+    reach 2 * peak: a metric (C splits A-B, D is at distance peak from all),
+    and the same with d(A,C) one less, which breaks d(A,B) <= d(A,C) + d(C,B)."""
+    a = peak // 2
+    b = peak - a
+    valid = [[0, peak, a, peak], [peak, 0, b, peak], [a, b, 0, peak], [peak, peak, peak, 0]]
+    broken = [row[:] for row in valid]
+    broken[0][2] = broken[2][0] = a - 1
+    return valid, broken
+
+
+@pytest.mark.parametrize("narrower, width, bound, wider", [
+    (None, np.int8, 2**6, np.int16),
+    (np.int8, np.int16, 2**14, np.int32),
+    (np.int16, np.int32, 2**30, np.int64),
+    (np.int32, np.int64, 2**59, object),
+])
+def test_each_width_is_exact_up_to_its_bound(monkeypatch, narrower, width, bound, wider):
+    # peak = bound - 1 is the width's largest; its sums would wrap in the
+    # narrower dtype.  peak = bound is the wider dtype's smallest; a doubled
+    # bound would scan it at this width, where for int8 to int32 its sums wrap.
+    seen = _dtype_spy(monkeypatch, "_violations")
+    names = ["A", "B", "C", "D"]
+    for peak in (bound - 1, bound):
+        if narrower is not None:
+            assert 2 * peak > np.iinfo(narrower).max
+        valid, broken = _peak_metrics(peak)
+        assert _reference_violations(names, valid) == []
+        assert [kind for kind, _, _ in _reference_violations(names, broken)] == [TriangleViolation]
+        for rows in (valid, broken):
+            assert _described(metric_violations(names, rows)) == _reference_violations(names, rows)
+        edges = canonical_graph(validate_metric(names, valid)).edges
+        assert [(e.tail, e.head) for e in edges] == _reference_edges(valid)
+    assert seen == [np.dtype(width)] * 3 + [np.dtype(wider)] * 3
+
+
+def test_scaled_matrix_matches_a_per_entry_reference():
+    literals = [["0", "1/2", "2/3", "7/5"], ["1/2", "0", "1/2", "2"],
+                ["2/3", "1/2", "0", "2/3"], ["7/5", "2", "2/3", "0"]]
+    # The lcm of the denominators stays 30, so the scaled peak is 60 * factor.
+    cases = [(1, np.int8), (7, np.int16), (7**3, np.int32), (7**9, np.int64),
+             (7**19, object)]
+    for factor, dtype in cases:
+        text = [[str(to_fraction(x) * factor) for x in row] for row in literals]
+        _, shared = metric._coerce_matrix("ABCD", text)  # as parsed from JSON
+        fresh = tuple(tuple(Fraction(x) for x in row) for row in text)
+        assert len({id(x) for row in shared for x in row}) < 16
+        assert len({id(x) for row in fresh for x in row}) == 16
+        assert shared == fresh
+        denom = lcm(*(x.denominator for row in fresh for x in row))
+        want = [[x.numerator * denom // x.denominator for x in row] for row in fresh]
+        for rows in (shared, fresh):
+            mat = metric._scaled_matrix(rows)
+            assert mat.dtype == np.dtype(dtype)
+            assert mat.tolist() == want
 
 
 def test_canonical_edges_are_the_same_in_both_dtypes(monkeypatch):
