@@ -4,22 +4,23 @@ The canonical graph keeps exactly the pairs uv such that no third point w
 satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
 original metric.  The dropped pairs are the deletion mask of the metric
 core's scan (metric._midpoint_scan), which validation kept on the space.
-Each edge carries a fixed reference orientation (tail = smaller point
-index) so that signed edge vectors are well defined.
+The integer adjacency of its path-metric self-check, on the space's scaled
+matrix, is kept as scaled_adjacency (the edges realise the metric, so the
+space's D is their weights' lcm too).  Each edge carries a fixed reference
+orientation (tail = smaller point index) so that signed edge vectors are
+well defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput
-from .metric import (MetricSpace, _adjacency, _dijkstra, _distance_rows, _midpoint_scan,
-                     _scaled_adjacency, _scaled_matrix)
+from .metric import MetricSpace, _adjacency, _dijkstra, _distance_rows, _midpoint_scan
 from .rational import frac_str
 
 
@@ -35,21 +36,23 @@ class CanonicalGraph:
 
     Built by :func:`canonical_graph`; the constructor only prepares lookup
     tables.  Edges are ordered lexicographically by (tail, head).
+    scaled_adjacency is (D, adj): adj[u] the (v, weight times D, edge index)
+    arcs at u, D the space's denom (see metric._scaled_adjacency).  By the
+    edge order, adj[u] is sorted by neighbour: smaller tails, then heads.
     """
 
     space: MetricSpace
     edges: tuple[Edge, ...]
+    scaled_adjacency: tuple = field(repr=False, compare=False)
     _pair_index: dict = field(default_factory=dict, repr=False, compare=False)
     _adjacency: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         for idx, e in enumerate(self.edges):
             self._pair_index[(e.tail, e.head)] = idx
-        adj = [[] for _ in range(self.space.n)]
-        for idx, e in enumerate(self.edges):
-            adj[e.tail].append((idx, e.head))
-            adj[e.head].append((idx, e.tail))
-        self._adjacency.extend(tuple(sorted(a, key=lambda t: t[1])) for a in adj)
+        # Lists, not nested generators: those made the process's RSS creep.
+        self._adjacency.extend([tuple([(idx, v) for v, _, idx in arcs])
+                                for arcs in self.scaled_adjacency[1]])
 
     @property
     def n(self) -> int:
@@ -75,12 +78,6 @@ class CanonicalGraph:
 
     def max_degree(self) -> int:
         return max(self.degrees())
-
-    @cached_property
-    def scaled_adjacency(self) -> tuple[int, list[list[tuple[int, int, int]]]]:
-        """(D, adj): adj[u] the (v, weight times D, edge index) arcs at u, D
-        the lcm of the weight denominators (see metric._scaled_adjacency)."""
-        return _scaled_adjacency(self.n, self.edges)
 
     def endpoints_name(self, idx: int) -> tuple[str, str]:
         e = self.edges[idx]
@@ -150,20 +147,19 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     metric exactly (so it is connected).  The deletion mask is the space's,
     or scanned here for a space without one (a restricted space, say).
     """
-    n = space.n
-    mat = _scaled_matrix(space.dist)
+    mat = space.scaled
     drop = space._deletion_mask
     if drop is None:
         hit, drop = _midpoint_scan(mat)
         assert hit is None, "a metric space satisfies the triangle inequality"
     tails, heads = np.nonzero(np.triu(~drop, 1))  # row-major: by (tail, head)
-    edges = tuple(Edge(i, k, space.dist[i][k])
-                  for i, k in zip(tails.tolist(), heads.tolist()))
-    scaled = mat.tolist()
-    realized = _distance_rows(_adjacency(n, [(e.tail, e.head, scaled[e.tail][e.head])
-                                             for e in edges]))
-    assert realized == scaled, "canonical graph path metric must equal the input metric"
-    return CanonicalGraph(space, edges)
+    arcs = list(zip(tails.tolist(), heads.tolist(), mat[tails, heads].tolist()))
+    adj = _adjacency(space.n, arcs)
+    assert _distance_rows(adj) == mat.tolist(), \
+        "canonical graph path metric must equal the input metric"
+    exact = {w: Fraction(w, space.denom) for _, _, w in arcs}
+    edges = tuple(Edge(i, k, exact[w]) for i, k, w in arcs)
+    return CanonicalGraph(space, edges, (space.denom, adj))
 
 
 # --- deterministic shortest paths on the canonical graph ---------------------

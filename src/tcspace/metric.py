@@ -1,19 +1,19 @@
 """Finite metric spaces with exact rational distances: the integer metric core.
 
-A :class:`MetricSpace` is an ordered list of named points, a symmetric
-matrix of Fraction distances, and a distinguished base point.  Validation
-scales each distinct distance once to a common integer denominator (exact;
-numpy only compares integers, at the narrowest of int8, int16, int32 and
-int64 in which a sum of two entries cannot wrap, or as Python ints past
-that: `_int_dtype`).  The diagonal, symmetry and sign tests are vectorized,
-and one midpoint-major scan yields both the first triangle violation and
-the canonical graph's deletion mask (the triangle test with `>` replaced by
-`==`), which the validated space keeps for graph.canonical_graph.  At the
-JSON boundary each distinct distance literal is parsed once and each
-distinct distance object printed once.
+A :class:`MetricSpace` is an ordered list of named points, a distinguished
+base point, and its distances in one canonical integer form: D, the lcm of
+their denominators, and the matrix of distances times D (exact; numpy only
+compares integers, at the narrowest of int8, int16, int32 and int64 in which
+a sum of two entries cannot wrap, or as Python ints past that: `_int_dtype`).
+Fractions live at the boundary: each distinct input literal is parsed and
+scaled once, each distinct distance printed once, and `dist` is a view built
+when read.  The diagonal, symmetry and sign tests are vectorized, and one
+midpoint-major scan yields both the first triangle violation and the
+canonical graph's deletion mask (the triangle test with `>` replaced by
+`==`), which the validated space keeps for graph.canonical_graph.
 
 Shortest-path metrics of weighted graphs (generated families, weighted-graph
-JSON) enter the same checks as integer rows, without a Fraction round trip.
+JSON) enter the same checks as integer rows reduced to the same D.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
@@ -44,23 +44,40 @@ _INT_WIDTHS = ((np.int8, 2**6), (np.int16, 2**14), (np.int32, 2**30),
                (np.int64, _INT64_SAFE))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSpace:
     """Finite metric space: named points, exact distances, base point.
 
-    Instances are built by :func:`validate_metric` (or by the family
-    generators, which validate too); the constructor itself trusts its input.
-    Validated instances keep the deletion mask of _midpoint_scan.
+    `scaled` (read-only) is the distances times `denom`, the lcm of their
+    denominators; `dist` is their Fraction view, one object per distinct
+    value, built when first read.  Equality is by value.  Instances are
+    built by :func:`validate_metric` (or by the family generators, which
+    validate too); the constructor itself trusts its input.  Validated
+    instances keep the deletion mask of _midpoint_scan.
     """
 
     points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    denom: int
+    scaled: np.ndarray
     base_point: int = 0
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _deletion_mask: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _index: dict = field(default_factory=dict, repr=False)
+    _deletion_mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.scaled.setflags(write=False)  # the flags.writeable setter leaks a little
         self._index.update({name: i for i, name in enumerate(self.points)})
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MetricSpace) and self.points == other.points
+                and self.denom == other.denom and self.base_point == other.base_point
+                and np.array_equal(self.scaled, other.scaled))
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.denom, self.base_point))
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _fraction_rows(self.scaled.tolist(), self.denom)
 
     @property
     def n(self) -> int:
@@ -78,31 +95,23 @@ class MetricSpace:
     def d_name(self, u: str, v: str) -> Fraction:
         return self.dist[self.index_of(u)][self.index_of(v)]
 
-    def restrict(self, indices: list[int], base: int | None = None) -> MetricSpace:
-        """Submetric on the given point indices (order preserved).
-
-        The base point defaults to the first retained point unless `base`
-        names an index *within the restricted list*.
-        """
+    def restrict(self, indices: list[int]) -> MetricSpace:
+        """Submetric on the given point indices (order preserved), based at
+        the first of them."""
         pts = tuple(self.points[i] for i in indices)
-        rows = tuple(tuple(self.dist[i][j] for j in indices) for i in indices)
-        return MetricSpace(pts, rows, base if base is not None else 0)
+        sub = self.scaled[np.ix_(indices, indices)].tolist()
+        return MetricSpace(pts, *_int_matrix(sub, self.denom))
 
     def with_base(self, name: str) -> MetricSpace:
-        return MetricSpace(self.points, self.dist, self.index_of(name),
+        return MetricSpace(self.points, self.denom, self.scaled, self.index_of(name),
                            _deletion_mask=self._deletion_mask)
 
     def to_json_obj(self) -> dict:
-        # Validated rows share one Fraction per distinct value (_coerce_matrix,
-        # _fraction_rows), so each distinct object is formatted once, keyed by
-        # its id while self.dist holds it.
-        distinct: dict = {}
-        for row in self.dist:
-            distinct.update(zip(map(id, row), row))
-        text = {key: frac_str(x) for key, x in distinct.items()}
+        rows = self.scaled.tolist()
+        text = {x: frac_str(Fraction(x, self.denom)) for x in set().union(*rows)}
         return {
             "points": list(self.points),
-            "dist": [[text[id(x)] for x in row] for row in self.dist],
+            "dist": [list(map(text.__getitem__, row)) for row in rows],
             "base": self.points[self.base_point],
         }
 
@@ -124,25 +133,15 @@ def _int_dtype(peak: int):
     return next((dtype for dtype, bound in _INT_WIDTHS if peak < bound), object)
 
 
-def _int_matrix(rows: list[list[int]]) -> np.ndarray:
-    """Integer rows as an n x n array of dtype _int_dtype."""
-    peak = max(max(map(max, rows)), -min(map(min, rows)))
-    return np.array(rows, dtype=_int_dtype(peak))
-
-
-def _scaled_matrix(rows: tuple[tuple[Fraction, ...], ...]) -> np.ndarray:
-    """The distances times the lcm of their denominators: exact integers.
-
-    Validated rows share one Fraction per distinct value (_coerce_matrix,
-    _fraction_rows), so each distinct object is scaled once, keyed by its id
-    while rows holds it, as in MetricSpace.to_json_obj."""
-    flat = list(chain.from_iterable(rows))
-    ids = list(map(id, flat))
-    distinct = dict(zip(ids, flat))
-    denom = lcm(*{x.denominator for x in distinct.values()})
-    scaled = {key: x.numerator * (denom // x.denominator) for key, x in distinct.items()}
-    dtype = _int_dtype(max(map(abs, scaled.values())))
-    return np.array(list(map(scaled.__getitem__, ids)), dtype=dtype).reshape(len(rows), -1)
+def _int_matrix(rows: list[list[int]], denom: int) -> tuple[int, np.ndarray]:
+    """The distances rows / denom (nonnegative integer rows) in the canonical
+    form: (D, the distances times D as an array of dtype _int_dtype), D their
+    least common denominator, denom over its gcd with the entries."""
+    values = set().union(*rows)
+    g = gcd(denom, *values)
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+    return denom // g, np.array(rows, dtype=_int_dtype(max(values) // g))
 
 
 def _midpoint_scan(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:
@@ -174,8 +173,8 @@ def metric_violations(points, dist) -> list:
     Structural problems (non-square matrix, bad literals) still raise
     InvalidInput since no per-axiom report is possible for them.
     """
-    names, rows = _coerce_matrix(points, dist)
-    return _violations(names, _scaled_matrix(rows))[0]
+    names, _, mat = _coerce_matrix(points, dist)
+    return _violations(names, mat)[0]
 
 
 def _violations(names, mat: np.ndarray) -> tuple[list, np.ndarray | None]:
@@ -202,7 +201,8 @@ def _violations(names, mat: np.ndarray) -> tuple[list, np.ndarray | None]:
     return out, mask
 
 
-def _coerce_matrix(points, dist):
+def _coerce_matrix(points, dist) -> tuple[tuple[str, ...], int, np.ndarray]:
+    """(names, D, the distances times D at _int_dtype width), D their lcm."""
     try:
         names = tuple(str(p) for p in points)
         dist = [list(row) for row in dist]
@@ -214,31 +214,33 @@ def _coerce_matrix(points, dist):
         raise InvalidInput("a metric space needs at least 2 points")
     if len(dist) != len(names):
         raise InvalidInput("distance matrix must be square, one row per point")
-    # One to_fraction per distinct literal, so the rows share one Fraction per
-    # value.  The key holds the type because True == 1 == 1.0 hash alike but
-    # only 1 is a valid entry; an unhashable entry goes straight to to_fraction,
-    # which rejects it.  A Fraction is kept as it is (to_fraction returns it):
+    # One slot per distinct literal: parsed by to_fraction once and scaled
+    # once.  The key holds the type because True == 1 == 1.0 hash alike but
+    # only 1 is a valid entry; an unhashable entry goes straight to
+    # to_fraction, which rejects it.  A Fraction takes a slot of its own:
     # hashing one costs more than the lookup saves.
-    parsed: dict = {}
-    rows = []
+    slots: dict = {}
+    values: list[Fraction] = []
+    flat: list[int] = []
     for row in dist:
         if len(row) != len(names):
             raise InvalidInput("distance matrix must be square, one row per point")
-        out = []
         for x in row:
-            if type(x) is Fraction:
-                out.append(x)
-                continue
-            key = type(x), x
-            try:
-                value = parsed[key]
-            except KeyError:
-                value = parsed[key] = to_fraction(x)
-            except TypeError:
-                value = to_fraction(x)
-            out.append(value)
-        rows.append(tuple(out))
-    return names, tuple(rows)
+            if type(x) is not Fraction:
+                key = type(x), x
+                try:
+                    flat.append(slots[key])
+                    continue
+                except KeyError:
+                    slots[key] = len(values)
+                except TypeError:
+                    pass
+            flat.append(len(values))
+            values.append(to_fraction(x))
+    denom = lcm(*{x.denominator for x in values})
+    scaled = [x.numerator * (denom // x.denominator) for x in values]
+    mat = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))[flat]
+    return names, denom, mat.reshape(len(names), -1)
 
 
 def validate_metric(points, dist, base=None) -> MetricSpace:
@@ -249,12 +251,11 @@ def validate_metric(points, dist, base=None) -> MetricSpace:
     offending points).  `base` may be a point name or an index; it defaults
     to the first point.
     """
-    names, rows = _coerce_matrix(points, dist)
-    return _checked(names, rows, _scaled_matrix(rows), base)
+    return _checked(*_coerce_matrix(points, dist), base)
 
 
-def _checked(names, rows, mat: np.ndarray, base) -> MetricSpace:
-    """validate_metric on coerced rows and their scaled matrix."""
+def _checked(names, denom: int, mat: np.ndarray, base) -> MetricSpace:
+    """validate_metric on the canonical integer form (D, scaled matrix)."""
     violations, mask = _violations(names, mat)
     if violations:
         raise violations[0]
@@ -266,7 +267,7 @@ def _checked(names, rows, mat: np.ndarray, base) -> MetricSpace:
         base = names.index(base)
     elif not 0 <= base < len(names):
         raise InvalidInput(f"base index {base} out of range")
-    return MetricSpace(names, rows, base, _deletion_mask=mask)
+    return MetricSpace(names, denom, mat, base, _deletion_mask=mask)
 
 
 # --- shortest-path metrics of weighted graphs --------------------------------
@@ -389,7 +390,8 @@ def _path_rows(n: int, edges) -> tuple[list[list[int]], int]:
 
 
 def _fraction_rows(rows: list[list[int]], denom: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The integer rows divided by denom, one Fraction per distinct value."""
+    """The integer rows divided by denom, one Fraction per distinct value
+    (MetricSpace.dist, path_metric)."""
     fractions = {x: Fraction(x, denom) for x in set().union(*rows)}
     return tuple(tuple(fractions[x] for x in row) for row in rows)
 
@@ -429,7 +431,7 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
     rows, denom = _path_rows(len(names), idx_edges)
     if len(names) < 2:
         raise InvalidInput("a metric space needs at least 2 points")
-    return _checked(names, _fraction_rows(rows, denom), _int_matrix(rows), base)
+    return _checked(names, *_int_matrix(rows, denom), base)
 
 
 def weighted_graph_json_to_space(obj: dict) -> MetricSpace:

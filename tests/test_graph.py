@@ -17,7 +17,7 @@ from tcspace import (
     validate_metric,
 )
 from tcspace.graph import shortest_path_arcs, shortest_path_tree
-from tcspace.metric import _adjacency, _dijkstra
+from tcspace.metric import _adjacency, _dijkstra, _scaled_adjacency
 from tcspace.randgen import random_metric_space
 
 
@@ -198,3 +198,29 @@ def test_dijkstra_from_several_sources_with_an_early_stop():
         for v in range(n):
             assert early[v] in (None, dist[v])
             assert (early[v] is None) <= (dist[v] >= early[sink])
+
+
+def test_scaled_adjacency_is_the_reference_arc_for_arc():
+    """canonical_graph keeps its self-check's integer adjacency; it is the
+    one metric._scaled_adjacency builds from the edge weights, because the
+    edges realise the metric and so their lcm is the space's D.  incident()
+    lists the same arcs, sorted by neighbour."""
+    big = 2**60
+    rng = random.Random(29)
+    spaces = [inst.graph.space for inst in CORPUS]
+    spaces += [random_metric_space(rng, n) for n in (3, 5, 8, 12, 16) for _ in range(4)]
+    spaces += [s.restrict(list(range(0, s.n, 2))) for s in spaces if s.n >= 4]
+    spaces += [validate_metric(s.points, [[x * big for x in row] for row in s.dist])
+               for s in spaces[::3]]
+    spaces.append(space_from_weighted_graph(
+        ["A", "B", "C", "D"],
+        [("A", "B", "1"), ("B", "C", "1"), ("A", "C", "7/3"), ("C", "D", "1")]))
+    assert any(s.scaled.dtype == object for s in spaces)
+    for space in spaces:
+        graph = canonical_graph(space)
+        assert graph.scaled_adjacency == _scaled_adjacency(graph.n, graph.edges)
+        assert graph.scaled_adjacency[0] == space.denom
+        for v in range(graph.n):  # incident() reads the same arcs
+            want = sorted((e.head if e.tail == v else e.tail, idx)
+                          for idx, e in enumerate(graph.edges) if v in (e.tail, e.head))
+            assert graph.incident(v) == tuple((idx, u) for u, idx in want)

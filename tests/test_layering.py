@@ -113,3 +113,14 @@ def test_one_integer_metric_core():
     # One width policy, one home: no other module names a numpy integer dtype.
     assert {p.name for p in SRC.glob("*.py")
             if INT_DTYPES & (_names_used(p) | _strings_used(p))} == {"metric.py"}
+
+
+def test_distances_are_scaled_in_one_place():
+    # The space holds its integer matrix and D; the canonical graph reads
+    # them and takes no lcm of its own.
+    assert not {"lcm", "_scaled_matrix", "_scaled_adjacency"} & _names_used(SRC / "graph.py")
+    assert _definers(lambda name: name == "_scaled_matrix") == set()
+    # No memo keyed by object identity: no module names the builtin id.
+    assert {p.name for p in SRC.glob("*.py")
+            if any(isinstance(node, ast.Name) and node.id == "id"
+                   for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))} == set()

@@ -228,10 +228,11 @@ def test_json_output_bytes_are_pinned(tmp_path, monkeypatch):
         assert main(["gen", *args.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
     n = 9
-    rows = tuple(tuple(Fraction(0) if i == j else Fraction(4 + (i + j) % 8, 4)
+    # Distances in [1, 2) always form a metric.
+    rows = tuple(tuple(Fraction(0) if i == j else Fraction(8 + (i + j) % 8, 8)
                        for j in range(n)) for i in range(n))  # no two entries share an object
     assert len({id(x) for row in rows for x in row}) == n * n
-    space = MetricSpace(tuple(f"q{i}" for i in range(n)), rows, 2)
+    space = validate_metric([f"q{i}" for i in range(n)], rows, base=2)
     assert space.to_json_obj() == {
         "points": list(space.points),
         "dist": [[frac_str(x) for x in row] for row in rows],
@@ -381,6 +382,9 @@ def test_each_width_is_exact_up_to_its_bound(monkeypatch, narrower, width, bound
 
 
 def test_scaled_matrix_matches_a_per_entry_reference():
+    """_coerce_matrix scales each distinct literal once; the matrix and D are
+    those of scaling entry by entry, whether the rows are literals, Fractions
+    shared as parsed from JSON, or fresh Fractions."""
     literals = [["0", "1/2", "2/3", "7/5"], ["1/2", "0", "1/2", "2"],
                 ["2/3", "1/2", "0", "2/3"], ["7/5", "2", "2/3", "0"]]
     # The lcm of the denominators stays 30, so the scaled peak is 60 * factor.
@@ -388,15 +392,17 @@ def test_scaled_matrix_matches_a_per_entry_reference():
              (7**19, object)]
     for factor, dtype in cases:
         text = [[str(to_fraction(x) * factor) for x in row] for row in literals]
-        _, shared = metric._coerce_matrix("ABCD", text)  # as parsed from JSON
+        parsed = {x: to_fraction(x) for row in text for x in row}
+        shared = tuple(tuple(parsed[x] for x in row) for row in text)
         fresh = tuple(tuple(Fraction(x) for x in row) for row in text)
         assert len({id(x) for row in shared for x in row}) < 16
         assert len({id(x) for row in fresh for x in row}) == 16
         assert shared == fresh
         denom = lcm(*(x.denominator for row in fresh for x in row))
         want = [[x.numerator * denom // x.denominator for x in row] for row in fresh]
-        for rows in (shared, fresh):
-            mat = metric._scaled_matrix(rows)
+        for rows in (text, shared, fresh):
+            names, got, mat = metric._coerce_matrix("ABCD", rows)
+            assert names == tuple("ABCD") and got == denom
             assert mat.dtype == np.dtype(dtype)
             assert mat.tolist() == want
 
@@ -454,3 +460,50 @@ def test_weighted_graphs_are_validated_without_a_fraction_round_trip(monkeypatch
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("called")
+
+
+# --- one canonical integer form --------------------------------------------
+
+def _non_geodesic_graph():
+    """The unit path A-B-C-D with a chord A-C of weight 7/3, longer than the
+    path A-B-C: the chord is no shortest path, so every distance is an
+    integer although the weights' denominators have lcm 3."""
+    return ["A", "B", "C", "D"], [("A", "B", "1"), ("B", "C", "1"), ("A", "C", "7/3"),
+                                  ("C", "D", "1")]
+
+
+def test_a_non_geodesic_weight_leaves_no_trace_in_the_denominator():
+    vertices, edges = _non_geodesic_graph()
+    index = {v: i for i, v in enumerate(vertices)}
+    rows, denom = metric._path_rows(4, [(index[u], index[v], to_fraction(w))
+                                        for u, v, w in edges])
+    assert denom == 3
+    space = space_from_weighted_graph(vertices, edges)
+    assert space.denom == 1
+    assert space.scaled.tolist() == [[x // 3 for x in row] for row in rows]
+    assert space == MetricSpace.from_json_obj(space.to_json_obj())
+    assert space == validate_metric(space.points, space.dist)
+    assert space != space.with_base("B")
+    assert space != validate_metric(space.points, [[2 * x for x in row] for row in space.dist])
+
+
+def test_a_restricted_space_is_in_lowest_terms():
+    space = space_from_weighted_graph(["A", "B", "C"], [("A", "B", "1/2"), ("B", "C", "1/2")])
+    assert space.denom == 2
+    sub = space.restrict([2, 0])
+    assert sub.denom == 1 and sub.base_point == 0
+    assert sub == validate_metric(["C", "A"], [["0", "1"], ["1", "0"]])
+
+
+def test_gen_validate_and_peel_never_build_the_fraction_view(tmp_path, monkeypatch, capsys):
+    built = []
+    real = metric._fraction_rows
+    monkeypatch.setattr(metric, "_fraction_rows", lambda *a: built.append(a) or real(*a))
+    space, desc = str(tmp_path / "d3.json"), str(tmp_path / "d3.desc.json")
+    assert main(["gen", "diamond", "--n", "3", "--out", space, "--descriptor-out", desc]) == 0
+    assert main(["validate", "--space", space]) == 0
+    assert main(["certify", "--space", space, "--k", "4", "--peel", desc]) == 0
+    assert built == []
+    assert cycle(4).dist[0][2] == 2  # the spy sees the view when it is read
+    assert len(built) == 1
+    capsys.readouterr()
