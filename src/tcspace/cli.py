@@ -18,6 +18,7 @@ import random
 import sys
 from collections.abc import Sized
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 from .duality import (
     LipschitzFunction,
@@ -98,6 +99,20 @@ def _load_graph(path: str):
 def _emit(obj, stream=None) -> None:
     json.dump(obj, stream or sys.stdout, indent=2, sort_keys=True)
     (stream or sys.stdout).write("\n")
+
+
+def _space_text(obj: dict) -> str:
+    """_emit's text for a metric-space JSON object ({"base", "dist",
+    "points"}, at least two points), each distinct string encoded once: the
+    standard library's indenting encoder is pure Python, and a generated
+    space can hold up to a million entries."""
+    code = {x: encode_basestring_ascii(x)
+            for x in {obj["base"], *obj["points"]}.union(*obj["dist"])}
+    rows = ",\n".join("    [\n      " + ",\n      ".join(map(code.__getitem__, row)) + "\n    ]"
+                      for row in obj["dist"])
+    points = ",\n    ".join(map(code.__getitem__, obj["points"]))
+    return (f'{{\n  "base": {code[obj["base"]]},\n  "dist": [\n{rows}\n  ],\n'
+            f'  "points": [\n    {points}\n  ]\n}}\n')
 
 
 def _write_file(path: str, text: str) -> None:
@@ -274,11 +289,11 @@ def _cmd_gen(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInput(f"unknown family {args.family!r}")
     assert space.n == points
+    text = _space_text(space.to_json_obj())
     if args.out:
-        out = json.dumps(space.to_json_obj(), indent=2, sort_keys=True) + "\n"
-        _write_file(args.out, out)
+        _write_file(args.out, text)
     else:
-        _emit(space.to_json_obj())
+        sys.stdout.write(text)
     if args.descriptor_out:
         text = json.dumps(descriptor.to_json_obj(), indent=2, sort_keys=True) + "\n"
         _write_file(args.descriptor_out, text)

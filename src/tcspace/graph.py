@@ -4,11 +4,12 @@ The canonical graph keeps exactly the pairs uv such that no third point w
 satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
 original metric.  The dropped pairs are the deletion mask of the metric
 core's scan (metric._midpoint_scan), which validation kept on the space.
-The integer adjacency of its path-metric self-check, on the space's scaled
-matrix, is kept as scaled_adjacency (the edges realise the metric, so the
-space's D is their weights' lcm too).  Each edge carries a fixed reference
-orientation (tail = smaller point index) so that signed edge vectors are
-well defined.
+The graph checks itself: one min-plus step on the space's scaled matrix
+(metric._is_path_metric) proves that its path metric is the input metric.
+Its integer adjacency, on that matrix, is kept as scaled_adjacency (the
+edges realise the metric, so the space's D is their weights' lcm too).
+Each edge carries a fixed reference orientation (tail = smaller point
+index) so that signed edge vectors are well defined.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .metric import MetricSpace, _adjacency, _dijkstra, _distance_rows, _midpoint_scan
+from .metric import MetricSpace, _adjacency, _dijkstra, _is_path_metric, _midpoint_scan
 from .rational import frac_str
 
 
@@ -143,8 +144,9 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
 
     An unordered pair {u, v} is an edge iff no w outside {u, v} satisfies
     d(u,w) + d(w,v) = d(u,v).  Tails are the smaller point indices.  The
-    construction asserts that its weighted path metric reproduces the input
-    metric exactly (so it is connected).  The deletion mask is the space's,
+    construction asserts, by one min-plus step on the scaled matrix, that
+    its weighted path metric reproduces the input metric exactly (so it is
+    connected).  The deletion mask is the space's,
     or scanned here for a space without one (a restricted space, say).
     """
     mat = space.scaled
@@ -152,11 +154,12 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     if drop is None:
         hit, drop = _midpoint_scan(mat)
         assert hit is None, "a metric space satisfies the triangle inequality"
-    tails, heads = np.nonzero(np.triu(~drop, 1))  # row-major: by (tail, head)
+    upper = np.triu(~drop, 1)
+    assert _is_path_metric(mat, upper | upper.T), \
+        "canonical graph path metric must equal the input metric"
+    tails, heads = np.nonzero(upper)  # row-major: by (tail, head)
     arcs = list(zip(tails.tolist(), heads.tolist(), mat[tails, heads].tolist()))
     adj = _adjacency(space.n, arcs)
-    assert _distance_rows(adj) == mat.tolist(), \
-        "canonical graph path metric must equal the input metric"
     exact = {w: Fraction(w, space.denom) for _, _, w in arcs}
     edges = tuple(Edge(i, k, exact[w]) for i, k, w in arcs)
     return CanonicalGraph(space, edges, (space.denom, adj))

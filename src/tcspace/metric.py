@@ -42,6 +42,9 @@ _INT64_SAFE = 2**59
 # magnitude below the bound lies strictly inside the dtype's range.
 _INT_WIDTHS = ((np.int8, 2**6), (np.int16, 2**14), (np.int32, 2**30),
                (np.int64, _INT64_SAFE))
+# The fewest entries one block of _is_path_metric's sums may hold, so that a
+# small space is checked in one block.
+_MIN_PLUS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +170,57 @@ def _midpoint_scan(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.nda
     return None, mask
 
 
+def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
+    """Whether a scaled metric mat is the path metric of the graph whose
+    edges are the pairs {u, v} with keep[u, v] (keep symmetric, false on the
+    diagonal), each of weight mat[u, v].
+
+    One min-plus step decides it: for every u and every k != u, mat[u, k]
+    must equal the least w + mat[v, k] over the edges (u, v, w) at u.  By
+    the triangle inequality every such sum, and every path from u to k, is
+    at least mat[u, k].  Equality everywhere gives each pair a first edge
+    whose far end v has mat[v, k] < mat[u, k] (w > 0), so by induction on
+    mat[u, k] some path has length mat[u, k]; conversely the first edge of
+    a shortest path attains the minimum.  A dropped edge of the canonical
+    graph leaves its pair a strict >.
+
+    Runs at mat's dtype, over blocks of points of like degree (the most
+    edges first), each point's edges padded to the block's largest degree
+    by repeating its last: a block's sums, points x degree x n entries, are
+    at most the larger of _MIN_PLUS_BLOCK and mat's size.  (Unpadded
+    blocks of consecutive points reduced by np.minimum.reduceat give the
+    same answer but ran 4x slower on diamond(5) and grid(16): numpy's
+    reduceat does not vectorize the per-point minimum.)
+    """
+    n = len(mat)
+    if n == 1:
+        return True  # the empty graph on one point
+    deg = keep.sum(axis=1)
+    # sorted, not np.argsort: numpy's sort kernels add 0.2-0.4 MB of resident
+    # memory to a process that sorts nothing else.
+    order = np.array(sorted(range(n), key=deg.tolist().__getitem__, reverse=True))
+    if not deg[order[-1]]:
+        return False  # a point without edges
+    cap = max(mat.size, _MIN_PLUS_BLOCK)
+    lo = 0
+    while lo < n:
+        top = int(deg[order[lo]])
+        hi = min(n, lo + max(1, cap // (top * n)))
+        rows = order[lo:hi]
+        degs = deg[rows]
+        heads = np.nonzero(keep[rows])[1]  # row by row
+        nbrs = heads[(np.cumsum(degs) - degs)[:, None]
+                     + np.minimum(np.arange(top), degs[:, None] - 1)]
+        via = mat[nbrs]
+        via += mat[rows[:, None], nbrs][..., None]
+        best = via.min(axis=1)
+        best[np.arange(hi - lo), rows] = 0  # k = u is not compared
+        if not np.array_equal(best, mat[rows]):
+            return False
+        lo = hi
+    return True
+
+
 def metric_violations(points, dist) -> list:
     """All metric-axiom violations as a list of exception objects (no raise).
 
@@ -289,10 +343,32 @@ def _scaled_adjacency(n: int, edges) -> tuple[int, list[list[tuple[int, int, int
         n, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges])
 
 
-def _dijkstra(adj, sources, stop=frozenset()) -> tuple[list[int | None], list[int | None]]:
+def _reduced_adjacency(adj, flow: list[int], pot: list[int]):
+    """The min-cost-flow residual digraph on _adjacency arcs at reduced
+    costs, built whole (for transport's certificate and residual digraphs;
+    _dijkstra's (flow, pot) view prices the same arcs one at a time, by the
+    same rule, kept next to this one).
+
+    The arc u -> v of edge e costs -w when it runs against the flow on e
+    (capacity |flow[e]|) and +w otherwise, w the scaled weight; its reduced
+    cost is that plus pot[u] - pot[v].  Tails are the smaller indices, so
+    flow runs v -> u on e exactly when flow[e] * (v - u) < 0.
+    """
+    return [[(v, (-w if flow[e] * (v - u) < 0 else w) + pu - pot[v], e) for v, w, e in arcs]
+            for u, (arcs, pu) in enumerate(zip(adj, pot))]
+
+
+def _dijkstra(adj, sources, stop=frozenset(), flow=None, pot=None
+              ) -> tuple[list[int | None], list[int | None]]:
     """Integer Dijkstra over _adjacency arcs (weights >= 0) from one or more
     sources, all at distance 0: (distances, predecessor edge indices), None
     at vertices not settled.
+
+    With flow and pot the arcs are those of _reduced_adjacency(adj, flow,
+    pot), each priced by its rule as it is relaxed; those costs must be
+    >= 0.  The arcs, their order and the tie-break are the same, so the
+    result equals that on the rebuilt digraph; only arcs to unsettled
+    vertices are priced.
 
     With a stop set the search ends as soon as one of its vertices is
     settled, before that vertex's arcs are relaxed, so exactly one vertex of
@@ -322,10 +398,14 @@ def _dijkstra(adj, sources, stop=frozenset()) -> tuple[list[int | None], list[in
                 if not done[v]:
                     dist[v] = pred_edge[v] = None
             break
+        du = d if pot is None else d + pot[u]
         for v, w, eidx in adj[u]:
             if done[v]:
                 continue
-            nd = d + w
+            if pot is None:
+                nd = du + w
+            else:
+                nd = du - pot[v] + (-w if flow[eidx] * (v - u) < 0 else w)
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 pred_vertex[v] = u

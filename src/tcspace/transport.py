@@ -4,9 +4,11 @@ The TC norm of a zero-sum problem is the minimum weighted-l1 cost of an
 edge-level transportation (a roadmap) realizing it, a min-cost flow.
 `tc_norm` finds it by successive shortest paths with node potentials
 (Tomizawa 1971; Edmonds-Karp 1972) on weights and masses scaled to exact
-integers; its certificate is a potential under which every residual arc has
-reduced cost >= 0, checked in integers before the Fractions of the result
-are built.
+integers.  Each round's Dijkstra prices the residual arcs it relaxes from
+the sign of the flow and the potentials, so no round builds the residual
+digraph; it is built once per solve, for the certificate: a potential under
+which every residual arc has reduced cost >= 0, checked in integers before
+the Fractions of the result are built.
 
 `improving_cycle` and `cancel_cycle` are the independent check of a
 roadmap given by the user: a roadmap is optimal iff its residual digraph
@@ -35,7 +37,7 @@ from .graph import (
     shortest_path_arcs,
     tree_path,
 )
-from .metric import _dijkstra
+from .metric import _dijkstra, _reduced_adjacency
 from .rational import ZERO, frac_str, to_fraction
 from .vectors import EdgeVector, TransportationProblem, apply_incidence
 
@@ -401,18 +403,6 @@ def cancel_cycle(p: Roadmap, cert: OptimalityCertificate) -> Roadmap:
     return out
 
 
-def _reduced_adjacency(adj, flow: list[int], pot: list[int]):
-    """The residual digraph on scaled_adjacency arcs at reduced costs.
-
-    The arc u -> v of edge e costs -w when it runs against the flow on e
-    (capacity |flow[e]|) and +w otherwise, w the scaled weight; its reduced
-    cost is that plus pot[u] - pot[v].  Tails are the smaller indices, so
-    flow runs v -> u on e exactly when flow[e] * (v - u) < 0.
-    """
-    return [[(v, (-w if flow[e] * (v - u) < 0 else w) + pu - pot[v], e) for v, w, e in arcs]
-            for u, (arcs, pu) in enumerate(zip(adj, pot))]
-
-
 def _certifies(adj, flow: list[int], pot: list[int]) -> bool:
     """Whether pot proves flow optimal: every residual arc has reduced cost
     >= 0, so no residual cycle has negative cost."""
@@ -442,15 +432,18 @@ def _successive_shortest_paths(graph: CanonicalGraph,
     excess left, stops at the first deficit vertex settled, augments along
     that shortest path and adds min(dist, dist[sink]) to the potentials,
     which keeps every reduced cost >= 0 (Ahuja-Magnanti-Orlin, ch. 9).
-    Each round lowers the total excess, so the loop ends; excess is updated
-    in place and ends zero.
+    The Dijkstra reads the residual digraph through its (flow, pot) view,
+    pricing each arc it relaxes, so a round costs the arcs it reaches, not
+    a rebuild of all of them (_reduced_adjacency, which it equals).  Each
+    round lowers the total excess, so the loop ends; excess is updated in
+    place and ends zero.
     """
     _, adj = graph.scaled_adjacency
     flow = [0] * graph.m
     pot = [0] * graph.n
     while sources := [v for v, x in enumerate(excess) if x > 0]:
         sinks = {v for v, x in enumerate(excess) if x < 0}
-        dist, pred_edge = _dijkstra(_reduced_adjacency(adj, flow, pot), sources, sinks)
+        dist, pred_edge = _dijkstra(adj, sources, sinks, flow, pot)
         (sink,) = (v for v in sinks if dist[v] is not None)
         source, path = tree_path(graph, pred_edge, sink)
         _augment(flow, excess, source, sink, path)
@@ -459,25 +452,40 @@ def _successive_shortest_paths(graph: CanonicalGraph,
     return flow, pot
 
 
-def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
-    """Exact TC norm of f and an optimal roadmap achieving it.
+def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
+    """The min-cost flow behind tc_norm, certified: (flow, pot, D, M).
 
-    A min-cost flow by successive shortest paths, on weights scaled by D
-    (graph.scaled_adjacency) and masses scaled by M, the lcm of f's
-    denominators, so flows, excesses and potentials stay integers.  The
-    result is certified in integers before any Fraction is built: the
-    excess is zero everywhere and the final potentials leave every residual
-    arc a reduced cost >= 0, which is optimality.
+    Weights are scaled by D (graph.scaled_adjacency) and masses by M, the
+    lcm of f's denominators, so flow (per edge, along its reference
+    orientation, in units of 1/M) and pot (in units of 1/D) are integers.
+    Certified in integers before it returns: the excess is zero everywhere,
+    and pot leaves every residual arc a reduced cost >= 0, which is
+    optimality.  Then l(v) = (pot[base] - pot[v]) / D is 1-Lipschitz on the
+    edges, drops by the weight along the flow on every support edge, and
+    pairs with f to the norm: the dual side of the certificate.
     """
     graph = f.graph
-    if f.is_zero():
-        return ZERO, Roadmap.zero(graph)
     scale = lcm(*(x.denominator for x in f.values.values()))
     excess = [int(f[v] * scale) for v in range(graph.n)]
     flow, pot = _successive_shortest_paths(graph, excess)
     denom, adj = graph.scaled_adjacency
     assert not any(excess)
     assert _certifies(adj, flow, pot)
+    return flow, pot, denom, scale
+
+
+def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
+    """Exact TC norm of f and an optimal roadmap achieving it.
+
+    The min-cost flow of _solve, on weights scaled by D and masses scaled by
+    M, is certified optimal in integers before any Fraction of the result
+    is built.
+    """
+    graph = f.graph
+    if f.is_zero():
+        return ZERO, Roadmap.zero(graph)
+    flow, _, denom, scale = _solve(f)
+    _, adj = graph.scaled_adjacency
     total = sum(abs(flow[e]) * w for u, arcs in enumerate(adj) for v, w, e in arcs if u < v)
     cost = Fraction(total, denom * scale)
     p = Roadmap(EdgeVector(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x}))

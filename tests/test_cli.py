@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tcspace import cli, duality, metric, transport
+from tcspace import cli, duality, metric, transport, validate_metric
 from tcspace.cli import main
 
 
@@ -182,6 +182,21 @@ def test_certify_plain_and_peeled(capsys, tmp_path):
     assert obj["peeling"] == ["D_2", "D_1"]
 
 
+def test_peeling_down_to_a_single_point(capsys, tmp_path):
+    """The star d(a,b) = d(a,c) = 1, d(b,c) = 2 peels to its one-point base
+    generation {a}, whose canonical graph has no edges: max degree 0."""
+    space = _write(tmp_path / "star.json", {
+        "points": ["a", "b", "c"], "dist": [[0, 1, 1], [1, 0, 2], [1, 2, 0]]})
+    desc = _write(tmp_path / "star.desc.json", {
+        "family": "star", "generations": {"a": 0, "b": 1, "c": 1}})
+    code, out, err = _run(capsys, ["certify", "--space", space, "--k", "3", "--peel", desc])
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["verdict"] == "ruled_out"
+    assert obj["reason"] == "max degree 0 < 2 at star"
+    assert obj["degrees"] == {"max": 0}
+
+
 def test_gen_diamond_emits_space_json(capsys):
     code, out, _ = _run(capsys, ["gen", "diamond", "--n", "2"])
     assert code == 0
@@ -262,6 +277,29 @@ def test_gen_point_count_is_known_before_building(capsys):
         assert code == 0
         args = cli._build_parser().parse_args(["gen", *argv])
         assert len(json.loads(out)["points"]) == cli._gen_points(args)
+
+
+def test_gen_writes_the_bytes_of_json_dumps(capsys, monkeypatch, tmp_path):
+    """gen's writer (`_space_text`) prints every family, to --out and to
+    stdout, byte for byte as json.dumps(obj, indent=2, sort_keys=True) + "\n",
+    and so it does a space whose names need escaping."""
+    monkeypatch.setenv("TCSPACE_MAX_POINTS", "1000")
+    out = tmp_path / "space.json"
+    for argv in (["diamond", "--n", "3"], ["grid", "--n", "5"], ["cycle", "--n", "7"],
+                 ["complete-bipartite", "--m", "2", "--n", "3"], ["recursive", "--n", "2"],
+                 ["recursive", "--base", "k2n", "--legs", "3", "--n", "2"]):
+        code, stdout, _ = _run(capsys, ["gen", *argv, "--out", str(out)])
+        assert code == 0 and stdout == ""
+        want = json.dumps(json.loads(out.read_bytes()), indent=2, sort_keys=True) + "\n"
+        assert out.read_bytes() == want.encode("ascii")
+        code, stdout, _ = _run(capsys, ["gen", *argv])
+        assert code == 0 and stdout == want
+    names = ['say "hi"', "back\\slash", "caf\u00e9", "line\nbreak\u2028", "\U0001d4b3", "/"]
+    n = len(names)
+    space = validate_metric(names, [["0" if i == j else f"{6 + i + j}/7" for j in range(n)]
+                                    for i in range(n)], base="caf\u00e9")
+    obj = space.to_json_obj()
+    assert cli._space_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_gen_over_the_cap_builds_nothing(capsys, monkeypatch):

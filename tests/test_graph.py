@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corpus import CORPUS
 from tcspace import (
     DirectedSubgraph,
     InvalidInput,
+    MetricSpace,
     canonical_graph,
     connected_components,
     cycle,
@@ -16,8 +19,16 @@ from tcspace import (
     space_from_weighted_graph,
     validate_metric,
 )
+from tcspace import graph as graph_module
+from tcspace import metric
 from tcspace.graph import shortest_path_arcs, shortest_path_tree
-from tcspace.metric import _adjacency, _dijkstra, _scaled_adjacency
+from tcspace.metric import (
+    _adjacency,
+    _dijkstra,
+    _distance_rows,
+    _is_path_metric,
+    _scaled_adjacency,
+)
 from tcspace.randgen import random_metric_space
 
 
@@ -224,3 +235,111 @@ def test_scaled_adjacency_is_the_reference_arc_for_arc():
             want = sorted((e.head if e.tail == v else e.tail, idx)
                           for idx, e in enumerate(graph.edges) if v in (e.tail, e.head))
             assert graph.incident(v) == tuple((idx, u) for u, idx in want)
+
+
+def _without_edge(space, u, v):
+    """The space with the canonical edge {u, v} wrongly in its deletion mask."""
+    mask = space._deletion_mask.copy()
+    assert not mask[u, v]
+    mask[u, v] = mask[v, u] = True
+    return MetricSpace(space.points, space.denom, space.scaled, space.base_point,
+                       _deletion_mask=mask)
+
+
+def test_the_self_check_catches_every_dropped_edge():
+    """Each true edge wrongly dropped from the deletion mask makes
+    canonical_graph raise its path-metric assertion: on C_4, on a random
+    12-point space, and on a copy scaled by 2^60 that runs at object dtype."""
+    big = 2**60
+    c4 = cycle(4)
+    rand12 = random_metric_space(random.Random(5), 12)
+    huge = validate_metric(rand12.points, [[x * big for x in row] for row in rand12.dist])
+    assert huge.scaled.dtype == object
+    for space in (c4, rand12, huge):
+        edges = canonical_graph(space).edges
+        assert edges
+        for e in edges:
+            with pytest.raises(AssertionError,
+                               match="path metric must equal the input metric"):
+                canonical_graph(_without_edge(space, e.tail, e.head))
+
+
+def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
+    """_is_path_metric accepts a graph (edges weighted by the metric) exactly
+    when its all-pairs distances (_distance_rows) are the metric: on the
+    canonical edges with some dropped, with non-edges added, or both, with
+    every edge at one point dropped, and with no edges at all (which is the
+    path metric of a one-point space)."""
+    rng = random.Random(13)
+    point = cycle(5).restrict([2])  # validation wants two points; restrict does not
+    assert canonical_graph(point).m == 0
+    assert _is_path_metric(point.scaled, np.zeros((1, 1), dtype=bool))
+    assert _distance_rows(_adjacency(1, [])) == point.scaled.tolist()
+    spaces = [cycle(5), grid(3), diamond(2)[0]]
+    spaces += [random_metric_space(rng, n) for n in (3, 4, 6, 9, 12, 16) for _ in range(3)]
+    spaces.append(validate_metric(spaces[-1].points,
+                                  [[x * 2**60 for x in row] for row in spaces[-1].dist]))
+    verdicts = []
+    for space in spaces:
+        mat, n = space.scaled, space.n
+        canon = ~space._deletion_mask & ~np.eye(n, dtype=bool)
+        isolated = canon.copy()
+        isolated[n - 1, :] = isolated[:, n - 1] = False
+        graphs = [isolated, np.zeros_like(canon)]
+        for _ in range(12):
+            keep = canon.copy()
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if canon[u, v] and rng.random() < 0.15:
+                        keep[u, v] = keep[v, u] = False
+                    elif not canon[u, v] and rng.random() < 0.3:
+                        keep[u, v] = keep[v, u] = True
+            graphs.append(keep)
+        for keep in graphs:
+            tails, heads = np.nonzero(np.triu(keep, 1))
+            adj = _adjacency(n, list(zip(tails.tolist(), heads.tolist(),
+                                         mat[tails, heads].tolist())))
+            verdict = _is_path_metric(mat, keep)
+            assert verdict == (_distance_rows(adj) == mat.tolist())
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_the_self_check_stays_within_a_few_matrices_of_memory():
+    """On a dense 200-point space (every pair an edge) the min-plus step
+    allocates a few times the scaled matrix, not a gather of every edge's
+    row (2m x n entries, 200 times as much here)."""
+    rng = random.Random(3)
+    n = 200
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = f"{12 + rng.randrange(12)}/12"
+    space = validate_metric([f"p{i}" for i in range(n)], rows)
+    keep = ~space._deletion_mask & ~np.eye(n, dtype=bool)
+    assert keep.sum() == n * (n - 1)
+    tracemalloc.start()
+    try:
+        assert _is_path_metric(space.scaled, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * space.scaled.nbytes
+
+
+def test_canonical_graph_runs_no_shortest_path_search(monkeypatch):
+    """The self-check is the min-plus step: no Dijkstra, BFS or all-pairs
+    search runs while a canonical graph is built, with the space's deletion
+    mask or with one scanned for a restricted space."""
+    rng = random.Random(8)
+    spaces = [cycle(4), grid(4), diamond(3)[0], random_metric_space(rng, 20)]
+    spaces += [space.restrict(list(range(0, space.n, 2))) for space in spaces]
+
+    def never(*args, **kwargs):
+        raise AssertionError("shortest-path search in canonical_graph")
+
+    monkeypatch.setattr(graph_module, "_dijkstra", never)
+    for name in ("_dijkstra", "_distance_rows", "_bfs_hops"):
+        monkeypatch.setattr(metric, name, never)
+    for space in spaces:
+        assert canonical_graph(space).m > 0

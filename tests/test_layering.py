@@ -75,6 +75,8 @@ def test_one_union_find():
 
 def test_the_solver_has_no_dijkstra_of_its_own():
     assert _definers(lambda name: name.startswith("_dijkstra")) == {"metric.py"}
+    # The residual-arc pricing rule lives next to the Dijkstra that applies it.
+    assert _definers(lambda name: name == "_reduced_adjacency") == {"metric.py"}
 
 
 def test_one_bellman_ford():
@@ -124,3 +126,11 @@ def test_distances_are_scaled_in_one_place():
     assert {p.name for p in SRC.glob("*.py")
             if any(isinstance(node, ast.Name) and node.id == "id"
                    for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))} == set()
+
+
+def test_the_canonical_graph_checks_itself_without_all_pairs_paths():
+    # Its self-check is metric._is_path_metric's min-plus step; the
+    # all-pairs search serves path metrics of input graphs only.
+    assert "_distance_rows" not in _names_used(SRC / "graph.py")
+    assert "_is_path_metric" in _names_used(SRC / "graph.py")
+    assert _definers(lambda name: name == "_is_path_metric") == {"metric.py"}

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from corpus import SMALL_CORPUS, c4_graph
+from corpus import CORPUS, SMALL_CORPUS, c4_graph
 from tcspace import (
     EdgeVector,
     Improving,
@@ -17,8 +17,11 @@ from tcspace import (
     apply_incidence,
     cancel_cycle,
     canonical_graph,
+    cycle,
     cycle_basis,
+    diamond,
     directed_graph_of,
+    grid,
     improving_cycle,
     maximal_roadmap,
     maximal_support,
@@ -28,7 +31,13 @@ from tcspace import (
     tc_norm,
     validate_metric,
 )
-from tcspace.randgen import random_cycle_element, random_metric_space, random_roadmap
+from tcspace import transport
+from tcspace.randgen import (
+    random_cycle_element,
+    random_metric_space,
+    random_problem,
+    random_roadmap,
+)
 
 
 def _path3_weighted():
@@ -273,6 +282,86 @@ def test_potential_certificate_holds_exactly_for_optimal_roadmaps():
             assert _certifies(adj, scaled, pot) == optimal, name
             rejected += not optimal
     assert rejected > 0
+
+
+def test_final_potentials_are_a_supporting_function():
+    """_solve's potentials give l(v) = (pot[base] - pot[v]) / D, checked in
+    exact integers (l scaled by D, masses by M): 1-Lipschitz on every
+    canonical edge, dropping by the weight along the flow on every support
+    edge, and paired with f equal to the norm."""
+    from tcspace.transport import _solve
+
+    cases = [(inst.name, f) for inst in CORPUS for f in inst.problems]
+    cases += [(name, f) for name, f in _solver_cases() if name.startswith("random")]
+    tight = 0
+    for name, f in cases:
+        graph = f.graph
+        flow, pot, denom, scale = _solve(f)
+        assert denom == graph.space.denom, name
+        lip = [pot[graph.space.base_point] - x for x in pot]  # l times D
+        assert lip[graph.space.base_point] == 0
+        total = 0
+        for e, edge in enumerate(graph.edges):
+            w = edge.weight * denom
+            assert w.denominator == 1, name
+            drop = lip[edge.tail] - lip[edge.head]  # l(tail) - l(head), times D
+            assert abs(drop) <= w, name
+            if flow[e]:
+                assert drop == (w if flow[e] > 0 else -w), name
+                tight += 1
+            total += abs(flow[e]) * int(w)
+        masses = [f[v] * scale for v in range(graph.n)]
+        assert all(x.denominator == 1 for x in masses), name
+        assert sum(x * m for x, m in zip(lip, masses)) == total, name
+        assert Fraction(total, denom * scale) == tc_norm(f)[0], name
+    assert tight > 0
+
+
+def test_the_dijkstra_view_equals_the_rebuilt_residual_digraph(monkeypatch):
+    """At every round of the solver, _dijkstra's (flow, pot) view returns
+    what it returns on the whole reduced-cost digraph (_reduced_adjacency):
+    the same distances and the same predecessor edges, ties included."""
+    from tcspace.metric import _dijkstra
+    from tcspace.metric import _reduced_adjacency
+
+    seen = {"rounds": 0, "zero_arcs": 0, "ties": 0}
+
+    def spy(adj, sources, sinks, flow, pot):
+        got = _dijkstra(adj, sources, sinks, flow, pot)
+        reduced = _reduced_adjacency(adj, flow, pot)
+        assert got == _dijkstra(reduced, sources, sinks)
+        dist = got[0]
+        seen["rounds"] += 1
+        seen["zero_arcs"] += sum(c == 0 for arcs in reduced for _, c, _ in arcs)
+        for v in range(len(adj)):  # v settled with two tight arcs into it
+            if dist[v] is not None and v not in sources:
+                seen["ties"] += sum(dist[u] is not None and dist[u] + c == dist[v]
+                                    for u, arcs in enumerate(reduced)
+                                    for x, c, _ in arcs if x == v) > 1
+        return got
+
+    monkeypatch.setattr(transport, "_dijkstra", spy)
+    rng = random.Random(77)
+    graphs = [canonical_graph(space) for space in (cycle(6), grid(4), diamond(2)[0])]
+    graphs += [canonical_graph(random_metric_space(rng, n)) for n in (8, 12, 16, 24)]
+    for graph in graphs:
+        for _ in range(3):
+            f = random_problem(rng, graph, nonzero=True)
+            assert tc_norm(f)[1].problem() == f
+    assert seen["rounds"] > 50 and seen["zero_arcs"] > 0 and seen["ties"] > 0
+
+
+def test_one_solve_builds_the_residual_digraph_once(monkeypatch):
+    """The rounds price residual arcs inside Dijkstra; only the final
+    certificate (_certifies) builds the residual digraph."""
+    calls = []
+    build = transport._reduced_adjacency
+    monkeypatch.setattr(transport, "_reduced_adjacency",
+                        lambda *a: calls.append(a) or build(*a))
+    for name, f in _solver_cases():
+        calls.clear()
+        tc_norm(f)
+        assert len(calls) == 1, name
 
 
 def test_cost_decreases_monotonically():
