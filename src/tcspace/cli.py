@@ -252,7 +252,8 @@ def _cmd_certify(args) -> int:
 
 def _gen_points(args) -> int:
     """Point count of the `gen` instance, known before it is built: a K_{2,L}
-    recursion (L = 2 for diamonds) adds L points per edge, (2L)^j at level j."""
+    recursion (L = 2 for diamonds) adds L points per edge, (2L)^j at level j;
+    counting stops at the first level past the cap."""
     n = max(args.n, 0)  # the generators reject negative sizes themselves
     if args.family == "grid":
         return n * n
@@ -260,8 +261,19 @@ def _gen_points(args) -> int:
         return n
     if args.family == "complete-bipartite":
         return args.m + n
-    legs = args.legs if args.family == "recursive" and args.base == "k2n" else 2
-    return 2 + legs * ((2 * legs) ** n - 1) // (2 * legs - 1)
+    legs, cap = 2, _max_points()
+    if args.family == "recursive" and args.base == "k2n":
+        legs = args.legs
+        if legs < 2:
+            raise InvalidInput("need at least 2 legs")
+        _check_cap(legs + 2)  # the base K_{2,L} is built, and measured, even at --n 0
+    points, edges = 2, 1
+    for _ in range(n):
+        if points > cap:
+            raise InvalidInput(
+                f"instance has more than {points} points, above TCSPACE_MAX_POINTS={cap}")
+        points, edges = points + legs * edges, edges * 2 * legs
+    return points
 
 
 def _cmd_gen(args) -> int:
@@ -331,8 +343,10 @@ def _cmd_oracle_check(args) -> int:
         raise InvalidInput("need 2 <= --min-points <= --max-points")
     _check_cap(hi)
     tasks = [(args.seed, i, lo, hi) for i in range(args.random)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A pool starts all its workers at its first task.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = sorted(pool.map(_oracle_check_one, tasks))
     else:
         results = [_oracle_check_one(t) for t in tasks]

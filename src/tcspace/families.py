@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InvalidInput, NotNormalized
 from .graph import connected_components
-from .metric import MetricSpace, single_source_distances, space_from_weighted_graph
+from .metric import MetricSpace, _path_rows, space_from_weighted_graph
 from .rational import ONE, to_fraction
 
 
@@ -96,10 +96,9 @@ class TwoPortGraph:
         return [(index[u], index[v], to_fraction(w)) for u, v, w in self.edges]
 
     def top_bottom_distance(self) -> Fraction:
-        index = {p: i for i, p in enumerate(self.points)}
-        row = single_source_distances(
-            len(self.points), self._index_edges(), index[self.bottom])
-        return row[index[self.top]]
+        mat, denom = _path_rows(len(self.points), self._index_edges())
+        return Fraction(int(mat[self.points.index(self.bottom), self.points.index(self.top)]),
+                        denom)
 
     def max_degree(self) -> int:
         deg: dict[str, int] = {p: 0 for p in self.points}

@@ -12,14 +12,13 @@ midpoint-major scan yields both the first triangle violation and the
 canonical graph's deletion mask (the triangle test with `>` replaced by
 `==`), which the validated space keeps for graph.canonical_graph.
 
-Shortest-path metrics of weighted graphs (generated families, weighted-graph
-JSON) enter the same checks as integer rows reduced to the same D.
+Shortest-path metrics of weighted graphs (families, weighted-graph JSON) come
+from one integer Floyd-Warshall and enter the same checks at the same D.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -102,8 +101,8 @@ class MetricSpace:
         """Submetric on the given point indices (order preserved), based at
         the first of them."""
         pts = tuple(self.points[i] for i in indices)
-        sub = self.scaled[np.ix_(indices, indices)].tolist()
-        return MetricSpace(pts, *_int_matrix(sub, self.denom))
+        return MetricSpace(pts, *_int_matrix(self.scaled[np.ix_(indices, indices)],
+                                             self.denom))
 
     def with_base(self, name: str) -> MetricSpace:
         return MetricSpace(self.points, self.denom, self.scaled, self.index_of(name),
@@ -132,19 +131,18 @@ def _int_dtype(peak: int):
     """For integers of magnitude at most peak: the narrowest of int8, int16,
     int32 and int64 in which a sum of two of them cannot wrap, else Python
     ints (object dtype).  All of them run the same numpy code, and the
-    narrower the dtype the faster the midpoint scan."""
+    narrower the dtype the faster the midpoint scan and _floyd_warshall."""
     return next((dtype for dtype, bound in _INT_WIDTHS if peak < bound), object)
 
 
-def _int_matrix(rows: list[list[int]], denom: int) -> tuple[int, np.ndarray]:
-    """The distances rows / denom (nonnegative integer rows) in the canonical
-    form: (D, the distances times D as an array of dtype _int_dtype), D their
-    least common denominator, denom over its gcd with the entries."""
-    values = set().union(*rows)
-    g = gcd(denom, *values)
+def _int_matrix(mat: np.ndarray, denom: int) -> tuple[int, np.ndarray]:
+    """The distances mat / denom (nonnegative integers) in the canonical form:
+    (D, the distances times D at dtype _int_dtype), D their least common
+    denominator, denom over its gcd with the entries."""
+    g = gcd(denom, int(np.gcd.reduce(mat, axis=None)))
     if g > 1:
-        rows = [[x // g for x in row] for row in rows]
-    return denom // g, np.array(rows, dtype=_int_dtype(max(values) // g))
+        mat = mat // g
+    return denom // g, mat.astype(_int_dtype(int(mat.max())), copy=False)
 
 
 def _midpoint_scan(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:
@@ -417,56 +415,51 @@ def _dijkstra(adj, sources, stop=frozenset(), flow=None, pot=None
     return dist, pred_edge
 
 
-def _bfs_hops(adj, source: int) -> list[int | None]:
-    hops: list[int | None] = [None] * len(adj)
-    hops[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, _, _ in adj[u]:
-            if hops[v] is None:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    return hops
-
-
-def _distance_rows(adj) -> list[list[int | None]]:
-    """All-pairs integer distances over _adjacency arcs (None: unreachable).
-
-    When every edge has the same weight w the rows are BFS hop counts times
-    w: on diamond(5) that is about three times faster than Dijkstra.
-    """
-    weights = {w for arcs in adj for _, w, _ in arcs}
-    if len(weights) == 1:
-        (w,) = weights
-        return [[None if h is None else h * w for h in _bfs_hops(adj, s)]
-                for s in range(len(adj))]
-    return [_dijkstra(adj, [s])[0] for s in range(len(adj))]
-
-
 def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fraction]]:
     """Exact all-pairs shortest-path matrix of a connected weighted graph.
 
-    `edges` are undirected (u, v, w) with u != v and w > 0.  Uniform-weight
-    graphs use BFS; general weights use Dijkstra over integer-scaled weights.
-    Raises InvalidInput if the graph is disconnected or a weight is invalid.
+    `edges` are undirected (u, v, w) with u != v and w > 0; of parallel
+    edges the lightest counts.  The distances come from _floyd_warshall over
+    integer-scaled weights.  Raises InvalidInput if the graph is
+    disconnected or a weight is invalid.
     """
-    return [list(row) for row in _fraction_rows(*_path_rows(n, edges))]
+    mat, denom = _path_rows(n, edges)
+    return [list(row) for row in _fraction_rows(mat.tolist(), denom)]
 
 
-def _path_rows(n: int, edges) -> tuple[list[list[int]], int]:
-    """path_metric as (integer rows, D): the distances times D, the lcm of
+def _path_rows(n: int, edges) -> tuple[np.ndarray, int]:
+    """path_metric as (integer matrix, D): the distances times D, the lcm of
     the weight denominators."""
     for u, v, w in edges:
         if u == v:
             raise InvalidInput("self-loops are not allowed")
         if w <= 0:
             raise InvalidInput("edge weights must be positive")
-    denom, adj = _scaled_adjacency(n, edges)
-    rows = _distance_rows(adj)
-    if any(None in row for row in rows):
+    denom = lcm(*{w.denominator for _, _, w in edges})
+    return _floyd_warshall(
+        n, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges]), denom
+
+
+def _floyd_warshall(n: int, edges: list[tuple[int, int, int]]) -> np.ndarray:
+    """All-pairs distances of the undirected edges (u, v, w), integers w > 0
+    (of parallel edges the lightest), by Floyd-Warshall in place at dtype
+    _int_dtype(sentinel): unreachable pairs start and stay at the sentinel
+    1 + (n-1) * max w, above every path length.  Raises InvalidInput if any do."""
+    sentinel = 1 + max(n - 1, 0) * max((w for _, _, w in edges), default=0)
+    dtype = _int_dtype(sentinel)
+    mat = np.full((n, n), sentinel, dtype=dtype)
+    if edges:
+        tails, heads, weights = zip(*edges)
+        np.minimum.at(mat, (tails + heads, heads + tails),
+                      np.array(weights + weights, dtype=dtype))
+    np.fill_diagonal(mat, 0)
+    via = np.empty_like(mat)
+    for k in range(n):
+        np.add(mat[:, k, None], mat[k], out=via)
+        np.minimum(mat, via, out=mat)
+    if (mat == sentinel).any():
         raise InvalidInput("graph is not connected")
-    return rows, denom
+    return mat
 
 
 def _fraction_rows(rows: list[list[int]], denom: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -474,14 +467,6 @@ def _fraction_rows(rows: list[list[int]], denom: int) -> tuple[tuple[Fraction, .
     (MetricSpace.dist, path_metric)."""
     fractions = {x: Fraction(x, denom) for x in set().union(*rows)}
     return tuple(tuple(fractions[x] for x in row) for row in rows)
-
-
-def single_source_distances(n: int, edges: list[tuple[int, int, Fraction]],
-                            source: int) -> list[Fraction | None]:
-    """One row of the shortest-path metric (None marks unreachable)."""
-    denom, adj = _scaled_adjacency(n, edges)
-    return [None if x is None else Fraction(x, denom)
-            for x in _dijkstra(adj, [source])[0]]
 
 
 def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
@@ -508,10 +493,10 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
             raise InvalidInput(f"duplicate edge {{{u},{v}}}")
         seen.add(key)
         idx_edges.append((index[u], index[v], to_fraction(w)))
-    rows, denom = _path_rows(len(names), idx_edges)
+    mat, denom = _path_rows(len(names), idx_edges)
     if len(names) < 2:
         raise InvalidInput("a metric space needs at least 2 points")
-    return _checked(names, *_int_matrix(rows, denom), base)
+    return _checked(names, *_int_matrix(mat, denom), base)
 
 
 def weighted_graph_json_to_space(obj: dict) -> MetricSpace:

@@ -313,6 +313,67 @@ def test_gen_over_the_cap_builds_nothing(capsys, monkeypatch):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["diamond", "--n", "1000000000"], "above TCSPACE_MAX_POINTS=64"),
+    (["recursive", "--n", "1000000000"], "above TCSPACE_MAX_POINTS=64"),
+    (["recursive", "--base", "k2n", "--legs", "3", "--n", "1000000000"],
+     "above TCSPACE_MAX_POINTS=64"),
+    (["recursive", "--base", "k2n", "--legs", "1", "--n", "1000000000"],
+     "need at least 2 legs"),
+    (["recursive", "--base", "k2n", "--legs", "-3", "--n", "1000000000"],
+     "need at least 2 legs"),
+    (["recursive", "--base", "k2n", "--legs", "1000000000", "--n", "0"],
+     "instance has 1000000002 points, above TCSPACE_MAX_POINTS=64"),
+])
+def test_gen_with_a_huge_n_stops_counting_at_the_cap(capsys, monkeypatch, argv, message):
+    """The point count stops growing once it passes the cap, so a huge --n
+    fails at once with a short message, and builds nothing; so does a K_{2,L}
+    base above the cap, which is built (and its path metric computed) even
+    at --n 0."""
+    def never(*args):
+        raise AssertionError("generator called")
+
+    monkeypatch.setenv("TCSPACE_MAX_POINTS", "64")
+    for name in ("diamond", "recursive_family", "k2n_two_port", "quadrilateral_two_port"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = _run(capsys, ["gen", *argv])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidInput"
+    assert message in payload["message"] and len(payload["message"]) < 80
+
+
+def test_oracle_check_starts_no_more_workers_than_tasks_and_cores(capsys, monkeypatch):
+    """--jobs is capped by the batch size and the core count, and a batch
+    with at most one worker runs in-process; the output is that of --jobs 1."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cases = [(4, "2", "10000", [2]), (4, "8", "3", [3]), (4, "8", "10000", [4]),
+             (4, "0", "8", []), (4, "5", "1", []), (1, "8", "4", []), (None, "8", "4", [])]
+    for cores, batch, jobs, want in cases:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        argv = ["oracle-check", "--random", batch, "--seed", "3"]
+        pools.clear()
+        serial = _run(capsys, argv)
+        assert pools == []
+        assert _run(capsys, [*argv, "--jobs", jobs]) == serial
+        assert pools == want
+
+
 def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_path):
     """`roadmap` prints tc_norm's certified roadmap: the same Dijkstra runs
     as `norm`, and neither runs a Bellman-Ford (no cycle search, no residual

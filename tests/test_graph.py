@@ -25,7 +25,6 @@ from tcspace.graph import shortest_path_arcs, shortest_path_tree
 from tcspace.metric import (
     _adjacency,
     _dijkstra,
-    _distance_rows,
     _is_path_metric,
     _scaled_adjacency,
 )
@@ -264,9 +263,15 @@ def test_the_self_check_catches_every_dropped_edge():
                 canonical_graph(_without_edge(space, e.tail, e.head))
 
 
+def _dijkstra_rows(adj):
+    """All-pairs distances over _adjacency arcs, one _dijkstra per source
+    (None: unreachable)."""
+    return [_dijkstra(adj, [s])[0] for s in range(len(adj))]
+
+
 def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
     """_is_path_metric accepts a graph (edges weighted by the metric) exactly
-    when its all-pairs distances (_distance_rows) are the metric: on the
+    when its all-pairs distances (per-source _dijkstra) are the metric: on the
     canonical edges with some dropped, with non-edges added, or both, with
     every edge at one point dropped, and with no edges at all (which is the
     path metric of a one-point space)."""
@@ -274,7 +279,7 @@ def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
     point = cycle(5).restrict([2])  # validation wants two points; restrict does not
     assert canonical_graph(point).m == 0
     assert _is_path_metric(point.scaled, np.zeros((1, 1), dtype=bool))
-    assert _distance_rows(_adjacency(1, [])) == point.scaled.tolist()
+    assert _dijkstra_rows(_adjacency(1, [])) == point.scaled.tolist()
     spaces = [cycle(5), grid(3), diamond(2)[0]]
     spaces += [random_metric_space(rng, n) for n in (3, 4, 6, 9, 12, 16) for _ in range(3)]
     spaces.append(validate_metric(spaces[-1].points,
@@ -300,7 +305,7 @@ def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
             adj = _adjacency(n, list(zip(tails.tolist(), heads.tolist(),
                                          mat[tails, heads].tolist())))
             verdict = _is_path_metric(mat, keep)
-            assert verdict == (_distance_rows(adj) == mat.tolist())
+            assert verdict == (_dijkstra_rows(adj) == mat.tolist())
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
@@ -328,9 +333,9 @@ def test_the_self_check_stays_within_a_few_matrices_of_memory():
 
 
 def test_canonical_graph_runs_no_shortest_path_search(monkeypatch):
-    """The self-check is the min-plus step: no Dijkstra, BFS or all-pairs
-    search runs while a canonical graph is built, with the space's deletion
-    mask or with one scanned for a restricted space."""
+    """The self-check is the min-plus step: no Dijkstra or all-pairs search
+    (_path_rows, _floyd_warshall) runs while a canonical graph is built, with
+    the space's deletion mask or with one scanned for a restricted space."""
     rng = random.Random(8)
     spaces = [cycle(4), grid(4), diamond(3)[0], random_metric_space(rng, 20)]
     spaces += [space.restrict(list(range(0, space.n, 2))) for space in spaces]
@@ -339,7 +344,7 @@ def test_canonical_graph_runs_no_shortest_path_search(monkeypatch):
         raise AssertionError("shortest-path search in canonical_graph")
 
     monkeypatch.setattr(graph_module, "_dijkstra", never)
-    for name in ("_dijkstra", "_distance_rows", "_bfs_hops"):
+    for name in ("_dijkstra", "_path_rows", "_floyd_warshall"):
         monkeypatch.setattr(metric, name, never)
     for space in spaces:
         assert canonical_graph(space).m > 0

@@ -1,6 +1,7 @@
 """Module boundaries: the exact simplex serves the independent oracle only,
-and each graph mechanism (Dijkstra, Bellman-Ford, BFS, union-find) and the
-integer metric core (its width ladder and overflow guard) has one home."""
+and each graph mechanism (Dijkstra, Floyd-Warshall, Bellman-Ford,
+union-find) and the integer metric core (its width ladder and overflow
+guard) has one home."""
 
 import ast
 from pathlib import Path
@@ -57,9 +58,12 @@ def _files_importing(name: str) -> set[str]:
     return {p.name for p in SRC.glob("*.py") if name in _absolute_imports(p)}
 
 
-def test_one_dijkstra_and_one_bfs():
+def test_one_dijkstra_and_one_path_metric_routine():
     assert _files_importing("heapq") == {"metric.py"}
-    assert _files_importing("collections.deque") == {"metric.py"}
+    assert {p.name for p in SRC.glob("*.py") if "deque" in _names_used(p)} == set()
+    old = {"_bfs_hops", "_distance_rows", "single_source_distances"}
+    assert _definers(old.__contains__) == set()
+    assert _definers(lambda name: name == "_floyd_warshall") == {"metric.py"}
 
 
 def _definers(matches) -> set[str]:
@@ -131,6 +135,6 @@ def test_distances_are_scaled_in_one_place():
 def test_the_canonical_graph_checks_itself_without_all_pairs_paths():
     # Its self-check is metric._is_path_metric's min-plus step; the
     # all-pairs search serves path metrics of input graphs only.
-    assert "_distance_rows" not in _names_used(SRC / "graph.py")
+    assert not {"_path_rows", "_floyd_warshall"} & _names_used(SRC / "graph.py")
     assert "_is_path_metric" in _names_used(SRC / "graph.py")
     assert _definers(lambda name: name == "_is_path_metric") == {"metric.py"}

@@ -21,7 +21,17 @@ from tcspace import (
     validate_metric,
     weighted_graph_json_to_space,
 )
-from tcspace import canonical_graph, complete_bipartite, cycle, metric
+from tcspace import (
+    canonical_graph,
+    complete_bipartite,
+    cycle,
+    diamond,
+    grid,
+    k2n_two_port,
+    metric,
+    path_metric,
+    recursive_family,
+)
 from tcspace.cli import main
 from tcspace.randgen import random_metric_space
 from tcspace.rational import frac_str
@@ -507,3 +517,84 @@ def test_gen_validate_and_peel_never_build_the_fraction_view(tmp_path, monkeypat
     assert cycle(4).dist[0][2] == 2  # the spy sees the view when it is read
     assert len(built) == 1
     capsys.readouterr()
+
+
+# --- shortest-path metrics of weighted graphs: one Floyd-Warshall -----------
+
+def _dijkstra_rows(n, edges):
+    """All-pairs distances of integer-weighted edges, one _dijkstra per
+    source (None: unreachable)."""
+    adj = metric._adjacency(n, edges)
+    return [metric._dijkstra(adj, [s])[0] for s in range(n)]
+
+
+def _graph_pool():
+    """Integer-weighted graphs on 2 to 12 points with (n - 1) * max weight
+    at most 54: random ones with mixed or uniform weights, parallel edges,
+    some disconnected; and the canonical graphs of uniform-weight families."""
+    rng = random.Random(17)
+    pool = []
+    for _ in range(80):
+        n = rng.randint(2, 10)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)] if rng.random() < 0.8 else []
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        uniform = rng.randint(1, 6) if rng.random() < 0.3 else None
+        pool.append((n, [(u, v, uniform or rng.randint(1, 6)) for u, v in pairs]))
+    for space in (cycle(6), grid(3), complete_bipartite(2, 3), diamond(2)[0]):
+        pool.append((space.n, [(e.tail, e.head, int(e.weight * space.denom))
+                               for e in canonical_graph(space).edges]))
+    return pool
+
+
+def test_floyd_warshall_matches_per_source_dijkstra_at_every_width():
+    widths = set()
+    disconnected = 0
+    for n, edges in _graph_pool():
+        for scale, width in zip(SCALES, WIDTHS):
+            scaled = [(u, v, w * scale) for u, v, w in edges]
+            want = _dijkstra_rows(n, scaled)
+            if any(None in row for row in want):
+                disconnected += 1
+                with pytest.raises(InvalidInput, match="^graph is not connected$"):
+                    metric._floyd_warshall(n, scaled)
+                continue
+            got = metric._floyd_warshall(n, scaled)
+            assert got.dtype == width
+            assert got.tolist() == want
+            widths.add(got.dtype)
+    assert widths == set(WIDTHS) and disconnected
+
+
+def test_floyd_warshall_on_no_and_one_point():
+    assert metric._floyd_warshall(0, []).shape == (0, 0)
+    assert metric._floyd_warshall(1, []).tolist() == [[0]]
+    with pytest.raises(InvalidInput, match="^graph is not connected$"):
+        metric._floyd_warshall(2, [])
+
+
+def test_path_metric_keeps_the_lightest_parallel_edge():
+    edges = [(0, 1, Fraction(3)), (1, 0, Fraction(1, 2)), (1, 2, Fraction(1)),
+             (0, 1, Fraction(2)), (2, 1, Fraction(5, 3))]
+    assert path_metric(3, edges) == [[0, Fraction(1, 2), Fraction(3, 2)],
+                                     [Fraction(1, 2), 0, 1],
+                                     [Fraction(3, 2), 1, 0]]
+    scaled = [(u, v, int(w * 6)) for u, v, w in edges]
+    assert [[x * 6 for x in row] for row in path_metric(3, edges)] == _dijkstra_rows(3, scaled)
+
+
+def test_disconnected_and_tiny_weighted_graphs_keep_their_messages():
+    with pytest.raises(InvalidInput, match="^graph is not connected$"):
+        path_metric(3, [(0, 1, Fraction(1))])
+    with pytest.raises(InvalidInput, match="^graph is not connected$"):
+        space_from_weighted_graph(["A", "B", "C", "D"], [("A", "B", "1"), ("C", "D", "1")])
+    for vertices in ([], ["A"]):
+        with pytest.raises(InvalidInput, match="^a metric space needs at least 2 points$"):
+            weighted_graph_json_to_space({"vertices": vertices, "edges": []})
+
+
+def test_family_spaces_run_at_int8():
+    """The path metric's sentinel widens its matrix; the space narrows it
+    again, so the families' midpoint scans run at int8."""
+    spaces = [diamond(3)[0], grid(5), cycle(9), complete_bipartite(3, 4),
+              recursive_family(k2n_two_port(3), 2)[0]]
+    assert [space.scaled.dtype for space in spaces] == [np.dtype(np.int8)] * len(spaces)
