@@ -266,7 +266,10 @@ def _gen_points(args) -> int:
         legs = args.legs
         if legs < 2:
             raise InvalidInput("need at least 2 legs")
-        _check_cap(legs + 2)  # the base K_{2,L} is built, and measured, even at --n 0
+        # Built and measured even at --n 0; from --n 1 on the instance is no smaller.
+        if n == 0 and legs + 2 > cap:
+            raise InvalidInput(
+                f"base K_{{2,{legs}}} has {legs + 2} points, above TCSPACE_MAX_POINTS={cap}")
     points, edges = 2, 1
     for _ in range(n):
         if points > cap:

@@ -38,7 +38,7 @@ class CanonicalGraph:
     Built by :func:`canonical_graph`; the constructor only prepares lookup
     tables.  Edges are ordered lexicographically by (tail, head).
     scaled_adjacency is (D, adj): adj[u] the (v, weight times D, edge index)
-    arcs at u, D the space's denom (see metric._scaled_adjacency).  By the
+    arcs at u, D the space's denom (see metric._scaled_edges).  By the
     edge order, adj[u] is sorted by neighbour: smaller tails, then heads.
     """
 

@@ -140,7 +140,7 @@ def _int_matrix(mat: np.ndarray, denom: int) -> tuple[int, np.ndarray]:
     (D, the distances times D at dtype _int_dtype), D their least common
     denominator, denom over its gcd with the entries."""
     g = gcd(denom, int(np.gcd.reduce(mat, axis=None)))
-    if g > 1:
+    if g > 1 and mat.any():  # then g <= max entry, so it fits mat's dtype
         mat = mat // g
     return denom // g, mat.astype(_int_dtype(int(mat.max())), copy=False)
 
@@ -333,12 +333,11 @@ def _adjacency(n: int, edges) -> list[list[tuple[int, int, int]]]:
     return adj
 
 
-def _scaled_adjacency(n: int, edges) -> tuple[int, list[list[tuple[int, int, int]]]]:
-    """(D, _adjacency of the edges with weights times D), D the lcm of the
-    weight denominators, so every arc weight is an exact integer."""
+def _scaled_edges(edges) -> tuple[int, list[tuple[int, int, int]]]:
+    """(D, the edges (u, v, w) with weights times D), D the lcm of the weight
+    denominators, so every weight is an exact integer."""
     denom = lcm(*{w.denominator for _, _, w in edges})
-    return denom, _adjacency(
-        n, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges])
+    return denom, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges]
 
 
 def _reduced_adjacency(adj, flow: list[int], pot: list[int]):
@@ -435,9 +434,8 @@ def _path_rows(n: int, edges) -> tuple[np.ndarray, int]:
             raise InvalidInput("self-loops are not allowed")
         if w <= 0:
             raise InvalidInput("edge weights must be positive")
-    denom = lcm(*{w.denominator for _, _, w in edges})
-    return _floyd_warshall(
-        n, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges]), denom
+    denom, scaled = _scaled_edges(edges)
+    return _floyd_warshall(n, scaled), denom
 
 
 def _floyd_warshall(n: int, edges: list[tuple[int, int, int]]) -> np.ndarray:

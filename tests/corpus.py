@@ -21,6 +21,7 @@ from tcspace import (
     tc_norm,
     validate_metric,
 )
+from tcspace.metric import _dijkstra
 from tcspace.randgen import random_metric_space, random_problem
 
 
@@ -103,6 +104,12 @@ SMALL_CORPUS = [inst for inst in CORPUS if inst.n <= 6]
 
 def c4_graph() -> CanonicalGraph:
     return next(inst for inst in CORPUS if inst.name == "c4").graph
+
+
+def dijkstra_rows(adj):
+    """All-pairs distances over metric._adjacency arcs, one _dijkstra per
+    source (None: unreachable): the reference for path metrics."""
+    return [_dijkstra(adj, [s])[0] for s in range(len(adj))]
 
 
 # --- bounded search for sign-vector bases -------------------------------------

@@ -184,17 +184,20 @@ def test_certify_plain_and_peeled(capsys, tmp_path):
 
 def test_peeling_down_to_a_single_point(capsys, tmp_path):
     """The star d(a,b) = d(a,c) = 1, d(b,c) = 2 peels to its one-point base
-    generation {a}, whose canonical graph has no edges: max degree 0."""
-    space = _write(tmp_path / "star.json", {
-        "points": ["a", "b", "c"], "dist": [[0, 1, 1], [1, 0, 2], [1, 2, 0]]})
+    generation {a}, whose canonical graph has no edges: max degree 0.  So
+    does the star scaled by 1/200, whose int8 matrix has D = 200 above the
+    int8 range: the one-point restriction's D becomes 1 without dividing."""
     desc = _write(tmp_path / "star.desc.json", {
         "family": "star", "generations": {"a": 0, "b": 1, "c": 1}})
-    code, out, err = _run(capsys, ["certify", "--space", space, "--k", "3", "--peel", desc])
-    assert (code, err) == (0, "")
-    obj = json.loads(out)
-    assert obj["verdict"] == "ruled_out"
-    assert obj["reason"] == "max degree 0 < 2 at star"
-    assert obj["degrees"] == {"max": 0}
+    for one, two in ((1, 2), ("1/200", "1/100")):
+        space = _write(tmp_path / "star.json", {
+            "points": ["a", "b", "c"], "dist": [[0, one, one], [one, 0, two], [one, two, 0]]})
+        code, out, err = _run(capsys, ["certify", "--space", space, "--k", "3", "--peel", desc])
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["verdict"] == "ruled_out"
+        assert obj["reason"] == "max degree 0 < 2 at star"
+        assert obj["degrees"] == {"max": 0}
 
 
 def test_gen_diamond_emits_space_json(capsys):
@@ -323,6 +326,8 @@ def test_gen_over_the_cap_builds_nothing(capsys, monkeypatch):
     (["recursive", "--base", "k2n", "--legs", "-3", "--n", "1000000000"],
      "need at least 2 legs"),
     (["recursive", "--base", "k2n", "--legs", "1000000000", "--n", "0"],
+     "base K_{2,1000000000} has 1000000002 points, above TCSPACE_MAX_POINTS=64"),
+    (["recursive", "--base", "k2n", "--legs", "1000000000", "--n", "1"],
      "instance has 1000000002 points, above TCSPACE_MAX_POINTS=64"),
 ])
 def test_gen_with_a_huge_n_stops_counting_at_the_cap(capsys, monkeypatch, argv, message):
@@ -341,6 +346,19 @@ def test_gen_with_a_huge_n_stops_counting_at_the_cap(capsys, monkeypatch, argv, 
     payload = json.loads(err)
     assert payload["error"] == "InvalidInput"
     assert message in payload["message"] and len(payload["message"]) < 80
+
+
+def test_gen_at_level_zero_caps_the_k2n_base(capsys, monkeypatch):
+    """At --n 0 the instance is one unit edge, but the K_{2,L} base is still
+    built and measured, so the base's L + 2 points are held to the cap."""
+    monkeypatch.setenv("TCSPACE_MAX_POINTS", "64")
+    argv = ["gen", "recursive", "--base", "k2n", "--n", "0", "--legs"]
+    code, out, err = _run(capsys, argv + ["62"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["points"] == ["b", "t"]
+    code, out, err = _run(capsys, argv + ["63"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "base K_{2,63} has 65 points, above TCSPACE_MAX_POINTS=64"
 
 
 def test_oracle_check_starts_no_more_workers_than_tasks_and_cores(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corpus import CORPUS
+from corpus import CORPUS, dijkstra_rows
 from tcspace import (
     DirectedSubgraph,
     InvalidInput,
@@ -26,7 +26,7 @@ from tcspace.metric import (
     _adjacency,
     _dijkstra,
     _is_path_metric,
-    _scaled_adjacency,
+    _scaled_edges,
 )
 from tcspace.randgen import random_metric_space
 
@@ -192,7 +192,7 @@ def test_dijkstra_from_several_sources_with_an_early_stop():
                           rng.sample(range(n), rng.randint(2, n // 2 + 1))))
     for n, edges, sources in cases:
         adj = _adjacency(n, edges)
-        single = [_dijkstra(adj, [s])[0] for s in range(n)]
+        single = dijkstra_rows(adj)
         dist, pred = _dijkstra(adj, sources)
         assert dist == [min(single[s][v] for s in sources) for v in range(n)]
         for v in range(n):
@@ -212,7 +212,7 @@ def test_dijkstra_from_several_sources_with_an_early_stop():
 
 def test_scaled_adjacency_is_the_reference_arc_for_arc():
     """canonical_graph keeps its self-check's integer adjacency; it is the
-    one metric._scaled_adjacency builds from the edge weights, because the
+    one metric._adjacency builds over metric._scaled_edges, because the
     edges realise the metric and so their lcm is the space's D.  incident()
     lists the same arcs, sorted by neighbour."""
     big = 2**60
@@ -228,7 +228,8 @@ def test_scaled_adjacency_is_the_reference_arc_for_arc():
     assert any(s.scaled.dtype == object for s in spaces)
     for space in spaces:
         graph = canonical_graph(space)
-        assert graph.scaled_adjacency == _scaled_adjacency(graph.n, graph.edges)
+        denom, scaled = _scaled_edges(graph.edges)
+        assert graph.scaled_adjacency == (denom, _adjacency(graph.n, scaled))
         assert graph.scaled_adjacency[0] == space.denom
         for v in range(graph.n):  # incident() reads the same arcs
             want = sorted((e.head if e.tail == v else e.tail, idx)
@@ -263,12 +264,6 @@ def test_the_self_check_catches_every_dropped_edge():
                 canonical_graph(_without_edge(space, e.tail, e.head))
 
 
-def _dijkstra_rows(adj):
-    """All-pairs distances over _adjacency arcs, one _dijkstra per source
-    (None: unreachable)."""
-    return [_dijkstra(adj, [s])[0] for s in range(len(adj))]
-
-
 def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
     """_is_path_metric accepts a graph (edges weighted by the metric) exactly
     when its all-pairs distances (per-source _dijkstra) are the metric: on the
@@ -279,7 +274,7 @@ def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
     point = cycle(5).restrict([2])  # validation wants two points; restrict does not
     assert canonical_graph(point).m == 0
     assert _is_path_metric(point.scaled, np.zeros((1, 1), dtype=bool))
-    assert _dijkstra_rows(_adjacency(1, [])) == point.scaled.tolist()
+    assert dijkstra_rows(_adjacency(1, [])) == point.scaled.tolist()
     spaces = [cycle(5), grid(3), diamond(2)[0]]
     spaces += [random_metric_space(rng, n) for n in (3, 4, 6, 9, 12, 16) for _ in range(3)]
     spaces.append(validate_metric(spaces[-1].points,
@@ -305,7 +300,7 @@ def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
             adj = _adjacency(n, list(zip(tails.tolist(), heads.tolist(),
                                          mat[tails, heads].tolist())))
             verdict = _is_path_metric(mat, keep)
-            assert verdict == (_dijkstra_rows(adj) == mat.tolist())
+            assert verdict == (dijkstra_rows(adj) == mat.tolist())
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 

@@ -124,7 +124,7 @@ def test_one_integer_metric_core():
 def test_distances_are_scaled_in_one_place():
     # The space holds its integer matrix and D; the canonical graph reads
     # them and takes no lcm of its own.
-    assert not {"lcm", "_scaled_matrix", "_scaled_adjacency"} & _names_used(SRC / "graph.py")
+    assert not {"lcm", "_scaled_matrix", "_scaled_edges"} & _names_used(SRC / "graph.py")
     assert _definers(lambda name: name == "_scaled_matrix") == set()
     # No memo keyed by object identity: no module names the builtin id.
     assert {p.name for p in SRC.glob("*.py")

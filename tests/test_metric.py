@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import dijkstra_rows
 from tcspace import (
     InvalidInput,
     MetricSpace,
@@ -521,13 +522,6 @@ def test_gen_validate_and_peel_never_build_the_fraction_view(tmp_path, monkeypat
 
 # --- shortest-path metrics of weighted graphs: one Floyd-Warshall -----------
 
-def _dijkstra_rows(n, edges):
-    """All-pairs distances of integer-weighted edges, one _dijkstra per
-    source (None: unreachable)."""
-    adj = metric._adjacency(n, edges)
-    return [metric._dijkstra(adj, [s])[0] for s in range(n)]
-
-
 def _graph_pool():
     """Integer-weighted graphs on 2 to 12 points with (n - 1) * max weight
     at most 54: random ones with mixed or uniform weights, parallel edges,
@@ -552,7 +546,7 @@ def test_floyd_warshall_matches_per_source_dijkstra_at_every_width():
     for n, edges in _graph_pool():
         for scale, width in zip(SCALES, WIDTHS):
             scaled = [(u, v, w * scale) for u, v, w in edges]
-            want = _dijkstra_rows(n, scaled)
+            want = dijkstra_rows(metric._adjacency(n, scaled))
             if any(None in row for row in want):
                 disconnected += 1
                 with pytest.raises(InvalidInput, match="^graph is not connected$"):
@@ -579,7 +573,8 @@ def test_path_metric_keeps_the_lightest_parallel_edge():
                                      [Fraction(1, 2), 0, 1],
                                      [Fraction(3, 2), 1, 0]]
     scaled = [(u, v, int(w * 6)) for u, v, w in edges]
-    assert [[x * 6 for x in row] for row in path_metric(3, edges)] == _dijkstra_rows(3, scaled)
+    want = dijkstra_rows(metric._adjacency(3, scaled))
+    assert [[x * 6 for x in row] for row in path_metric(3, edges)] == want
 
 
 def test_disconnected_and_tiny_weighted_graphs_keep_their_messages():
