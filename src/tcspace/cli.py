@@ -50,7 +50,7 @@ from .obstruction import (
 from .oracle import oracle_tc_norm
 from .rational import frac_str
 from .randgen import random_metric_space, random_problem
-from .transport import cycle_basis, maximal_roadmap, tc_norm
+from .transport import _optimum, cycle_basis, maximal_roadmap, tc_norm
 from .vectors import TransportationProblem
 
 
@@ -176,12 +176,12 @@ def _cmd_basis(args) -> int:
 def _cmd_dual(args) -> int:
     graph = _load_graph(args.space)
     f = TransportationProblem.from_json_obj(graph, _load_json(args.problem))
-    _, p = tc_norm(f)  # one solve serves both the potential and --unique
-    s = _least_supporting(p)
+    _, _, flow, pot = _optimum(f)  # one solve serves the potential and --unique
+    s = _least_supporting(graph, flow, pot)
     out = s.to_json_obj()
     out["value"] = frac_str(evaluate(s, f))
     if args.unique:
-        unique, witness = _uniqueness(p, s)
+        unique, witness = _uniqueness(graph, flow, pot, s)
         out["unique"] = unique
         if witness is not None:
             out["witness"] = witness.to_json_obj()

@@ -5,8 +5,10 @@ the base point whose pairing with f attains the TC norm.  A plan is optimal
 iff it is tight for some such potential.  By complementary slackness the
 supporting functions are the l with -l a potential of the residual digraph
 of an optimal roadmap: between the least, l(v) = -dist(base -> v), and the
-greatest, l(v) = dist(v -> base).  They coincide iff the maximal-support
-graph of f is connected, the paper's uniqueness criterion.
+greatest, l(v) = dist(v -> base), read off the solver's certified flow and
+potentials by one Dijkstra each (transport.residual_distances).  They
+coincide iff the maximal-support graph of f is connected, the paper's
+uniqueness criterion.
 
 Downhill graphs (all edges where a 1-Lipschitz function drops at full
 metric speed, directed downward) are characterized by difference
@@ -22,8 +24,8 @@ from fractions import Fraction
 from .errors import InvalidInput, NotLipschitz, NotRealizable, NullProblem, PreconditionFailed
 from .graph import CanonicalGraph, DirectedSubgraph, connected_components
 from .rational import ZERO, frac_str, to_fraction
-from .transport import (Roadmap, TransportationPlan, bellman_ford, residual_distances,
-                        tc_norm, zero_cost_cycles)
+from .transport import (TransportationPlan, _optimum, bellman_ford, residual_distances,
+                        zero_cost_cycles)
 from .vectors import TransportationProblem
 
 
@@ -98,15 +100,15 @@ def supporting_function(f: TransportationProblem) -> LipschitzFunction:
     Returns the zero function for f = 0 (every feasible function pairs to
     zero with it).
     """
-    return _least_supporting(tc_norm(f)[1])
+    return _least_supporting(f.graph, *_optimum(f)[2:])
 
 
-def _least_supporting(p: Roadmap) -> LipschitzFunction:
-    """supporting_function of the problem that p, an optimal roadmap, solves
-    (p has empty support exactly when that problem is zero)."""
-    if not p.support():
-        return LipschitzFunction.zero(p.graph)
-    return LipschitzFunction(p.graph, tuple(-x for x in residual_distances(p)))
+def _least_supporting(graph: CanonicalGraph, flow: list[int], pot: list[int]) -> LipschitzFunction:
+    """supporting_function of the problem that flow, optimal and certified
+    by pot (as _optimum's are), solves; flow is zero iff that problem is."""
+    if not any(flow):
+        return LipschitzFunction.zero(graph)
+    return LipschitzFunction(graph, tuple(-x for x in residual_distances(graph, flow, pot)))
 
 
 def is_potential(plan: TransportationPlan, l: LipschitzFunction) -> bool:
@@ -139,21 +141,22 @@ def is_unique_supporting(f: TransportationProblem) -> tuple[bool, LipschitzFunct
     l(v) = dist(v -> base) in the residual digraph, which differs from the
     least (supporting_function) exactly when the support is disconnected.
     """
-    p = tc_norm(f)[1]
-    return _uniqueness(p, _least_supporting(p))
+    _, _, flow, pot = _optimum(f)
+    return _uniqueness(f.graph, flow, pot, _least_supporting(f.graph, flow, pot))
 
 
-def _uniqueness(p: Roadmap, least: LipschitzFunction) -> tuple[bool, LipschitzFunction | None]:
-    """is_unique_supporting of the problem that p, an optimal roadmap, solves
-    (empty support exactly when that problem is zero); least is _least_supporting(p)."""
-    if not p.support():
+def _uniqueness(graph: CanonicalGraph, flow: list[int], pot: list[int],
+                least: LipschitzFunction) -> tuple[bool, LipschitzFunction | None]:
+    """is_unique_supporting of the problem that flow, certified by pot,
+    solves (as in _least_supporting); least is _least_supporting's."""
+    if not any(flow):
         raise NullProblem("uniqueness undefined for the zero problem")
-    graph = p.graph
-    edges = p.support() | zero_cost_cycles(p, [-x for x in least.values]).keys()
+    edges = {e for e, x in enumerate(flow) if x} | zero_cost_cycles(graph, flow, pot).keys()
     comp = connected_components(
         graph.n, ((graph.edges[i].tail, graph.edges[i].head) for i in edges))
     connected = len(set(comp)) == 1
-    greatest = LipschitzFunction(graph, tuple(residual_distances(p, reverse=True)))
+    reverse = residual_distances(graph, [-x for x in flow], [-x for x in pot])
+    greatest = LipschitzFunction(graph, tuple(reverse))
     assert (least.values == greatest.values) == connected
     return (True, None) if connected else (False, greatest)
 

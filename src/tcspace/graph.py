@@ -247,22 +247,19 @@ class DirectedSubgraph:
         return frozenset(self.graph.edge_index(u, v) for u, v in self.arcs)
 
     def is_acyclic(self) -> bool:
-        order: dict[int, list[int]] = {}
+        """Kahn's peeling, without recursion: acyclic iff it removes every arc."""
+        out: dict[int, list[int]] = {}
+        indegree: dict[int, int] = {}
         for u, v in self.arcs:
-            order.setdefault(u, []).append(v)
-        state: dict[int, int] = {}
-
-        def visit(x) -> bool:
-            state[x] = 1
-            for y in order.get(x, ()):
-                if state.get(y) == 1:
-                    return False
-                if state.get(y) is None and not visit(y):
-                    return False
-            state[x] = 2
-            return True
-
-        return all(visit(v) for v in list(order) if state.get(v) is None)
+            out.setdefault(u, []).append(v)
+            indegree[v] = indegree.get(v, 0) + 1
+        free = [u for u in out if u not in indegree]
+        while free:
+            for v in out.get(free.pop(), ()):
+                indegree[v] -= 1
+                if not indegree[v]:
+                    free.append(v)
+        return not any(indegree.values())
 
     def to_json_obj(self) -> dict:
         pts = self.graph.space.points

@@ -14,12 +14,13 @@ the Fractions of the result are built.
 roadmap given by the user: a roadmap is optimal iff its residual digraph
 has no negative cycle.  One integer Bellman-Ford (`bellman_ford`) on the
 residual digraph, its costs scaled by the lcm of the weight denominators,
-finds such a cycle or the residual distances.
+finds such a cycle.
 
-The optimal face is read off an optimal roadmap's residual digraph by
-complementary slackness (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9):
-its zero-cost cycles give the maximal optimal support (union of supports
-of all optimal roadmaps), and its distances the supporting potentials.
+The optimal face is read off the solver's certificate by complementary
+slackness (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9): the residual arcs
+its potentials price at 0 carry the zero-cost cycles, which give the maximal
+optimal support (union of supports of all optimal roadmaps), and one
+Dijkstra at its reduced costs the distances behind the supporting potentials.
 """
 
 from __future__ import annotations
@@ -245,58 +246,41 @@ def plan_to_roadmap(plan: TransportationPlan) -> Roadmap:
 
 
 def cycle_basis(graph: CanonicalGraph) -> CycleBasis:
-    """One fundamental cycle per non-forest edge (edges scanned in order)."""
+    """One fundamental cycle per non-forest edge (edges scanned in order):
+    the edge, then the forest path from its head back to its tail."""
     sets = UnionFind(graph.n)
     forest: list[int] = []
     rest: list[int] = []
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(graph.n)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
     for idx, e in enumerate(graph.edges):
         if sets.union(e.tail, e.head):
             forest.append(idx)
-            adj[e.tail].append((idx, e.head))
-            adj[e.head].append((idx, e.tail))
+            adj[e.tail].append((e.head, idx))
+            adj[e.head].append((e.tail, idx))
         else:
             rest.append(idx)
-
-    def forest_path(src: int, dst: int) -> list[tuple[int, int]]:
-        prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            if u == dst:
-                break
-            for eidx, v in adj[u]:
-                if v not in prev:
-                    prev[v] = (eidx, u)
-                    stack.append(v)
-        arcs = []
-        cur = dst
-        while cur != src:
-            eidx, before = prev[cur]
-            edge = graph.edges[eidx]
-            arcs.append((eidx, 1 if edge.head == cur else -1))
-            cur = before
-        arcs.reverse()
-        return arcs
-
+    pred = _tight_tree(adj, range(graph.n))
     cycles = []
     for idx in rest:
         e = graph.edges[idx]
-        arcs = [(idx, 1)] + forest_path(e.head, e.tail)
-        cycles.append(OrientedCycle(graph, tuple(arcs)))
+        _, to_head = tree_path(graph, pred, e.head)
+        _, to_tail = tree_path(graph, pred, e.tail)
+        k = 0  # the two root paths share their first k arcs
+        while k < min(len(to_head), len(to_tail)) and to_head[k] == to_tail[k]:
+            k += 1
+        back = [(x, -s) for x, s in reversed(to_head[k:])]
+        cycles.append(OrientedCycle(graph, ((idx, 1), *back, *to_tail[k:])))
     return CycleBasis(graph, tuple(cycles), frozenset(forest))
 
 
 # --- improving cycles ---------------------------------------------------------
 
-def _residual_digraph(p: Roadmap, reverse: bool = False) -> tuple[int, list]:
+def _residual_digraph(p: Roadmap) -> tuple[int, list]:
     """(D, p's residual digraph): _reduced_adjacency at zero potentials, arcs
     (v, cost times D, edge) that cost -weight against p's flow on an edge
-    and +weight otherwise.  Only the sign of each edge value matters, and
-    the transposed digraph (reverse) is that of -p."""
+    and +weight otherwise.  Only the sign of each edge value matters."""
     denom, adj = p.graph.scaled_adjacency
-    flip = -1 if reverse else 1
-    signs = [flip * p.induced_sign(e) for e in range(p.graph.m)]
+    signs = [p.induced_sign(e) for e in range(p.graph.m)]
     return denom, _reduced_adjacency(adj, signs, [0] * p.graph.n)
 
 
@@ -481,65 +465,81 @@ def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
     M, is certified optimal in integers before any Fraction of the result
     is built.
     """
+    return _optimum(f)[:2]
+
+
+def _optimum(f: TransportationProblem) -> tuple[Fraction, Roadmap, list[int], list[int]]:
+    """tc_norm's (norm, roadmap) with _solve's certified integer flow and
+    potentials, from which the optimal face is read (all zero for f = 0)."""
     graph = f.graph
     if f.is_zero():
-        return ZERO, Roadmap.zero(graph)
-    flow, _, denom, scale = _solve(f)
+        return ZERO, Roadmap.zero(graph), [0] * graph.m, [0] * graph.n
+    flow, pot, denom, scale = _solve(f)
     _, adj = graph.scaled_adjacency
     total = sum(abs(flow[e]) * w for u, arcs in enumerate(adj) for v, w, e in arcs if u < v)
     cost = Fraction(total, denom * scale)
     p = Roadmap(EdgeVector(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x}))
     assert p.problem() == f
     assert cost == p.cost()
-    return cost, p
+    return cost, p, flow, pot
 
 
-# --- the optimal face, from the residual digraph ------------------------------
+# --- the optimal face, from the solver's certificate --------------------------
 
-def residual_distances(p: Roadmap, reverse: bool = False) -> list[Fraction]:
-    """Distances from the base point in p's residual digraph (to it when
-    reverse).  p must be optimal, so the digraph has no negative cycle."""
-    denom, adj = _residual_digraph(p, reverse)
-    dist, cycle = bellman_ford(adj, p.graph.space.base_point)
-    assert cycle is None, "optimal roadmaps have no negative residual cycle"
-    return [Fraction(d, denom) for d in dist]
-
-
-def zero_cost_cycles(p: Roadmap, pot: list[Fraction]) -> dict[int, OrientedCycle]:
-    """A zero-cost residual cycle through each edge outside supp(p) that
-    some optimal roadmap uses (p optimal; the others differ from it by such
-    cycles).  With no negative residual cycle these are the cycles of arcs
-    tight under pot = residual_distances(p): pot[u] + c == pot[v].
+def residual_distances(graph: CanonicalGraph, flow: list[int], pot: list[int]) -> list[Fraction]:
+    """Distances from the base point in the residual digraph of an optimal
+    flow, pot certifying it (as _solve's do).  One Dijkstra runs at the
+    reduced costs, all >= 0, and each distance is shifted back by pot.  With
+    (-flow, -pot) they are the distances to the base point: the transposed
+    digraph is that of -flow, and -pot leaves its arcs the same reduced costs.
     """
-    graph = p.graph
-    denom, adj = _residual_digraph(p)
-    scaled = [x.numerator * (denom // x.denominator) for x in pot]
-    tight = [[(v, e) for v, c, e in arcs if scaled[u] + c == scaled[v]]
-             for u, arcs in enumerate(adj)]
+    denom, adj = graph.scaled_adjacency
+    base = graph.space.base_point
+    dist, _ = _dijkstra(adj, [base], flow=flow, pot=pot)
+    return [Fraction(d - pot[base] + x, denom) for d, x in zip(dist, pot)]
+
+
+def zero_cost_cycles(graph: CanonicalGraph, flow: list[int],
+                     pot: list[int]) -> dict[int, OrientedCycle]:
+    """A zero-cost residual cycle through each edge without flow that some
+    optimal flow uses (flow optimal, pot certifying it; the other optima
+    differ from it by such cycles).  Each arc of a zero-cost cycle has
+    reduced cost 0 under every such pot, so the breadth-first tree paths
+    along the arcs pot prices at 0 that close the cycles do not depend on pot.
+    """
+    _, adj = graph.scaled_adjacency
+    tight = [[(v, e) for v, c, e in arcs if c == 0]
+             for arcs in _reduced_adjacency(adj, flow, pot)]
     trees: dict[int, list] = {}
     cycles: dict[int, OrientedCycle] = {}
     for u in range(graph.n):
         for v, e in tight[u]:
-            if p.vec[e] != 0:
+            if flow[e]:
                 continue
             if v not in trees:
-                trees[v] = _tight_tree(tight, v)
+                trees[v] = _tight_tree(tight, [v])
             root, path = tree_path(graph, trees[v], u)
             if root == v:
                 cycles[e] = OrientedCycle(graph, ((e, 1 if u < v else -1), *path))
     return cycles
 
 
-def _tight_tree(tight, root: int) -> list[int | None]:
-    """Breadth-first predecessor edges along tight arcs from root."""
+def _tight_tree(tight, roots) -> list[int | None]:
+    """Breadth-first predecessor edges along (v, edge) arcs (tight ones, or
+    a forest's), from each root in turn that no earlier search reached."""
     pred: list[int | None] = [None] * len(tight)
-    queue, seen = [root], {root}
-    for x in queue:
-        for y, e in tight[x]:
-            if y not in seen:
-                seen.add(y)
-                pred[y] = e
-                queue.append(y)
+    seen = [False] * len(tight)
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for x in queue:
+            for y, e in tight[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    pred[y] = e
+                    queue.append(y)
     return pred
 
 
@@ -551,9 +551,9 @@ def maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int,
     """
     if f.is_zero():
         return frozenset(), {}
-    _, p = tc_norm(f)
+    _, p, flow, pot = _optimum(f)
     signs = {e: p.induced_sign(e) for e in p.support()}
-    cycles = zero_cost_cycles(p, residual_distances(p))
+    cycles = zero_cost_cycles(f.graph, flow, pot)
     signs.update((e, cyc.arcs[0][1]) for e, cyc in cycles.items())
     return frozenset(signs), signs
 
@@ -567,8 +567,8 @@ def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     """
     if f.is_zero():
         return Roadmap.zero(f.graph)
-    tc, p = tc_norm(f)
-    cycles = zero_cost_cycles(p, residual_distances(p))
+    tc, p, flow, pot = _optimum(f)
+    cycles = zero_cost_cycles(f.graph, flow, pot)
     eps = min(abs(x) for x in p.vec.values.values()) / (len(cycles) + 1)
     acc = p.vec
     for cyc in cycles.values():

@@ -399,9 +399,9 @@ def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_pat
     runs, searches = [], []
     dijkstra, bellman_ford = transport._dijkstra, transport.bellman_ford
     monkeypatch.setattr(transport, "_dijkstra",
-                        lambda *a: runs.append(a) or dijkstra(*a))
+                        lambda *a, **k: runs.append(a) or dijkstra(*a, **k))
     monkeypatch.setattr(transport, "bellman_ford",
-                        lambda *a: searches.append(a) or bellman_ford(*a))
+                        lambda *a, **k: searches.append(a) or bellman_ford(*a, **k))
     problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c2": "-1"}})
     counts = []
     for command in ("norm", "roadmap", "dual --unique"):
@@ -413,18 +413,18 @@ def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_pat
         counts.append((len(runs), len(searches)))
     assert counts[0] == counts[1] and counts[0][0] > 0
     assert counts[0][1] == 0
+    assert counts[2][1] == 0
 
 
 def test_dual_unique_solves_once(capsys, monkeypatch, c4, tmp_path):
     calls = []
-    solve = transport.tc_norm
+    solve = transport._solve
 
     def counting(f):
         calls.append(f)
         return solve(f)
 
-    for module in (cli, duality, transport):
-        monkeypatch.setattr(module, "tc_norm", counting)
+    monkeypatch.setattr(transport, "_solve", counting)
     problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c1": "-1"}})
     code, out, _ = _run(capsys, ["dual", "--space", c4, "--problem", problem, "--unique"])
     assert code == 0
@@ -578,29 +578,48 @@ def test_malformed_point_lists_are_still_invalid_input(capsys, tmp_path, obj):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
-def test_dual_runs_one_bellman_ford_per_direction(capsys, monkeypatch, c4, tmp_path):
-    """The forward residual distances of the optimal roadmap are computed
-    once and shared by the least potential and the uniqueness test."""
-    runs, directions = [], []
+def test_dual_runs_one_dijkstra_per_direction(capsys, monkeypatch, c4, tmp_path):
+    """The residual distances of the optimal flow are one Dijkstra per
+    direction on the solver's certificate: forward at (flow, pot), computed
+    once and shared by the least potential and the uniqueness test, and
+    reverse at (-flow, -pot).  No command of the optimal face runs a
+    Bellman-Ford."""
+    solves, runs, searches, directions = [], [], [], []
+    solve, dijkstra = transport._solve, transport._dijkstra
     bellman_ford, residual = transport.bellman_ford, transport.residual_distances
 
-    def counting_residual(p, reverse=False):
-        directions.append(reverse)
-        return residual(p, reverse)
+    def counting_residual(graph, flow, pot):
+        solved_flow, solved_pot, _, _ = solves[-1]
+        if (flow, pot) == (solved_flow, solved_pot):
+            directions.append("forward")
+        elif (flow, pot) == ([-x for x in solved_flow], [-x for x in solved_pot]):
+            directions.append("reverse")
+        else:
+            directions.append(None)
+        return residual(graph, flow, pot)
 
-    monkeypatch.setattr(transport, "bellman_ford",
-                        lambda *a: runs.append(a) or bellman_ford(*a))
+    monkeypatch.setattr(transport, "_solve", lambda f: solves.append(solve(f)) or solves[-1])
+    monkeypatch.setattr(transport, "_dijkstra",
+                        lambda *a, **k: runs.append(a) or dijkstra(*a, **k))
+    for module in (transport, duality):
+        monkeypatch.setattr(module, "bellman_ford",
+                            lambda *a, **k: searches.append(a) or bellman_ford(*a, **k))
     monkeypatch.setattr(transport, "residual_distances", counting_residual)
     monkeypatch.setattr(duality, "residual_distances", counting_residual)
     problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c1": "-1"}})
-    expected = {(): ([False], 1), ("--unique",): ([False, True], 2)}
-    for flags, (want_directions, want_runs) in expected.items():
+    code, _, _ = _run(capsys, ["norm", "--space", c4, "--problem", problem])
+    assert code == 0 and not searches
+    solver_runs = len(runs)
+    expected = {("dual",): ["forward"], ("dual", "--unique"): ["forward", "reverse"],
+                ("roadmap", "--maximal"): []}
+    for (name, *flags), want_directions in expected.items():
         runs.clear()
         directions.clear()
-        code, _, _ = _run(capsys, ["dual", "--space", c4, "--problem", problem, *flags])
+        code, _, _ = _run(capsys, [name, "--space", c4, "--problem", problem, *flags])
         assert code == 0
         assert sorted(directions) == want_directions
-        assert len(runs) == want_runs
+        assert len(runs) == solver_runs + len(want_directions)
+        assert not searches
 
 
 def test_the_parser_is_built_once(capsys, monkeypatch, path3):

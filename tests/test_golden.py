@@ -3,12 +3,13 @@
 golden_solver.json holds, per instance below, the augmentations `tc_norm`
 performs (in order: the shortest path as (edge, sign) arcs and the amount
 pushed, in units of 1/M, M the lcm of the mass denominators) and the stdout
-of `norm`, `roadmap`, `roadmap --maximal` and `dual --unique`, recorded with
-the successive-shortest-path solver.  The augmentations are kept because
-where the optimum is unique the final roadmap alone would not show a
-different sequence of paths.  The `norm` and `dual --unique` stdouts are
-those of the earlier cycle-cancelling solver too; its `roadmap` outputs
-differed on seeds 1, 3 and 4, whose optima are not unique.  Re-record with
+of `norm`, `roadmap`, `roadmap --maximal`, `dual --unique` and `basis` (the
+space's cycle basis), recorded with the successive-shortest-path solver.
+The augmentations are kept because where the optimum is unique the final
+roadmap alone would not show a different sequence of paths.  The `norm` and
+`dual --unique` stdouts are those of the earlier cycle-cancelling solver
+too; its `roadmap` outputs differed on seeds 1, 3 and 4, whose optima are
+not unique.  Re-record with
 `PYTHONPATH=src python tests/test_golden.py` only when a change of either is
 intended.
 """
@@ -27,7 +28,7 @@ from tcspace.randgen import random_metric_space, random_problem
 
 GOLDEN = Path(__file__).with_name("golden_solver.json")
 INSTANCES = ((1, 12), (2, 12), (3, 24), (4, 24), (5, 32), (6, 32))  # (seed, points)
-COMMANDS = ("norm", "roadmap", "roadmap --maximal", "dual --unique")
+COMMANDS = ("norm", "roadmap", "roadmap --maximal", "dual --unique", "basis")
 
 
 def _record(directory: Path, seed: int, points: int, monkeypatch) -> dict:
@@ -48,9 +49,11 @@ def _record(directory: Path, seed: int, points: int, monkeypatch) -> dict:
 
     def run(command: str) -> str:
         name, *flags = command.split()
+        if name != "basis":
+            flags += ["--problem", str(pr)]
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = main([name, "--space", str(sp), "--problem", str(pr), *flags])
+            code = main([name, "--space", str(sp), *flags])
         assert code == 0
         return buf.getvalue()
 

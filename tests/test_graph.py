@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -130,6 +131,27 @@ def test_directed_subgraph_validation():
     sub = DirectedSubgraph(graph, ((0, 1), (1, 2)))
     assert sub.is_acyclic()
     assert len(sub) == 2
+
+
+def test_is_acyclic_does_not_recurse_along_a_long_path():
+    """A directed path of 200 arcs, and the directed 201-cycle that closes
+    it, under a recursion limit 100 frames above the caller's depth: one
+    frame per arc would exceed it."""
+    n = 201
+    graph = canonical_graph(space_from_weighted_graph(
+        [f"p{i}" for i in range(n)], [(f"p{i}", f"p{(i + 1) % n}", "1") for i in range(n)]))
+    path = DirectedSubgraph(graph, tuple((i, i + 1) for i in range(n - 1)))
+    around = DirectedSubgraph(graph, (*path.arcs, (n - 1, 0)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        verdicts = path.is_acyclic(), around.is_acyclic()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == (True, False)
 
 
 def test_directed_subgraph_json_round_trip():

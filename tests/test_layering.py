@@ -83,10 +83,34 @@ def test_the_solver_has_no_dijkstra_of_its_own():
     assert _definers(lambda name: name == "_reduced_adjacency") == {"metric.py"}
 
 
+def _callers(name: str) -> set[str]:
+    """The functions (innermost enclosing def, or <module>) of every source
+    file that call name, as a bare name or an attribute."""
+    out = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                out.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for p in SRC.glob("*.py"):
+        visit(ast.parse(p.read_text(encoding="utf-8")), "<module>")
+    return out
+
+
 def test_one_bellman_ford():
     assert _definers(lambda name: name == "bellman_ford") == {"transport.py"}
     assert _definers(lambda name: name in {"_min_mean", "_potentials", "_extract_cycle"}) == set()
     assert "transport.py" not in _files_importing("numpy")
+    # Only where a negative cycle can exist: a user's roadmap, and a
+    # difference-constraint system.  The optimal face reads the solver's
+    # certificate with Dijkstra.
+    assert _callers("bellman_ford") == {"improving_cycle", "realizable_as_downhill"}
 
 
 def _names_used(path: Path) -> set[str]:

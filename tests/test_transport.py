@@ -451,6 +451,95 @@ def test_directed_graph_of_zero_raises():
         directed_graph_of(TransportationProblem.zero(c4_graph()))
 
 
+def _face_cases():
+    """(name, problem): every CORPUS problem, then one random problem on
+    each of 60 random spaces of 3 to 16 points."""
+    for inst in CORPUS:
+        for i, f in enumerate(inst.problems):
+            yield f"{inst.name}/{i}", f
+    rng = random.Random(1414)
+    for seed in range(60):
+        graph = canonical_graph(random_metric_space(random.Random(seed), 3 + seed % 14))
+        yield f"random-{graph.n}/{seed}", random_problem(rng, graph, nonzero=True)
+
+
+def _bellman_ford_distances(p):
+    """Reference: Bellman-Ford distances from the base point in p's
+    residual digraph, and in that of -p (its transpose: distances to the
+    base point), as Fractions."""
+    from tcspace.transport import _residual_digraph, bellman_ford
+
+    out = []
+    for q in (p, Roadmap(p.vec.scale(-1))):
+        denom, adj = _residual_digraph(q)
+        dist, cycle = bellman_ford(adj, p.graph.space.base_point)
+        assert cycle is None
+        out.append([Fraction(d, denom) for d in dist])
+    return out
+
+
+def _bellman_ford_zero_cost_cycles(p):
+    """Reference: the cycles of the arcs tight under the Bellman-Ford
+    distances from the base point, dist[u] + c == dist[v], built by the
+    same breadth-first trees."""
+    from tcspace.graph import tree_path
+    from tcspace.transport import OrientedCycle, _residual_digraph, _tight_tree, bellman_ford
+
+    graph = p.graph
+    _, adj = _residual_digraph(p)
+    dist, _ = bellman_ford(adj, graph.space.base_point)
+    tight = [[(v, e) for v, c, e in arcs if dist[u] + c == dist[v]]
+             for u, arcs in enumerate(adj)]
+    cycles = {}
+    for u in range(graph.n):
+        for v, e in tight[u]:
+            if p.vec[e] != 0:
+                continue
+            root, path = tree_path(graph, _tight_tree(tight, [v]), u)
+            if root == v:
+                cycles[e] = OrientedCycle(graph, ((e, 1 if u < v else -1), *path))
+    return cycles
+
+
+def test_the_optimal_face_from_the_certificate_matches_bellman_ford():
+    """The solver's (flow, pot) gives, by one Dijkstra per direction, the
+    Bellman-Ford residual distances from and to the base point, and by the
+    arcs pot prices at 0 the same zero-cost cycles as the arcs tight under
+    those distances; on connected and disconnected maximal supports."""
+    from tcspace.graph import connected_components
+    from tcspace.transport import _optimum, residual_distances, zero_cost_cycles
+
+    disconnected = connected = cycles_seen = 0
+    for name, f in _face_cases():
+        graph = f.graph
+        _, p, flow, pot = _optimum(f)
+        forward, backward = _bellman_ford_distances(p)
+        assert residual_distances(graph, flow, pot) == forward, name
+        negated = [-x for x in flow], [-x for x in pot]
+        assert residual_distances(graph, *negated) == backward, name
+        cycles = zero_cost_cycles(graph, flow, pot)
+        assert cycles == _bellman_ford_zero_cost_cycles(p), name
+        cycles_seen += len(cycles)
+        edges = p.support() | cycles.keys()
+        comp = connected_components(
+            graph.n, ((graph.edges[i].tail, graph.edges[i].head) for i in edges))
+        disconnected += len(set(comp)) > 1
+        connected += len(set(comp)) == 1
+    assert disconnected > 0 and connected > 0 and cycles_seen > 0
+
+
+def test_the_maximal_support_runs_no_bellman_ford(monkeypatch):
+    runs = []
+    bellman_ford = transport.bellman_ford
+    monkeypatch.setattr(transport, "bellman_ford",
+                        lambda *a, **k: runs.append(a) or bellman_ford(*a, **k))
+    for inst in SMALL_CORPUS:
+        for f in inst.problems:
+            maximal_support(f)
+            maximal_roadmap(f)
+    assert runs == []
+
+
 def test_sign_consistency_across_solvers(small_corpus):
     for inst in small_corpus:
         f = inst.problems[-1]
