@@ -9,12 +9,11 @@ levels, whose vertex sets embed isometrically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInput, NotNormalized
-from .graph import connected_components
-from .metric import MetricSpace, _path_rows, space_from_weighted_graph
+from .metric import MetricSpace, space_from_weighted_graph
 from .rational import ONE, to_fraction
 
 
@@ -49,6 +48,8 @@ class FamilyDescriptor:
         gens = obj.get("generations")
         if gens is not None:
             try:
+                if any(isinstance(v, (bool, float)) for v in gens.values()):
+                    raise TypeError  # int() would truncate 1.5, or read true as 1
                 gens = {str(k): int(v) for k, v in gens.items()}
             except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidInput(
@@ -61,44 +62,27 @@ class FamilyDescriptor:
 
 @dataclass(frozen=True)
 class TwoPortGraph:
-    """Weighted directed graph with distinguished top and bottom vertices."""
+    """Weighted directed graph with distinguished top and bottom vertices.
+
+    `space` is the path metric of the underlying undirected graph
+    (directions dropped), built and validated once, when the graph is made."""
 
     points: tuple[str, ...]
     edges: tuple[tuple[str, str, Fraction], ...]
     top: str
     bottom: str
+    space: MetricSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = set(self.points)
-        if len(names) != len(self.points):
-            raise InvalidInput("vertex names must be distinct")
-        if self.top not in names or self.bottom not in names:
+        if self.top not in self.points or self.bottom not in self.points:
             raise InvalidInput("top and bottom must be vertices")
         if self.top == self.bottom:
             raise InvalidInput("top and bottom must differ")
-        seen = set()
-        for u, v, w in self.edges:
-            if u not in names or v not in names:
-                raise InvalidInput(f"edge ({u},{v}) uses an unknown vertex")
-            key = frozenset((u, v))
-            if key in seen:
-                raise InvalidInput(f"duplicate edge {{{u},{v}}}")
-            seen.add(key)
-            if to_fraction(w) <= 0:
-                raise InvalidInput("edge weights must be positive")
-        labels = connected_components(
-            len(self.points), ((u, v) for u, v, _ in self._index_edges()))
-        if any(labels):
-            raise InvalidInput("two-port graph must be connected")
-
-    def _index_edges(self):
-        index = {p: i for i, p in enumerate(self.points)}
-        return [(index[u], index[v], to_fraction(w)) for u, v, w in self.edges]
+        object.__setattr__(self, "space", space_from_weighted_graph(self.points, self.edges))
 
     def top_bottom_distance(self) -> Fraction:
-        mat, denom = _path_rows(len(self.points), self._index_edges())
-        return Fraction(int(mat[self.points.index(self.bottom), self.points.index(self.top)]),
-                        denom)
+        b, t = map(self.space.index_of, (self.bottom, self.top))
+        return Fraction(int(self.space.scaled[b, t]), self.space.denom)
 
     def max_degree(self) -> int:
         deg: dict[str, int] = {p: 0 for p in self.points}
@@ -116,8 +100,8 @@ class TwoPortGraph:
             self.top, self.bottom)
 
     def as_metric_space(self, base: str | None = None) -> MetricSpace:
-        """Path metric of the underlying undirected graph (directions dropped)."""
-        return space_from_weighted_graph(self.points, self.edges, base=base)
+        """`space`, based at `base` when one is named."""
+        return self.space if base is None else self.space.with_base(base)
 
 
 def compose(H: TwoPortGraph, G: TwoPortGraph, tag: str = "e") -> TwoPortGraph:

@@ -172,11 +172,12 @@ def shortest_path_tree(graph: CanonicalGraph, source: int):
 
     Deterministic: among equal-length paths the predecessor with the smaller
     vertex index wins, so every (source, target) pair has one fixed path.
-    Runs on the weights scaled to integers (graph.scaled_adjacency), which
-    keeps the ties, and returns Fraction distances.
+    Runs on the weights scaled to integers (graph.scaled_adjacency), at zero
+    flow and zero potentials, which keeps the ties, and returns Fraction
+    distances.
     """
     denom, adj = graph.scaled_adjacency
-    dist, pred_edge = _dijkstra(adj, [source])
+    dist, pred_edge = _dijkstra(adj, [source], (), [0] * graph.m, [0] * graph.n)
     return [None if d is None else Fraction(d, denom) for d in dist], pred_edge
 
 

@@ -355,21 +355,19 @@ def _reduced_adjacency(adj, flow: list[int], pot: list[int]):
             for u, (arcs, pu) in enumerate(zip(adj, pot))]
 
 
-def _dijkstra(adj, sources, stop=frozenset(), flow=None, pot=None
+def _dijkstra(adj, sources, stop, flow: list[int], pot: list[int]
               ) -> tuple[list[int | None], list[int | None]]:
-    """Integer Dijkstra over _adjacency arcs (weights >= 0) from one or more
-    sources, all at distance 0: (distances, predecessor edge indices), None
-    at vertices not settled.
+    """Integer Dijkstra from one or more sources, all at distance 0, over the
+    arcs of _reduced_adjacency(adj, flow, pot), each priced by its rule as it
+    is relaxed (those costs must be >= 0): (distances, predecessor edge
+    indices), None at vertices not settled.  The arcs, their order and the
+    tie-break are the same, so the result equals that on the rebuilt
+    digraph; only arcs to unsettled vertices are priced.  Zero flow and zero
+    potentials price each arc at its weight.
 
-    With flow and pot the arcs are those of _reduced_adjacency(adj, flow,
-    pot), each priced by its rule as it is relaxed; those costs must be
-    >= 0.  The arcs, their order and the tie-break are the same, so the
-    result equals that on the rebuilt digraph; only arcs to unsettled
-    vertices are priced.
-
-    With a stop set the search ends as soon as one of its vertices is
-    settled, before that vertex's arcs are relaxed, so exactly one vertex of
-    stop has a distance.  Without one every reachable vertex is settled.
+    The search ends as soon as a vertex of stop is settled, before that
+    vertex's arcs are relaxed, so exactly one vertex of stop has a distance.
+    With an empty stop every reachable vertex is settled.
 
     Deterministic: among equal-length paths the predecessor with the smaller
     vertex index wins, so every (source, target) pair has one fixed path.
@@ -395,14 +393,11 @@ def _dijkstra(adj, sources, stop=frozenset(), flow=None, pot=None
                 if not done[v]:
                     dist[v] = pred_edge[v] = None
             break
-        du = d if pot is None else d + pot[u]
+        du = d + pot[u]
         for v, w, eidx in adj[u]:
             if done[v]:
                 continue
-            if pot is None:
-                nd = du + w
-            else:
-                nd = du - pot[v] + (-w if flow[eidx] * (v - u) < 0 else w)
+            nd = du - pot[v] + (-w if flow[eidx] * (v - u) < 0 else w)
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 pred_vertex[v] = u

@@ -17,11 +17,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NullProblem, PeelNotApplicable, PreconditionFailed
+from .errors import NullProblem, OversizedResult, PeelNotApplicable, PreconditionFailed
 from .graph import CanonicalGraph, canonical_graph
-from .rational import ONE, ZERO
+from .rational import MAX_DIGITS, ONE, ZERO
 from .transport import Roadmap, maximal_support, tc_norm
 from .vectors import TransportationProblem
+
+# 2^b has at most MAX_DIGITS digits, so prints, iff b < this bit length.
+_PRINTABLE_BITS = (10**MAX_DIGITS).bit_length()
 
 RULED_OUT = "ruled_out"
 INCONCLUSIVE = "inconclusive"
@@ -232,10 +235,17 @@ def certify_no_linfty(graph: CanonicalGraph, k: int, peel: bool = False,
     With peeling (recursive families only, identified by the generation
     metadata of a FamilyDescriptor): repeatedly restrict to the previous
     generation while every high-degree vertex lies there, ruling out when
-    some level's maximum degree drops below the threshold.
+    some level's maximum degree drops below the threshold.  On n points the
+    generations must lie between 0 and n - 1; a level that removes no point
+    is visited without rebuilding the graph.
+
+    A k whose threshold has more than MAX_DIGITS digits raises
+    OversizedResult: the certificate could not print it.
     """
     if k < 3:
         raise PreconditionFailed("degree certificates need k >= 3")
+    if k - 2 >= _PRINTABLE_BITS:  # decided before the power is built
+        raise OversizedResult(f"threshold 2^{k - 2} has more than {MAX_DIGITS} digits")
     threshold = 2 ** (k - 2)
     if not peel:
         md = graph.max_degree()
@@ -253,9 +263,12 @@ def certify_no_linfty(graph: CanonicalGraph, k: int, peel: bool = False,
         raise PeelNotApplicable("descriptor does not match the graph's points")
 
     level = max(gens.values())
+    if min(gens.values()) < 0 or level >= len(names):
+        # Each level adds a point, so n points hold at most n - 1 levels.
+        raise PeelNotApplicable(
+            f"descriptor generations must lie between 0 and {len(names) - 1}")
     current = graph
-    space = graph.space
-    gen_of = [gens[name] for name in space.points]
+    gen_of = [gens[name] for name in names]
     visited: list[str] = []
     while True:
         label = family.level_label(level)
@@ -275,8 +288,8 @@ def certify_no_linfty(graph: CanonicalGraph, k: int, peel: bool = False,
                 INCONCLUSIVE, k, threshold, md, tuple(visited),
                 f"generation-{level} vertex {name} has degree "
                 f"{current.degree(blockers[0])} >= {threshold}")
-        keep = [v for v in range(current.n) if gen_of[v] < level]
-        space = current.space.restrict(keep)
-        gen_of = [gen_of[v] for v in keep]
-        current = canonical_graph(space)
+        if newest:  # a level that removes no point leaves the graph as it is
+            keep = [v for v in range(current.n) if gen_of[v] < level]
+            gen_of = [gen_of[v] for v in keep]
+            current = canonical_graph(current.space.restrict(keep))
         level -= 1

@@ -17,10 +17,11 @@ from .errors import InvalidInput, OversizedResult
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Python's default int/str digit limit (sys.int_info.default_max_str_digits):
-# a literal such as "1e10000000" would make Fraction build a number of ten
-# million digits before anything could reject it.
-_MAX_EXPONENT = 4300
+# Python's default int/str digit limit (sys.int_info.default_max_str_digits),
+# also the largest decimal exponent a literal may have: "1e10000000" would
+# make Fraction build a number of ten million digits before anything could
+# reject it.
+MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
@@ -45,8 +46,8 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
         digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
-        if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
-            raise InvalidInput(f"exponent of {value[:40]!r} exceeds {_MAX_EXPONENT} in magnitude")
+        if len(digits) > 4 or int(digits or 0) > MAX_DIGITS:
+            raise InvalidInput(f"exponent of {value[:40]!r} exceeds {MAX_DIGITS} in magnitude")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

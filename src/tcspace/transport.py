@@ -495,7 +495,7 @@ def residual_distances(graph: CanonicalGraph, flow: list[int], pot: list[int]) -
     """
     denom, adj = graph.scaled_adjacency
     base = graph.space.base_point
-    dist, _ = _dijkstra(adj, [base], flow=flow, pot=pot)
+    dist, _ = _dijkstra(adj, [base], (), flow, pot)
     return [Fraction(d - pot[base] + x, denom) for d, x in zip(dist, pot)]
 
 

@@ -108,8 +108,10 @@ def c4_graph() -> CanonicalGraph:
 
 def dijkstra_rows(adj):
     """All-pairs distances over metric._adjacency arcs, one _dijkstra per
-    source (None: unreachable): the reference for path metrics."""
-    return [_dijkstra(adj, [s])[0] for s in range(len(adj))]
+    source at zero flow and potentials (None: unreachable): the reference for
+    path metrics."""
+    flow, pot = [0] * sum(map(len, adj)), [0] * len(adj)  # an edge index < its arc count
+    return [_dijkstra(adj, [s], (), flow, pot)[0] for s in range(len(adj))]
 
 
 # --- bounded search for sign-vector bases -------------------------------------

@@ -200,6 +200,61 @@ def test_peeling_down_to_a_single_point(capsys, tmp_path):
         assert obj["degrees"] == {"max": 0}
 
 
+@pytest.fixture()
+def star4(tmp_path):
+    """The star with centre a and leaves b, c, d at distance 1: centre degree 3."""
+    names = ["a", "b", "c", "d"]
+    return _write(tmp_path / "star4.json", {
+        "points": names,
+        "dist": [[0 if u == v else 1 if "a" in (u, v) else 2 for v in names] for u in names]})
+
+
+def _star_descriptor(tmp_path, generation):
+    return _write(tmp_path / "star4.desc.json", {
+        "family": "recursive", "generations": {"a": 0, "b": 0, "c": 0, "d": generation}})
+
+
+@pytest.mark.parametrize("generation,error", [
+    (10**9, "PeelNotApplicable"), (-1, "PeelNotApplicable"),
+    (1.5, "InvalidInput"), (True, "InvalidInput")],
+    ids=["1e9", "negative", "float", "boolean"])
+def test_a_generation_no_family_on_the_points_has_is_a_structured_error(
+        capsys, star4, tmp_path, generation, error):
+    """A recursive family on n points has at most n - 1 levels, each a
+    nonnegative integer: anything else fails before any level is peeled
+    (a leaf at generation 10^9 would otherwise be peeled level by level)."""
+    desc = _star_descriptor(tmp_path, generation)
+    code, out, err = _run(capsys, ["certify", "--space", star4, "--k", "3", "--peel", desc])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == error
+
+
+def test_a_generation_gap_peels_to_the_same_certificate(capsys, monkeypatch, star4, tmp_path):
+    """Levels 2 and 1 of a leaf at generation 3 remove no point: they are
+    visited, and the graph is rebuilt only for level 3."""
+    from tcspace import obstruction
+
+    built = []
+    canonical_graph = obstruction.canonical_graph
+    monkeypatch.setattr(obstruction, "canonical_graph",
+                        lambda space: built.append(space.n) or canonical_graph(space))
+    desc = _star_descriptor(tmp_path, 3)
+    code, out, err = _run(capsys, ["certify", "--space", star4, "--k", "3", "--peel", desc])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "degrees": {"max": 2}, "k": 3, "peeling": ["B_3", "B_2", "B_1", "B_0"],
+        "reason": "base level B_0 still has degree 2", "threshold": 2,
+        "verdict": "inconclusive"}
+    assert built == [3]
+
+
+def test_a_threshold_too_large_to_print_is_a_structured_error(capsys, c4):
+    """2^(k-2) past Python's 4300-digit limit is refused before it is built."""
+    code, out, err = _run(capsys, ["certify", "--space", c4, "--k", "100000"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "OversizedResult"
+
+
 def test_gen_diamond_emits_space_json(capsys):
     code, out, _ = _run(capsys, ["gen", "diamond", "--n", "2"])
     assert code == 0

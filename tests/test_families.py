@@ -14,6 +14,7 @@ from tcspace import (
     diamond,
     grid,
     k2n_two_port,
+    metric,
     quadrilateral_two_port,
     recursive_family,
     unit_edge_two_port,
@@ -109,9 +110,32 @@ def test_unweighted_families_recover_their_edges():
 def test_two_port_validation():
     with pytest.raises(InvalidInput):
         TwoPortGraph(("a",), (), top="a", bottom="a")
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="graph is not connected"):
         TwoPortGraph(("a", "b", "c"), (("a", "b", Fraction(1)),),
-                     top="a", bottom="b")  # disconnected
+                     top="a", bottom="b")
+    with pytest.raises(InvalidInput, match="self-loops"):
+        TwoPortGraph(("a", "b"), (("a", "b", Fraction(1)), ("a", "a", Fraction(1))),
+                     top="a", bottom="b")
+
+
+def test_a_two_port_graph_measures_itself_once(monkeypatch):
+    """Each TwoPortGraph made runs one Floyd-Warshall, for its space; the
+    NotNormalized checks of compose and recursive_family, and
+    as_metric_space, read that space and run none."""
+    runs, made = [], []
+    floyd_warshall, post_init = metric._floyd_warshall, TwoPortGraph.__post_init__
+    monkeypatch.setattr(metric, "_floyd_warshall",
+                        lambda *a: runs.append(a) or floyd_warshall(*a))
+    monkeypatch.setattr(TwoPortGraph, "__post_init__",
+                        lambda self: made.append(self) or post_init(self))
+    space, _ = recursive_family(k2n_two_port(3), 3)
+    assert len(runs) == len(made) == 5  # B, the unit edge, and one per level
+    runs.clear()
+    last = made[-1]
+    assert last.as_metric_space() is last.space
+    assert last.as_metric_space(base="b") == space
+    assert last.top_bottom_distance() == 1
+    assert not runs
 
 
 def test_ports_and_normalization():

@@ -215,7 +215,8 @@ def test_dijkstra_from_several_sources_with_an_early_stop():
     for n, edges, sources in cases:
         adj = _adjacency(n, edges)
         single = dijkstra_rows(adj)
-        dist, pred = _dijkstra(adj, sources)
+        flow, pot = [0] * len(edges), [0] * n
+        dist, pred = _dijkstra(adj, sources, (), flow, pot)
         assert dist == [min(single[s][v] for s in sources) for v in range(n)]
         for v in range(n):
             if v in sources:
@@ -224,7 +225,7 @@ def test_dijkstra_from_several_sources_with_an_early_stop():
             u, x, w = edges[pred[v]]
             assert dist[u if x == v else x] + w == dist[v]
         stop = set(rng.sample([v for v in range(n) if v not in sources], 1 + n // 4))
-        early, _ = _dijkstra(adj, sources, stop)
+        early, _ = _dijkstra(adj, sources, stop, flow, pot)
         (sink,) = (v for v in stop if early[v] is not None)
         assert early[sink] == min(dist[v] for v in stop)
         for v in range(n):

@@ -73,6 +73,13 @@ def _definers(matches) -> set[str]:
             if isinstance(node, ast.FunctionDef) and matches(node.name)}
 
 
+def test_a_two_port_graph_is_its_metric_space():
+    # families.py composes graphs; metric.py validates them and measures
+    # their path metrics.
+    names = {"_path_rows", "_floyd_warshall", "connected_components", "UnionFind"}
+    assert not names & _names_used(SRC / "families.py")
+
+
 def test_one_union_find():
     assert _definers(lambda name: name == "find") == {"graph.py"}
 

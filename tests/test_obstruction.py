@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -6,6 +7,7 @@ from corpus import c4_graph, integer_problem_pool, search_sign_basis
 from tcspace import (
     LinftyCandidate,
     NullProblem,
+    OversizedResult,
     PeelNotApplicable,
     PreconditionFailed,
     TransportationProblem,
@@ -193,6 +195,16 @@ def test_peel_needs_a_descriptor():
     with pytest.raises(PeelNotApplicable):
         # descriptor for a different vertex set
         certify_no_linfty(c4_graph(), 4, peel=True, family=desc)
+
+
+def test_the_largest_k_is_the_one_whose_threshold_prints():
+    """2^(k-2) has at most 4300 digits, Python's int-to-string limit, up to
+    k = 14286; past it the certificate is refused before the power is built."""
+    cert = certify_no_linfty(c4_graph(), 14286)
+    assert cert.ruled_out and len(json.dumps(cert.to_json_obj()["threshold"])) == 4300
+    for k in (14287, 10**100):
+        with pytest.raises(OversizedResult):
+            certify_no_linfty(c4_graph(), k)
 
 
 def test_certificates_are_monotone_in_k():

@@ -329,7 +329,7 @@ def test_the_dijkstra_view_equals_the_rebuilt_residual_digraph(monkeypatch):
     def spy(adj, sources, sinks, flow, pot):
         got = _dijkstra(adj, sources, sinks, flow, pot)
         reduced = _reduced_adjacency(adj, flow, pot)
-        assert got == _dijkstra(reduced, sources, sinks)
+        assert got == _dijkstra(reduced, sources, sinks, [0] * len(flow), [0] * len(pot))
         dist = got[0]
         seen["rounds"] += 1
         seen["zero_arcs"] += sum(c == 0 for arcs in reduced for _, c, _ in arcs)
