@@ -47,13 +47,10 @@ class FamilyDescriptor:
             raise InvalidInput("descriptor JSON needs 'family'") from exc
         gens = obj.get("generations")
         if gens is not None:
-            try:
-                if any(isinstance(v, (bool, float)) for v in gens.values()):
-                    raise TypeError  # int() would truncate 1.5, or read true as 1
-                gens = {str(k): int(v) for k, v in gens.items()}
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-                raise InvalidInput(
-                    "descriptor 'generations' must map point names to integers") from exc
+            # JSON integers only: int() would also take 1.5, true, " 0" or "0_1".
+            if not isinstance(gens, dict) or any(type(v) is not int for v in gens.values()):
+                raise InvalidInput("descriptor 'generations' must map point names to integers")
+            gens = {str(k): v for k, v in gens.items()}
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise InvalidInput("descriptor 'params' must be an object")

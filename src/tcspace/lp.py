@@ -1,10 +1,24 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex over Fractions with Bland's pivoting rule, which
-guarantees termination without any tolerance machinery.  Speed is not the
-point: this backs the verification oracle only, on small instances.  Still,
-pivots skip zero entries and slack columns seed the initial basis, so
-artificial variables appear only for equality-like rows.
+A dense two-phase simplex with Bland's pivoting rule, which guarantees
+termination without any tolerance machinery.  Speed is not the point: this
+backs the verification oracle only, on small instances.  Still, slack columns
+seed the initial basis, so artificial variables appear only for
+equality-like rows.
+
+The simplex runs on one integer tableau.  A constraint row is negated if its
+right-hand side is negative, then scaled by the lcm L_i of its own
+denominators; its slack or artificial keeps coefficient +-1 and stands for
+its value times L_i.  The phase-2 cost row, scaled by the lcm C of its
+denominators, is the last row.  Phase 1 appends its row after it, weighing
+each artificial by L / L_i (L the lcm of the artificial rows' scales), so
+every reduced cost keeps the sign it has over Fractions and Bland's rule
+takes the same pivots.  Pivots are fraction-free (Edmonds 1967, Bareiss
+1968): every entry is its value times a common divisor d > 0, which starts
+at 1.  A pivot on p leaves the pivot row as it is, maps every other row r
+to (p*r - r[j]*prow) // d, an exact division, and makes p the new d.  The
+ratio test compares by cross-multiplication, so Fractions are built only for
+the returned point (b_i / d) and value (-cost[-1] / (d*C)).
 
 Variables are nonnegative unless declared free (free variables are split
 into positive and negative parts internally).  Constraints are <=, >=, or ==
@@ -16,8 +30,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .rational import ONE, ZERO, to_fraction
+from .rational import ZERO, to_fraction
 
 
 class LPStatus(enum.Enum):
@@ -76,172 +91,138 @@ class ExactLP:
         self._obj = self._coeffs(coeffs)
         self._maximize = False
 
-    # -- standard form -----------------------------------------------------
+    # -- the integer tableau ------------------------------------------------
 
     def _build(self):
-        """Expand to min c.x, Ax = b, x >= 0 with slack columns.
+        """The integer tableau of min c.x, Ax = b, x >= 0, and its basis.
 
-        Returns the rows, rhs, cost row, column count, the variable-to-
-        column maps, and per-row basis seeds (slack columns usable as an
-        identity start, None where an artificial is needed).
+        Each constraint row is [structural, slack, artificial, b].  A row
+        whose slack has coefficient +1 starts with that slack basic, any
+        other with an artificial of its own.  The cost row, scaled by C, is
+        last.  Returns the tableau, the basis, the scale L_i of each
+        artificial row i, C, the number of structural and slack columns,
+        and the variable-to-column maps.
         """
         col_pos: list[int] = []
         col_neg: list[int | None] = []
         ncols = 0
         for free in self._free:
             col_pos.append(ncols)
-            ncols += 1
-            if free:
-                col_neg.append(ncols)
-                ncols += 1
-            else:
-                col_neg.append(None)
-        nslack = sum(1 for _, sense, _ in self._cons if sense != "==")
-        total = ncols + nslack
-        rows: list[list[Fraction]] = []
-        b: list[Fraction] = []
-        seeds: list[int | None] = []
-        slack_at = ncols
-        for coeffs, sense, rhs in self._cons:
-            row = [ZERO] * total
+            col_neg.append(ncols + 1 if free else None)
+            ncols += 2 if free else 1
+        # The slack's coefficient once the row is negated; 0 for none.
+        slack = [0 if sense == "==" else 1 if (sense == "<=") == (rhs >= 0) else -1
+                 for _, sense, rhs in self._cons]
+        total = ncols + sum(s != 0 for s in slack)
+        width = total + sum(s <= 0 for s in slack) + 1
+
+        def scaled(coeffs, rhs, sign):
+            """sign * (coeffs, rhs) as an integer row of the tableau, scaled
+            by the lcm of its denominators, and that lcm."""
+            vals = [ZERO] * ncols + [rhs]
             for var, c in coeffs.items():
-                row[col_pos[var]] += c
+                vals[col_pos[var]] = c
                 if col_neg[var] is not None:
-                    row[col_neg[var]] -= c
-            flip = rhs < 0
-            if flip:
-                row = [-x for x in row]
-                rhs = -rhs
-            seed = None
-            if sense != "==":
-                sign = ONE if sense == "<=" else -ONE
-                if flip:
-                    sign = -sign
-                row[slack_at] = sign
-                if sign > 0:
-                    seed = slack_at
+                    vals[col_neg[var]] = -c
+            scale = lcm(*(v.denominator for v in vals))
+            row = [sign * v.numerator * (scale // v.denominator) for v in vals]
+            return row[:-1] + [0] * (width - ncols - 1) + row[-1:], scale
+
+        t: list[list[int]] = []
+        basis: list[int] = []
+        art: dict[int, int] = {}
+        slack_at, art_at = ncols, total
+        for (coeffs, _, rhs), s in zip(self._cons, slack):
+            row, scale = scaled(coeffs, rhs, -1 if rhs < 0 else 1)
+            if s:
+                row[slack_at] = s
                 slack_at += 1
-            rows.append(row)
-            b.append(rhs)
-            seeds.append(seed)
-        cost = [ZERO] * total
-        sign = -ONE if self._maximize else ONE
-        for var, c in self._obj.items():
-            cost[col_pos[var]] += sign * c
-            if col_neg[var] is not None:
-                cost[col_neg[var]] -= sign * c
-        return rows, b, cost, total, col_pos, col_neg, seeds
+            if s > 0:
+                basis.append(slack_at - 1)
+            else:
+                row[art_at] = 1
+                art[len(t)] = scale
+                basis.append(art_at)
+                art_at += 1
+            t.append(row)
+        row, scale = scaled(self._obj, ZERO, -1 if self._maximize else 1)
+        return t + [row], basis, art, scale, total, col_pos, col_neg
 
     # -- simplex core --------------------------------------------------------
 
     @staticmethod
-    def _pivot(rows, b, cost_rows, basis, i, j):
-        prow = rows[i]
-        piv = prow[j]
-        if piv != 1:
-            inv = 1 / piv
-            for idx, x in enumerate(prow):
-                if x:
-                    prow[idx] = x * inv
-            b[i] *= inv
-        pb = b[i]
-        nz = [idx for idx, x in enumerate(prow) if x]
-        for r, row in enumerate(rows):
-            if r == i:
-                continue
-            f = row[j]
-            if f:
-                for idx in nz:
-                    row[idx] -= f * prow[idx]
-                b[r] -= f * pb
-        for cr in cost_rows:
-            f = cr[j]
-            if f:
-                for idx in nz:
-                    cr[idx] -= f * prow[idx]
-                cr[-1] -= f * pb
+    def _pivot(t, basis, d, i, j):
+        """Pivot every row of t on t[i][j] > 0; return the new divisor."""
+        prow = t[i]
+        p = prow[j]
+        for r, row in enumerate(t):
+            if r != i:
+                f = row[j]
+                t[r] = [(p * a - f * b) // d for a, b in zip(row, prow)]
         basis[i] = j
+        return p
 
     @staticmethod
-    def _iterate(rows, b, cost, extra_cost, basis, allowed):
-        """Bland's rule until optimal (returns True) or unbounded (False).
+    def _iterate(t, basis, d, allowed):
+        """Bland's rule on the last row of t, entering columns < allowed.
 
-        `cost` has one trailing cell holding minus the objective value.
-        `extra_cost` rows are kept reduced alongside (phase 1 carries the
-        phase-2 costs this way).
+        Returns the divisor d once that row is optimal, None if unbounded.
+        The constraint rows are the first len(basis) rows of t.
         """
-        m = len(rows)
         while True:
-            enter = None
-            for j in range(allowed):
-                if cost[j] < 0:
-                    enter = j
-                    break
+            cost = t[-1]
+            enter = next((j for j in range(allowed) if cost[j] < 0), None)
             if enter is None:
-                return True
+                return d
             leave = None
-            best = None
-            for i in range(m):
-                a = rows[i][enter]
+            for i in range(len(basis)):
+                a, b = t[i][enter], t[i][-1]
                 if a > 0:
-                    ratio = b[i] / a
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
+                    # b / a against the best ratio lb / la so far
+                    cmp = 0 if leave is None else b * la - lb * a
+                    if leave is None or cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
+                        leave, la, lb = i, a, b
             if leave is None:
-                return False
-            ExactLP._pivot(rows, b, [cost] + extra_cost, basis, leave, enter)
+                return None
+            d = ExactLP._pivot(t, basis, d, leave, enter)
 
     def solve(self) -> LPResult:
-        rows, b, cost, total, col_pos, col_neg, seeds = self._build()
-        m = len(rows)
-        art_rows = [i for i in range(m) if seeds[i] is None]
-        nart = len(art_rows)
-        for row in rows:
-            row.extend(ZERO for _ in range(nart))
-        basis = [0] * m
-        for pos, i in enumerate(art_rows):
-            rows[i][total + pos] = ONE
-            basis[i] = total + pos
-        for i in range(m):
-            if seeds[i] is not None:
-                basis[i] = seeds[i]
-        p2 = cost + [ZERO] * nart + [ZERO]
-        if art_rows:
-            p1 = [ZERO] * (total + nart) + [ZERO]
-            for i in art_rows:
-                for j in range(total):
-                    if rows[i][j]:
-                        p1[j] -= rows[i][j]
-                p1[-1] -= b[i]
-            ok = self._iterate(rows, b, p1, [p2], basis, total)
-            assert ok, "phase 1 is always bounded below"
-            if p1[-1] != 0:
+        t, basis, art, scale, total, col_pos, col_neg = self._build()
+        d = 1
+        if art:
+            # Phase 1 minimizes weight times the sum of the artificials in
+            # their rows' own units: row i's artificial stands for L_i times it.
+            weight = lcm(*art.values())
+            p1 = [-sum(weight // s * t[i][k] for i, s in art.items())
+                  for k in range(len(t[0]))]
+            p1[total:-1] = [0] * len(art)
+            t.append(p1)
+            d = self._iterate(t, basis, d, total)
+            assert d, "phase 1 is always bounded below"
+            if t.pop()[-1] != 0:
                 return LPResult(LPStatus.INFEASIBLE, None, None)
             # Drive leftover artificials out; drop rows that went redundant.
             drop = []
-            for i in range(m):
+            for i in range(len(basis)):
                 if basis[i] >= total:
-                    piv = next((j for j in range(total) if rows[i][j] != 0), None)
+                    piv = next((j for j in range(total) if t[i][j] != 0), None)
                     if piv is None:
                         drop.append(i)
-                    else:
-                        self._pivot(rows, b, [p1, p2], basis, i, piv)
+                        continue
+                    if t[i][piv] < 0:
+                        t[i] = [-a for a in t[i]]  # its b is 0
+                    d = self._pivot(t, basis, d, i, piv)
             for i in reversed(drop):
-                del rows[i], b[i], basis[i]
-        if not self._iterate(rows, b, p2, [], basis, total):
+                del t[i], basis[i]
+        d = self._iterate(t, basis, d, total)
+        if d is None:
             return LPResult(LPStatus.UNBOUNDED, None, None)
-        xcols = [ZERO] * total
-        for i, col in enumerate(basis):
-            xcols[col] = b[i]
-        x = []
-        for var in range(len(self._free)):
-            val = xcols[col_pos[var]]
-            if col_neg[var] is not None:
-                val -= xcols[col_neg[var]]
-            x.append(val)
-        value = -p2[-1]
+        xcols = [0] * total
+        for row, col in zip(t, basis):
+            xcols[col] = row[-1]
+        x = [Fraction(xcols[pos] - (0 if neg is None else xcols[neg]), d)
+             for pos, neg in zip(col_pos, col_neg)]
+        value = Fraction(-t[-1][-1], d * scale)
         if self._maximize:
             value = -value
         return LPResult(LPStatus.OPTIMAL, value, x)

@@ -229,6 +229,17 @@ def test_a_generation_no_family_on_the_points_has_is_a_structured_error(
     assert json.loads(err)["error"] == error
 
 
+def test_generations_given_as_json_strings_are_a_structured_error(capsys, star4, tmp_path):
+    """int() would read " 0" as 0 and "0_1" as 1, and peel on them."""
+    desc = _write(tmp_path / "star4.desc.json", {
+        "family": "recursive", "generations": {"a": "0", "b": " 0", "c": "0", "d": "0_1"}})
+    code, out, err = _run(capsys, ["certify", "--space", star4, "--k", "3", "--peel", desc])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "InvalidInput",
+        "message": "descriptor 'generations' must map point names to integers"}
+
+
 def test_a_generation_gap_peels_to_the_same_certificate(capsys, monkeypatch, star4, tmp_path):
     """Levels 2 and 1 of a leaf at generation 3 remove no point: they are
     visited, and the graph is rebuilt only for level 3."""

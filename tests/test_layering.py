@@ -36,6 +36,12 @@ def test_only_the_oracle_uses_the_simplex():
     assert _importers("lp") == {"oracle.py", "__init__.py"}
 
 
+def test_the_simplex_shares_no_code_with_the_solver():
+    # The oracle checks the solver, so its LP scales rows to integers with
+    # code of its own, not metric.py's.
+    assert _imported_modules(SRC / "lp.py") == {"rational"}
+
+
 def test_no_solver_module_imports_the_oracle():
     # cli.py is the front end of `oracle-check`; __init__ re-exports.
     assert _importers("oracle") == {"cli.py", "__init__.py"}

@@ -82,6 +82,57 @@ def test_beale_cycling_example_terminates():
     assert res.value == Fraction(5, 4)
 
 
+def test_a_leftover_artificial_leaves_on_a_negative_entry():
+    # Phase 1 ends with an artificial basic at 0 in a row whose first
+    # nonzero structural entry is negative: the row is negated before the
+    # artificial is pivoted out, or the optimum comes back as 0.
+    lp = ExactLP()
+    x, y, z = (lp.add_var() for _ in range(3))
+    lp.add_eq({x: 1, y: 1}, 0)
+    lp.add_eq({x: 1, y: -1}, 0)
+    lp.add_le({z: 1}, 3)
+    lp.maximize({x: 1, y: 2, z: 1})
+    res = lp.solve()
+    assert res.status == LPStatus.OPTIMAL
+    assert res.value == 3
+    assert res.x == [0, 0, 3]
+
+
+def _assert_exact_optimum(res, obj, rows):
+    """res.x satisfies every (coeffs, sense, rhs) row exactly, and the
+    objective at res.x is res.value, in Fractions."""
+    assert all(isinstance(v, Fraction) for v in [res.value, *res.x])
+    for coeffs, sense, rhs in rows:
+        lhs = sum(c * res.x[var] for var, c in coeffs.items())
+        assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
+    assert sum(c * res.x[var] for var, c in obj.items()) == res.value
+
+
+def test_the_tableau_holds_only_ints(monkeypatch):
+    # No Fraction arithmetic in the pivot loop: every pivot sees ints only.
+    seen = []
+    pivot = ExactLP._pivot
+
+    def checked(t, basis, d, i, j):
+        seen.append(all(type(a) is int for row in t for a in row) and type(d) is int)
+        return pivot(t, basis, d, i, j)
+
+    monkeypatch.setattr(ExactLP, "_pivot", staticmethod(checked))
+    lp = ExactLP()
+    x, y = lp.add_var(), lp.add_var(free=True)
+    lp.add_eq({x: Fraction(1, 3), y: Fraction(-2, 7)}, Fraction(5, 6))
+    lp.add_ge({x: Fraction(3, 4), y: 1}, Fraction(-1, 2))
+    lp.add_le({x: 1}, Fraction(9, 2))
+    lp.maximize({x: Fraction(2, 5), y: Fraction(1, 9)})
+    res = lp.solve()
+    assert res.status == LPStatus.OPTIMAL
+    assert seen and all(seen)
+    _assert_exact_optimum(res, {x: Fraction(2, 5), y: Fraction(1, 9)}, [
+        ({x: Fraction(1, 3), y: Fraction(-2, 7)}, "==", Fraction(5, 6)),
+        ({x: Fraction(3, 4), y: 1}, ">=", Fraction(-1, 2)),
+        ({x: 1}, "<=", Fraction(9, 2)), ({x: 1}, ">=", 0)])
+
+
 def test_small_transportation_instance():
     lp = ExactLP()
     a = [[lp.add_var() for _ in range(2)] for _ in range(2)]
@@ -101,16 +152,18 @@ def test_random_instances_match_scipy(seed):
     nrows = rng.randint(1, 5)
     lp = ExactLP()
     cols = [lp.add_var() for _ in range(nvars)]
-    A, b = [], []
+    A, b, rows = [], [], []
     for _ in range(nrows):
         coeffs = {c: Fraction(rng.randint(-4, 4)) for c in cols}
         rhs = Fraction(rng.randint(0, 8))
         lp.add_le(coeffs, rhs)
+        rows.append((coeffs, "<=", rhs))
         A.append([float(coeffs[c]) for c in cols])
         b.append(float(rhs))
     # box bound keeps everything bounded and feasible (x = 0 works)
     for c in cols:
         lp.add_le({c: 1}, 10)
+        rows.append(({c: 1}, "<=", 10))
         row = [0.0] * nvars
         row[c] = 1.0
         A.append(row)
@@ -130,6 +183,7 @@ def test_random_instances_match_scipy(seed):
             <= rhs + 1e-9
     assert float(sum(obj[c] * res.x[c] for c in cols)) == pytest.approx(
         float(res.value))
+    _assert_exact_optimum(res, obj, rows + [({c: 1}, ">=", 0) for c in cols])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -142,11 +196,12 @@ def test_random_mixed_instances_match_scipy(seed):
           for i in range(nvars)]
     lp = ExactLP()
     cols = [lp.add_var(free=free[i]) for i in range(nvars)]
-    A_eq, b_eq, A_ub, b_ub = [], [], [], []
+    A_eq, b_eq, A_ub, b_ub, rows = [], [], [], [], []
     for _ in range(rng.randint(1, 2)):
         coeffs = {c: Fraction(rng.randint(-3, 3)) for c in cols}
         rhs = sum(coeffs[c] * x0[c] for c in cols)
         lp.add_eq(coeffs, rhs)
+        rows.append((coeffs, "==", rhs))
         A_eq.append([float(coeffs[c]) for c in cols])
         b_eq.append(float(rhs))
     for _ in range(rng.randint(1, 3)):
@@ -154,11 +209,15 @@ def test_random_mixed_instances_match_scipy(seed):
         slack = Fraction(rng.randint(0, 4))
         rhs = sum(coeffs[c] * x0[c] for c in cols) + slack
         lp.add_le(coeffs, rhs)
+        rows.append((coeffs, "<=", rhs))
         A_ub.append([float(coeffs[c]) for c in cols])
         b_ub.append(float(rhs))
     for c in cols:  # box to keep it bounded
         lp.add_le({c: 1}, 20)
         lp.add_ge({c: 1}, -20)
+        rows += [({c: 1}, "<=", 20), ({c: 1}, ">=", -20)]
+        if not free[c]:
+            rows.append(({c: 1}, ">=", 0))
         row = [0.0] * nvars
         row[c] = 1.0
         A_ub.append(row[:])
@@ -176,3 +235,4 @@ def test_random_mixed_instances_match_scipy(seed):
                   bounds=bounds, method="highs")
     assert ref.status == 0
     assert abs(float(res.value) - ref.fun) < 1e-7
+    _assert_exact_optimum(res, obj, rows)
