@@ -315,30 +315,35 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _compare_with_oracle(f: TransportationProblem) -> tuple[bool, str, str]:
+    """Whether the solver's and the LP oracle's norms of f agree, and both."""
+    solver_value, _ = tc_norm(f)
+    oracle_value = oracle_tc_norm(f)
+    return solver_value == oracle_value, frac_str(solver_value), frac_str(oracle_value)
+
+
 def _oracle_check_one(task) -> tuple[int, bool, str, str]:
     seed, index, lo, hi = task
     rng = random.Random(seed * 1_000_003 + index)
     space = random_metric_space(rng, rng.randint(lo, hi))
     graph = canonical_graph(space)
-    f = random_problem(rng, graph)
-    solver_value, _ = tc_norm(f)
-    oracle_value = oracle_tc_norm(f)
-    return (index, solver_value == oracle_value,
-            frac_str(solver_value), frac_str(oracle_value))
+    return (index, *_compare_with_oracle(random_problem(rng, graph)))
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.jobs < 1:
+        raise InvalidInput("--jobs must be >= 1")
     if args.space and args.problem:
         graph = _load_graph(args.space)
         f = TransportationProblem.from_json_obj(graph, _load_json(args.problem))
-        solver_value, _ = tc_norm(f)
-        oracle_value = oracle_tc_norm(f)
-        ok = solver_value == oracle_value
+        ok, solver, oracle = _compare_with_oracle(f)
         _emit({"checked": 1, "mismatches": 0 if ok else 1, "ok": ok,
-               "solver": frac_str(solver_value), "oracle": frac_str(oracle_value)})
+               "solver": solver, "oracle": oracle})
         return 0 if ok else 1
     if args.random is None:
         raise InvalidInput("oracle-check needs --space/--problem or --random N")
+    if args.random < 0:
+        raise InvalidInput("--random must be >= 0")
     if args.seed is None:
         raise InvalidInput("--random batches require --seed")
     lo, hi = args.min_points, args.max_points

@@ -175,7 +175,7 @@ def realizable_as_downhill(H: DirectedSubgraph) -> tuple[bool, LipschitzFunction
     if len(H) == 0:
         raise PreconditionFailed("need at least one directed edge")
     graph = H.graph
-    denom, adj = graph.scaled_adjacency
+    adj = graph.adjacency
     scale = graph.n + 1
     used = H.edge_indices()
     downhill = H.arc_set()
@@ -189,7 +189,7 @@ def realizable_as_downhill(H: DirectedSubgraph) -> tuple[bool, LipschitzFunction
     dist, _ = bellman_ford(arcs, graph.space.base_point)
     if dist is None:
         return False, None
-    func = LipschitzFunction(graph, tuple(Fraction(d, denom * scale) for d in dist))
+    func = LipschitzFunction(graph, tuple(Fraction(d, graph.space.denom * scale) for d in dist))
     assert downhill_graph(func).arc_set() == H.arc_set()
     return True, func
 

@@ -6,8 +6,10 @@ original metric.  The dropped pairs are the deletion mask of the metric
 core's scan (metric._midpoint_scan), which validation kept on the space.
 The graph checks itself: one min-plus step on the space's scaled matrix
 (metric._is_path_metric) proves that its path metric is the input metric.
-Its integer adjacency, on that matrix, is kept as scaled_adjacency (the
-edges realise the metric, so the space's D is their weights' lcm too).
+Its one adjacency holds the integer weights of that matrix, in units of
+1/D for the space's D (the edges realise the metric, so D is their
+weights' lcm too); neighbourhoods, degrees, the solver and every path
+read it.
 Each edge carries a fixed reference orientation (tail = smaller point
 index) so that signed edge vectors are well defined.
 """
@@ -35,25 +37,21 @@ class Edge(NamedTuple):
 class CanonicalGraph:
     """Weighted graph on a metric space with a fixed reference orientation.
 
-    Built by :func:`canonical_graph`; the constructor only prepares lookup
-    tables.  Edges are ordered lexicographically by (tail, head).
-    scaled_adjacency is (D, adj): adj[u] the (v, weight times D, edge index)
-    arcs at u, D the space's denom (see metric._scaled_edges).  By the
-    edge order, adj[u] is sorted by neighbour: smaller tails, then heads.
+    Built by :func:`canonical_graph`; the constructor only prepares the
+    lookup by pair.  Edges are ordered lexicographically by (tail, head).
+    adjacency[u] holds the (v, weight times D, edge index) arcs at u, D the
+    space's denom (see metric._adjacency and metric._scaled_edges).  By the
+    edge order, adjacency[u] is sorted by neighbour: smaller tails, then heads.
     """
 
     space: MetricSpace
     edges: tuple[Edge, ...]
-    scaled_adjacency: tuple = field(repr=False, compare=False)
+    adjacency: list = field(repr=False, compare=False)
     _pair_index: dict = field(default_factory=dict, repr=False, compare=False)
-    _adjacency: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         for idx, e in enumerate(self.edges):
             self._pair_index[(e.tail, e.head)] = idx
-        # Lists, not nested generators: those made the process's RSS creep.
-        self._adjacency.extend([tuple([(idx, v) for v, _, idx in arcs])
-                                for arcs in self.scaled_adjacency[1]])
 
     @property
     def n(self) -> int:
@@ -69,10 +67,10 @@ class CanonicalGraph:
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(edge_index, neighbour) pairs at v, sorted by neighbour."""
-        return self._adjacency[v]
+        return tuple([(idx, u) for u, _, idx in self.adjacency[v]])
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        return len(self.adjacency[v])
 
     def degrees(self) -> list[int]:
         return [self.degree(v) for v in range(self.n)]
@@ -159,10 +157,9 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
         "canonical graph path metric must equal the input metric"
     tails, heads = np.nonzero(upper)  # row-major: by (tail, head)
     arcs = list(zip(tails.tolist(), heads.tolist(), mat[tails, heads].tolist()))
-    adj = _adjacency(space.n, arcs)
     exact = {w: Fraction(w, space.denom) for _, _, w in arcs}
     edges = tuple(Edge(i, k, exact[w]) for i, k, w in arcs)
-    return CanonicalGraph(space, edges, (space.denom, adj))
+    return CanonicalGraph(space, edges, _adjacency(space.n, arcs))
 
 
 # --- deterministic shortest paths on the canonical graph ---------------------
@@ -172,12 +169,11 @@ def shortest_path_tree(graph: CanonicalGraph, source: int):
 
     Deterministic: among equal-length paths the predecessor with the smaller
     vertex index wins, so every (source, target) pair has one fixed path.
-    Runs on the weights scaled to integers (graph.scaled_adjacency), at zero
-    flow and zero potentials, which keeps the ties, and returns Fraction
-    distances.
+    Runs on the integer weights of graph.adjacency, at zero flow and zero
+    potentials, which keeps the ties, and returns Fraction distances.
     """
-    denom, adj = graph.scaled_adjacency
-    dist, pred_edge = _dijkstra(adj, [source], (), [0] * graph.m, [0] * graph.n)
+    denom = graph.space.denom
+    dist, pred_edge = _dijkstra(graph.adjacency, [source], (), [0] * graph.m, [0] * graph.n)
     return [None if d is None else Fraction(d, denom) for d in dist], pred_edge
 
 
@@ -198,18 +194,6 @@ def tree_path(graph: CanonicalGraph, pred_edge, v: int) -> tuple[int, list[tuple
             cur = e.head
     arcs.reverse()
     return cur, arcs
-
-
-def shortest_path_arcs(graph: CanonicalGraph, u: int, v: int) -> list[tuple[int, int]]:
-    """Edges of the fixed shortest u-v path as (edge_index, sign) arcs.
-
-    The sign is +1 when the path traverses the edge along its reference
-    orientation, -1 otherwise.
-    """
-    root, arcs = tree_path(graph, shortest_path_tree(graph, u)[1], v)
-    if root != u:
-        raise InvalidInput("graph is not connected")
-    return arcs
 
 
 # --- directed subgraphs -------------------------------------------------------

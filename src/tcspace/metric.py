@@ -313,6 +313,8 @@ def _checked(names, denom: int, mat: np.ndarray, base) -> MetricSpace:
         raise violations[0]
     if base is None:
         base = 0
+    elif isinstance(base, bool):
+        raise InvalidInput(f"boolean base {base!r} rejected: pass a point name or index")
     elif not isinstance(base, int):
         if base not in names:
             raise InvalidInput(f"base point {base!r} not among the points")

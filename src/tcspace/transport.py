@@ -35,7 +35,7 @@ from .graph import (
     DirectedSubgraph,
     UnionFind,
     connected_components,
-    shortest_path_arcs,
+    shortest_path_tree,
     tree_path,
 )
 from .metric import _dijkstra, _reduced_adjacency
@@ -222,8 +222,10 @@ OptimalityCertificate = Optimal | Improving
 
 
 def plan_to_roadmap(plan: TransportationPlan) -> Roadmap:
-    """Roadmap implementing a plan: edge moves direct, others along the
-    fixed shortest path, then terms on the same edge combined.
+    """Roadmap implementing a plan: each move along the fixed shortest path
+    of shortest_path_tree, then terms on the same edge combined.  An edge
+    {x, y} is that path: any other x-y path passes a third point w, and
+    d(x,w) + d(w,y) > d(x,y), as no midpoint of x and y exists.
 
     The result transports the plan's problem at a cost never above the
     plan's (cancellations can only help).
@@ -232,12 +234,7 @@ def plan_to_roadmap(plan: TransportationPlan) -> Roadmap:
     for x, y, a in plan.terms:
         if x == y:
             continue
-        direct = plan.graph.edge_index(x, y)
-        if direct is not None:
-            arcs = [(direct, 1 if plan.graph.edges[direct].tail == x else -1)]
-        else:
-            arcs = shortest_path_arcs(plan.graph, x, y)
-        for e, s in arcs:
+        for e, s in tree_path(plan.graph, shortest_path_tree(plan.graph, x)[1], y)[1]:
             vals[e] = vals.get(e, ZERO) + s * a
     rm = Roadmap(EdgeVector(plan.graph, vals))
     assert rm.cost() <= plan.cost()
@@ -275,13 +272,13 @@ def cycle_basis(graph: CanonicalGraph) -> CycleBasis:
 
 # --- improving cycles ---------------------------------------------------------
 
-def _residual_digraph(p: Roadmap) -> tuple[int, list]:
-    """(D, p's residual digraph): _reduced_adjacency at zero potentials, arcs
+def _residual_digraph(p: Roadmap) -> list:
+    """p's residual digraph: _reduced_adjacency at zero potentials, arcs
     (v, cost times D, edge) that cost -weight against p's flow on an edge
-    and +weight otherwise.  Only the sign of each edge value matters."""
-    denom, adj = p.graph.scaled_adjacency
+    and +weight otherwise, D the space's denom.  Only the sign of each edge
+    value matters."""
     signs = [p.induced_sign(e) for e in range(p.graph.m)]
-    return denom, _reduced_adjacency(adj, signs, [0] * p.graph.n)
+    return _reduced_adjacency(p.graph.adjacency, signs, [0] * p.graph.n)
 
 
 def bellman_ford(adj, source: int | None = None):
@@ -340,7 +337,7 @@ def improving_cycle(p: Roadmap) -> OptimalityCertificate:
     -weight.  A negative-cost directed cycle is exactly a cycle whose
     support-reversing weight exceeds the rest, and canceling it pays off.
     """
-    _, arcs = bellman_ford(_residual_digraph(p)[1])
+    _, arcs = bellman_ford(_residual_digraph(p))
     if arcs is None:
         return Optimal()
     cycle = OrientedCycle(p.graph, tuple(arcs))
@@ -410,7 +407,7 @@ def _successive_shortest_paths(graph: CanonicalGraph,
                                excess: list[int]) -> tuple[list[int], list[int]]:
     """Min-cost flow routing excess (integer supplies > 0, demands < 0):
     (flow per edge along its reference orientation, potentials), integers
-    on the scaled weights of graph.scaled_adjacency.
+    on the integer weights of graph.adjacency.
 
     Each round runs one Dijkstra on reduced costs from every vertex with
     excess left, stops at the first deficit vertex settled, augments along
@@ -422,7 +419,7 @@ def _successive_shortest_paths(graph: CanonicalGraph,
     round lowers the total excess, so the loop ends; excess is updated in
     place and ends zero.
     """
-    _, adj = graph.scaled_adjacency
+    adj = graph.adjacency
     flow = [0] * graph.m
     pot = [0] * graph.n
     while sources := [v for v, x in enumerate(excess) if x > 0]:
@@ -439,7 +436,7 @@ def _successive_shortest_paths(graph: CanonicalGraph,
 def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
     """The min-cost flow behind tc_norm, certified: (flow, pot, D, M).
 
-    Weights are scaled by D (graph.scaled_adjacency) and masses by M, the
+    Weights are scaled by D (graph.adjacency) and masses by M, the
     lcm of f's denominators, so flow (per edge, along its reference
     orientation, in units of 1/M) and pot (in units of 1/D) are integers.
     Certified in integers before it returns: the excess is zero everywhere,
@@ -452,10 +449,9 @@ def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
     scale = lcm(*(x.denominator for x in f.values.values()))
     excess = [int(f[v] * scale) for v in range(graph.n)]
     flow, pot = _successive_shortest_paths(graph, excess)
-    denom, adj = graph.scaled_adjacency
     assert not any(excess)
-    assert _certifies(adj, flow, pot)
-    return flow, pot, denom, scale
+    assert _certifies(graph.adjacency, flow, pot)
+    return flow, pot, graph.space.denom, scale
 
 
 def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
@@ -475,8 +471,8 @@ def _optimum(f: TransportationProblem) -> tuple[Fraction, Roadmap, list[int], li
     if f.is_zero():
         return ZERO, Roadmap.zero(graph), [0] * graph.m, [0] * graph.n
     flow, pot, denom, scale = _solve(f)
-    _, adj = graph.scaled_adjacency
-    total = sum(abs(flow[e]) * w for u, arcs in enumerate(adj) for v, w, e in arcs if u < v)
+    total = sum(abs(flow[e]) * w for u, arcs in enumerate(graph.adjacency)
+                for v, w, e in arcs if u < v)
     cost = Fraction(total, denom * scale)
     p = Roadmap(EdgeVector(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x}))
     assert p.problem() == f
@@ -493,10 +489,9 @@ def residual_distances(graph: CanonicalGraph, flow: list[int], pot: list[int]) -
     (-flow, -pot) they are the distances to the base point: the transposed
     digraph is that of -flow, and -pot leaves its arcs the same reduced costs.
     """
-    denom, adj = graph.scaled_adjacency
     base = graph.space.base_point
-    dist, _ = _dijkstra(adj, [base], (), flow, pot)
-    return [Fraction(d - pot[base] + x, denom) for d, x in zip(dist, pot)]
+    dist, _ = _dijkstra(graph.adjacency, [base], (), flow, pot)
+    return [Fraction(d - pot[base] + x, graph.space.denom) for d, x in zip(dist, pot)]
 
 
 def zero_cost_cycles(graph: CanonicalGraph, flow: list[int],
@@ -507,9 +502,8 @@ def zero_cost_cycles(graph: CanonicalGraph, flow: list[int],
     reduced cost 0 under every such pot, so the breadth-first tree paths
     along the arcs pot prices at 0 that close the cycles do not depend on pot.
     """
-    _, adj = graph.scaled_adjacency
     tight = [[(v, e) for v, c, e in arcs if c == 0]
-             for arcs in _reduced_adjacency(adj, flow, pot)]
+             for arcs in _reduced_adjacency(graph.adjacency, flow, pot)]
     trees: dict[int, list] = {}
     cycles: dict[int, OrientedCycle] = {}
     for u in range(graph.n):
@@ -548,9 +542,9 @@ def maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int,
 
     The support of one optimal roadmap plus every edge on a zero-cost
     residual cycle (see zero_cost_cycles), signed by the cycle's direction.
+    Empty for f = 0: at zero flow and potentials every residual arc costs
+    its weight, which is positive.
     """
-    if f.is_zero():
-        return frozenset(), {}
     _, p, flow, pot = _optimum(f)
     signs = {e: p.induced_sign(e) for e in p.support()}
     cycles = zero_cost_cycles(f.graph, flow, pot)

@@ -516,6 +516,30 @@ def test_boolean_mass_is_rejected(capsys, path3, tmp_path):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("space", [
+    {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "base": True},
+    {"vertices": ["a", "b", "c"],
+     "edges": [{"u": "a", "v": "b", "w": "1"}, {"u": "b", "v": "c", "w": "1"}],
+     "base": True}],
+    ids=["metric", "weighted-graph"])
+def test_boolean_base_is_rejected(capsys, tmp_path, space):
+    """A JSON true is not the index 1, as a boolean mass is not the mass 1."""
+    code, out, err = _run(capsys, ["canon", "--space", _write(tmp_path / "s.json", space)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--random", "-1", "--seed", "1"],
+    ["--random", "3", "--seed", "1", "--jobs", "0"],
+    ["--random", "3", "--seed", "1", "--jobs", "-2"]],
+    ids=["random-negative", "jobs-zero", "jobs-negative"])
+def test_oracle_check_rejects_negative_counts(capsys, extra):
+    code, out, err = _run(capsys, ["oracle-check", *extra])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
 def test_a_result_too_large_to_print_is_a_structured_error(capsys, tmp_path):
     """A norm of 10**5000 has more digits than Python turns into a string."""
     space = _write(tmp_path / "s.json", {"points": ["A", "B"],

@@ -22,7 +22,7 @@ from tcspace import (
 )
 from tcspace import graph as graph_module
 from tcspace import metric
-from tcspace.graph import shortest_path_arcs, shortest_path_tree
+from tcspace.graph import shortest_path_tree, tree_path
 from tcspace.metric import (
     _adjacency,
     _dijkstra,
@@ -115,7 +115,8 @@ def test_connected_components_labels():
 
 def test_shortest_path_is_deterministic_on_ties():
     graph = canonical_graph(cycle(4))
-    arcs = shortest_path_arcs(graph, 0, 2)
+    root, arcs = tree_path(graph, shortest_path_tree(graph, 0)[1], 2)
+    assert root == 0
     # Two geodesics exist; the tie-break picks the one through vertex 1.
     verts = [graph.edges[e].tail if s > 0 else graph.edges[e].head
              for e, s in arcs]
@@ -233,11 +234,11 @@ def test_dijkstra_from_several_sources_with_an_early_stop():
             assert (early[v] is None) <= (dist[v] >= early[sink])
 
 
-def test_scaled_adjacency_is_the_reference_arc_for_arc():
+def test_adjacency_is_the_reference_arc_for_arc():
     """canonical_graph keeps its self-check's integer adjacency; it is the
     one metric._adjacency builds over metric._scaled_edges, because the
     edges realise the metric and so their lcm is the space's D.  incident()
-    lists the same arcs, sorted by neighbour."""
+    and degree() read the same arcs, sorted by neighbour."""
     big = 2**60
     rng = random.Random(29)
     spaces = [inst.graph.space for inst in CORPUS]
@@ -252,12 +253,13 @@ def test_scaled_adjacency_is_the_reference_arc_for_arc():
     for space in spaces:
         graph = canonical_graph(space)
         denom, scaled = _scaled_edges(graph.edges)
-        assert graph.scaled_adjacency == (denom, _adjacency(graph.n, scaled))
-        assert graph.scaled_adjacency[0] == space.denom
+        assert graph.adjacency == _adjacency(graph.n, scaled)
+        assert denom == space.denom
         for v in range(graph.n):  # incident() reads the same arcs
             want = sorted((e.head if e.tail == v else e.tail, idx)
                           for idx, e in enumerate(graph.edges) if v in (e.tail, e.head))
             assert graph.incident(v) == tuple((idx, u) for u, idx in want)
+            assert graph.degree(v) == len(want)
 
 
 def _without_edge(space, u, v):

@@ -175,3 +175,12 @@ def test_the_canonical_graph_checks_itself_without_all_pairs_paths():
     assert not {"_path_rows", "_floyd_warshall"} & _names_used(SRC / "graph.py")
     assert "_is_path_metric" in _names_used(SRC / "graph.py")
     assert _definers(lambda name: name == "_is_path_metric") == {"metric.py"}
+
+
+def test_one_adjacency_per_canonical_graph():
+    # The integer arcs are the graph's only neighbourhood store; D is the
+    # space's, and every path comes from a shortest-path tree.
+    assert not any("scaled_adjacency" in p.read_text(encoding="utf-8") for p in SRC.glob("*.py"))
+    assert _definers(lambda name: name == "shortest_path_arcs") == set()
+    graph = tcspace.canonical_graph(tcspace.cycle(4))
+    assert not hasattr(graph, "_adjacency")

@@ -60,6 +60,22 @@ def test_plan_on_an_edge_matches_orientation():
     assert rm.vec.values == {g.edge_index(0, 1): Fraction(-1)}
 
 
+def test_an_edge_is_its_own_shortest_path():
+    """An edge {u, v} has no midpoint, so every other u-v path is longer:
+    the Dijkstra tree from u reaches v by that edge, and a unit move u -> v
+    is routed along it alone, signed by the reference orientation."""
+    from tcspace.graph import shortest_path_tree
+
+    for inst in CORPUS:
+        graph = inst.graph
+        trees = [shortest_path_tree(graph, u)[1] for u in range(graph.n)]
+        for idx, e in enumerate(graph.edges):
+            for u, v, sign in ((e.tail, e.head, 1), (e.head, e.tail, -1)):
+                assert trees[u][v] == idx, inst.name
+                rm = plan_to_roadmap(TransportationPlan(graph, ((u, v, Fraction(1)),)))
+                assert rm.vec.values == {idx: Fraction(sign)}, inst.name
+
+
 def test_plan_routed_along_shortest_path():
     g = canonical_graph(validate_metric(
         ["A", "B", "C"], [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]))
@@ -271,7 +287,7 @@ def test_potential_certificate_holds_exactly_for_optimal_roadmaps():
             continue
         scale = lcm(*(x.denominator for x in f.values.values()))
         flow, pot = _successive_shortest_paths(graph, [int(f[v] * scale) for v in range(graph.n)])
-        _, adj = graph.scaled_adjacency
+        adj = graph.adjacency
         assert _certifies(adj, flow, pot), name
         value, rm = tc_norm(f)
         assert [rm.vec[e] * scale for e in range(graph.m)] == flow
@@ -471,10 +487,9 @@ def _bellman_ford_distances(p):
 
     out = []
     for q in (p, Roadmap(p.vec.scale(-1))):
-        denom, adj = _residual_digraph(q)
-        dist, cycle = bellman_ford(adj, p.graph.space.base_point)
+        dist, cycle = bellman_ford(_residual_digraph(q), p.graph.space.base_point)
         assert cycle is None
-        out.append([Fraction(d, denom) for d in dist])
+        out.append([Fraction(d, p.graph.space.denom) for d in dist])
     return out
 
 
@@ -486,7 +501,7 @@ def _bellman_ford_zero_cost_cycles(p):
     from tcspace.transport import OrientedCycle, _residual_digraph, _tight_tree, bellman_ford
 
     graph = p.graph
-    _, adj = _residual_digraph(p)
+    adj = _residual_digraph(p)
     dist, _ = bellman_ford(adj, graph.space.base_point)
     tight = [[(v, e) for v, c, e in arcs if dist[u] + c == dist[v]]
              for u, arcs in enumerate(adj)]
@@ -565,7 +580,7 @@ def _all_simple_cycle_means(p):
     (including two-arc cycles that traverse one edge forth and back)."""
     from tcspace.transport import _residual_digraph
 
-    denom, adj = _residual_digraph(p)
+    denom, adj = p.graph.space.denom, _residual_digraph(p)
     best = []
 
     def walk(start, node, cost, used_arcs, visited):
@@ -590,7 +605,7 @@ def _assert_certificate_matches_brute_force(p):
     cert = improving_cycle(p)
     assert isinstance(cert, Improving) == (min(_all_simple_cycle_means(p)) < 0)
     if isinstance(cert, Improving):
-        denom, adj = _residual_digraph(p)
+        denom, adj = p.graph.space.denom, _residual_digraph(p)
         tails = [e.tail for e in p.graph.edges]
         cost = {(e, 1 if u == tails[e] else -1): c for u, arcs in enumerate(adj) for v, c, e in arcs}
         total = sum(cost[arc] for arc in cert.cycle.arcs)
