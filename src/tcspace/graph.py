@@ -2,10 +2,13 @@
 
 The canonical graph keeps exactly the pairs uv such that no third point w
 satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
-original metric.  The dropped pairs are the deletion mask of the metric
-core's scan (metric._midpoint_scan), which validation kept on the space.
-The graph checks itself: one min-plus step on the space's scaled matrix
-(metric._is_path_metric) proves that its path metric is the input metric.
+original metric.  The dropped pairs are the deletion mask that validation
+kept on the space: the midpoint scan of a distance matrix
+(metric._midpoint_scan), or, for a weighted graph's path metric, every
+pair but the input edges without a midpoint (metric._edge_mask).  One
+min-plus step on the space's scaled matrix (metric._is_path_metric) proves
+that the graph's path metric is the input metric: here for a scanned mask,
+in validation for a graph's.
 Its one adjacency holds the integer weights of that matrix, in units of
 1/D for the space's D (the edges realise the metric, so D is their
 weights' lcm too); neighbourhoods, degrees, the solver and every path
@@ -144,8 +147,9 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     d(u,w) + d(w,v) = d(u,v).  Tails are the smaller point indices.  The
     construction asserts, by one min-plus step on the scaled matrix, that
     its weighted path metric reproduces the input metric exactly (so it is
-    connected).  The deletion mask is the space's,
-    or scanned here for a space without one (a restricted space, say).
+    connected).  The deletion mask is the space's, or scanned here for a
+    space without one (a restricted space, say); a mask that validation
+    proved by the same step (a weighted graph's) is not checked twice.
     """
     mat = space.scaled
     drop = space._deletion_mask
@@ -153,7 +157,7 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
         hit, drop = _midpoint_scan(mat)
         assert hit is None, "a metric space satisfies the triangle inequality"
     upper = np.triu(~drop, 1)
-    assert _is_path_metric(mat, upper | upper.T), \
+    assert space._mask_proven or _is_path_metric(mat, upper | upper.T), \
         "canonical graph path metric must equal the input metric"
     tails, heads = np.nonzero(upper)  # row-major: by (tail, head)
     arcs = list(zip(tails.tolist(), heads.tolist(), mat[tails, heads].tolist()))

@@ -7,13 +7,17 @@ compares integers, at the narrowest of int8, int16, int32 and int64 in which
 a sum of two entries cannot wrap, or as Python ints past that: `_int_dtype`).
 Fractions live at the boundary: each distinct input literal is parsed and
 scaled once, each distinct distance printed once, and `dist` is a view built
-when read.  The diagonal, symmetry and sign tests are vectorized, and one
-midpoint-major scan yields both the first triangle violation and the
-canonical graph's deletion mask (the triangle test with `>` replaced by
-`==`), which the validated space keeps for graph.canonical_graph.
+when read.  The diagonal, symmetry and sign tests are vectorized.  For a
+distance matrix, one midpoint-major scan, O(n^3), yields both the first
+triangle violation and the canonical graph's deletion mask (the triangle
+test with `>` replaced by `==`), which the validated space keeps for
+graph.canonical_graph.
 
 Shortest-path metrics of weighted graphs (families, weighted-graph JSON) come
-from one integer Floyd-Warshall and enter the same checks at the same D.
+from one integer Floyd-Warshall and enter the same checks at the same D, but
+a graph has edges and a matrix has none, so no scan runs: only an input edge
+can be a canonical edge, its midpoints are tested in O(n) each, and one
+min-plus step certifies the matrix and the mask together (_edge_mask).
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ class MetricSpace:
     value, built when first read.  Equality is by value.  Instances are
     built by :func:`validate_metric` (or by the family generators, which
     validate too); the constructor itself trusts its input.  Validated
-    instances keep the deletion mask of _midpoint_scan.
+    instances keep the canonical graph's deletion mask: a matrix's from
+    _midpoint_scan, a weighted graph's path metric's from _edge_mask, which
+    proves it (_mask_proven).
     """
 
     points: tuple[str, ...]
@@ -64,6 +70,7 @@ class MetricSpace:
     base_point: int = 0
     _index: dict = field(default_factory=dict, repr=False)
     _deletion_mask: np.ndarray | None = field(default=None, repr=False)
+    _mask_proven: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         self.scaled.setflags(write=False)  # the flags.writeable setter leaks a little
@@ -106,7 +113,8 @@ class MetricSpace:
 
     def with_base(self, name: str) -> MetricSpace:
         return MetricSpace(self.points, self.denom, self.scaled, self.index_of(name),
-                           _deletion_mask=self._deletion_mask)
+                           _deletion_mask=self._deletion_mask,
+                           _mask_proven=self._mask_proven)
 
     def to_json_obj(self) -> dict:
         rows = self.scaled.tolist()
@@ -168,19 +176,60 @@ def _midpoint_scan(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.nda
     return None, mask
 
 
+def _edge_mask(mat: np.ndarray, edges) -> np.ndarray:
+    """The _midpoint_scan mask of mat, the path metric of a connected graph's
+    edges (u, v, w) (each pair at most once, w >= 1), in O(m n) instead of
+    O(n^3).  Only an edge can be a canonical edge: any other pair's shortest
+    path has an interior point, and that point is a midpoint.  So the mask
+    keeps the edges with w = mat[u, v] and no midpoint, and drops every
+    other pair.
+
+    Certified, not trusted (a wrong mat fails an assertion): every w must be
+    at least mat[u, v], and _is_path_metric(mat, kept) must hold.  The
+    latter makes mat the path metric of the kept edges, which are edges of
+    the graph at their own weights, so no distance of the graph exceeds
+    mat's; it also makes mat a metric, so with w >= mat[u, v] on every edge
+    no path of the graph is shorter than mat.  So mat is the graph's path
+    metric, and the mask is right.
+    """
+    n = len(mat)
+    tails, heads, weights = (np.array(x) for x in zip(*edges))
+    direct = mat[tails, heads]
+    assert (weights >= direct).all(), "a path metric is at most every edge weight"
+    kept = weights == direct
+    # j = u and j = v always give d(u,j) + d(j,v) = d(u,v): more is a midpoint.
+    step = max(1, max(mat.size, _MIN_PLUS_BLOCK) // n)
+    for lo in range(0, len(tails), step):
+        via = mat[tails[lo:lo + step]]
+        via += mat[heads[lo:lo + step]]
+        kept[lo:lo + step] &= (via == direct[lo:lo + step, None]).sum(axis=1) == 2
+    keep = np.zeros((n, n), dtype=bool)
+    keep[tails[kept], heads[kept]] = keep[heads[kept], tails[kept]] = True
+    assert _is_path_metric(mat, keep), "a graph's path metric must be that of its kept edges"
+    drop = ~keep
+    np.fill_diagonal(drop, False)
+    return drop
+
+
 def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
-    """Whether a scaled metric mat is the path metric of the graph whose
-    edges are the pairs {u, v} with keep[u, v] (keep symmetric, false on the
-    diagonal), each of weight mat[u, v].
+    """Whether a scaled matrix mat, zero on the diagonal and positive
+    elsewhere, is the path metric of the graph whose edges are the pairs
+    {u, v} with keep[u, v] (keep symmetric, false on the diagonal), each of
+    weight mat[u, v]; then mat is a metric.
 
     One min-plus step decides it: for every u and every k != u, mat[u, k]
-    must equal the least w + mat[v, k] over the edges (u, v, w) at u.  By
-    the triangle inequality every such sum, and every path from u to k, is
-    at least mat[u, k].  Equality everywhere gives each pair a first edge
-    whose far end v has mat[v, k] < mat[u, k] (w > 0), so by induction on
-    mat[u, k] some path has length mat[u, k]; conversely the first edge of
-    a shortest path attains the minimum.  A dropped edge of the canonical
-    graph leaves its pair a strict >.
+    must equal the least w + mat[v, k] over the edges (u, v, w) at u, which
+    is Bellman's equation; nothing else, the triangle inequality included,
+    is assumed.  If it holds, each pair has a first edge whose far end v has
+    mat[v, k] < mat[u, k] (w > 0), so by induction on mat[u, k] some path
+    from u to k has length mat[u, k].  Along any path u = x_0, ..., x_r = k
+    the step gives mat[x_i, k] <= w(x_i, x_i+1) + mat[x_i+1, k], and these
+    add up to mat[u, k] <= the path's length.  So mat is the path metric
+    (the positive-weight Bellman fixpoint; Ahuja-Magnanti-Orlin, Network
+    Flows, ch. 4-5).  Conversely a path metric satisfies the step: no edge
+    beats the distance, and the first edge of a shortest path attains it.
+    A canonical graph missing one of its edges {u, k} leaves that pair a
+    strict >, since no third point lies between u and k.
 
     Runs at mat's dtype, over blocks of points of like degree (the most
     edges first), each point's edges padded to the block's largest degree
@@ -229,10 +278,13 @@ def metric_violations(points, dist) -> list:
     return _violations(names, mat)[0]
 
 
-def _violations(names, mat: np.ndarray) -> tuple[list, np.ndarray | None]:
+def _violations(names, mat: np.ndarray, edges=None) -> tuple[list, np.ndarray | None]:
     """(metric_violations, deletion mask or None) of a scaled matrix: the
     diagonal, then each pair i < j in row-major order (asymmetry before
-    sign), then, on an otherwise clean matrix, the _midpoint_scan."""
+    sign), then, on an otherwise clean matrix, the triangle inequality and
+    the mask: by the _midpoint_scan of a matrix, or, for the path metric of
+    a graph's edges (u, v, w), weights in the matrix's units rounded up, by
+    their certified _edge_mask."""
     out: list = [InvalidInput(f"self-distance of {names[i]!r} must be 0")
                  for i in np.flatnonzero(np.diagonal(mat) != 0)]
     bad = np.triu((mat != mat.T) | (mat <= 0), 1)
@@ -246,6 +298,8 @@ def _violations(names, mat: np.ndarray) -> tuple[list, np.ndarray | None]:
             out.append(ZeroDistanceDistinctPoints(f"d({a},{b}) = 0 for distinct points", pair))
     if out:
         return out, None
+    if edges is not None:
+        return out, _edge_mask(mat, edges)
     hit, mask = _midpoint_scan(mat)
     if hit is not None:
         i, j, k = (names[x] for x in hit)
@@ -303,14 +357,22 @@ def validate_metric(points, dist, base=None) -> MetricSpace:
     offending points).  `base` may be a point name or an index; it defaults
     to the first point.
     """
-    return _checked(*_coerce_matrix(points, dist), base)
+    names, denom, mat = _coerce_matrix(points, dist)
+    mask = _checked(_violations(names, mat))
+    return MetricSpace(names, denom, mat, _base_index(names, base), _deletion_mask=mask)
 
 
-def _checked(names, denom: int, mat: np.ndarray, base) -> MetricSpace:
-    """validate_metric on the canonical integer form (D, scaled matrix)."""
-    violations, mask = _violations(names, mat)
+def _checked(verdict) -> np.ndarray:
+    """The deletion mask of a _violations verdict (violations, mask); raises
+    the first violation."""
+    violations, mask = verdict
     if violations:
         raise violations[0]
+    return mask
+
+
+def _base_index(names, base) -> int:
+    """The index of a base point given by name or index (None: the first)."""
     if base is None:
         base = 0
     elif isinstance(base, bool):
@@ -321,7 +383,7 @@ def _checked(names, denom: int, mat: np.ndarray, base) -> MetricSpace:
         base = names.index(base)
     elif not 0 <= base < len(names):
         raise InvalidInput(f"base index {base} out of range")
-    return MetricSpace(names, denom, mat, base, _deletion_mask=mask)
+    return base
 
 
 # --- shortest-path metrics of weighted graphs --------------------------------
@@ -419,41 +481,46 @@ def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fra
     integer-scaled weights.  Raises InvalidInput if the graph is
     disconnected or a weight is invalid.
     """
-    mat, denom = _path_rows(n, edges)
+    mat, denom, _ = _path_rows(n, edges)
     return [list(row) for row in _fraction_rows(mat.tolist(), denom)]
 
 
-def _path_rows(n: int, edges) -> tuple[np.ndarray, int]:
-    """path_metric as (integer matrix, D): the distances times D, the lcm of
-    the weight denominators."""
+def _path_rows(n: int, edges) -> tuple[np.ndarray, int, list[tuple[int, int, int]]]:
+    """path_metric as (integer matrix, D, scaled edges): the distances and
+    the edges' weights times D, the lcm of the weight denominators."""
     for u, v, w in edges:
         if u == v:
             raise InvalidInput("self-loops are not allowed")
         if w <= 0:
             raise InvalidInput("edge weights must be positive")
     denom, scaled = _scaled_edges(edges)
-    return _floyd_warshall(n, scaled), denom
+    return _floyd_warshall(n, scaled), denom, scaled
 
 
 def _floyd_warshall(n: int, edges: list[tuple[int, int, int]]) -> np.ndarray:
     """All-pairs distances of the undirected edges (u, v, w), integers w > 0
     (of parallel edges the lightest), by Floyd-Warshall in place at dtype
-    _int_dtype(sentinel): unreachable pairs start and stay at the sentinel
-    1 + (n-1) * max w, above every path length.  Raises InvalidInput if any do."""
-    sentinel = 1 + max(n - 1, 0) * max((w for _, _, w in edges), default=0)
+    _int_dtype(sentinel).  Pairs start at their lightest weight, or at the
+    sentinel, 1 + the smaller of (n-1) * max w and twice the eccentricity of
+    point 0 (one _dijkstra): each bounds every distance, and weights above
+    the sentinel, which lie on no shortest path, start at it.  Raises
+    InvalidInput if that search leaves a point unreached."""
+    if n < 2:
+        return np.zeros((n, n), dtype=np.int8)
+    dist = _dijkstra(_adjacency(n, edges), [0], (), [0] * len(edges), [0] * n)[0]
+    if None in dist:
+        raise InvalidInput("graph is not connected")
+    sentinel = 1 + min((n - 1) * max(w for _, _, w in edges), 2 * max(dist))
     dtype = _int_dtype(sentinel)
     mat = np.full((n, n), sentinel, dtype=dtype)
-    if edges:
-        tails, heads, weights = zip(*edges)
-        np.minimum.at(mat, (tails + heads, heads + tails),
-                      np.array(weights + weights, dtype=dtype))
+    tails, heads, weights = zip(*edges)
+    weights = [min(w, sentinel) for w in weights]
+    np.minimum.at(mat, (tails + heads, heads + tails), np.array(weights + weights, dtype=dtype))
     np.fill_diagonal(mat, 0)
     via = np.empty_like(mat)
     for k in range(n):
         np.add(mat[:, k, None], mat[k], out=via)
         np.minimum(mat, via, out=mat)
-    if (mat == sentinel).any():
-        raise InvalidInput("graph is not connected")
     return mat
 
 
@@ -488,10 +555,16 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
             raise InvalidInput(f"duplicate edge {{{u},{v}}}")
         seen.add(key)
         idx_edges.append((index[u], index[v], to_fraction(w)))
-    mat, denom = _path_rows(len(names), idx_edges)
+    rows, denom, scaled = _path_rows(len(names), idx_edges)
     if len(names) < 2:
         raise InvalidInput("a metric space needs at least 2 points")
-    return _checked(names, *_int_matrix(mat, denom), base)
+    reduced, mat = _int_matrix(rows, denom)
+    unit = denom // reduced
+    if unit > 1:  # rounded up to the new unit, a weight is >= or == a distance iff it was
+        scaled = [(u, v, -(-w // unit)) for u, v, w in scaled]
+    mask = _checked(_violations(names, mat, scaled))
+    return MetricSpace(names, reduced, mat, _base_index(names, base), _deletion_mask=mask,
+                       _mask_proven=True)
 
 
 def weighted_graph_json_to_space(obj: dict) -> MetricSpace:

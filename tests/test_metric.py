@@ -33,6 +33,7 @@ from tcspace import (
     path_metric,
     recursive_family,
 )
+from tcspace import graph as graph_module
 from tcspace.cli import main
 from tcspace.randgen import random_metric_space
 from tcspace.rational import frac_str
@@ -473,6 +474,124 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("called")
 
 
+# --- a weighted graph's mask: its edges, certified --------------------------
+
+def _graph_spaces():
+    """Spaces built from weighted graphs: random_metric_space's graph branch
+    (at 3 to 12 points), a dense random graph on 90 points whose edge test
+    runs in several blocks, the non-geodesic chord, also scaled by BIG, the
+    centred path, and families."""
+    # A generator whose first draw is at least 1/2 takes the graph branch.
+    seeds = [seed for seed in range(80) if random.Random(seed).random() >= 0.5]
+    spaces = [random_metric_space(random.Random(seed), 3 + seed % 10) for seed in seeds]
+    rng = random.Random(23)
+    names = [f"q{i}" for i in range(90)]
+    spaces.append(space_from_weighted_graph(
+        names, [(names[i], names[j], Fraction(rng.randint(4, 9), rng.choice((2, 3))))
+                for i in range(90) for j in range(i) if rng.random() < 0.8]))
+    spaces.append(space_from_weighted_graph(*_non_geodesic_graph()))
+    vertices, edges = _non_geodesic_graph()
+    spaces.append(space_from_weighted_graph(  # at object dtype
+        vertices, [(u, v, to_fraction(w) * BIG) for u, v, w in edges]))
+    spaces.append(space_from_weighted_graph(
+        "ABCDE", [("ABCDE"[u], "ABCDE"[v], w) for u, v, w in _CENTRED_PATH]))
+    spaces += [cycle(5), cycle(6), grid(6), diamond(3)[0],
+               recursive_family(k2n_two_port(3), 2)[0]]
+    return spaces
+
+
+def test_a_graph_mask_is_the_scan_mask():
+    spaces = _graph_spaces()
+    assert len(spaces) > 40
+    assert {space.scaled.dtype for space in spaces} >= {np.dtype(np.int8), np.dtype(np.int16),
+                                                       np.dtype(object)}
+    for space in spaces:
+        hit, mask = metric._midpoint_scan(space.scaled)
+        assert hit is None
+        assert space._mask_proven
+        assert np.array_equal(space._deletion_mask, mask)
+        edges = canonical_graph(space).edges
+        assert [(e.tail, e.head) for e in edges] == _reference_edges(space.dist)
+
+
+def test_weighted_graphs_run_no_midpoint_scan(monkeypatch):
+    monkeypatch.setattr(metric, "_midpoint_scan", _forbidden)
+    assert len(_graph_spaces()) > 40
+    with pytest.raises(AssertionError, match="called"):  # a matrix still scans
+        validate_metric(["A", "B"], [["0", "1"], ["1", "0"]])
+
+
+@pytest.mark.parametrize("graph", ["triangle", "chord", "non-geodesic", "cycle", "diamond"])
+def test_a_wrong_path_metric_is_refused_by_the_certificate(monkeypatch, graph):
+    """Floyd-Warshall with one distance (both entries) one too high, or one
+    too low where it stays positive: every such matrix fails an assertion.
+    On the unit triangle, d(A,C) = 2 is the path metric of the other two
+    edges, and only the weight of A-C refutes it.  On the chord graph,
+    d(A,C) = 2 instead of 7/3 puts every distance in whole units, and only
+    the chord's weight rounded up to that unit, 3, refutes it."""
+    vertices, edges = {
+        "triangle": (["A", "B", "C"], [("A", "B", "1"), ("B", "C", "1"), ("A", "C", "1")]),
+        "chord": (["A", "B", "C"], [("A", "B", "1"), ("B", "C", "2"), ("A", "C", "7/3")]),
+        "non-geodesic": _non_geodesic_graph(),
+        "cycle": ([f"c{i}" for i in range(6)],
+                  [(f"c{i}", f"c{(i + 1) % 6}", "1/2") for i in range(6)]),
+        "diamond": ([f"d{i}" for i in range(4)],
+                    [("d0", "d1", "1"), ("d0", "d2", "1"), ("d1", "d3", "1"),
+                     ("d2", "d3", "1")]),
+    }[graph]
+    n = len(vertices)
+    rows = metric._path_rows(n, [(vertices.index(u), vertices.index(v), to_fraction(w))
+                                 for u, v, w in edges])[0]
+    right = space_from_weighted_graph(vertices, edges)
+    real = metric._floyd_warshall
+    shift = []  # (i, k, delta): d(i, k) and d(k, i) moved by delta
+
+    def off_by_one(*args):
+        mat = real(*args)
+        for i, k, delta in shift:
+            mat[i, k] += delta
+            mat[k, i] += delta
+        return mat
+
+    monkeypatch.setattr(metric, "_floyd_warshall", off_by_one)
+    refused = 0
+    for i in range(n):
+        for k in range(i + 1, n):
+            for delta in (1, -1):
+                if rows[i, k] + delta > 0:
+                    shift[:] = [(i, k, delta)]
+                    with pytest.raises(AssertionError, match="path metric"):
+                        space_from_weighted_graph(vertices, edges)
+                    refused += 1
+    assert refused >= n * (n - 1) // 2
+    shift.clear()
+    assert space_from_weighted_graph(vertices, edges) == right
+
+
+def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
+    """A weighted graph's mask is proven in validation and a matrix's in
+    canonical_graph, each by one _is_path_metric; a mask put on a space by
+    hand is checked again (test_graph's test of the self-check)."""
+    steps = []
+    real = metric._is_path_metric
+    spy = lambda *a: steps.append(a) or real(*a)  # noqa: E731
+    monkeypatch.setattr(metric, "_is_path_metric", spy)
+    monkeypatch.setattr(graph_module, "_is_path_metric", spy)
+    space = grid(4)
+    canonical_graph(space)
+    canonical_graph(space.with_base("1,2"))
+    assert len(steps) == 1
+    steps.clear()
+    matrix = validate_metric(space.points, space.dist)
+    assert not matrix._mask_proven and steps == []
+    canonical_graph(matrix)
+    assert len(steps) == 1
+    steps.clear()
+    canonical_graph(MetricSpace(space.points, space.denom, space.scaled,
+                                _deletion_mask=space._deletion_mask))
+    assert len(steps) == 1
+
+
 # --- one canonical integer form --------------------------------------------
 
 def _non_geodesic_graph():
@@ -486,9 +605,10 @@ def _non_geodesic_graph():
 def test_a_non_geodesic_weight_leaves_no_trace_in_the_denominator():
     vertices, edges = _non_geodesic_graph()
     index = {v: i for i, v in enumerate(vertices)}
-    rows, denom = metric._path_rows(4, [(index[u], index[v], to_fraction(w))
-                                        for u, v, w in edges])
+    rows, denom, scaled = metric._path_rows(4, [(index[u], index[v], to_fraction(w))
+                                                for u, v, w in edges])
     assert denom == 3
+    assert scaled == [(0, 1, 3), (1, 2, 3), (0, 2, 7), (2, 3, 3)]
     space = space_from_weighted_graph(vertices, edges)
     assert space.denom == 1
     assert space.scaled.tolist() == [[x // 3 for x in row] for row in rows]
@@ -525,7 +645,8 @@ def test_gen_validate_and_peel_never_build_the_fraction_view(tmp_path, monkeypat
 def _graph_pool():
     """Integer-weighted graphs on 2 to 12 points with (n - 1) * max weight
     at most 54: random ones with mixed or uniform weights, parallel edges,
-    some disconnected; and the canonical graphs of uniform-weight families."""
+    some disconnected; the canonical graphs of uniform-weight families; and
+    the centred path."""
     rng = random.Random(17)
     pool = []
     for _ in range(80):
@@ -537,7 +658,12 @@ def _graph_pool():
     for space in (cycle(6), grid(3), complete_bipartite(2, 3), diamond(2)[0]):
         pool.append((space.n, [(e.tail, e.head, int(e.weight * space.denom))
                                for e in canonical_graph(space).edges]))
+    pool.append((5, _CENTRED_PATH))
     return pool
+
+
+# The path 3-1-0-2-4: its diameter is twice the eccentricity of point 0.
+_CENTRED_PATH = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 4, 1)]
 
 
 def test_floyd_warshall_matches_per_source_dijkstra_at_every_width():
@@ -578,8 +704,11 @@ def test_path_metric_keeps_the_lightest_parallel_edge():
 
 
 def test_disconnected_and_tiny_weighted_graphs_keep_their_messages():
-    with pytest.raises(InvalidInput, match="^graph is not connected$"):
-        path_metric(3, [(0, 1, Fraction(1))])
+    for n, edges in [(3, [(0, 1, 1)]), (3, [(1, 2, 1)]),  # point 0 (the search's source) alone
+                     (4, [(0, 1, 1), (1, 2, 5), (0, 2, 1000)]),
+                     (5, [(0, 1, 1), (0, 1, 2), (2, 3, 1), (3, 4, 2**70)])]:
+        with pytest.raises(InvalidInput, match="^graph is not connected$"):
+            path_metric(n, [(u, v, Fraction(w)) for u, v, w in edges])
     with pytest.raises(InvalidInput, match="^graph is not connected$"):
         space_from_weighted_graph(["A", "B", "C", "D"], [("A", "B", "1"), ("C", "D", "1")])
     for vertices in ([], ["A"]):
@@ -589,7 +718,44 @@ def test_disconnected_and_tiny_weighted_graphs_keep_their_messages():
 
 def test_family_spaces_run_at_int8():
     """The path metric's sentinel widens its matrix; the space narrows it
-    again, so the families' midpoint scans run at int8."""
+    again, so the families' validations run at int8."""
     spaces = [diamond(3)[0], grid(5), cycle(9), complete_bipartite(3, 4),
               recursive_family(k2n_two_port(3), 2)[0]]
     assert [space.scaled.dtype for space in spaces] == [np.dtype(np.int8)] * len(spaces)
+
+
+def test_floyd_warshall_runs_at_int8_on_the_largest_families(monkeypatch):
+    """The sentinel is 1 + twice an eccentricity: the 779-point K_{2,3}
+    recursion of depth 4 and the 16 x 16 grid have scaled diameters 16 and
+    30, so every Floyd-Warshall of theirs runs in int8 (at 1 + (n-1) * max
+    weight, the largest would run in int16)."""
+    widths = []
+    real = metric._floyd_warshall
+
+    def spy(*args):
+        mat = real(*args)
+        widths.append(mat.dtype)
+        return mat
+
+    monkeypatch.setattr(metric, "_floyd_warshall", spy)
+    space, _ = recursive_family(k2n_two_port(3), 4)
+    assert space.n == 779 and len(widths) == 6
+    big = grid(16)
+    assert big.n == 256 and len(widths) == 7
+    assert widths == [np.dtype(np.int8)] * 7
+    assert int(space.scaled.max()) == 16 and int(big.scaled.max()) == 30
+
+
+def test_a_weight_above_the_sentinel_is_clamped():
+    """A-B-C at weight 1 with a chord A-C of weight 1000: the sentinel is
+    1 + 2 * 2 = 5, so the chord starts at 5 in int8 and d(A,C) = 2."""
+    names = ["A", "B", "C"]
+    edges = [("A", "B", "1"), ("B", "C", "1"), ("A", "C", "1000")]
+    mat = metric._floyd_warshall(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1000)])
+    assert mat.dtype == np.int8 and mat.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    space = space_from_weighted_graph(names, edges)
+    assert space.d_name("A", "C") == 2
+    assert space.scaled.dtype == np.int8
+    assert [(e.tail, e.head) for e in canonical_graph(space).edges] == [(0, 1), (1, 2)]
+    assert path_metric(3, [(0, 1, Fraction(1)), (1, 2, Fraction(1)),
+                           (0, 2, Fraction(1000))])[0][2] == 2
