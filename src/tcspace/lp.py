@@ -6,17 +6,22 @@ backs the verification oracle only, on small instances.  Still, slack columns
 seed the initial basis, so artificial variables appear only for
 equality-like rows.
 
-The simplex runs on one integer tableau.  A constraint row is negated if its
-right-hand side is negative, then scaled by the lcm L_i of its own
-denominators; its slack or artificial keeps coefficient +-1 and stands for
-its value times L_i.  The phase-2 cost row, scaled by the lcm C of its
-denominators, is the last row.  Phase 1 appends its row after it, weighing
-each artificial by L / L_i (L the lcm of the artificial rows' scales), so
-every reduced cost keeps the sign it has over Fractions and Bland's rule
-takes the same pivots.  Pivots are fraction-free (Edmonds 1967, Bareiss
-1968): every entry is its value times a common divisor d > 0, which starts
-at 1.  A pivot on p leaves the pivot row as it is, maps every other row r
-to (p*r - r[j]*prow) // d, an exact division, and makes p the new d.  The
+The simplex runs on one integer tableau.  Coefficients and right-hand sides
+given as ints stay ints; any other value is read by `to_fraction`.  A
+constraint row is negated if its right-hand side is negative, then scaled by
+the lcm L_i of its own denominators (1 for an all-int row) and filled in
+from its nonzero coefficients; its slack or artificial keeps coefficient +-1
+and stands for its value times L_i.  The phase-2 cost row, scaled by the lcm
+C of its denominators, is the last row.  Phase 1 appends its row after it,
+the column sums of the artificial rows, each weighed by L / L_i (L the lcm
+of the artificial rows' scales), so every reduced cost keeps the sign it has
+over Fractions and Bland's rule takes the same pivots.  Pivots are
+fraction-free (Edmonds 1967, Bareiss 1968): every entry is its value times a
+common divisor d > 0, which starts at 1.  A pivot on p leaves the pivot row
+as it is, maps every other row r to (p*r - r[j]*prow) // d, an exact
+division, and makes p the new d.  When p == d, a row with r[j] == 0 maps to
+itself, so it is skipped: on a totally unimodular LP with int data every
+pivot and every d is 1, and a pivot touches only the rows that change.  The
 ratio test compares by cross-multiplication, so Fractions are built only for
 the returned point (b_i / d) and value (-cost[-1] / (d*C)).
 
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .rational import ZERO, to_fraction
+from .rational import to_fraction
 
 
 class LPStatus(enum.Enum):
@@ -51,37 +56,42 @@ class LPResult:
         return self.x[var]
 
 
+def _exact(value) -> int | Fraction:
+    """An int as it is (not a bool), anything else by to_fraction."""
+    return value if type(value) is int else to_fraction(value)
+
+
 class ExactLP:
     """Incrementally built LP; solve() runs the two-phase simplex."""
 
     def __init__(self):
         self._free: list[bool] = []
-        self._cons: list[tuple[dict[int, Fraction], str, Fraction]] = []
-        self._obj: dict[int, Fraction] = {}
+        self._cons: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
+        self._obj: dict[int, int | Fraction] = {}
         self._maximize = False
 
     def add_var(self, free: bool = False) -> int:
         self._free.append(free)
         return len(self._free) - 1
 
-    def _coeffs(self, coeffs: dict) -> dict[int, Fraction]:
+    def _coeffs(self, coeffs: dict) -> dict[int, int | Fraction]:
         out = {}
         for var, c in coeffs.items():
             if not 0 <= var < len(self._free):
                 raise IndexError(f"unknown variable {var}")
-            c = to_fraction(c)
+            c = _exact(c)
             if c != 0:
                 out[var] = c
         return out
 
     def add_le(self, coeffs: dict, rhs) -> None:
-        self._cons.append((self._coeffs(coeffs), "<=", to_fraction(rhs)))
+        self._cons.append((self._coeffs(coeffs), "<=", _exact(rhs)))
 
     def add_ge(self, coeffs: dict, rhs) -> None:
-        self._cons.append((self._coeffs(coeffs), ">=", to_fraction(rhs)))
+        self._cons.append((self._coeffs(coeffs), ">=", _exact(rhs)))
 
     def add_eq(self, coeffs: dict, rhs) -> None:
-        self._cons.append((self._coeffs(coeffs), "==", to_fraction(rhs)))
+        self._cons.append((self._coeffs(coeffs), "==", _exact(rhs)))
 
     def maximize(self, coeffs: dict) -> None:
         self._obj = self._coeffs(coeffs)
@@ -119,14 +129,14 @@ class ExactLP:
         def scaled(coeffs, rhs, sign):
             """sign * (coeffs, rhs) as an integer row of the tableau, scaled
             by the lcm of its denominators, and that lcm."""
-            vals = [ZERO] * ncols + [rhs]
+            scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+            row = [0] * width
+            row[-1] = sign * rhs.numerator * (scale // rhs.denominator)
             for var, c in coeffs.items():
-                vals[col_pos[var]] = c
+                row[col_pos[var]] = a = sign * c.numerator * (scale // c.denominator)
                 if col_neg[var] is not None:
-                    vals[col_neg[var]] = -c
-            scale = lcm(*(v.denominator for v in vals))
-            row = [sign * v.numerator * (scale // v.denominator) for v in vals]
-            return row[:-1] + [0] * (width - ncols - 1) + row[-1:], scale
+                    row[col_neg[var]] = -a
+            return row, scale
 
         t: list[list[int]] = []
         basis: list[int] = []
@@ -145,19 +155,21 @@ class ExactLP:
                 basis.append(art_at)
                 art_at += 1
             t.append(row)
-        row, scale = scaled(self._obj, ZERO, -1 if self._maximize else 1)
+        row, scale = scaled(self._obj, 0, -1 if self._maximize else 1)
         return t + [row], basis, art, scale, total, col_pos, col_neg
 
     # -- simplex core --------------------------------------------------------
 
     @staticmethod
     def _pivot(t, basis, d, i, j):
-        """Pivot every row of t on t[i][j] > 0; return the new divisor."""
+        """Pivot every row of t on t[i][j] > 0; return the new divisor.  A
+        row with 0 in column j is left as it is when p == d: it maps to
+        itself."""
         prow = t[i]
         p = prow[j]
         for r, row in enumerate(t):
-            if r != i:
-                f = row[j]
+            f = row[j]
+            if r != i and (f or p != d):
                 t[r] = [(p * a - f * b) // d for a, b in zip(row, prow)]
         basis[i] = j
         return p
@@ -193,8 +205,9 @@ class ExactLP:
             # Phase 1 minimizes weight times the sum of the artificials in
             # their rows' own units: row i's artificial stands for L_i times it.
             weight = lcm(*art.values())
-            p1 = [-sum(weight // s * t[i][k] for i, s in art.items())
-                  for k in range(len(t[0]))]
+            rows = [t[i] if s == weight else [weight // s * a for a in t[i]]
+                    for i, s in art.items()]
+            p1 = [-sum(col) for col in zip(*rows)]
             p1[total:-1] = [0] * len(art)
             t.append(p1)
             d = self._iterate(t, basis, d, total)

@@ -5,10 +5,11 @@ base point, and its distances in one canonical integer form: D, the lcm of
 their denominators, and the matrix of distances times D (exact; numpy only
 compares integers, at the narrowest of int8, int16, int32 and int64 in which
 a sum of two entries cannot wrap, or as Python ints past that: `_int_dtype`).
-Fractions live at the boundary: each distinct input literal is parsed and
-scaled once, each distinct distance printed once, and `dist` is a view built
-when read.  The diagonal, symmetry and sign tests are vectorized.  For a
-distance matrix, one midpoint-major scan, O(n^3), yields both the first
+Fractions live at the boundary: each distinct input literal is parsed once
+(a matrix's also scaled once), each distinct distance printed once, and
+`dist` is a view built when read; integer distances given with their unit
+skip the literals (validate_scaled).  The diagonal, symmetry and sign tests
+are vectorized.  For a distance matrix, one midpoint-major scan, O(n^3), yields both the first
 triangle violation and the canonical graph's deletion mask (the triangle
 test with `>` replaced by `==`), which the validated space keeps for
 graph.canonical_graph.
@@ -307,6 +308,33 @@ def _violations(names, mat: np.ndarray, edges=None) -> tuple[list, np.ndarray | 
     return out, mask
 
 
+def _read_literals(rows) -> tuple[list[Fraction], list[int]]:
+    """(values, slots): each distinct literal of the rows parsed by
+    to_fraction once, into values, and the slot in values of each literal,
+    row by row, each row read as it is reached.  The key holds the type
+    because True == 1 == 1.0 hash alike but only 1 is a valid entry; an
+    unhashable literal goes straight to to_fraction, which rejects it.  A
+    Fraction takes a slot of its own: hashing one costs more than the lookup
+    saves."""
+    slots: dict = {}
+    values: list[Fraction] = []
+    out: list[int] = []
+    for row in rows:
+        for x in row:
+            if type(x) is not Fraction:
+                key = type(x), x
+                try:
+                    out.append(slots[key])
+                    continue
+                except KeyError:
+                    slots[key] = len(values)
+                except TypeError:
+                    pass
+            out.append(len(values))
+            values.append(to_fraction(x))
+    return values, out
+
+
 def _coerce_matrix(points, dist) -> tuple[tuple[str, ...], int, np.ndarray]:
     """(names, D, the distances times D at _int_dtype width), D their lcm."""
     try:
@@ -320,29 +348,14 @@ def _coerce_matrix(points, dist) -> tuple[tuple[str, ...], int, np.ndarray]:
         raise InvalidInput("a metric space needs at least 2 points")
     if len(dist) != len(names):
         raise InvalidInput("distance matrix must be square, one row per point")
-    # One slot per distinct literal: parsed by to_fraction once and scaled
-    # once.  The key holds the type because True == 1 == 1.0 hash alike but
-    # only 1 is a valid entry; an unhashable entry goes straight to
-    # to_fraction, which rejects it.  A Fraction takes a slot of its own:
-    # hashing one costs more than the lookup saves.
-    slots: dict = {}
-    values: list[Fraction] = []
-    flat: list[int] = []
-    for row in dist:
-        if len(row) != len(names):
-            raise InvalidInput("distance matrix must be square, one row per point")
-        for x in row:
-            if type(x) is not Fraction:
-                key = type(x), x
-                try:
-                    flat.append(slots[key])
-                    continue
-                except KeyError:
-                    slots[key] = len(values)
-                except TypeError:
-                    pass
-            flat.append(len(values))
-            values.append(to_fraction(x))
+
+    def rows():
+        for row in dist:
+            if len(row) != len(names):
+                raise InvalidInput("distance matrix must be square, one row per point")
+            yield row
+
+    values, flat = _read_literals(rows())
     denom = lcm(*{x.denominator for x in values})
     scaled = [x.numerator * (denom // x.denominator) for x in values]
     mat = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))[flat]
@@ -357,7 +370,19 @@ def validate_metric(points, dist, base=None) -> MetricSpace:
     offending points).  `base` may be a point name or an index; it defaults
     to the first point.
     """
-    names, denom, mat = _coerce_matrix(points, dist)
+    return _validated(*_coerce_matrix(points, dist), base)
+
+
+def validate_scaled(points, rows, denom: int) -> MetricSpace:
+    """validate_metric of the distances rows / denom, given as a square list
+    of integer rows (no literal is parsed, no Fraction built), based at the
+    first point; D is reduced to the lcm of their denominators (_int_matrix)."""
+    return _validated(tuple(points), *_int_matrix(np.array(rows), denom))
+
+
+def _validated(names, denom: int, mat: np.ndarray, base=None) -> MetricSpace:
+    """The validated MetricSpace of a scaled matrix in canonical form; raises
+    the first violation."""
     mask = _checked(_violations(names, mat))
     return MetricSpace(names, denom, mat, _base_index(names, base), _deletion_mask=mask)
 
@@ -546,15 +571,21 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
         raise InvalidInput("vertex names must be distinct")
     index = {v: i for i, v in enumerate(names)}
     seen = set()
-    idx_edges = []
-    for u, v, w in edges:
-        if not (isinstance(u, str) and isinstance(v, str) and u in index and v in index):
-            raise InvalidInput(f"edge ({u},{v}) uses an unknown vertex")
-        key = (min(index[u], index[v]), max(index[u], index[v]))
-        if key in seen:
-            raise InvalidInput(f"duplicate edge {{{u},{v}}}")
-        seen.add(key)
-        idx_edges.append((index[u], index[v], to_fraction(w)))
+    pairs = []
+
+    def weights():
+        for u, v, w in edges:
+            if not (isinstance(u, str) and isinstance(v, str) and u in index and v in index):
+                raise InvalidInput(f"edge ({u},{v}) uses an unknown vertex")
+            key = (min(index[u], index[v]), max(index[u], index[v]))
+            if key in seen:
+                raise InvalidInput(f"duplicate edge {{{u},{v}}}")
+            seen.add(key)
+            pairs.append((index[u], index[v]))
+            yield w
+
+    values, slots = _read_literals([weights()])
+    idx_edges = [(u, v, values[k]) for (u, v), k in zip(pairs, slots)]
     rows, denom, scaled = _path_rows(len(names), idx_edges)
     if len(names) < 2:
         raise InvalidInput("a metric space needs at least 2 points")

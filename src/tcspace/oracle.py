@@ -10,11 +10,21 @@ These deliberately avoid the solver's code paths:
 * per-edge LPs over the optimal face of roadmaps for the maximal support.
 
 All run on the exact simplex in :mod:`tcspace.lp`.
+
+The transportation LP is posed on integer masses: f times M, M the lcm of
+its denominators, with the value divided by M at the end.  It has one row
+per source and one per sink but the first; that row is implied, since f
+sums to zero.  Its constraint matrix, the incidence matrix of a complete
+bipartite graph, is totally unimodular, and so is the matrix with the slack
+and artificial columns beside it.  With integer masses every row keeps
+scale 1, and the divisor of the fraction-free simplex, the determinant of
+the basis up to sign, is 1: every pivot is 1, and so is every divisor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotATree, NullProblem
 from .lp import ExactLP, LPStatus
@@ -26,24 +36,28 @@ def oracle_tc_norm(f: TransportationProblem) -> Fraction:
     """Exact TC norm via the dense transportation LP.
 
     Minimizes sum a_xy * d(x,y) over nonnegative moves between the supply
-    and demand supports with the marginals prescribed by f.  No shortest
-    paths, no edges: this shares nothing with the shortest-path solver.
+    and demand supports with the marginals prescribed by f, in units of 1/M
+    (M the lcm of f's denominators).  The first sink's row is left out: the
+    other rows imply it.  No shortest paths, no edges: this shares nothing
+    with the shortest-path solver.
     """
     if f.is_zero():
         return ZERO
     dist = f.graph.space.dist
-    sources = sorted(v for v in f.support() if f[v] > 0)
-    sinks = sorted(v for v in f.support() if f[v] < 0)
+    scale = lcm(*(x.denominator for x in f.values.values()))
+    mass = {v: x.numerator * (scale // x.denominator) for v, x in f.values.items()}
+    sources = sorted(v for v, a in mass.items() if a > 0)
+    sinks = sorted(v for v, a in mass.items() if a < 0)
     lp = ExactLP()
     cell = {(x, y): lp.add_var() for x in sources for y in sinks}
     for x in sources:
-        lp.add_eq({cell[x, y]: Fraction(1) for y in sinks}, f[x])
-    for y in sinks:
-        lp.add_eq({cell[x, y]: Fraction(1) for x in sources}, -f[y])
+        lp.add_eq({cell[x, y]: 1 for y in sinks}, mass[x])
+    for y in sinks[1:]:
+        lp.add_eq({cell[x, y]: 1 for x in sources}, -mass[y])
     lp.minimize({cell[x, y]: dist[x][y] for x in sources for y in sinks})
     res = lp.solve()
     assert res.status == LPStatus.OPTIMAL
-    return res.value
+    return res.value / scale
 
 
 def oracle_tree_norm(f: TransportationProblem) -> Fraction:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .duality import LipschitzFunction
 from .graph import CanonicalGraph
-from .metric import MetricSpace, space_from_weighted_graph, validate_metric
+from .metric import MetricSpace, space_from_weighted_graph, validate_scaled
 from .rational import ZERO
 from .transport import CycleBasis
 from .vectors import EdgeVector, TransportationProblem
@@ -21,19 +21,19 @@ from .vectors import EdgeVector, TransportationProblem
 def random_metric_space(rng: random.Random, n_points: int) -> MetricSpace:
     """A random exact metric on n_points points.
 
-    Either distances sampled from [1, 2] (every triangle inequality holds,
-    equalities included, so some edges get deleted) or the path metric of a
-    random connected weighted graph.
+    Either distances sampled from [1, 2] in units of 1/denom, drawn as
+    integers (every triangle inequality holds, equalities included, so some
+    edges get deleted), or the path metric of a random connected weighted
+    graph.
     """
     names = [f"P{i}" for i in range(n_points)]
     if rng.random() < 0.5:
         denom = rng.choice((4, 6, 8, 12))
-        rows = [[ZERO] * n_points for _ in range(n_points)]
+        rows = [[0] * n_points for _ in range(n_points)]
         for i in range(n_points):
             for j in range(i + 1, n_points):
-                d = 1 + Fraction(rng.randint(0, denom), denom)
-                rows[i][j] = rows[j][i] = d
-        return validate_metric(names, rows)
+                rows[i][j] = rows[j][i] = denom + rng.randint(0, denom)
+        return validate_scaled(names, rows, denom)
     edges = []
     for i in range(1, n_points):
         edges.append((rng.randrange(i), i, _random_weight(rng)))

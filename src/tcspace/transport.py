@@ -474,8 +474,12 @@ def _optimum(f: TransportationProblem) -> tuple[Fraction, Roadmap, list[int], li
     total = sum(abs(flow[e]) * w for u, arcs in enumerate(graph.adjacency)
                 for v, w, e in arcs if u < v)
     cost = Fraction(total, denom * scale)
+    # The flow transports f: its divergence at each vertex is f times M.
+    for u, arcs in enumerate(graph.adjacency):
+        x = f[u]
+        out = sum(flow[e] if u < v else -flow[e] for v, _, e in arcs)
+        assert out * x.denominator == x.numerator * scale, "the flow must transport f"
     p = Roadmap(EdgeVector(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x}))
-    assert p.problem() == f
     assert cost == p.cost()
     return cost, p, flow, pot
 

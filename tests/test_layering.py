@@ -42,6 +42,12 @@ def test_the_simplex_shares_no_code_with_the_solver():
     assert _imported_modules(SRC / "lp.py") == {"rational"}
 
 
+def test_the_oracle_imports_no_solver_module():
+    # It poses the transportation LP on the space's distances alone.
+    assert not _imported_modules(SRC / "oracle.py") & {
+        "transport", "duality", "graph", "metric", "obstruction"}
+
+
 def test_no_solver_module_imports_the_oracle():
     # cli.py is the front end of `oracle-check`; __init__ re-exports.
     assert _importers("oracle") == {"cli.py", "__init__.py"}

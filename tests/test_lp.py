@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tcspace import ExactLP, LPStatus
+from tcspace import ExactLP, InvalidInput, LPStatus
 
 
 def test_basic_maximization():
@@ -236,3 +236,75 @@ def test_random_mixed_instances_match_scipy(seed):
     assert ref.status == 0
     assert abs(float(res.value) - ref.fun) < 1e-7
     _assert_exact_optimum(res, obj, rows)
+
+
+def test_boolean_data_is_rejected():
+    lp = ExactLP()
+    x = lp.add_var()
+    with pytest.raises(InvalidInput):
+        lp.add_eq({x: True}, 1)
+    with pytest.raises(InvalidInput):
+        lp.add_le({x: 1}, False)
+    with pytest.raises(InvalidInput):
+        lp.maximize({x: True})
+
+
+def _random_lp(seed: int, number):
+    """A random LP of <=, >= and == rows with small integer data, each value
+    passed through number (int or Fraction)."""
+    rng = random.Random(seed)
+    lp = ExactLP()
+    cols = [lp.add_var(free=rng.random() < 0.3) for _ in range(rng.randint(2, 5))]
+    add = (lp.add_le, lp.add_ge, lp.add_eq)
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {c: number(rng.randint(-3, 3)) for c in cols if rng.random() < 0.7}
+        rng.choice(add)(coeffs, number(rng.randint(-4, 6)))
+    for c in cols:
+        if rng.random() < 0.8:
+            lp.add_le({c: number(1)}, number(rng.randint(5, 20)))
+            lp.add_ge({c: number(1)}, number(-rng.randint(0, 20)))
+    (lp.maximize if rng.random() < 0.5 else lp.minimize)(
+        {c: number(rng.randint(-5, 5)) for c in cols})
+    return lp
+
+
+def test_int_data_solves_as_its_fractions(monkeypatch):
+    """int coefficients and right-hand sides stay ints, and the simplex takes
+    the same pivots, with the same divisors, to the same point and value as
+    with the equal Fractions."""
+    pivots = []
+    pivot = ExactLP._pivot
+
+    def recorded(t, basis, d, i, j):
+        pivots.append((i, j, t[i][j], d))
+        return pivot(t, basis, d, i, j)
+
+    monkeypatch.setattr(ExactLP, "_pivot", staticmethod(recorded))
+    statuses = set()
+    for seed in range(300):
+        runs = []
+        for number in (int, Fraction):
+            pivots.clear()
+            lp = _random_lp(seed, number)
+            data = [*lp._obj.values()]
+            for coeffs, _, rhs in lp._cons:
+                data += [*coeffs.values(), rhs]
+            assert {type(c) for c in data} == {number}
+            res = lp.solve()
+            runs.append((res.status, res.value, res.x, list(pivots)))
+        assert runs[0] == runs[1]
+        statuses.add(runs[0][0])
+    assert statuses == set(LPStatus)
+
+
+def test_a_pivot_with_p_equal_to_d_skips_the_rows_it_leaves_alone():
+    t = [[2, 1, 4], [0, 3, 5], [1, 1, 1]]
+    basis = [0, 1]
+    rows = list(t)
+    assert ExactLP._pivot(t, basis, 2, 0, 0) == 2
+    assert t[1] is rows[1] and t[1] == [0, 3, 5]
+    assert t[2] == [0, 0, -1]  # (2*r - 1*prow) // 2
+    # With p != d the zero row is rescaled: (3*r - 0) // 1.
+    t = [[3, 1, 4], [0, 3, 5]]
+    ExactLP._pivot(t, [0, 1], 1, 0, 0)
+    assert t[1] == [0, 9, 15]

@@ -186,6 +186,10 @@ def test_validate_metric_coerces_each_entry_once(monkeypatch):
     seen.clear()
     validate_metric(["A", "B"], [[0, "1"], [1, "0"]])
     assert seen == [0, "1", 1, "0"]
+    seen.clear()
+    space_from_weighted_graph("ABCD", [("A", "B", "1"), ("B", "C", "1"), ("C", "D", 1),
+                                       ("A", "D", "1"), ("A", "C", 2), ("B", "D", "2")])
+    assert seen == ["1", 1, 2, "2"]
 
 
 # --- the JSON boundary: each distinct literal parsed and printed once --------
@@ -206,6 +210,25 @@ def test_entries_equal_to_a_valid_one_are_still_rejected(odd, message):
         with pytest.raises(InvalidInput) as err:
             check(["A", "B", "C"], rows)
         assert str(err.value) == message
+    with pytest.raises(InvalidInput) as err:
+        space_from_weighted_graph("ABC", [("A", "B", 1), ("B", "C", 1), ("A", "C", odd)])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([("A", "B", "x"), ("B", "Z", "1")], "cannot parse rational literal 'x'"),
+    ([("A", "B", "1"), ("B", "Z", "x")], "edge (B,Z) uses an unknown vertex"),
+    ([("A", "B", "1"), ("B", "C", "x"), ("C", "A", True)], "cannot parse rational literal 'x'"),
+    ([("A", "B", "1"), ("B", "C", 1.5), ("B", "A", "1")],
+     "float 1.5 rejected: pass an exact string or Fraction"),
+    ([("A", "B", "1"), ("A", "B", "y")], "duplicate edge {A,B}"),
+    ([("A", "B", "1"), ("B", "C", "-1")], "edge weights must be positive"),
+], ids=["weight-first", "vertex-first", "first-literal", "float", "duplicate", "sign"])
+def test_a_graph_reports_its_first_invalid_edge(edges, message):
+    """Edges are checked in order, each weight literal as its edge is read."""
+    with pytest.raises(InvalidInput) as err:
+        space_from_weighted_graph("ABC", edges)
+    assert str(err.value) == message
 
 
 def test_equal_values_written_differently_validate_and_rows_share_objects():

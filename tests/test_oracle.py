@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from corpus import c4_graph
 from tcspace import (
+    ExactLP,
+    LPStatus,
     NotATree,
     NullProblem,
     TransportationProblem,
@@ -17,7 +20,7 @@ from tcspace import (
     supporting_unique_probe,
     tc_norm,
 )
-from tcspace.randgen import random_problem, random_tree_space
+from tcspace.randgen import random_metric_space, random_problem, random_tree_space
 
 
 def _path3_weighted():
@@ -39,6 +42,63 @@ def test_oracle_equals_solver_on_corpus(small_corpus):
     for inst in small_corpus:
         for f in inst.problems:
             assert oracle_tc_norm(f) == tc_norm(f)[0]
+
+
+def _full_transportation_lp(f):
+    """The transportation LP with a row for every source and every sink, on
+    f's Fraction masses."""
+    dist = f.graph.space.dist
+    sources = sorted(v for v in f.support() if f[v] > 0)
+    sinks = sorted(v for v in f.support() if f[v] < 0)
+    lp = ExactLP()
+    cell = {(x, y): lp.add_var() for x in sources for y in sinks}
+    for x in sources:
+        lp.add_eq({cell[x, y]: Fraction(1) for y in sinks}, f[x])
+    for y in sinks:
+        lp.add_eq({cell[x, y]: Fraction(1) for x in sources}, -f[y])
+    lp.minimize({cell[x, y]: dist[x][y] for x in sources for y in sinks})
+    res = lp.solve()
+    assert res.status == LPStatus.OPTIMAL
+    return res.value
+
+
+def _oracle_problems(small_corpus):
+    """The small corpus's problems, then 500 random ones: random_problem's,
+    and problems with one sink or one source."""
+    out = [f for inst in small_corpus for f in inst.problems]
+    rng = random.Random(1901)
+    for i in range(500):
+        graph = canonical_graph(random_metric_space(rng, rng.randint(2, 9)))
+        if i % 3 == 0:
+            out.append(random_problem(rng, graph, nonzero=True))
+            continue
+        points = rng.sample(range(graph.n), rng.randint(2, graph.n))
+        masses = {v: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for v in points[1:]}
+        one = points[0]
+        masses[one] = -sum(masses.values())
+        sign = 1 if i % 3 == 1 else -1  # one sink, or one source
+        out.append(TransportationProblem(graph, {v: sign * x for v, x in masses.items()}))
+    return out
+
+
+def test_the_reduced_lp_is_the_full_lp(small_corpus, monkeypatch):
+    """One row fewer and integer masses change no norm, and with integer
+    masses every pivot and every divisor is 1 (total unimodularity)."""
+    pivots = []
+    pivot = ExactLP._pivot
+
+    def recorded(t, basis, d, i, j):
+        pivots.append((t[i][j], d))
+        return pivot(t, basis, d, i, j)
+
+    problems = _oracle_problems(small_corpus)
+    shapes = {(sum(x > 0 for x in f.values.values()) == 1,
+               sum(x < 0 for x in f.values.values()) == 1) for f in problems}
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+    want = [_full_transportation_lp(f) for f in problems]
+    monkeypatch.setattr(ExactLP, "_pivot", staticmethod(recorded))
+    assert [oracle_tc_norm(f) for f in problems] == want
+    assert pivots and set(pivots) == {(1, 1)}
 
 
 def test_tree_cut_formula_by_hand():

@@ -380,6 +380,32 @@ def test_one_solve_builds_the_residual_digraph_once(monkeypatch):
         assert len(calls) == 1, name
 
 
+def test_the_transport_check_fails_a_bad_flow(monkeypatch):
+    """A flow one unit off on one edge, the potentials unchanged, does not
+    transport f: _optimum's integer divergence check refuses it."""
+    solve = transport._solve
+    rng = random.Random(19)
+    c4 = c4_graph()
+    cases = [(c4, TransportationProblem.point_difference(c4, "c0", "c2"))]
+    for n in (5, 8):
+        graph = canonical_graph(random_metric_space(rng, n))
+        cases.append((graph, random_problem(rng, graph, nonzero=True)))
+    for graph, f in cases:
+        for edge in range(graph.m):
+            for delta in (1, -1):
+                def off(f, edge=edge, delta=delta):
+                    flow, pot, denom, scale = solve(f)
+                    flow = list(flow)
+                    flow[edge] += delta
+                    return flow, pot, denom, scale
+
+                monkeypatch.setattr(transport, "_solve", off)
+                with pytest.raises(AssertionError, match="the flow must transport f"):
+                    tc_norm(f)
+        monkeypatch.undo()
+        assert tc_norm(f)[1].problem() == f
+
+
 def test_cost_decreases_monotonically():
     g = c4_graph()
     rm = Roadmap(EdgeVector(g, {0: Fraction(4), 1: Fraction(-3),
