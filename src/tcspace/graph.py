@@ -3,12 +3,12 @@
 The canonical graph keeps exactly the pairs uv such that no third point w
 satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
 original metric.  The dropped pairs are the deletion mask that validation
-kept on the space: the midpoint scan of a distance matrix
-(metric._midpoint_scan), or, for a weighted graph's path metric, every
-pair but the input edges without a midpoint (metric._edge_mask).  One
-min-plus step on the space's scaled matrix (metric._is_path_metric) proves
-that the graph's path metric is the input metric: here for a scanned mask,
-in validation for a graph's.
+kept on the space, proven there by one min-plus step on the space's scaled
+matrix, which shows that the graph's path metric is the input metric: a
+distance matrix's from its sure edges (metric._matrix_mask), a weighted
+graph's path metric's from its input edges (metric._edge_mask).  A space
+without a mask (a restriction) gets one from metric._matrix_mask here; only
+a mask put on a space by hand is checked here (metric._is_path_metric).
 Its one adjacency holds the integer weights of that matrix, in units of
 1/D for the space's D (the edges realise the metric, so D is their
 weights' lcm too); neighbourhoods, degrees, the solver and every path
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .metric import MetricSpace, _adjacency, _dijkstra, _is_path_metric, _midpoint_scan
+from .metric import MetricSpace, _adjacency, _dijkstra, _is_path_metric, _matrix_mask
 from .rational import frac_str
 
 
@@ -144,20 +144,22 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     """Canonical graph of a metric space, with reference orientation.
 
     An unordered pair {u, v} is an edge iff no w outside {u, v} satisfies
-    d(u,w) + d(w,v) = d(u,v).  Tails are the smaller point indices.  The
-    construction asserts, by one min-plus step on the scaled matrix, that
-    its weighted path metric reproduces the input metric exactly (so it is
-    connected).  The deletion mask is the space's, or scanned here for a
-    space without one (a restricted space, say); a mask that validation
-    proved by the same step (a weighted graph's) is not checked twice.
+    d(u,w) + d(w,v) = d(u,v).  Tails are the smaller point indices.  Its
+    weighted path metric reproduces the input metric exactly (so it is
+    connected), proven by one min-plus step on the scaled matrix: in
+    validation for the mask the space keeps, here by metric._matrix_mask
+    for a space without one (a restricted space, say).  A mask put on a
+    space by hand is checked by that step here; a proven one is not
+    checked twice.
     """
     mat = space.scaled
-    drop = space._deletion_mask
+    drop, proven = space._deletion_mask, space._mask_proven
     if drop is None:
-        hit, drop = _midpoint_scan(mat)
+        hit, drop = _matrix_mask(mat)
         assert hit is None, "a metric space satisfies the triangle inequality"
+        proven = True
     upper = np.triu(~drop, 1)
-    assert space._mask_proven or _is_path_metric(mat, upper | upper.T), \
+    assert proven or _is_path_metric(mat, upper | upper.T), \
         "canonical graph path metric must equal the input metric"
     tails, heads = np.nonzero(upper)  # row-major: by (tail, head)
     arcs = list(zip(tails.tolist(), heads.tolist(), mat[tails, heads].tolist()))

@@ -9,9 +9,14 @@ Fractions live at the boundary: each distinct input literal is parsed once
 (a matrix's also scaled once), each distinct distance printed once, and
 `dist` is a view built when read; integer distances given with their unit
 skip the literals (validate_scaled).  The diagonal, symmetry and sign tests
-are vectorized.  For a distance matrix, one midpoint-major scan, O(n^3), yields both the first
-triangle violation and the canonical graph's deletion mask (the triangle
-test with `>` replaced by `==`), which the validated space keeps for
+are vectorized.  A distance matrix's triangle inequality and the canonical
+graph's deletion mask come from a certificate (_matrix_mask): the sure edges
+(pairs closer than the sum of their ends' least distances have no
+midpoint), one min-plus step over them, an exact midpoint test for the
+pairs that leaves open, and _is_path_metric on the final edges; on
+uniform-weight families that is O(m n) instead of the O(n^3) midpoint scan,
+which runs only on a matrix that is not a metric, to report its first
+violation.  The validated space keeps the proven mask for
 graph.canonical_graph.
 
 Shortest-path metrics of weighted graphs (families, weighted-graph JSON) come
@@ -27,6 +32,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice
 from math import gcd, lcm
 
 import numpy as np
@@ -60,9 +66,9 @@ class MetricSpace:
     value, built when first read.  Equality is by value.  Instances are
     built by :func:`validate_metric` (or by the family generators, which
     validate too); the constructor itself trusts its input.  Validated
-    instances keep the canonical graph's deletion mask: a matrix's from
-    _midpoint_scan, a weighted graph's path metric's from _edge_mask, which
-    proves it (_mask_proven).
+    instances keep the canonical graph's deletion mask, proven by one
+    min-plus certificate (_mask_proven): a matrix's from _matrix_mask, a
+    weighted graph's path metric's from _edge_mask.
     """
 
     points: tuple[str, ...]
@@ -140,7 +146,7 @@ def _int_dtype(peak: int):
     """For integers of magnitude at most peak: the narrowest of int8, int16,
     int32 and int64 in which a sum of two of them cannot wrap, else Python
     ints (object dtype).  All of them run the same numpy code, and the
-    narrower the dtype the faster the midpoint scan and _floyd_warshall."""
+    narrower the dtype the faster the min-plus step and _floyd_warshall."""
     return next((dtype for dtype, bound in _INT_WIDTHS if peak < bound), object)
 
 
@@ -177,13 +183,78 @@ def _midpoint_scan(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.nda
     return None, mask
 
 
+def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:
+    """_midpoint_scan(mat), from a certificate instead of the O(n^3) scan.
+
+    1. Sure edges.  With delta_u the least distance from u, a pair with
+       mat[u, v] < delta_u + delta_v has no midpoint: any third point j
+       has mat[u, j] + mat[j, v] >= delta_u + delta_v.  Each point's nearest
+       neighbour is one, so no point is left without an edge.
+    2. One min-plus step over the sure edges (_min_plus).  A minimum below
+       mat[u, k] is a triangle violation.  Where it equals mat[u, k] on a
+       pair that is not a sure edge, the minimizing neighbour lies outside
+       {u, k}: a midpoint, so the pair is dropped.  If it equals mat
+       everywhere, mat is the path metric of the sure edges
+       (_is_path_metric), so it is a metric and every other pair has a
+       midpoint: the step is the certificate, O(m n) instead of O(n^3).
+    3. The pairs that neither of their two rows decided get an exact
+       midpoint test (_midpoint_free), and the final edge set is certified
+       by _is_path_metric: a metric is the path metric of its canonical
+       graph, and the edge set is exactly that graph (each pair was decided
+       by a midpoint, or by its absence), so the step fails only on a
+       matrix that is not a metric.
+
+    The scan runs only when the certificate fails, to report the first
+    violation in its own order.  Uniform-weight families (diamonds, grids, K_{2,n} recursions)
+    and matrices with entries in [D, 2D] stop after step 2.
+    """
+    if len(mat) == 1:
+        return None, np.zeros((1, 1), dtype=bool)  # the empty graph on one point
+    near = mat.copy()
+    np.fill_diagonal(near, mat.max())
+    delta = near.min(axis=1)
+    np.add(delta[:, None], delta, out=near)
+    keep = mat < near
+    np.fill_diagonal(keep, False)
+    best = _min_plus(mat, keep)
+    certified = not (best < mat).any()
+    above = best > mat
+    if certified and above.any():
+        us, ks = np.nonzero(np.triu(above & above.T, 1))
+        free = _midpoint_free(mat, us, ks)
+        keep[us[free], ks[free]] = keep[ks[free], us[free]] = True
+        certified = _is_path_metric(mat, keep)
+    if not certified:
+        hit, mask = _midpoint_scan(mat)
+        assert hit is not None, "a metric is the path metric of its canonical graph"
+        return hit, mask
+    drop = ~keep
+    np.fill_diagonal(drop, False)
+    return None, drop
+
+
+def _midpoint_free(mat: np.ndarray, us: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """For each pair (us[i], ks[i]) of distinct points: whether no third
+    point j has mat[u, j] + mat[j, k] = mat[u, k] (j = u and j = k always
+    do).  O(n) per pair, over blocks of pairs whose sums hold at most the
+    larger of mat's size and _MIN_PLUS_BLOCK entries."""
+    direct = mat[us, ks]
+    free = np.empty(len(us), dtype=bool)
+    step = max(1, max(mat.size, _MIN_PLUS_BLOCK) // len(mat))
+    for lo in range(0, len(us), step):
+        via = mat[us[lo:lo + step]]
+        via += mat[ks[lo:lo + step]]
+        free[lo:lo + step] = (via == direct[lo:lo + step, None]).sum(axis=1) == 2
+    return free
+
+
 def _edge_mask(mat: np.ndarray, edges) -> np.ndarray:
     """The _midpoint_scan mask of mat, the path metric of a connected graph's
     edges (u, v, w) (each pair at most once, w >= 1), in O(m n) instead of
     O(n^3).  Only an edge can be a canonical edge: any other pair's shortest
     path has an interior point, and that point is a midpoint.  So the mask
-    keeps the edges with w = mat[u, v] and no midpoint, and drops every
-    other pair.
+    keeps the edges with w = mat[u, v] and no midpoint (_midpoint_free), and
+    drops every other pair.
 
     Certified, not trusted (a wrong mat fails an assertion): every w must be
     at least mat[u, v], and _is_path_metric(mat, kept) must hold.  The
@@ -197,13 +268,7 @@ def _edge_mask(mat: np.ndarray, edges) -> np.ndarray:
     tails, heads, weights = (np.array(x) for x in zip(*edges))
     direct = mat[tails, heads]
     assert (weights >= direct).all(), "a path metric is at most every edge weight"
-    kept = weights == direct
-    # j = u and j = v always give d(u,j) + d(j,v) = d(u,v): more is a midpoint.
-    step = max(1, max(mat.size, _MIN_PLUS_BLOCK) // n)
-    for lo in range(0, len(tails), step):
-        via = mat[tails[lo:lo + step]]
-        via += mat[heads[lo:lo + step]]
-        kept[lo:lo + step] &= (via == direct[lo:lo + step, None]).sum(axis=1) == 2
+    kept = (weights == direct) & _midpoint_free(mat, tails, heads)
     keep = np.zeros((n, n), dtype=bool)
     keep[tails[kept], heads[kept]] = keep[heads[kept], tails[kept]] = True
     assert _is_path_metric(mat, keep), "a graph's path metric must be that of its kept edges"
@@ -219,18 +284,32 @@ def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
     weight mat[u, v]; then mat is a metric.
 
     One min-plus step decides it: for every u and every k != u, mat[u, k]
-    must equal the least w + mat[v, k] over the edges (u, v, w) at u, which
-    is Bellman's equation; nothing else, the triangle inequality included,
-    is assumed.  If it holds, each pair has a first edge whose far end v has
-    mat[v, k] < mat[u, k] (w > 0), so by induction on mat[u, k] some path
-    from u to k has length mat[u, k].  Along any path u = x_0, ..., x_r = k
-    the step gives mat[x_i, k] <= w(x_i, x_i+1) + mat[x_i+1, k], and these
-    add up to mat[u, k] <= the path's length.  So mat is the path metric
-    (the positive-weight Bellman fixpoint; Ahuja-Magnanti-Orlin, Network
-    Flows, ch. 4-5).  Conversely a path metric satisfies the step: no edge
-    beats the distance, and the first edge of a shortest path attains it.
-    A canonical graph missing one of its edges {u, k} leaves that pair a
-    strict >, since no third point lies between u and k.
+    must equal the least w + mat[v, k] over the edges (u, v, w) at u
+    (_min_plus), which is Bellman's equation; nothing else, the triangle
+    inequality included, is assumed.  If it holds, each pair has a first
+    edge whose far end v has mat[v, k] < mat[u, k] (w > 0), so by induction
+    on mat[u, k] some path from u to k has length mat[u, k].  Along any
+    path u = x_0, ..., x_r = k the step gives mat[x_i, k] <= w(x_i, x_i+1)
+    + mat[x_i+1, k], and these add up to mat[u, k] <= the path's length.
+    So mat is the path metric (the positive-weight Bellman fixpoint;
+    Ahuja-Magnanti-Orlin, Network Flows, ch. 4-5).  Conversely a path
+    metric satisfies the step: no edge beats the distance, and the first
+    edge of a shortest path attains it.  A canonical graph missing one of
+    its edges {u, k} leaves that pair a strict >, since no third point lies
+    between u and k.
+    """
+    if len(mat) == 1:
+        return True  # the empty graph on one point
+    if not keep.any(axis=1).all():
+        return False  # a point without edges
+    return np.array_equal(_min_plus(mat, keep), mat)
+
+
+def _min_plus(mat: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """One min-plus step of a scaled matrix over the graph of keep
+    (symmetric, false on the diagonal, at least one pair at every point):
+    best[u, k] = the least mat[u, v] + mat[v, k] over the pairs {u, v} of
+    keep, for k != u, and best[u, u] = 0.
 
     Runs at mat's dtype, over blocks of points of like degree (the most
     edges first), each point's edges padded to the block's largest degree
@@ -241,15 +320,12 @@ def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
     reduceat does not vectorize the per-point minimum.)
     """
     n = len(mat)
-    if n == 1:
-        return True  # the empty graph on one point
     deg = keep.sum(axis=1)
     # sorted, not np.argsort: numpy's sort kernels add 0.2-0.4 MB of resident
     # memory to a process that sorts nothing else.
     order = np.array(sorted(range(n), key=deg.tolist().__getitem__, reverse=True))
-    if not deg[order[-1]]:
-        return False  # a point without edges
     cap = max(mat.size, _MIN_PLUS_BLOCK)
+    best = np.empty_like(mat)
     lo = 0
     while lo < n:
         top = int(deg[order[lo]])
@@ -261,12 +337,10 @@ def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
                      + np.minimum(np.arange(top), degs[:, None] - 1)]
         via = mat[nbrs]
         via += mat[rows[:, None], nbrs][..., None]
-        best = via.min(axis=1)
-        best[np.arange(hi - lo), rows] = 0  # k = u is not compared
-        if not np.array_equal(best, mat[rows]):
-            return False
+        best[rows] = via.min(axis=1)
         lo = hi
-    return True
+    np.fill_diagonal(best, 0)  # k = u is not compared
+    return best
 
 
 def metric_violations(points, dist) -> list:
@@ -283,9 +357,9 @@ def _violations(names, mat: np.ndarray, edges=None) -> tuple[list, np.ndarray | 
     """(metric_violations, deletion mask or None) of a scaled matrix: the
     diagonal, then each pair i < j in row-major order (asymmetry before
     sign), then, on an otherwise clean matrix, the triangle inequality and
-    the mask: by the _midpoint_scan of a matrix, or, for the path metric of
-    a graph's edges (u, v, w), weights in the matrix's units rounded up, by
-    their certified _edge_mask."""
+    the mask: by the certified _matrix_mask of a matrix, or, for the path
+    metric of a graph's edges (u, v, w), weights in the matrix's units
+    rounded up, by their certified _edge_mask."""
     out: list = [InvalidInput(f"self-distance of {names[i]!r} must be 0")
                  for i in np.flatnonzero(np.diagonal(mat) != 0)]
     bad = np.triu((mat != mat.T) | (mat <= 0), 1)
@@ -301,42 +375,43 @@ def _violations(names, mat: np.ndarray, edges=None) -> tuple[list, np.ndarray | 
         return out, None
     if edges is not None:
         return out, _edge_mask(mat, edges)
-    hit, mask = _midpoint_scan(mat)
+    hit, mask = _matrix_mask(mat)
     if hit is not None:
         i, j, k = (names[x] for x in hit)
         out.append(TriangleViolation(f"d({i},{k}) > d({i},{j}) + d({j},{k})", (i, j, k)))
     return out, mask
 
 
-def _read_literals(rows) -> tuple[list[Fraction], list[int]]:
-    """(values, slots): each distinct literal of the rows parsed by
-    to_fraction once, into values, and the slot in values of each literal,
-    row by row, each row read as it is reached.  The key holds the type
-    because True == 1 == 1.0 hash alike but only 1 is a valid entry; an
-    unhashable literal goes straight to to_fraction, which rejects it.  A
-    Fraction takes a slot of its own: hashing one costs more than the lookup
-    saves."""
-    slots: dict = {}
-    values: list[Fraction] = []
-    out: list[int] = []
-    for row in rows:
-        for x in row:
-            if type(x) is not Fraction:
-                key = type(x), x
-                try:
-                    out.append(slots[key])
-                    continue
-                except KeyError:
-                    slots[key] = len(values)
-                except TypeError:
-                    pass
-            out.append(len(values))
-            values.append(to_fraction(x))
-    return values, out
+def _read_literals(entries: list) -> dict:
+    """{literal: its Fraction} over the entries, each distinct literal
+    parsed by to_fraction once, in order of first occurrence, so that the
+    first invalid literal raises first.  Only str, int (not bool) and
+    Fraction entries, subclasses included, are read: the first entry of
+    any other type stops the reading, and after the literals before it it
+    goes to to_fraction, which rejects every other type.  Among the types
+    read only equal values hash alike (1 and Fraction(1) parse to the same
+    value), so True, 1.0 and unhashable entries never share a key with a
+    valid literal.  C-level passes: one over the types, one dict.fromkeys.
+    """
+    odd = {t for t in set(map(type, entries))
+           if t is bool or not issubclass(t, (str, int, Fraction))}
+    cut = len(entries)
+    if odd:
+        cut = next(i for i, t in enumerate(map(type, entries)) if t in odd)
+    literals = dict.fromkeys(islice(entries, cut))
+    for x in literals:
+        literals[x] = to_fraction(x)
+    if cut < len(entries):
+        to_fraction(entries[cut])
+        raise AssertionError("to_fraction rejects every type but str, int and Fraction")
+    return literals
 
 
 def _coerce_matrix(points, dist) -> tuple[tuple[str, ...], int, np.ndarray]:
-    """(names, D, the distances times D at _int_dtype width), D their lcm."""
+    """(names, D, the distances times D at _int_dtype width), D their lcm.
+    Entries are read in row-major order up to the first row of the wrong
+    length, which raises after the literals before it (_read_literals); one
+    np.fromiter gather builds the matrix."""
     try:
         names = tuple(str(p) for p in points)
         dist = [list(row) for row in dist]
@@ -344,22 +419,27 @@ def _coerce_matrix(points, dist) -> tuple[tuple[str, ...], int, np.ndarray]:
         raise InvalidInput("'points' must be a list of names and 'dist' a list of rows") from exc
     if len(set(names)) != len(names):
         raise InvalidInput("point names must be distinct")
-    if len(names) < 2:
+    n = len(names)
+    if n < 2:
         raise InvalidInput("a metric space needs at least 2 points")
-    if len(dist) != len(names):
+    if len(dist) != n:
         raise InvalidInput("distance matrix must be square, one row per point")
-
-    def rows():
-        for row in dist:
-            if len(row) != len(names):
-                raise InvalidInput("distance matrix must be square, one row per point")
-            yield row
-
-    values, flat = _read_literals(rows())
-    denom = lcm(*{x.denominator for x in values})
-    scaled = [x.numerator * (denom // x.denominator) for x in values]
-    mat = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))[flat]
-    return names, denom, mat.reshape(len(names), -1)
+    square = next((r for r, length in enumerate(map(len, dist)) if length != n), n)
+    flat = list(chain.from_iterable(dist[:square]))
+    if square == n and type(flat[0]) is Fraction and set(map(type, flat)) == {Fraction}:
+        # Python callers' Fractions: nothing to parse, and hashing one costs more than scaling it
+        denom = lcm(*{x.denominator for x in flat})
+        scaled = [x.numerator * (denom // x.denominator) for x in flat]
+        mat = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))
+        return names, denom, mat.reshape(n, n)
+    values = _read_literals(flat)
+    if square < n:
+        raise InvalidInput("distance matrix must be square, one row per point")
+    denom = lcm(*{x.denominator for x in values.values()})
+    scaled = {key: x.numerator * (denom // x.denominator) for key, x in values.items()}
+    dtype = _int_dtype(max(map(abs, scaled.values())))
+    mat = np.fromiter(map(scaled.__getitem__, flat), dtype=dtype, count=len(flat))
+    return names, denom, mat.reshape(n, n)
 
 
 def validate_metric(points, dist, base=None) -> MetricSpace:
@@ -384,7 +464,8 @@ def _validated(names, denom: int, mat: np.ndarray, base=None) -> MetricSpace:
     """The validated MetricSpace of a scaled matrix in canonical form; raises
     the first violation."""
     mask = _checked(_violations(names, mat))
-    return MetricSpace(names, denom, mat, _base_index(names, base), _deletion_mask=mask)
+    return MetricSpace(names, denom, mat, _base_index(names, base), _deletion_mask=mask,
+                       _mask_proven=True)
 
 
 def _checked(verdict) -> np.ndarray:
@@ -571,21 +652,26 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
         raise InvalidInput("vertex names must be distinct")
     index = {v: i for i, v in enumerate(names)}
     seen = set()
-    pairs = []
-
-    def weights():
-        for u, v, w in edges:
-            if not (isinstance(u, str) and isinstance(v, str) and u in index and v in index):
-                raise InvalidInput(f"edge ({u},{v}) uses an unknown vertex")
-            key = (min(index[u], index[v]), max(index[u], index[v]))
-            if key in seen:
-                raise InvalidInput(f"duplicate edge {{{u},{v}}}")
-            seen.add(key)
-            pairs.append((index[u], index[v]))
-            yield w
-
-    values, slots = _read_literals([weights()])
-    idx_edges = [(u, v, values[k]) for (u, v), k in zip(pairs, slots)]
+    pairs, weights = [], []
+    invalid = None
+    for u, v, w in edges:
+        if not (isinstance(u, str) and isinstance(v, str) and u in index and v in index):
+            invalid = f"edge ({u},{v}) uses an unknown vertex"
+            break
+        key = (min(index[u], index[v]), max(index[u], index[v]))
+        if key in seen:
+            invalid = f"duplicate edge {{{u},{v}}}"
+            break
+        seen.add(key)
+        pairs.append((index[u], index[v]))
+        weights.append(w)
+    # An earlier edge's invalid literal raises first.  A Fraction is its own
+    # value, and hashing one costs more than parsing it.
+    values = _read_literals([w for w in weights if type(w) is not Fraction])
+    if invalid:
+        raise InvalidInput(invalid)
+    idx_edges = [(u, v, w if type(w) is Fraction else values[w])
+                 for (u, v), w in zip(pairs, weights)]
     rows, denom, scaled = _path_rows(len(names), idx_edges)
     if len(names) < 2:
         raise InvalidInput("a metric space needs at least 2 points")

@@ -297,6 +297,127 @@ def test_int_data_solves_as_its_fractions(monkeypatch):
     assert statuses == set(LPStatus)
 
 
+def _bland_reference(lp):
+    """The two-phase simplex with Bland's rule on a Fraction tableau, the
+    one the integer tableau stands for: the columns are the structural ones
+    (a free variable split in two), the slacks and the artificials, each in
+    row order; a row is negated if its right-hand side is negative; phase 1
+    minimizes the plain sum of the artificials; leftover artificials leave
+    on the first structural or slack column with a nonzero entry, and rows
+    without one are dropped.  Returns (status, value, x, the (row, column)
+    of every pivot)."""
+    ncols = sum(2 if free else 1 for free in lp._free)
+    slack = [0 if sense == "==" else 1 if (sense == "<=") == (rhs >= 0) else -1
+             for _, sense, rhs in lp._cons]
+    total = ncols + sum(s != 0 for s in slack)
+    width = total + sum(s <= 0 for s in slack) + 1
+
+    def row_of(coeffs, rhs, sign):
+        row = [Fraction(0)] * width
+        row[-1] = sign * Fraction(rhs)
+        col = 0
+        for var, free in enumerate(lp._free):
+            c = sign * Fraction(coeffs.get(var, 0))
+            row[col] = c
+            if free:
+                row[col + 1] = -c
+            col += 2 if free else 1
+        return row
+
+    t, basis, arts = [], [], []
+    slack_at, art_at = ncols, total
+    for (coeffs, _, rhs), s in zip(lp._cons, slack):
+        row = row_of(coeffs, rhs, -1 if rhs < 0 else 1)
+        if s:
+            row[slack_at] = Fraction(s)
+            slack_at += 1
+        if s > 0:
+            basis.append(slack_at - 1)
+        else:
+            row[art_at] = Fraction(1)
+            arts.append(len(t))
+            basis.append(art_at)
+            art_at += 1
+        t.append(row)
+    t.append(row_of(lp._obj, 0, -1 if lp._maximize else 1))
+    pivots = []
+
+    def pivot(i, j):
+        pivots.append((i, j))
+        t[i] = [a / t[i][j] for a in t[i]]
+        for r, row in enumerate(t):
+            if r != i and row[j]:
+                t[r] = [a - row[j] * b for a, b in zip(row, t[i])]
+        basis[i] = j
+
+    def iterate():
+        while True:
+            enter = next((j for j in range(total) if t[-1][j] < 0), None)
+            if enter is None:
+                return True
+            ratios = [(t[i][-1] / t[i][enter], basis[i], i)
+                      for i in range(len(basis)) if t[i][enter] > 0]
+            if not ratios:
+                return False
+            pivot(min(ratios)[2], enter)
+
+    if arts:
+        phase1 = [-sum(t[i][j] for i in arts) for j in range(width)]
+        phase1[total:-1] = [Fraction(0)] * len(arts)
+        t.append(phase1)
+        iterate()
+        if t.pop()[-1] != 0:
+            return LPStatus.INFEASIBLE, None, None, pivots
+        drop = []
+        for i in range(len(basis)):
+            if basis[i] >= total:
+                j = next((j for j in range(total) if t[i][j] != 0), None)
+                if j is None:
+                    drop.append(i)
+                else:
+                    pivot(i, j)
+        for i in reversed(drop):
+            del t[i], basis[i]
+    if not iterate():
+        return LPStatus.UNBOUNDED, None, None, pivots
+    cols = [Fraction(0)] * total
+    for row, col in zip(t, basis):
+        cols[col] = row[-1]
+    x, col = [], 0
+    for free in lp._free:
+        x.append(cols[col] - cols[col + 1] if free else cols[col])
+        col += 2 if free else 1
+    value = -t[-1][-1]
+    return LPStatus.OPTIMAL, -value if lp._maximize else value, x, pivots
+
+
+def test_phase_one_takes_the_fraction_simplex_pivots(monkeypatch):
+    """Weighing each artificial by L / L_i makes Bland's rule on the integer
+    tableau take the pivots of the Fraction tableau, whose phase 1 sums the
+    artificials unweighted: on random LPs whose rows have their own
+    denominators, the (row, column) of every pivot, the status, value and x
+    are the reference's.  Several of the LPs have artificial rows of
+    different scales, where unit weights would change the phase-1 costs."""
+    pivots = []
+    pivot = ExactLP._pivot
+
+    def recorded(t, basis, d, i, j):
+        pivots.append((i, j))
+        return pivot(t, basis, d, i, j)
+
+    monkeypatch.setattr(ExactLP, "_pivot", staticmethod(recorded))
+    statuses = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        lp = _random_lp(seed, lambda v, rng=rng: Fraction(v, rng.choice((1, 2, 3, 4, 6))))
+        want = _bland_reference(lp)
+        pivots.clear()
+        res = lp.solve()
+        assert (res.status, res.value, res.x, pivots) == want
+        statuses.add(res.status)
+    assert statuses == set(LPStatus)
+
+
 def test_a_pivot_with_p_equal_to_d_skips_the_rows_it_leaves_alone():
     t = [[2, 1, 4], [0, 3, 5], [1, 1, 1]]
     basis = [0, 1]

@@ -339,10 +339,12 @@ def _matrix_pool():
     return pool
 
 
-def _dtype_spy(monkeypatch, name):
+def _dtype_spy(monkeypatch, name, arg=-1):
+    """The dtypes of the matrix argument (positional index arg) of each call
+    of metric's function name."""
     seen = []
     real = getattr(metric, name)
-    monkeypatch.setattr(metric, name, lambda *a: seen.append(a[-1].dtype) or real(*a))
+    monkeypatch.setattr(metric, name, lambda *a: seen.append(a[arg].dtype) or real(*a))
     return seen
 
 
@@ -443,20 +445,30 @@ def test_scaled_matrix_matches_a_per_entry_reference():
 
 
 def test_canonical_edges_are_the_same_in_both_dtypes(monkeypatch):
+    """Validating a matrix runs its min-plus kernel at the matrix's width
+    (every width over SCALES, object for the copies scaled by BIG) and no
+    midpoint scan; the canonical graphs reuse the proven mask."""
     rng = random.Random(11)
     spaces = [random_metric_space(rng, n) for n in (3, 5, 8, 12) for _ in range(3)]
     spaces += [cycle(6), complete_bipartite(2, 3)]
-    seen = _dtype_spy(monkeypatch, "_midpoint_scan")
+    seen = _dtype_spy(monkeypatch, "_min_plus", 0)
+    monkeypatch.setattr(metric, "_midpoint_scan", _forbidden)
+    widths = set()
     for space in spaces:
-        seen.clear()
-        big = validate_metric(space.points, [[x * BIG for x in row] for row in space.dist])
-        assert seen == [np.dtype(object)]
+        for scale in SCALES:
+            seen.clear()
+            scaled = validate_metric(space.points, [[x * scale for x in row] for row in space.dist])
+            assert scaled._mask_proven and seen and set(seen) == {scaled.scaled.dtype}
+            widths.add(scaled.scaled.dtype)
+        big = scaled
+        assert seen[0] == np.dtype(object)
         seen.clear()
         edges = canonical_graph(space).edges
         big_edges = canonical_graph(big).edges
-        assert seen == []  # both graphs reuse the mask validation kept
+        assert seen == []  # both graphs reuse the mask validation proved
         assert [(e.tail, e.head, e.weight * BIG) for e in edges] == list(big_edges)
         assert [(e.tail, e.head) for e in edges] == _reference_edges(space.dist)
+    assert widths == set(WIDTHS)
 
 
 def _reference_edges(d):
@@ -538,10 +550,16 @@ def test_a_graph_mask_is_the_scan_mask():
 
 
 def test_weighted_graphs_run_no_midpoint_scan(monkeypatch):
+    """Neither a weighted graph nor a valid matrix (the graphs' path
+    metrics, many of them through the exact midpoint test of step 3) runs
+    the scan; an invalid matrix runs it for its first violation."""
     monkeypatch.setattr(metric, "_midpoint_scan", _forbidden)
-    assert len(_graph_spaces()) > 40
-    with pytest.raises(AssertionError, match="called"):  # a matrix still scans
-        validate_metric(["A", "B"], [["0", "1"], ["1", "0"]])
+    spaces = _graph_spaces()
+    assert len(spaces) > 40
+    for space in spaces:
+        assert validate_metric(space.points, space.dist)._mask_proven
+    with pytest.raises(AssertionError, match="called"):
+        validate_metric(["A", "B", "C"], [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]])
 
 
 @pytest.mark.parametrize("graph", ["triangle", "chord", "non-geodesic", "cycle", "diamond"])
@@ -592,27 +610,204 @@ def test_a_wrong_path_metric_is_refused_by_the_certificate(monkeypatch, graph):
 
 
 def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
-    """A weighted graph's mask is proven in validation and a matrix's in
-    canonical_graph, each by one _is_path_metric; a mask put on a space by
-    hand is checked again (test_graph's test of the self-check)."""
-    steps = []
-    real = metric._is_path_metric
-    spy = lambda *a: steps.append(a) or real(*a)  # noqa: E731
-    monkeypatch.setattr(metric, "_is_path_metric", spy)
-    monkeypatch.setattr(graph_module, "_is_path_metric", spy)
-    space = grid(4)
-    canonical_graph(space)
-    canonical_graph(space.with_base("1,2"))
-    assert len(steps) == 1
-    steps.clear()
-    matrix = validate_metric(space.points, space.dist)
-    assert not matrix._mask_proven and steps == []
-    canonical_graph(matrix)
-    assert len(steps) == 1
-    steps.clear()
-    canonical_graph(MetricSpace(space.points, space.denom, space.scaled,
-                                _deletion_mask=space._deletion_mask))
-    assert len(steps) == 1
+    """Every validated space carries a mask proven by one certificate, and
+    canonical_graph checks none of them again: a weighted graph's by one
+    _is_path_metric in validation; a uniform matrix's by the one min-plus
+    step over its sure edges; a matrix that needs step 3 by one
+    _is_path_metric after that step; a restricted space's by the same
+    routine in canonical_graph.  A mask put on a space by hand is checked
+    by one _is_path_metric (test_graph's test of the self-check)."""
+    steps, certificates = [], []
+    real_step, real_check = metric._min_plus, metric._is_path_metric
+    monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real_step(*a))
+    check = lambda *a: certificates.append(a) or real_check(*a)  # noqa: E731
+    monkeypatch.setattr(metric, "_is_path_metric", check)
+    monkeypatch.setattr(graph_module, "_is_path_metric", check)
+
+    def counted(build):
+        steps.clear()
+        certificates.clear()
+        return build(), len(steps), len(certificates)
+
+    space, *counts = counted(lambda: grid(4))
+    assert counts == [1, 1] and space._mask_proven
+    path = space_from_weighted_graph(*_long_middle_path())
+    for built in (lambda: validate_metric(space.points, space.dist),
+                  lambda: validate_metric(path.points, path.dist)):
+        matrix, *counts = counted(built)
+        assert matrix._mask_proven
+        assert counts == ([1, 0] if matrix.points == space.points else [2, 1])
+        graphs, *counts = counted(lambda: [canonical_graph(matrix),
+                                           canonical_graph(matrix.with_base(matrix.points[1]))])
+        assert counts == [0, 0]
+    _, *counts = counted(lambda: canonical_graph(space))
+    assert counts == [0, 0]
+    _, *counts = counted(lambda: canonical_graph(space.restrict([0, 1, 4, 5])))  # a unit square
+    assert counts == [1, 0]
+    _, *counts = counted(lambda: canonical_graph(space.restrict(list(range(0, 16, 2)))))
+    assert counts == [2, 1]
+    _, *counts = counted(lambda: canonical_graph(
+        MetricSpace(space.points, space.denom, space.scaled, _deletion_mask=space._deletion_mask)))
+    assert counts == [1, 1]
+
+
+# --- a matrix's mask: sure edges and one min-plus certificate ---------------
+
+def _assert_the_scan_verdict(mat):
+    """_matrix_mask(mat) is _midpoint_scan(mat): the same first violation,
+    or the same mask; returns the violation."""
+    hit, mask = metric._midpoint_scan(mat)
+    got_hit, got_mask = metric._matrix_mask(mat)
+    assert got_hit == hit
+    assert (got_mask is None) if mask is None else np.array_equal(got_mask, mask)
+    return hit
+
+
+def _peel_levels(space, generations):
+    """The restrictions of a family's space to generations <= j, each level
+    below the top, as certify --peel builds them."""
+    gens = [generations[name] for name in space.points]
+    return [space.restrict([v for v in range(space.n) if gens[v] <= j])
+            for j in range(max(gens))]
+
+
+def _step_three_runs(monkeypatch):
+    """The number of pairs each call of _matrix_mask passes to step 3."""
+    pairs = []
+    real = metric._midpoint_free
+    monkeypatch.setattr(metric, "_midpoint_free",
+                        lambda mat, us, ks: pairs.append(len(us)) or real(mat, us, ks))
+    return pairs
+
+
+def test_a_matrix_mask_is_the_scan_mask_on_random_spaces(monkeypatch):
+    """random_metric_space at 2 to 64 points, matrix and graph branch: the
+    mask is the scan's, validation keeps it proven, and the graph branch's
+    non-uniform path metrics send pairs to step 3."""
+    step_three = _step_three_runs(monkeypatch)
+    sizes = [n for n in range(2, 25) for _ in range(8)] + [32, 40, 48, 64] * 3
+    counts = []
+    for seed, n in enumerate(sizes):
+        space = random_metric_space(random.Random(seed), n)
+        step_three.clear()
+        assert _assert_the_scan_verdict(space.scaled) is None
+        counts.append(sum(step_three))
+        again = validate_metric(space.points, space.dist)
+        assert again._mask_proven
+        assert np.array_equal(again._deletion_mask, metric._midpoint_scan(space.scaled)[1])
+    assert sum(c > 0 for c in counts) > len(sizes) // 5
+    assert max(counts) > 100
+
+
+def test_a_matrix_mask_is_the_scan_mask_on_the_families_and_their_peel_levels():
+    """Every family space, every peel level from restrict, and copies
+    scaled by BIG (object dtype) of the smaller ones."""
+    spaces = [cycle(n) for n in range(3, 10)] + [grid(n) for n in range(2, 9)]
+    spaces += [complete_bipartite(2, 3), complete_bipartite(3, 4)]
+    for space, desc in [diamond(n) for n in range(1, 5)] + [
+            recursive_family(k2n_two_port(legs), n) for legs in (2, 3) for n in range(1, 4)]:
+        spaces += [space, *_peel_levels(space, desc.generations)]
+    assert max(space.n for space in spaces) >= 172
+    big = 0
+    for space in spaces:
+        assert _assert_the_scan_verdict(space.scaled) is None
+        if space.n <= 40:
+            copy = space.scaled.astype(object) * BIG
+            assert _assert_the_scan_verdict(copy) is None
+            big += 1
+    assert big > 20
+
+
+def test_a_matrix_mask_is_the_scan_mask_at_int8_up_to_63():
+    """Matrices whose entries reach 63, the largest at int8 (sums up to
+    126): metrics with entries in [32, 63], path metrics of weighted paths
+    and cycles of diameter 63, and matrices with entries in [1, 63] that are
+    mostly not metrics."""
+    rng = random.Random(29)
+    mats = []
+    for _ in range(150):
+        n = rng.randint(2, 20)
+        low = 32 if rng.random() < 0.5 else 1
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(low, 63)
+        rows[0][n - 1] = rows[n - 1][0] = 63
+        mats.append(rows)
+    for n in range(3, 12):
+        cuts = sorted(rng.sample(range(1, 63), n - 2))
+        weights = [b - a for a, b in zip([0] + cuts, cuts + [63])]
+        mats.append(dijkstra_rows(metric._adjacency(n, [(i, i + 1, w) for i, w in
+                                                        enumerate(weights)])))
+        m = 2 * (n - 1)  # the path's weights twice around: its antipodes are 63 apart
+        mats.append(dijkstra_rows(metric._adjacency(m, [(i, (i + 1) % m, w) for i, w in
+                                                        enumerate(weights * 2)])))
+    verdicts = set()
+    for rows in mats:
+        mat = np.array(rows)
+        assert int(mat.max()) == 63
+        mat = mat.astype(metric._int_dtype(63))
+        assert mat.dtype == np.int8
+        verdicts.add(_assert_the_scan_verdict(mat) is None)
+    assert verdicts == {True, False}
+
+
+def test_step_three_decides_the_pairs_the_sure_edges_leave_open(monkeypatch):
+    """Path metrics of weighted graphs with non-uniform weights, passed as
+    matrices: their masks are the scan's (and the graph route's) although
+    steps 1 and 2 leave pairs open."""
+    step_three = _step_three_runs(monkeypatch)
+    spaces = _graph_spaces() + [space_from_weighted_graph(*_long_middle_path())]
+    opened = 0
+    for space in spaces:
+        step_three.clear()
+        assert _assert_the_scan_verdict(space.scaled) is None
+        opened += sum(step_three) > 0
+        assert validate_metric(space.points, space.dist) == space
+        assert np.array_equal(validate_metric(space.points, space.dist)._deletion_mask,
+                              space._deletion_mask)
+    assert opened > 20
+
+
+def test_invalid_matrices_raise_the_scans_first_violation():
+    """Random integer matrices, and valid ones with one distance moved by
+    one either way: accepted or rejected exactly as the scan does, with its
+    first TriangleViolation.  Rejections include matrices on which step 2
+    sees no violation and only the final certificate does."""
+    rng = random.Random(31)
+    mats = []
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(1, 9)
+        mats.append(rows)
+    for space in _graph_spaces()[:30] + [grid(3), diamond(2)[0]]:
+        for _ in range(10):
+            rows = space.scaled.tolist()
+            i, k = rng.sample(range(space.n), 2)
+            rows[i][k] = rows[k][i] = max(1, rows[i][k] + rng.choice((1, -1)))
+            mats.append(rows)
+    verdicts = {True: 0, False: 0}
+    for rows in mats:
+        names = [f"P{i}" for i in range(len(rows))]
+        hit = _assert_the_scan_verdict(np.array(rows, dtype=np.int64))
+        verdicts[hit is None] += 1
+        if hit is None:
+            assert validate_metric(names, rows)._mask_proven
+        else:
+            with pytest.raises(TriangleViolation) as err:
+                validate_metric(names, rows)
+            assert err.value.points == tuple(names[x] for x in hit)
+    assert min(verdicts.values()) > 200
+
+
+def _long_middle_path():
+    """The path P-A-B-Q with weights 1, 2, 1: d(A,B) = 2 is the sum of the
+    least distances from A and from B, so {A, B} is no sure edge, and no
+    sure neighbour of A or B lies between them: step 3 decides it."""
+    return ["P", "A", "B", "Q"], [("P", "A", "1"), ("A", "B", "2"), ("B", "Q", "1")]
 
 
 # --- one canonical integer form --------------------------------------------
