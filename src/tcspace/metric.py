@@ -300,16 +300,15 @@ def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
     """
     if len(mat) == 1:
         return True  # the empty graph on one point
-    if not keep.any(axis=1).all():
-        return False  # a point without edges
-    return np.array_equal(_min_plus(mat, keep), mat)
+    best = _min_plus(mat, keep)
+    return best is not None and np.array_equal(best, mat)
 
 
 def _min_plus(mat: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """One min-plus step of a scaled matrix over the graph of keep
-    (symmetric, false on the diagonal, at least one pair at every point):
-    best[u, k] = the least mat[u, v] + mat[v, k] over the pairs {u, v} of
-    keep, for k != u, and best[u, u] = 0.
+    (symmetric, false on the diagonal): best[u, k] = the least mat[u, v] +
+    mat[v, k] over the pairs {u, v} of keep, for k != u, and best[u, u] =
+    0; None if some point is in no pair.
 
     Runs at mat's dtype, over blocks of points of like degree (the most
     edges first), each point's edges padded to the block's largest degree
@@ -324,6 +323,8 @@ def _min_plus(mat: np.ndarray, keep: np.ndarray) -> np.ndarray:
     # sorted, not np.argsort: numpy's sort kernels add 0.2-0.4 MB of resident
     # memory to a process that sorts nothing else.
     order = np.array(sorted(range(n), key=deg.tolist().__getitem__, reverse=True))
+    if not deg[order[-1]]:
+        return None
     cap = max(mat.size, _MIN_PLUS_BLOCK)
     best = np.empty_like(mat)
     lo = 0
