@@ -199,10 +199,11 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
        midpoint: the step is the certificate, O(m n) instead of O(n^3).
     3. The pairs that neither of their two rows decided get an exact
        midpoint test (_midpoint_free), and the final edge set is certified
-       by _is_path_metric: a metric is the path metric of its canonical
-       graph, and the edge set is exactly that graph (each pair was decided
-       by a midpoint, or by its absence), so the step fails only on a
-       matrix that is not a metric.
+       by the same step over it (_is_path_metric), the new edges' terms
+       added to step 2's minima: a metric is the path metric of its
+       canonical graph, and the edge set is exactly that graph (each pair
+       was decided by a midpoint, or by its absence), so the step fails
+       only on a matrix that is not a metric.
 
     The scan runs only when the certificate fails, to report the first
     violation in its own order.  Uniform-weight families (diamonds, grids, K_{2,n} recursions)
@@ -222,8 +223,15 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
     if certified and above.any():
         us, ks = np.nonzero(np.triu(above & above.T, 1))
         free = _midpoint_free(mat, us, ks)
-        keep[us[free], ks[free]] = keep[ks[free], us[free]] = True
-        certified = _is_path_metric(mat, keep)
+        us, ks = us[free], ks[free]
+        keep[us, ks] = keep[ks, us] = True
+        # The new edges' terms complete the step over the final edges.
+        tails, heads = np.concatenate((us, ks)), np.concatenate((ks, us))
+        step = max(1, max(mat.size, _MIN_PLUS_BLOCK) // len(mat))
+        for lo in range(0, len(tails), step):
+            t, h = tails[lo:lo + step], heads[lo:lo + step]
+            np.minimum.at(best, t, mat[t, h][:, None] + mat[h])
+        certified = np.array_equal(best, mat)
     if not certified:
         hit, mask = _midpoint_scan(mat)
         assert hit is not None, "a metric is the path metric of its canonical graph"

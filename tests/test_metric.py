@@ -610,13 +610,13 @@ def test_a_wrong_path_metric_is_refused_by_the_certificate(monkeypatch, graph):
 
 
 def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
-    """Every validated space carries a mask proven by one certificate, and
-    canonical_graph checks none of them again: a weighted graph's by one
-    _is_path_metric in validation; a uniform matrix's by the one min-plus
-    step over its sure edges; a matrix that needs step 3 by one
-    _is_path_metric after that step; a restricted space's by the same
-    routine in canonical_graph.  A mask put on a space by hand is checked
-    by one _is_path_metric (test_graph's test of the self-check)."""
+    """Every validated space carries a mask proven by one min-plus step
+    (_min_plus), and canonical_graph checks none of them again: a weighted
+    graph's through _is_path_metric in validation; a matrix's over its sure
+    edges, completed by the new edges' terms where step 3 adds edges; a
+    restricted space's by the same routine in canonical_graph.  A mask put
+    on a space by hand is checked by one _is_path_metric (test_graph's test
+    of the self-check)."""
     steps, certificates = [], []
     real_step, real_check = metric._min_plus, metric._is_path_metric
     monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real_step(*a))
@@ -624,19 +624,22 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
     monkeypatch.setattr(metric, "_is_path_metric", check)
     monkeypatch.setattr(graph_module, "_is_path_metric", check)
 
+    step_three = _step_three_runs(monkeypatch)
+
     def counted(build):
         steps.clear()
         certificates.clear()
+        step_three.clear()
         return build(), len(steps), len(certificates)
 
     space, *counts = counted(lambda: grid(4))
     assert counts == [1, 1] and space._mask_proven
     path = space_from_weighted_graph(*_long_middle_path())
-    for built in (lambda: validate_metric(space.points, space.dist),
-                  lambda: validate_metric(path.points, path.dist)):
+    for built, opened in ((lambda: validate_metric(space.points, space.dist), 0),
+                          (lambda: validate_metric(path.points, path.dist), 1)):
         matrix, *counts = counted(built)
         assert matrix._mask_proven
-        assert counts == ([1, 0] if matrix.points == space.points else [2, 1])
+        assert counts == [1, 0] and sum(step_three) == opened
         graphs, *counts = counted(lambda: [canonical_graph(matrix),
                                            canonical_graph(matrix.with_base(matrix.points[1]))])
         assert counts == [0, 0]
@@ -645,7 +648,7 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
     _, *counts = counted(lambda: canonical_graph(space.restrict([0, 1, 4, 5])))  # a unit square
     assert counts == [1, 0]
     _, *counts = counted(lambda: canonical_graph(space.restrict(list(range(0, 16, 2)))))
-    assert counts == [2, 1]
+    assert counts == [1, 0] and sum(step_three) > 0
     _, *counts = counted(lambda: canonical_graph(
         MetricSpace(space.points, space.denom, space.scaled, _deletion_mask=space._deletion_mask)))
     assert counts == [1, 1]
