@@ -206,8 +206,9 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
        only on a matrix that is not a metric.
 
     The scan runs only when the certificate fails, to report the first
-    violation in its own order.  Uniform-weight families (diamonds, grids, K_{2,n} recursions)
-    and matrices with entries in [D, 2D] stop after step 2.
+    violation in its own order.  Uniform-weight families (diamonds, grids,
+    K_{2,n} recursions) stop after step 2; a matrix with entries in [D, 2D]
+    sends step 3 only its pairs at 2D with no point at D from both.
     """
     if len(mat) == 1:
         return None, np.zeros((1, 1), dtype=bool)  # the empty graph on one point
@@ -225,7 +226,8 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
         free = _midpoint_free(mat, us, ks)
         us, ks = us[free], ks[free]
         keep[us, ks] = keep[ks, us] = True
-        # The new edges' terms complete the step over the final edges.
+        # The new edges' terms complete the step over the final edges (at
+        # k = u a term is 2 mat[u, v] > 0, so the diagonal stays 0).
         tails, heads = np.concatenate((us, ks)), np.concatenate((ks, us))
         step = max(1, max(mat.size, _MIN_PLUS_BLOCK) // len(mat))
         for lo in range(0, len(tails), step):

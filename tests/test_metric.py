@@ -640,8 +640,8 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
         matrix, *counts = counted(built)
         assert matrix._mask_proven
         assert counts == [1, 0] and sum(step_three) == opened
-        graphs, *counts = counted(lambda: [canonical_graph(matrix),
-                                           canonical_graph(matrix.with_base(matrix.points[1]))])
+        _, *counts = counted(lambda: [canonical_graph(matrix),
+                                      canonical_graph(matrix.with_base(matrix.points[1]))])
         assert counts == [0, 0]
     _, *counts = counted(lambda: canonical_graph(space))
     assert counts == [0, 0]
