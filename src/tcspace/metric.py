@@ -52,7 +52,7 @@ _INT64_SAFE = 2**59
 # magnitude below the bound lies strictly inside the dtype's range.
 _INT_WIDTHS = ((np.int8, 2**6), (np.int16, 2**14), (np.int32, 2**30),
                (np.int64, _INT64_SAFE))
-# The fewest entries one block of _is_path_metric's sums may hold, so that a
+# The fewest entries one block of sums may hold (_block_rows), so that a
 # small space is checked in one block.
 _MIN_PLUS_BLOCK = 1 << 16
 
@@ -198,59 +198,62 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
        (_is_path_metric), so it is a metric and every other pair has a
        midpoint: the step is the certificate, O(m n) instead of O(n^3).
     3. The pairs that neither of their two rows decided get an exact
-       midpoint test (_midpoint_free), and the final edge set is certified
-       by the same step over it (_is_path_metric), the new edges' terms
-       added to step 2's minima: a metric is the path metric of its
-       canonical graph, and the edge set is exactly that graph (each pair
-       was decided by a midpoint, or by its absence), so the step fails
-       only on a matrix that is not a metric.
+       midpoint test (_midpoint_free), and _is_path_metric certifies the
+       final edge set: a metric is the path metric of its canonical graph,
+       and the edge set is exactly that graph (each pair was decided by a
+       midpoint, or by its absence), so the certificate fails only on a
+       matrix that is not a metric.
 
     The scan runs only when the certificate fails, to report the first
     violation in its own order.  Uniform-weight families (diamonds, grids,
     K_{2,n} recursions) stop after step 2; a matrix with entries in [D, 2D]
     sends step 3 only its pairs at 2D with no point at D from both.
     """
-    if len(mat) == 1:
+    n = len(mat)
+    if n == 1:
         return None, np.zeros((1, 1), dtype=bool)  # the empty graph on one point
     near = mat.copy()
     np.fill_diagonal(near, mat.max())
     delta = near.min(axis=1)
-    np.add(delta[:, None], delta, out=near)
-    keep = mat < near
+    keep = mat < np.add(delta[:, None], delta, out=near)
     np.fill_diagonal(keep, False)
-    best = _min_plus(mat, keep)
-    certified = not (best < mat).any()
-    above = best > mat
+    above = np.empty((n, n), dtype=bool)  # step 2's minimum exceeds mat
+    certified = True
+    for rows, best in _min_plus(mat, keep):
+        direct = mat[rows]
+        if (best < direct).any():
+            certified = False
+            break
+        above[rows] = best > direct
     if certified and above.any():
-        us, ks = np.nonzero(np.triu(above & above.T, 1))
+        us, ks = np.nonzero(above)
+        undecided = (us < ks) & above[ks, us]  # by neither row
+        us, ks = us[undecided], ks[undecided]
         free = _midpoint_free(mat, us, ks)
-        us, ks = us[free], ks[free]
-        keep[us, ks] = keep[ks, us] = True
-        # The new edges' terms complete the step over the final edges (at
-        # k = u a term is 2 mat[u, v] > 0, so the diagonal stays 0).
-        tails, heads = np.concatenate((us, ks)), np.concatenate((ks, us))
-        step = max(1, max(mat.size, _MIN_PLUS_BLOCK) // len(mat))
-        for lo in range(0, len(tails), step):
-            t, h = tails[lo:lo + step], heads[lo:lo + step]
-            np.minimum.at(best, t, mat[t, h][:, None] + mat[h])
-        certified = np.array_equal(best, mat)
+        keep[us[free], ks[free]] = keep[ks[free], us[free]] = True
+        certified = _is_path_metric(mat, keep)
     if not certified:
         hit, mask = _midpoint_scan(mat)
         assert hit is not None, "a metric is the path metric of its canonical graph"
         return hit, mask
-    drop = ~keep
+    drop = np.logical_not(keep, out=keep)
     np.fill_diagonal(drop, False)
     return None, drop
+
+
+def _block_rows(mat: np.ndarray, width: int) -> int:
+    """How many rows of width entries one block of sums holds: at most the
+    larger of mat's size and _MIN_PLUS_BLOCK entries, and at least one row."""
+    return max(1, max(mat.size, _MIN_PLUS_BLOCK) // width)
 
 
 def _midpoint_free(mat: np.ndarray, us: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """For each pair (us[i], ks[i]) of distinct points: whether no third
     point j has mat[u, j] + mat[j, k] = mat[u, k] (j = u and j = k always
-    do).  O(n) per pair, over blocks of pairs whose sums hold at most the
-    larger of mat's size and _MIN_PLUS_BLOCK entries."""
+    do).  O(n) per pair, over blocks of pairs (_block_rows)."""
     direct = mat[us, ks]
     free = np.empty(len(us), dtype=bool)
-    step = max(1, max(mat.size, _MIN_PLUS_BLOCK) // len(mat))
+    step = _block_rows(mat, len(mat))
     for lo in range(0, len(us), step):
         via = mat[us[lo:lo + step]]
         via += mat[ks[lo:lo + step]]
@@ -282,7 +285,7 @@ def _edge_mask(mat: np.ndarray, edges) -> np.ndarray:
     keep = np.zeros((n, n), dtype=bool)
     keep[tails[kept], heads[kept]] = keep[heads[kept], tails[kept]] = True
     assert _is_path_metric(mat, keep), "a graph's path metric must be that of its kept edges"
-    drop = ~keep
+    drop = np.logical_not(keep, out=keep)
     np.fill_diagonal(drop, False)
     return drop
 
@@ -310,15 +313,17 @@ def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
     """
     if len(mat) == 1:
         return True  # the empty graph on one point
-    best = _min_plus(mat, keep)
-    return best is not None and np.array_equal(best, mat)
+    if not keep.any(axis=1).all():
+        return False  # a point without edges
+    return all(np.array_equal(best, mat[rows]) for rows, best in _min_plus(mat, keep))
 
 
-def _min_plus(mat: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _min_plus(mat: np.ndarray, keep: np.ndarray):
     """One min-plus step of a scaled matrix over the graph of keep
-    (symmetric, false on the diagonal): best[u, k] = the least mat[u, v] +
-    mat[v, k] over the pairs {u, v} of keep, for k != u, and best[u, u] =
-    0; None if some point is in no pair.
+    (symmetric, false on the diagonal, every point in some pair), block by
+    block: yields (rows, best), best[i, k] the least mat[u, v] + mat[v, k]
+    over the pairs {u, v} of keep for u = rows[i] and k != u, and best[i, u]
+    = 0.  A caller may stop after any block.
 
     Runs at mat's dtype, over blocks of points of like degree (the most
     edges first), each point's edges padded to the block's largest degree
@@ -333,14 +338,10 @@ def _min_plus(mat: np.ndarray, keep: np.ndarray) -> np.ndarray:
     # sorted, not np.argsort: numpy's sort kernels add 0.2-0.4 MB of resident
     # memory to a process that sorts nothing else.
     order = np.array(sorted(range(n), key=deg.tolist().__getitem__, reverse=True))
-    if not deg[order[-1]]:
-        return None
-    cap = max(mat.size, _MIN_PLUS_BLOCK)
-    best = np.empty_like(mat)
     lo = 0
     while lo < n:
         top = int(deg[order[lo]])
-        hi = min(n, lo + max(1, cap // (top * n)))
+        hi = min(n, lo + _block_rows(mat, top * n))
         rows = order[lo:hi]
         degs = deg[rows]
         heads = np.nonzero(keep[rows])[1]  # row by row
@@ -348,10 +349,10 @@ def _min_plus(mat: np.ndarray, keep: np.ndarray) -> np.ndarray:
                      + np.minimum(np.arange(top), degs[:, None] - 1)]
         via = mat[nbrs]
         via += mat[rows[:, None], nbrs][..., None]
-        best[rows] = via.min(axis=1)
+        best = via.min(axis=1)
+        best[np.arange(hi - lo), rows] = 0  # k = u is not compared
+        yield rows, best
         lo = hi
-    np.fill_diagonal(best, 0)  # k = u is not compared
-    return best
 
 
 def metric_violations(points, dist) -> list:
@@ -437,12 +438,6 @@ def _coerce_matrix(points, dist) -> tuple[tuple[str, ...], int, np.ndarray]:
         raise InvalidInput("distance matrix must be square, one row per point")
     square = next((r for r, length in enumerate(map(len, dist)) if length != n), n)
     flat = list(chain.from_iterable(dist[:square]))
-    if square == n and type(flat[0]) is Fraction and set(map(type, flat)) == {Fraction}:
-        # Python callers' Fractions: nothing to parse, and hashing one costs more than scaling it
-        denom = lcm(*{x.denominator for x in flat})
-        scaled = [x.numerator * (denom // x.denominator) for x in flat]
-        mat = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))
-        return names, denom, mat.reshape(n, n)
     values = _read_literals(flat)
     if square < n:
         raise InvalidInput("distance matrix must be square, one row per point")

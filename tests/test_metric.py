@@ -610,13 +610,14 @@ def test_a_wrong_path_metric_is_refused_by_the_certificate(monkeypatch, graph):
 
 
 def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
-    """Every validated space carries a mask proven by one min-plus step
-    (_min_plus), and canonical_graph checks none of them again: a weighted
-    graph's through _is_path_metric in validation; a matrix's over its sure
-    edges, completed by the new edges' terms where step 3 adds edges; a
-    restricted space's by the same routine in canonical_graph.  A mask put
-    on a space by hand is checked by one _is_path_metric (test_graph's test
-    of the self-check)."""
+    """Every validated space carries a mask proven by one certificate, a
+    min-plus step (_min_plus) over its final edges, and canonical_graph
+    checks none of them again: a weighted graph's through _is_path_metric in
+    validation; a matrix's by step 2 over its sure edges, or, where step 3
+    decides open pairs, by one _is_path_metric over the final edges after
+    it; a restricted space's by the same routine in canonical_graph.  A
+    mask put on a space by hand is checked by one _is_path_metric
+    (test_graph's test of the self-check)."""
     steps, certificates = [], []
     real_step, real_check = metric._min_plus, metric._is_path_metric
     monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real_step(*a))
@@ -639,7 +640,7 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
                           (lambda: validate_metric(path.points, path.dist), 1)):
         matrix, *counts = counted(built)
         assert matrix._mask_proven
-        assert counts == [1, 0] and sum(step_three) == opened
+        assert counts == [1 + opened, opened] and sum(step_three) == opened
         _, *counts = counted(lambda: [canonical_graph(matrix),
                                       canonical_graph(matrix.with_base(matrix.points[1]))])
         assert counts == [0, 0]
@@ -648,7 +649,7 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
     _, *counts = counted(lambda: canonical_graph(space.restrict([0, 1, 4, 5])))  # a unit square
     assert counts == [1, 0]
     _, *counts = counted(lambda: canonical_graph(space.restrict(list(range(0, 16, 2)))))
-    assert counts == [1, 0] and sum(step_three) > 0
+    assert counts == [2, 1] and sum(step_three) > 0
     _, *counts = counted(lambda: canonical_graph(
         MetricSpace(space.points, space.denom, space.scaled, _deletion_mask=space._deletion_mask)))
     assert counts == [1, 1]
