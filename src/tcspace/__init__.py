@@ -13,7 +13,6 @@ from .errors import (
     MetricViolation,
     NegativeDistance,
     NonSymmetric,
-    NotATree,
     NotImprovable,
     NotLipschitz,
     NotNormalized,
@@ -41,7 +40,7 @@ from .graph import (
     canonical_graph,
     connected_components,
 )
-from .vectors import EdgeVector, TransportationProblem, apply_incidence, l1d_norm
+from .vectors import EdgeVector, TransportationProblem, apply_incidence
 from .lp import ExactLP, LPResult, LPStatus
 from .transport import (
     CycleBasis,
@@ -60,19 +59,12 @@ from .transport import (
     plan_to_roadmap,
     tc_norm,
 )
-from .oracle import (
-    dual_optimum,
-    oracle_maximal_support,
-    oracle_tc_norm,
-    oracle_tree_norm,
-    supporting_unique_probe,
-)
+from .oracle import oracle_tc_norm
 from .duality import (
     LipschitzFunction,
     downhill_graph,
     downhill_to_problem,
     evaluate,
-    is_potential,
     is_unique_supporting,
     realizable_as_downhill,
     supporting_function,

@@ -24,8 +24,7 @@ from fractions import Fraction
 from .errors import InvalidInput, NotLipschitz, NotRealizable, NullProblem, PreconditionFailed
 from .graph import CanonicalGraph, DirectedSubgraph, connected_components
 from .rational import ZERO, frac_str, to_fraction
-from .transport import (TransportationPlan, _optimum, bellman_ford, residual_distances,
-                        zero_cost_cycles)
+from .transport import _optimum, bellman_ford, residual_distances, zero_cost_cycles
 from .vectors import TransportationProblem
 
 
@@ -109,14 +108,6 @@ def _least_supporting(graph: CanonicalGraph, flow: list[int], pot: list[int]) ->
     if not any(flow):
         return LipschitzFunction.zero(graph)
     return LipschitzFunction(graph, tuple(-x for x in residual_distances(graph, flow, pot)))
-
-
-def is_potential(plan: TransportationPlan, l: LipschitzFunction) -> bool:
-    """Whether every transportation pair of the plan is tight for l."""
-    if plan.graph is not l.graph:
-        raise InvalidInput("plan and function live on different graphs")
-    d = plan.graph.space.dist
-    return all(l[x] - l[y] == d[x][y] for x, y, _ in plan.terms)
 
 
 def downhill_graph(l: LipschitzFunction) -> DirectedSubgraph:

@@ -64,10 +64,6 @@ class NotLipschitz(DomainError):
     """Function violates the 1-Lipschitz edge constraints."""
 
 
-class NotATree(DomainError):
-    """Tree-only oracle applied to a space whose canonical graph has cycles."""
-
-
 class NotRealizable(DomainError):
     """Directed subgraph is not the downhill graph of any 1-Lipschitz function."""
 

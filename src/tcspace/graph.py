@@ -68,10 +68,6 @@ class CanonicalGraph:
         """Index of the edge {u, v}, or None if not an edge."""
         return self._pair_index.get((u, v) if u < v else (v, u))
 
-    def incident(self, v: int) -> tuple[tuple[int, int], ...]:
-        """(edge_index, neighbour) pairs at v, sorted by neighbour."""
-        return tuple([(idx, u) for u, _, idx in self.adjacency[v]])
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -236,21 +232,6 @@ class DirectedSubgraph:
 
     def edge_indices(self) -> frozenset[int]:
         return frozenset(self.graph.edge_index(u, v) for u, v in self.arcs)
-
-    def is_acyclic(self) -> bool:
-        """Kahn's peeling, without recursion: acyclic iff it removes every arc."""
-        out: dict[int, list[int]] = {}
-        indegree: dict[int, int] = {}
-        for u, v in self.arcs:
-            out.setdefault(u, []).append(v)
-            indegree[v] = indegree.get(v, 0) + 1
-        free = [u for u in out if u not in indegree]
-        while free:
-            for v in out.get(free.pop(), ()):
-                indegree[v] -= 1
-                if not indegree[v]:
-                    free.append(v)
-        return not any(indegree.values())
 
     def to_json_obj(self) -> dict:
         pts = self.graph.space.points

@@ -26,7 +26,7 @@ ratio test compares by cross-multiplication, so Fractions are built only for
 the returned point (b_i / d) and value (-cost[-1] / (d*C)).
 
 Variables are nonnegative unless declared free (free variables are split
-into positive and negative parts internally).  Constraints are <=, >=, or ==
+into positive and negative parts internally).  Constraints are <= or ==
 with exact rational data.
 """
 
@@ -87,9 +87,6 @@ class ExactLP:
     def add_le(self, coeffs: dict, rhs) -> None:
         self._cons.append((self._coeffs(coeffs), "<=", _exact(rhs)))
 
-    def add_ge(self, coeffs: dict, rhs) -> None:
-        self._cons.append((self._coeffs(coeffs), ">=", _exact(rhs)))
-
     def add_eq(self, coeffs: dict, rhs) -> None:
         self._cons.append((self._coeffs(coeffs), "==", _exact(rhs)))
 
@@ -121,7 +118,7 @@ class ExactLP:
             col_neg.append(ncols + 1 if free else None)
             ncols += 2 if free else 1
         # The slack's coefficient once the row is negated; 0 for none.
-        slack = [0 if sense == "==" else 1 if (sense == "<=") == (rhs >= 0) else -1
+        slack = [0 if sense == "==" else 1 if rhs >= 0 else -1
                  for _, sense, rhs in self._cons]
         total = ncols + sum(s != 0 for s in slack)
         width = total + sum(s <= 0 for s in slack) + 1

@@ -108,9 +108,6 @@ class MetricSpace:
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
-    def d_name(self, u: str, v: str) -> Fraction:
-        return self.dist[self.index_of(u)][self.index_of(v)]
-
     def restrict(self, indices: list[int]) -> MetricSpace:
         """Submetric on the given point indices (order preserved), based at
         the first of them."""
@@ -160,31 +157,29 @@ def _int_matrix(mat: np.ndarray, denom: int) -> tuple[int, np.ndarray]:
     return denom // g, mat.astype(_int_dtype(int(mat.max())), copy=False)
 
 
-def _midpoint_scan(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:
+def _midpoint_scan(mat: np.ndarray) -> tuple[int, int, int] | None:
     """Over the midpoints j of a scaled matrix with zero diagonal and positive
-    entries elsewhere: (the first (i, j, k) with d(i,k) > d(i,j) + d(j,k),
-    None), or (None, mask) when there is none, mask[i, k] true iff some j
-    outside {i, k} gives d(i,j) + d(j,k) = d(i,k): the pairs the canonical
-    graph drops."""
+    entries elsewhere, and then in row-major order: the first (i, j, k) with
+    d(i,k) > d(i,j) + d(j,k), or None.  O(n^3); it runs only on a matrix
+    that _matrix_mask could not certify."""
     n = len(mat)
     via = np.empty_like(mat)
     hit = np.empty((n, n), dtype=bool)
-    mask = np.zeros((n, n), dtype=bool)
     for j in range(n):
         np.add(mat[:, j, None], mat[j], out=via)
         np.greater(mat, via, out=hit)
         if hit.any():
             i, k = divmod(int(hit.argmax()), n)  # first in row-major order
-            return (i, j, k), None
-        np.equal(mat, via, out=hit)
-        hit[j, :] = False  # j = i and j = k always give equality
-        hit[:, j] = False
-        mask |= hit
-    return None, mask
+            return i, j, k
+    return None
 
 
 def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:
-    """_midpoint_scan(mat), from a certificate instead of the O(n^3) scan.
+    """(_midpoint_scan(mat), None) for a scaled matrix with zero diagonal and
+    positive entries elsewhere that is not a metric, else (None, mask),
+    mask[i, k] true iff some j outside {i, k} gives d(i,j) + d(j,k) =
+    d(i,k): the pairs the canonical graph drops.  From a certificate instead
+    of an O(n^3) scan.
 
     1. Sure edges.  With delta_u the least distance from u, a pair with
        mat[u, v] < delta_u + delta_v has no midpoint: any third point j
@@ -233,9 +228,9 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
         keep[us[free], ks[free]] = keep[ks[free], us[free]] = True
         certified = _is_path_metric(mat, keep)
     if not certified:
-        hit, mask = _midpoint_scan(mat)
+        hit = _midpoint_scan(mat)
         assert hit is not None, "a metric is the path metric of its canonical graph"
-        return hit, mask
+        return hit, None
     drop = np.logical_not(keep, out=keep)
     np.fill_diagonal(drop, False)
     return None, drop
@@ -262,7 +257,7 @@ def _midpoint_free(mat: np.ndarray, us: np.ndarray, ks: np.ndarray) -> np.ndarra
 
 
 def _edge_mask(mat: np.ndarray, edges) -> np.ndarray:
-    """The _midpoint_scan mask of mat, the path metric of a connected graph's
+    """The _matrix_mask mask of mat, the path metric of a connected graph's
     edges (u, v, w) (each pair at most once, w >= 1), in O(m n) instead of
     O(n^3).  Only an edge can be a canonical edge: any other pair's shortest
     path has an interior point, and that point is a midpoint.  So the mask

@@ -142,12 +142,13 @@ def verify_linfty_basis(cand: LinftyCandidate, grid_resolution: int = 5) -> bool
     The norm equals 1 on all 2^k sign vectors iff (with the norm-1
     normalization and convexity) every combination obeys the l_infty upper
     bound; the grid then probes the lower bound ||sum a_i e_i|| >= max|a_i|
-    at grid_resolution rational values per axis.
+    at grid_resolution rational values per axis.  A resolution below 2 is
+    refused before any norm is computed.
     """
-    if not _sign_vectors_pass(cand):
-        return False
     if grid_resolution < 2:
         raise PreconditionFailed("grid resolution must be at least 2")
+    if not _sign_vectors_pass(cand):
+        return False
     axis = [Fraction(2 * i - (grid_resolution - 1), grid_resolution - 1)
             for i in range(grid_resolution)]
     for coeffs in itertools.product(axis, repeat=cand.k):

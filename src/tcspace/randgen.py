@@ -1,4 +1,4 @@
-"""Seeded random instances: spaces, problems, roadmaps, potentials.
+"""Seeded random instances: spaces and problems.
 
 Shared by the test suite and the oracle-check batch command.  Everything is
 driven by a caller-supplied random.Random, so fixed seeds reproduce byte-
@@ -10,12 +10,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .duality import LipschitzFunction
 from .graph import CanonicalGraph
 from .metric import MetricSpace, space_from_weighted_graph, validate_scaled
 from .rational import ZERO
-from .transport import CycleBasis
-from .vectors import EdgeVector, TransportationProblem
+from .vectors import TransportationProblem
 
 
 def random_metric_space(rng: random.Random, n_points: int) -> MetricSpace:
@@ -49,14 +47,6 @@ def _random_weight(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 12), rng.randint(1, 4))
 
 
-def random_tree_space(rng: random.Random, n_points: int) -> MetricSpace:
-    """Path metric of a random weighted tree (canonical graph is the tree)."""
-    names = [f"P{i}" for i in range(n_points)]
-    edges = [(names[rng.randrange(i)], names[i], _random_weight(rng))
-             for i in range(1, n_points)]
-    return space_from_weighted_graph(names, edges)
-
-
 def random_problem(rng: random.Random, graph: CanonicalGraph,
                    nonzero: bool = False) -> TransportationProblem:
     """Random zero-sum problem supported on a random subset of points."""
@@ -70,37 +60,3 @@ def random_problem(rng: random.Random, graph: CanonicalGraph,
         f = TransportationProblem(graph, {chosen[0]: Fraction(1),
                                           chosen[1]: Fraction(-1)})
     return f
-
-
-def random_roadmap(rng: random.Random, graph: CanonicalGraph) -> EdgeVector:
-    vals = {}
-    for idx in range(graph.m):
-        if rng.random() < 0.6:
-            vals[idx] = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-    return EdgeVector(graph, vals)
-
-
-def random_cycle_element(rng: random.Random, basis: CycleBasis) -> EdgeVector:
-    """Random rational combination of the fundamental cycles."""
-    out = EdgeVector.zero(basis.graph)
-    for cyc in basis.cycles:
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-        if c != 0:
-            out = out + cyc.indicator().scale(c)
-    return out
-
-
-def random_lipschitz(rng: random.Random, graph: CanonicalGraph) -> LipschitzFunction:
-    """Random feasible potential; rescaled so some edge is exactly tight
-    about half the time."""
-    raw = [Fraction(rng.randint(-10, 10), rng.randint(1, 4))
-           for _ in range(graph.n)]
-    base = graph.space.base_point
-    raw = [x - raw[base] for x in raw]
-    ratio = ZERO
-    for e in graph.edges:
-        gap = abs(raw[e.tail] - raw[e.head]) / e.weight
-        ratio = max(ratio, gap)
-    if ratio > 0 and (ratio > 1 or rng.random() < 0.5):
-        raw = [x / ratio for x in raw]
-    return LipschitzFunction(graph, tuple(raw))

@@ -97,10 +97,6 @@ class EdgeVector(_SparseVector):
         return total
 
 
-def l1d_norm(p: EdgeVector) -> Fraction:
-    return p.l1d_norm()
-
-
 class TransportationProblem(_SparseVector):
     """Zero-sum sparse vertex vector: supplies (>0) and demands (<0)."""
 
@@ -121,13 +117,6 @@ class TransportationProblem(_SparseVector):
             raise InvalidInput("a problem maps point names to masses")
         idx = {graph.space.index_of(name): v for name, v in named.items()}
         return cls(graph, idx)
-
-    @classmethod
-    def point_difference(cls, graph: CanonicalGraph, u: str, v: str,
-                         amount=1) -> TransportationProblem:
-        """amount * (indicator(u) - indicator(v))."""
-        a = to_fraction(amount)
-        return cls.from_names(graph, {u: a, v: -a}) if u != v else cls.zero(graph)
 
     def by_name(self) -> dict[str, Fraction]:
         pts = self.graph.space.points

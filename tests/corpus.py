@@ -1,4 +1,5 @@
-"""Shared test corpus: named instances, generators, and search helpers."""
+"""Shared test corpus: named instances, generators, search helpers, and the
+helpers over the library's types that only tests use."""
 
 from __future__ import annotations
 
@@ -10,8 +11,14 @@ from math import gcd
 
 from tcspace import (
     CanonicalGraph,
+    CycleBasis,
+    DirectedSubgraph,
+    EdgeVector,
+    InvalidInput,
     LinftyCandidate,
+    LipschitzFunction,
     MetricSpace,
+    TransportationPlan,
     TransportationProblem,
     canonical_graph,
     complete_bipartite,
@@ -19,10 +26,50 @@ from tcspace import (
     diamond,
     space_from_weighted_graph,
     tc_norm,
+    to_fraction,
     validate_metric,
 )
 from tcspace.metric import _dijkstra
-from tcspace.randgen import random_metric_space, random_problem
+from tcspace.randgen import _random_weight, random_metric_space, random_problem
+from tcspace.rational import ZERO
+
+
+# --- helpers over the library's types ------------------------------------------
+
+def point_difference(graph: CanonicalGraph, u: str, v: str,
+                     amount=1) -> TransportationProblem:
+    """amount * (indicator(u) - indicator(v))."""
+    a = to_fraction(amount)
+    return (TransportationProblem.from_names(graph, {u: a, v: -a}) if u != v
+            else TransportationProblem.zero(graph))
+
+
+def d_name(space: MetricSpace, u: str, v: str) -> Fraction:
+    return space.dist[space.index_of(u)][space.index_of(v)]
+
+
+def is_acyclic(sub: DirectedSubgraph) -> bool:
+    """Kahn's peeling, without recursion: acyclic iff it removes every arc."""
+    out: dict[int, list[int]] = {}
+    indegree: dict[int, int] = {}
+    for u, v in sub.arcs:
+        out.setdefault(u, []).append(v)
+        indegree[v] = indegree.get(v, 0) + 1
+    free = [u for u in out if u not in indegree]
+    while free:
+        for v in out.get(free.pop(), ()):
+            indegree[v] -= 1
+            if not indegree[v]:
+                free.append(v)
+    return not any(indegree.values())
+
+
+def is_potential(plan: TransportationPlan, l: LipschitzFunction) -> bool:
+    """Whether every transportation pair of the plan is tight for l."""
+    if plan.graph is not l.graph:
+        raise InvalidInput("plan and function live on different graphs")
+    d = plan.graph.space.dist
+    return all(l[x] - l[y] == d[x][y] for x, y, _ in plan.terms)
 
 
 @dataclass
@@ -38,7 +85,7 @@ class Instance:
 
 def _standard_problems(graph: CanonicalGraph, rng: random.Random):
     pts = graph.space.points
-    out = [TransportationProblem.point_difference(graph, pts[0], pts[-1])]
+    out = [point_difference(graph, pts[0], pts[-1])]
     if graph.n >= 3:
         out.append(TransportationProblem.from_names(
             graph, {pts[0]: 2, pts[1]: -1, pts[2]: -1}))
@@ -112,6 +159,50 @@ def dijkstra_rows(adj):
     path metrics."""
     flow, pot = [0] * sum(map(len, adj)), [0] * len(adj)  # an edge index < its arc count
     return [_dijkstra(adj, [s], (), flow, pot)[0] for s in range(len(adj))]
+
+
+# --- random trees, roadmaps, cycle elements and potentials---------------------------
+
+def random_tree_space(rng: random.Random, n_points: int) -> MetricSpace:
+    """Path metric of a random weighted tree (canonical graph is the tree)."""
+    names = [f"P{i}" for i in range(n_points)]
+    edges = [(names[rng.randrange(i)], names[i], _random_weight(rng))
+             for i in range(1, n_points)]
+    return space_from_weighted_graph(names, edges)
+
+
+def random_roadmap(rng: random.Random, graph: CanonicalGraph) -> EdgeVector:
+    vals = {}
+    for idx in range(graph.m):
+        if rng.random() < 0.6:
+            vals[idx] = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+    return EdgeVector(graph, vals)
+
+
+def random_cycle_element(rng: random.Random, basis: CycleBasis) -> EdgeVector:
+    """Random rational combination of the fundamental cycles."""
+    out = EdgeVector.zero(basis.graph)
+    for cyc in basis.cycles:
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+        if c != 0:
+            out = out + cyc.indicator().scale(c)
+    return out
+
+
+def random_lipschitz(rng: random.Random, graph: CanonicalGraph) -> LipschitzFunction:
+    """Random feasible potential; rescaled so some edge is exactly tight
+    about half the time."""
+    raw = [Fraction(rng.randint(-10, 10), rng.randint(1, 4))
+           for _ in range(graph.n)]
+    base = graph.space.base_point
+    raw = [x - raw[base] for x in raw]
+    ratio = ZERO
+    for e in graph.edges:
+        gap = abs(raw[e.tail] - raw[e.head]) / e.weight
+        ratio = max(ratio, gap)
+    if ratio > 0 and (ratio > 1 or rng.random() < 0.5):
+        raw = [x / ratio for x in raw]
+    return LipschitzFunction(graph, tuple(raw))
 
 
 # --- bounded search for sign-vector bases -------------------------------------

@@ -10,7 +10,17 @@ import random
 import time
 from fractions import Fraction
 
-from corpus import CORPUS, SMALL_CORPUS, c4_graph, search_sign_basis
+from corpus import (
+    CORPUS,
+    SMALL_CORPUS,
+    c4_graph,
+    random_cycle_element,
+    random_lipschitz,
+    random_roadmap,
+    random_tree_space,
+    search_sign_basis,
+)
+from oracles import oracle_tree_norm, supporting_unique_probe
 from tcspace import (
     Optimal,
     Roadmap,
@@ -29,24 +39,15 @@ from tcspace import (
     is_unique_supporting,
     k2n_two_port,
     oracle_tc_norm,
-    oracle_tree_norm,
     plan_to_roadmap,
     quadrilateral_two_port,
     realizable_as_downhill,
     recursive_family,
     supporting_function,
-    supporting_unique_probe,
     tc_norm,
     verify_linfty_basis,
 )
-from tcspace.randgen import (
-    random_cycle_element,
-    random_lipschitz,
-    random_metric_space,
-    random_problem,
-    random_roadmap,
-    random_tree_space,
-)
+from tcspace.randgen import random_metric_space, random_problem
 
 
 def _report(n: int, text: str) -> None:

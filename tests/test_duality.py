@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import c4_graph
+from corpus import c4_graph, is_acyclic, is_potential, point_difference, random_lipschitz
+from oracles import oracle_tree_norm, supporting_unique_probe
 from tcspace import (
     DirectedSubgraph,
     ExactLP,
@@ -20,18 +21,15 @@ from tcspace import (
     downhill_to_problem,
     directed_graph_of,
     evaluate,
-    is_potential,
     is_unique_supporting,
     maximal_support,
-    oracle_tree_norm,
     realizable_as_downhill,
     space_from_weighted_graph,
     supporting_function,
-    supporting_unique_probe,
     tc_norm,
     validate_metric,
 )
-from tcspace.randgen import random_lipschitz, random_problem
+from tcspace.randgen import random_problem
 
 
 def _path3_unit():
@@ -99,7 +97,7 @@ def test_lipschitz_json_round_trip():
 def test_supporting_function_is_tight_on_a_pair(small_corpus):
     for inst in small_corpus:
         g = inst.graph
-        f = TransportationProblem.point_difference(
+        f = point_difference(
             g, g.space.points[0], g.space.points[-1])
         s = supporting_function(f)
         assert s[0] - s[g.n - 1] == g.space.d(0, g.n - 1)
@@ -107,7 +105,7 @@ def test_supporting_function_is_tight_on_a_pair(small_corpus):
 
 def test_supporting_function_on_unit_path_is_unique_staircase():
     g = _path3_unit()
-    f = TransportationProblem.point_difference(g, "A", "C")
+    f = point_difference(g, "A", "C")
     s = supporting_function(f)
     assert s.values == (Fraction(0), Fraction(-1), Fraction(-2))
     unique, witness = is_unique_supporting(f)
@@ -195,7 +193,7 @@ def test_distance_potential_downhill_points_at_the_target():
 def test_downhill_graphs_are_acyclic(small_corpus, rng):
     for inst in small_corpus[:6]:
         l = random_lipschitz(rng, inst.graph)
-        assert downhill_graph(l).is_acyclic()
+        assert is_acyclic(downhill_graph(l))
 
 
 # --- uniqueness --------------------------------------------------------------------
@@ -220,7 +218,7 @@ def test_disconnected_support_gives_a_witness():
          ["5/4", "7/6", "0", "9/8"],
          ["3/2", "4/3", "9/8", "0"]]
     g = canonical_graph(validate_metric(["A", "B", "C", "D"], d))
-    f = TransportationProblem.point_difference(g, "A", "B")
+    f = point_difference(g, "A", "B")
     edges, _ = maximal_support(f)
     assert edges == {g.edge_index(0, 1)}
     unique, witness = is_unique_supporting(f)

@@ -1,9 +1,10 @@
 """Module boundaries: the exact simplex serves the independent oracle only,
-and each graph mechanism (Dijkstra, Floyd-Warshall, Bellman-Ford,
-union-find) and the integer metric core (its width ladder and overflow
-guard) has one home."""
+each graph mechanism (Dijkstra, Floyd-Warshall, Bellman-Ford, union-find)
+and the integer metric core (its width ladder and overflow guard) has one
+home, and every definition in src/ has a caller outside the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import tcspace
@@ -42,10 +43,23 @@ def test_the_simplex_shares_no_code_with_the_solver():
     assert _imported_modules(SRC / "lp.py") == {"rational"}
 
 
+SOLVER_MODULES = {"transport", "duality", "graph", "metric", "obstruction"}
+
+
 def test_the_oracle_imports_no_solver_module():
     # It poses the transportation LP on the space's distances alone.
-    assert not _imported_modules(SRC / "oracle.py") & {
-        "transport", "duality", "graph", "metric", "obstruction"}
+    assert not _imported_modules(SRC / "oracle.py") & SOLVER_MODULES
+
+
+def test_the_test_oracles_import_no_solver_module():
+    # tests/oracles.py holds the references the solver is checked against:
+    # like the oracle, they read distances and edges alone.
+    path = Path(__file__).with_name("oracles.py")
+    assert not _imported_modules(path) & SOLVER_MODULES
+    names = _absolute_imports(path)
+    assert "tcspace" not in names  # each import names its module, for the check above
+    assert not {name for name in names if name.startswith("tcspace.") and "._" in name}
+    assert "corpus" not in names  # which reads the solver's Dijkstra
 
 
 def test_no_solver_module_imports_the_oracle():
@@ -132,18 +146,20 @@ def test_one_bellman_ford():
     assert _callers("bellman_ford") == {"improving_cycle", "realizable_as_downhill"}
 
 
+def _identifiers(tree: ast.AST):
+    """Every identifier read, bound or imported in tree, once per use."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from {node.name, node.asname or node.name}
+
+
 def _names_used(path: Path) -> set[str]:
     """Every identifier a source file reads, binds or imports."""
-    out = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.asname or node.name)
-            out.add(node.name)
-    return out
+    return set(_identifiers(ast.parse(path.read_text(encoding="utf-8"))))
 
 
 def _strings_used(path: Path) -> set[str]:
@@ -190,3 +206,60 @@ def test_one_adjacency_per_canonical_graph():
     assert _definers(lambda name: name == "shortest_path_arcs") == set()
     graph = tcspace.canonical_graph(tcspace.cycle(4))
     assert not hasattr(graph, "_adjacency")
+
+
+# --- every definition in src/ has a caller outside the tests ---------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Definitions only tests name, each kept for a reason.
+KEPT_FOR_TESTS = {
+    "metric_violations": "every violation of a matrix, pinned against a brute-force "
+                         "reference at every integer width (test_metric.py)",
+    "Certificate.ruled_out": "the verdict as a boolean, which the acceptance criteria read",
+    "ExactLP.add_le": "the <= rows of the LP oracles in tests/oracles.py, whose slack "
+                      "columns test_lp.py pins against scipy and a Fraction simplex",
+    "ExactLP.maximize": "the objective sense of the LP oracles in tests/oracles.py",
+}
+
+
+def _definitions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every def and class in tree, nested ones too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _traced_names() -> set[str]:
+    """What bench/tracing.py patches by name: each dotted part of every
+    string in its TRACED table."""
+    tree = ast.parse((REPO / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    return {part for node in ast.walk(table)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for part in node.value.split(".")}
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """Every def and class of src/tcspace but the dunders is named in src/
+    outside itself and __init__.py, in demos/, or in bench/.  What only
+    tests use lives in tests/ (corpus.py, oracles.py)."""
+    outside = _traced_names().union(*(_names_used(p) for folder in ("demos", "bench")
+                                      for p in (REPO / folder).glob("*.py")))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    uses = {p: Counter(_identifiers(tree)) for p, tree in trees.items()}
+    orphans = set()
+    for path, tree in trees.items():
+        elsewhere = outside.union(*(c for p, c in uses.items() if p != path))
+        for qualname, node in _definitions(tree):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            beside = uses[path] - Counter(_identifiers(node))
+            if node.name not in elsewhere and not beside[node.name]:
+                orphans.add(qualname)
+    assert orphans == set(KEPT_FOR_TESTS)

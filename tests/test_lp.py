@@ -33,7 +33,7 @@ def test_equality_and_free_variables():
     x = lp.add_var(free=True)
     y = lp.add_var()
     lp.add_eq({x: 1, y: 1}, 1)
-    lp.add_ge({x: 1}, -3)
+    lp.add_le({x: -1}, 3)
     lp.minimize({x: 1})
     res = lp.solve()
     assert res.value == -3
@@ -44,7 +44,7 @@ def test_infeasible():
     lp = ExactLP()
     x = lp.add_var()
     lp.add_le({x: 1}, 1)
-    lp.add_ge({x: 1}, 2)
+    lp.add_le({x: -1}, -2)
     lp.minimize({x: 1})
     assert lp.solve().status == LPStatus.INFEASIBLE
 
@@ -121,7 +121,7 @@ def test_the_tableau_holds_only_ints(monkeypatch):
     lp = ExactLP()
     x, y = lp.add_var(), lp.add_var(free=True)
     lp.add_eq({x: Fraction(1, 3), y: Fraction(-2, 7)}, Fraction(5, 6))
-    lp.add_ge({x: Fraction(3, 4), y: 1}, Fraction(-1, 2))
+    lp.add_le({x: Fraction(-3, 4), y: -1}, Fraction(1, 2))
     lp.add_le({x: 1}, Fraction(9, 2))
     lp.maximize({x: Fraction(2, 5), y: Fraction(1, 9)})
     res = lp.solve()
@@ -214,7 +214,7 @@ def test_random_mixed_instances_match_scipy(seed):
         b_ub.append(float(rhs))
     for c in cols:  # box to keep it bounded
         lp.add_le({c: 1}, 20)
-        lp.add_ge({c: 1}, -20)
+        lp.add_le({c: -1}, 20)
         rows += [({c: 1}, "<=", 20), ({c: 1}, ">=", -20)]
         if not free[c]:
             rows.append(({c: 1}, ">=", 0))
@@ -250,19 +250,23 @@ def test_boolean_data_is_rejected():
 
 
 def _random_lp(seed: int, number):
-    """A random LP of <=, >= and == rows with small integer data, each value
-    passed through number (int or Fraction)."""
+    """A random LP of <=, >= (as negated <=) and == rows with small integer
+    data, each value passed through number (int or Fraction)."""
     rng = random.Random(seed)
     lp = ExactLP()
     cols = [lp.add_var(free=rng.random() < 0.3) for _ in range(rng.randint(2, 5))]
-    add = (lp.add_le, lp.add_ge, lp.add_eq)
+
+    def add_ge(coeffs, rhs):  # as the negated <= row
+        lp.add_le({c: -a for c, a in coeffs.items()}, -rhs)
+
+    add = (lp.add_le, add_ge, lp.add_eq)
     for _ in range(rng.randint(1, 5)):
         coeffs = {c: number(rng.randint(-3, 3)) for c in cols if rng.random() < 0.7}
         rng.choice(add)(coeffs, number(rng.randint(-4, 6)))
     for c in cols:
         if rng.random() < 0.8:
             lp.add_le({c: number(1)}, number(rng.randint(5, 20)))
-            lp.add_ge({c: number(1)}, number(-rng.randint(0, 20)))
+            lp.add_le({c: -number(1)}, -number(-rng.randint(0, 20)))
     (lp.maximize if rng.random() < 0.5 else lp.minimize)(
         {c: number(rng.randint(-5, 5)) for c in cols})
     return lp
@@ -307,7 +311,7 @@ def _bland_reference(lp):
     without one are dropped.  Returns (status, value, x, the (row, column)
     of every pivot)."""
     ncols = sum(2 if free else 1 for free in lp._free)
-    slack = [0 if sense == "==" else 1 if (sense == "<=") == (rhs >= 0) else -1
+    slack = [0 if sense == "==" else 1 if rhs >= 0 else -1
              for _, sense, rhs in lp._cons]
     total = ncols + sum(s != 0 for s in slack)
     width = total + sum(s <= 0 for s in slack) + 1

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from corpus import c4_graph, integer_problem_pool, search_sign_basis
+from corpus import c4_graph, integer_problem_pool, point_difference, search_sign_basis
 from tcspace import (
     LinftyCandidate,
     NullProblem,
@@ -24,6 +24,7 @@ from tcspace import (
     tc_norm,
     verify_linfty_basis,
 )
+from tcspace import obstruction
 
 
 @pytest.fixture(scope="module")
@@ -37,21 +38,21 @@ def c4_basis():
 
 def test_opposite_sides_of_c4_are_strongly_disjoint():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c1")
-    h = TransportationProblem.point_difference(g, "c2", "c3")
+    f = point_difference(g, "c0", "c1")
+    h = point_difference(g, "c2", "c3")
     assert strongly_disjoint(f, h)
 
 
 def test_a_problem_is_never_disjoint_from_its_multiple():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c1")
+    f = point_difference(g, "c0", "c1")
     assert not strongly_disjoint(f, f.scale(2))
 
 
 def test_l1_pairs_are_strongly_disjoint():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c1")
-    h = TransportationProblem.point_difference(g, "c2", "c3")
+    f = point_difference(g, "c0", "c1")
+    h = point_difference(g, "c2", "c3")
     norm = lambda q: tc_norm(q)[0]
     assert norm(f + h) == norm(f - h) == norm(f) + norm(h)
     assert strongly_disjoint(f, h)
@@ -59,7 +60,7 @@ def test_l1_pairs_are_strongly_disjoint():
 
 def test_strong_disjointness_rejects_zero():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c1")
+    f = point_difference(g, "c0", "c1")
     with pytest.raises(NullProblem):
         strongly_disjoint(f, TransportationProblem.zero(g))
 
@@ -74,7 +75,7 @@ def test_valid_basis_passes_all_sign_pairs(c4_basis):
 
 def test_duplicated_vector_fails_immediately():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c2").scale("1/2")
+    f = point_difference(g, "c0", "c2").scale("1/2")
     cand = LinftyCandidate((f, f))
     report = check_sign_pattern_disjointness(cand)
     assert not report.ok
@@ -85,8 +86,8 @@ def test_duplicated_vector_fails_immediately():
 
 def test_norm_failure_and_disjointness_failure_coincide():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c2").scale("1/2")
-    h = TransportationProblem.point_difference(g, "c0", "c1")
+    f = point_difference(g, "c0", "c2").scale("1/2")
+    h = point_difference(g, "c0", "c1")
     cand = LinftyCandidate((f, h))
     # f + h and f - h should both have norm 2 for an l_1^2 pair; one fails
     assert tc_norm(f - h)[0] == 1 != 2
@@ -103,8 +104,22 @@ def test_c4_basis_verifies(c4_basis):
 
 def test_equal_vectors_fail():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c2").scale("1/2")
+    f = point_difference(g, "c0", "c2").scale("1/2")
     assert not verify_linfty_basis(LinftyCandidate((f, f)))
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -5])
+def test_a_grid_below_two_points_is_refused_before_any_norm(monkeypatch, resolution):
+    # Two copies of one vector fail the sign-vector norms, which used to
+    # return False before the resolution was read.
+    g = c4_graph()
+    f = point_difference(g, "c0", "c2").scale("1/2")
+    cand = LinftyCandidate((f, f))
+    norms = []
+    monkeypatch.setattr(obstruction, "tc_norm", lambda h: norms.append(h) or tc_norm(h))
+    with pytest.raises(PreconditionFailed, match="grid resolution"):
+        verify_linfty_basis(cand, grid_resolution=resolution)
+    assert norms == []
 
 
 def test_tree_candidates_never_verify_for_k3():
@@ -122,11 +137,11 @@ def test_tree_candidates_never_verify_for_k3():
 
 def test_candidates_must_be_normalized():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c2")  # norm 2
+    f = point_difference(g, "c0", "c2")  # norm 2
     with pytest.raises(PreconditionFailed):
         LinftyCandidate((f, f.scale("1/2")))
     cand = LinftyCandidate.normalized(
-        (f, TransportationProblem.point_difference(g, "c1", "c3")))
+        (f, point_difference(g, "c1", "c3")))
     assert all(tc_norm(p)[0] == 1 for p in cand.problems)
 
 
@@ -141,14 +156,14 @@ def test_k2_counts_one():
     g = c4_graph()
     # opposite diagonals: an exact l_infty^2 pair, all four sign norms are 1
     cand = LinftyCandidate.normalized((
-        TransportationProblem.point_difference(g, "c0", "c2"),
-        TransportationProblem.point_difference(g, "c1", "c3")))
+        point_difference(g, "c0", "c2"),
+        point_difference(g, "c1", "c3")))
     assert count_disjoint_roadmaps(cand, 0) == 1
 
 
 def test_invalid_candidate_is_rejected():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c2").scale("1/2")
+    f = point_difference(g, "c0", "c2").scale("1/2")
     cand = LinftyCandidate((f, f))
     with pytest.raises(PreconditionFailed):
         count_disjoint_roadmaps(cand, 0)

@@ -3,24 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import c4_graph
+from corpus import c4_graph, point_difference, random_tree_space
+from oracles import (
+    NotATree,
+    dual_optimum,
+    oracle_maximal_support,
+    oracle_tree_norm,
+    supporting_unique_probe,
+)
 from tcspace import (
     ExactLP,
     LPStatus,
-    NotATree,
     NullProblem,
     TransportationProblem,
     canonical_graph,
-    dual_optimum,
     maximal_support,
-    oracle_maximal_support,
     oracle_tc_norm,
-    oracle_tree_norm,
     space_from_weighted_graph,
-    supporting_unique_probe,
     tc_norm,
 )
-from tcspace.randgen import random_metric_space, random_problem, random_tree_space
+from tcspace.randgen import random_metric_space, random_problem
 
 
 def _path3_weighted():
@@ -30,7 +32,7 @@ def _path3_weighted():
 
 def test_oracle_point_mass_is_the_distance():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c2")
+    f = point_difference(g, "c0", "c2")
     assert oracle_tc_norm(f) == 2
 
 
@@ -111,7 +113,7 @@ def test_star_leaf_to_center():
     g = canonical_graph(space_from_weighted_graph(
         ["O", "L1", "L2", "L3"],
         [("O", "L1", "1"), ("O", "L2", "1"), ("O", "L3", "1")]))
-    f = TransportationProblem.point_difference(g, "L1", "O")
+    f = point_difference(g, "L1", "O")
     assert oracle_tree_norm(f) == 1
 
 
@@ -121,7 +123,7 @@ def test_tree_norm_zero():
 
 
 def test_tree_oracle_rejects_cycles():
-    f = TransportationProblem.point_difference(c4_graph(), "c0", "c1")
+    f = point_difference(c4_graph(), "c0", "c1")
     with pytest.raises(NotATree):
         oracle_tree_norm(f)
 
@@ -144,13 +146,13 @@ def test_zero_duality_gap(small_corpus):
 
 def test_unique_probe_known_cases():
     path = _path3_weighted()
-    f = TransportationProblem.point_difference(path, "A", "C")
+    f = point_difference(path, "A", "C")
     assert supporting_unique_probe(f) is True
 
     # On C_4, moving c0 -> c1 pins the potential only on one side of the
     # square; the rest can shift.
     g = c4_graph()
-    h = TransportationProblem.point_difference(g, "c0", "c1")
+    h = point_difference(g, "c0", "c1")
     assert supporting_unique_probe(h) is False
 
 

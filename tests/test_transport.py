@@ -4,7 +4,14 @@ from math import lcm
 
 import pytest
 
-from corpus import CORPUS, SMALL_CORPUS, c4_graph
+from corpus import (
+    CORPUS,
+    SMALL_CORPUS,
+    c4_graph,
+    point_difference,
+    random_cycle_element,
+    random_roadmap,
+)
 from tcspace import (
     EdgeVector,
     Improving,
@@ -32,12 +39,7 @@ from tcspace import (
     validate_metric,
 )
 from tcspace import transport
-from tcspace.randgen import (
-    random_cycle_element,
-    random_metric_space,
-    random_problem,
-    random_roadmap,
-)
+from tcspace.randgen import random_metric_space, random_problem
 
 
 def _path3_weighted():
@@ -193,7 +195,7 @@ def test_cancel_restores_the_direct_route():
 
 def test_cancel_rejects_optimal_certificates():
     g = c4_graph()
-    _, rm = tc_norm(TransportationProblem.point_difference(g, "c0", "c1"))
+    _, rm = tc_norm(point_difference(g, "c0", "c1"))
     with pytest.raises(NotImprovable):
         cancel_cycle(rm, improving_cycle(rm))
 
@@ -211,7 +213,7 @@ def test_optimality_biconditional_on_random_roadmaps(small_corpus, rng):
 def test_point_mass_norm_is_the_distance(corpus):
     for inst in corpus:
         space = inst.graph.space
-        f = TransportationProblem.point_difference(
+        f = point_difference(
             inst.graph, space.points[0], space.points[-1])
         assert tc_norm(f)[0] == space.d(0, space.n - 1)
 
@@ -386,7 +388,7 @@ def test_the_transport_check_fails_a_bad_flow(monkeypatch):
     solve = transport._solve
     rng = random.Random(19)
     c4 = c4_graph()
-    cases = [(c4, TransportationProblem.point_difference(c4, "c0", "c2"))]
+    cases = [(c4, point_difference(c4, "c0", "c2"))]
     for n in (5, 8):
         graph = canonical_graph(random_metric_space(rng, n))
         cases.append((graph, random_problem(rng, graph, nonzero=True)))
@@ -451,7 +453,7 @@ def test_midpoint_of_optima_is_optimal(small_corpus):
 
 def test_unique_roadmap_support_on_a_path():
     g = _path3_weighted()
-    f = TransportationProblem.point_difference(g, "A", "C")
+    f = point_difference(g, "A", "C")
     edges, signs = maximal_support(f)
     assert edges == {0, 1}
     assert signs == {0: 1, 1: 1}
@@ -459,7 +461,7 @@ def test_unique_roadmap_support_on_a_path():
 
 def test_two_geodesics_cover_all_of_c4():
     g = c4_graph()
-    f = TransportationProblem.point_difference(g, "c0", "c2")
+    f = point_difference(g, "c0", "c2")
     edges, signs = maximal_support(f)
     assert edges == {0, 1, 2, 3}
     mr = maximal_roadmap(f)
@@ -476,12 +478,12 @@ def test_zero_problem_has_empty_support():
 
 def test_directed_graph_examples():
     g = _path3_weighted()
-    f = TransportationProblem.point_difference(g, "A", "C")
+    f = point_difference(g, "A", "C")
     dg = directed_graph_of(f)
     assert dg.arc_set() == {(0, 1), (1, 2)}
 
     c4 = c4_graph()
-    f2 = TransportationProblem.point_difference(c4, "c0", "c2")
+    f2 = point_difference(c4, "c0", "c2")
     assert directed_graph_of(f2).arc_set() == {(0, 1), (1, 2), (0, 3), (3, 2)}
 
     rev = directed_graph_of(f2.scale(-1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import c4_graph
+from corpus import c4_graph, random_roadmap
 from tcspace import (
     EdgeVector,
     InvalidInput,
@@ -13,11 +13,9 @@ from tcspace import (
     apply_incidence,
     canonical_graph,
     cycle_basis,
-    l1d_norm,
     to_fraction,
     validate_metric,
 )
-from tcspace.randgen import random_roadmap
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -29,19 +27,19 @@ def _single_edge_graph(weight="1/2"):
 
 def test_l1d_norm_of_zero_is_zero():
     g = c4_graph()
-    assert l1d_norm(EdgeVector.zero(g)) == 0
+    assert EdgeVector.zero(g).l1d_norm() == 0
 
 
 def test_l1d_norm_single_edge():
     g = _single_edge_graph("1/2")
-    assert l1d_norm(EdgeVector(g, {0: Fraction(-3)})) == Fraction(3, 2)
+    assert EdgeVector(g, {0: Fraction(-3)}).l1d_norm() == Fraction(3, 2)
 
 
 def test_l1d_norm_weighted_sum():
     g = canonical_graph(validate_metric(
         ["A", "B", "C"], [["0", "1", "3"], ["1", "0", "2"], ["3", "2", "0"]]))
     vec = EdgeVector(g, {g.edge_index(0, 1): 1, g.edge_index(1, 2): -2})
-    assert l1d_norm(vec) == 5
+    assert vec.l1d_norm() == 5
 
 
 def test_apply_incidence_on_one_edge():
@@ -85,9 +83,9 @@ def test_l1d_norm_is_a_norm(seed1, seed2):
     g = c4_graph()
     p = random_roadmap(random.Random(seed1), g)
     q = random_roadmap(random.Random(seed2), g)
-    assert l1d_norm(p + q) <= l1d_norm(p) + l1d_norm(q)
-    assert l1d_norm(p.scale(-3)) == 3 * l1d_norm(p)
-    assert (l1d_norm(p) == 0) == p.is_zero()
+    assert (p + q).l1d_norm() <= p.l1d_norm() + q.l1d_norm()
+    assert p.scale(-3).l1d_norm() == 3 * p.l1d_norm()
+    assert (p.l1d_norm() == 0) == p.is_zero()
 
 
 def test_zero_sum_is_enforced():
