@@ -97,8 +97,7 @@ def test_lipschitz_json_round_trip():
 def test_supporting_function_is_tight_on_a_pair(small_corpus):
     for inst in small_corpus:
         g = inst.graph
-        f = point_difference(
-            g, g.space.points[0], g.space.points[-1])
+        f = point_difference(g, g.space.points[0], g.space.points[-1])
         s = supporting_function(f)
         assert s[0] - s[g.n - 1] == g.space.d(0, g.n - 1)
 

@@ -213,8 +213,7 @@ def test_optimality_biconditional_on_random_roadmaps(small_corpus, rng):
 def test_point_mass_norm_is_the_distance(corpus):
     for inst in corpus:
         space = inst.graph.space
-        f = point_difference(
-            inst.graph, space.points[0], space.points[-1])
+        f = point_difference(inst.graph, space.points[0], space.points[-1])
         assert tc_norm(f)[0] == space.d(0, space.n - 1)
 
 
