@@ -40,7 +40,7 @@ from .families import (
     recursive_family,
 )
 from .graph import DirectedSubgraph, canonical_graph
-from .metric import MetricSpace, weighted_graph_json_to_space
+from .metric import MetricSpace, _distance_literals, weighted_graph_json_to_space
 from .obstruction import (
     LinftyCandidate,
     certify_no_linfty,
@@ -101,17 +101,20 @@ def _emit(obj, stream=None) -> None:
     (stream or sys.stdout).write("\n")
 
 
-def _space_text(obj: dict) -> str:
+def _space_text(obj: dict, literals: dict | None = None) -> str:
     """_emit's text for a metric-space JSON object ({"base", "dist",
     "points"}, at least two points), each distinct string encoded once: the
     standard library's indenting encoder is pure Python, and a generated
-    space can hold up to a million entries."""
-    code = {x: encode_basestring_ascii(x)
-            for x in {obj["base"], *obj["points"]}.union(*obj["dist"])}
+    space can hold up to a million entries.  The entries of "dist" are its
+    strings, or keys of `literals`, which maps each to its string (`gen`
+    passes the integer matrix and metric._distance_literals)."""
+    if literals is None:
+        literals = {x: x for x in set().union(*obj["dist"])}
+    code = {x: encode_basestring_ascii(text) for x, text in literals.items()}
     rows = ",\n".join("    [\n      " + ",\n      ".join(map(code.__getitem__, row)) + "\n    ]"
                       for row in obj["dist"])
-    points = ",\n    ".join(map(code.__getitem__, obj["points"]))
-    return (f'{{\n  "base": {code[obj["base"]]},\n  "dist": [\n{rows}\n  ],\n'
+    points = ",\n    ".join(map(encode_basestring_ascii, obj["points"]))
+    return (f'{{\n  "base": {encode_basestring_ascii(obj["base"])},\n  "dist": [\n{rows}\n  ],\n'
             f'  "points": [\n    {points}\n  ]\n}}\n')
 
 
@@ -304,7 +307,9 @@ def _cmd_gen(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInput(f"unknown family {args.family!r}")
     assert space.n == points
-    text = _space_text(space.to_json_obj())
+    rows = space.scaled.tolist()
+    text = _space_text({"base": space.points[space.base_point], "dist": rows,
+                        "points": space.points}, _distance_literals(rows, space.denom))
     if args.out:
         _write_file(args.out, text)
     else:

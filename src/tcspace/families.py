@@ -5,15 +5,24 @@ level), plane grids, complete bipartite graphs, cycles, and recursive
 two-port compositions.  Generators emit exact metric spaces; the recursive
 ones also emit generation metadata so certificates can peel back to earlier
 levels, whose vertex sets embed isometrically.
+
+A composition's metric comes from its construction, not from a search: the
+metrics of its two parts give it (metric._substitute), level by level for
+diamonds, and a grid's comes from its coordinates.  metric.py certifies each
+such candidate as the graph's path metric, as it does a Floyd-Warshall
+matrix, the route of cycles, complete bipartite graphs and two-port graphs
+made by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidInput, NotNormalized
-from .metric import MetricSpace, space_from_weighted_graph
+from .metric import MetricSpace, _graph_space, _substitute, space_from_weighted_graph
 from .rational import ONE, to_fraction
 
 
@@ -62,20 +71,23 @@ class TwoPortGraph:
     """Weighted directed graph with distinguished top and bottom vertices.
 
     `space` is the path metric of the underlying undirected graph
-    (directions dropped), built and validated once, when the graph is made."""
+    (directions dropped), built and validated once, when the graph is made.
+    compose passes the candidate it knows (_metric, certified, not trusted);
+    any other graph's is searched for."""
 
     points: tuple[str, ...]
     edges: tuple[tuple[str, str, Fraction], ...]
     top: str
     bottom: str
     space: MetricSpace = field(init=False, repr=False, compare=False)
+    _metric: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _metric=None):
         if self.top not in self.points or self.bottom not in self.points:
             raise InvalidInput("top and bottom must be vertices")
         if self.top == self.bottom:
             raise InvalidInput("top and bottom must differ")
-        object.__setattr__(self, "space", space_from_weighted_graph(self.points, self.edges))
+        object.__setattr__(self, "space", _graph_space(self.points, self.edges, metric=_metric))
 
     def top_bottom_distance(self) -> Fraction:
         b, t = map(self.space.index_of, (self.bottom, self.top))
@@ -128,7 +140,16 @@ def compose(H: TwoPortGraph, G: TwoPortGraph, tag: str = "e") -> TwoPortGraph:
             points.append(fresh)
         for a, b, wg in G.edges:
             edges.append((rename[a], rename[b], to_fraction(wg) * to_fraction(w)))
-    return TwoPortGraph(tuple(points), tuple(edges), H.top, H.bottom)
+    at = H.space.index_of
+    metric = _substitute((H.space.scaled, H.space.denom),
+                         [(at(u), at(v), to_fraction(w)) for u, v, w in H.edges],
+                         (G.space.scaled, G.space.denom), _ports(G))
+    return TwoPortGraph(tuple(points), tuple(edges), H.top, H.bottom, _metric=metric)
+
+
+def _ports(G: TwoPortGraph) -> tuple[int, int]:
+    """The indices of G's bottom and top in its space."""
+    return G.space.index_of(G.bottom), G.space.index_of(G.top)
 
 
 def unit_edge_two_port() -> TwoPortGraph:
@@ -179,15 +200,23 @@ def diamond(n: int) -> tuple[MetricSpace, FamilyDescriptor]:
 
     All level-n edges have weight 2^-n, so each level's vertex set embeds
     isometrically in the next and the total top-bottom distance stays 1.
+    Each level's metric comes from the last one's and the quadrilateral's.
     """
     if n < 0:
         raise InvalidInput("n must be nonnegative")
+    quad = quadrilateral_two_port()
     points = ["v0", "v1"]
     generations = {"v0": 0, "v1": 0}
     edges: list[tuple[str, str]] = [("v0", "v1")]
+    metric = (np.array([[0, 1], [1, 0]]), 1)
     for level in range(1, n + 1):
+        at = {p: i for i, p in enumerate(points)}
+        weight = Fraction(1, 2**(level - 1))
+        edges = sorted(edges)
+        metric = _substitute(metric, [(at[u], at[v], weight) for u, v in edges],
+                             (quad.space.scaled, quad.space.denom), _ports(quad))
         new_edges: list[tuple[str, str]] = []
-        for i, (u, v) in enumerate(sorted(edges)):
+        for i, (u, v) in enumerate(edges):
             a = f"g{level}e{i}.a"
             b = f"g{level}e{i}.b"
             points.extend((a, b))
@@ -196,13 +225,13 @@ def diamond(n: int) -> tuple[MetricSpace, FamilyDescriptor]:
             new_edges.extend(((u, a), (a, v), (v, b), (b, u)))
         edges = new_edges
     weight = Fraction(1, 2**n)
-    space = space_from_weighted_graph(
-        points, [(u, v, weight) for u, v in edges], base="v0")
+    space = _graph_space(points, [(u, v, weight) for u, v in edges], base="v0", metric=metric)
     return space, FamilyDescriptor("diamond", {"n": n}, generations)
 
 
 def grid(n: int) -> MetricSpace:
-    """Plane n x n grid with unit edges and its graph distance."""
+    """Plane n x n grid with unit edges and its graph distance, the sum of
+    the coordinates' differences."""
     if n < 2:
         raise InvalidInput("grid needs n >= 2")
     points = [f"{r},{c}" for r in range(n) for c in range(n)]
@@ -213,7 +242,9 @@ def grid(n: int) -> MetricSpace:
                 edges.append((f"{r},{c}", f"{r},{c + 1}", ONE))
             if r + 1 < n:
                 edges.append((f"{r},{c}", f"{r + 1},{c}", ONE))
-    return space_from_weighted_graph(points, edges)
+    row, col = np.divmod(np.arange(n * n), n)
+    metric = (abs(row[:, None] - row) + abs(col[:, None] - col), 1)
+    return _graph_space(points, edges, metric=metric)
 
 
 def complete_bipartite(m: int, n: int) -> MetricSpace:

@@ -19,11 +19,17 @@ which runs only on a matrix that is not a metric, to report its first
 violation.  The validated space keeps the proven mask for
 graph.canonical_graph.
 
-Shortest-path metrics of weighted graphs (families, weighted-graph JSON) come
-from one integer Floyd-Warshall and enter the same checks at the same D, but
-a graph has edges and a matrix has none, so no scan runs: only an input edge
-can be a canonical edge, its midpoints are tested in O(n) each, and one
-min-plus step certifies the matrix and the mask together (_edge_mask).
+Shortest-path metrics of weighted graphs enter the same checks, but a graph
+has edges and a matrix has none, so no scan runs: only an input edge can be
+a canonical edge, its midpoints are tested in O(n) each, and one min-plus
+step certifies the matrix and the mask together (_edge_mask), at a unit in
+which every weight is an integer.  Weighted-graph JSON, random graphs,
+path_metric and hand-made two-port graphs get their matrix from one integer
+Floyd-Warshall.  The family generators know theirs from the construction: a
+grid's from its coordinates, and a two-port composition's (diamonds, K_{2,n}
+recursions) from the metrics of its two parts (_substitute, no search).
+Both routes end in the same certificate (_graph_space), so a wrong
+candidate fails the assertion a wrong Floyd-Warshall would fail.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ class MetricSpace:
 
     def to_json_obj(self) -> dict:
         rows = self.scaled.tolist()
-        text = {x: frac_str(Fraction(x, self.denom)) for x in set().union(*rows)}
+        text = _distance_literals(rows, self.denom)
         return {
             "points": list(self.points),
             "dist": [list(map(text.__getitem__, row)) for row in rows],
@@ -137,6 +143,13 @@ class MetricSpace:
         except (TypeError, KeyError) as exc:
             raise InvalidInput("space JSON needs 'points' and 'dist'") from exc
         return validate_metric(points, dist, base=obj.get("base"))
+
+
+def _distance_literals(rows: list[list[int]], denom: int) -> dict[int, str]:
+    """Each distinct integer of the rows, divided by denom, as its JSON
+    literal (frac_str): the one formatting rule of to_json_obj and of the
+    command line's space writer."""
+    return {x: frac_str(Fraction(x, denom)) for x in set().union(*rows)}
 
 
 def _int_dtype(peak: int):
@@ -365,8 +378,8 @@ def _violations(names, mat: np.ndarray, edges=None) -> tuple[list, np.ndarray | 
     diagonal, then each pair i < j in row-major order (asymmetry before
     sign), then, on an otherwise clean matrix, the triangle inequality and
     the mask: by the certified _matrix_mask of a matrix, or, for the path
-    metric of a graph's edges (u, v, w), weights in the matrix's units
-    rounded up, by their certified _edge_mask."""
+    metric of a graph's edges (u, v, w), integer weights in the matrix's
+    units, by their certified _edge_mask."""
     out: list = [InvalidInput(f"self-distance of {names[i]!r} must be 0")
                  for i in np.flatnonzero(np.diagonal(mat) != 0)]
     bad = np.triu((mat != mat.T) | (mat <= 0), 1)
@@ -506,7 +519,13 @@ def _adjacency(n: int, edges) -> list[list[tuple[int, int, int]]]:
 
 def _scaled_edges(edges) -> tuple[int, list[tuple[int, int, int]]]:
     """(D, the edges (u, v, w) with weights times D), D the lcm of the weight
-    denominators, so every weight is an exact integer."""
+    denominators, so every weight is an exact integer.  Raises InvalidInput
+    on a self-loop or a weight that is not positive."""
+    for u, v, w in edges:
+        if u == v:
+            raise InvalidInput("self-loops are not allowed")
+        if w <= 0:
+            raise InvalidInput("edge weights must be positive")
     denom = lcm(*{w.denominator for _, _, w in edges})
     return denom, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges]
 
@@ -595,11 +614,6 @@ def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fra
 def _path_rows(n: int, edges) -> tuple[np.ndarray, int, list[tuple[int, int, int]]]:
     """path_metric as (integer matrix, D, scaled edges): the distances and
     the edges' weights times D, the lcm of the weight denominators."""
-    for u, v, w in edges:
-        if u == v:
-            raise InvalidInput("self-loops are not allowed")
-        if w <= 0:
-            raise InvalidInput("edge weights must be positive")
     denom, scaled = _scaled_edges(edges)
     return _floyd_warshall(n, scaled), denom, scaled
 
@@ -608,27 +622,82 @@ def _floyd_warshall(n: int, edges: list[tuple[int, int, int]]) -> np.ndarray:
     """All-pairs distances of the undirected edges (u, v, w), integers w > 0
     (of parallel edges the lightest), by Floyd-Warshall in place at dtype
     _int_dtype(sentinel).  Pairs start at their lightest weight, or at the
-    sentinel, 1 + the smaller of (n-1) * max w and twice the eccentricity of
-    point 0 (one _dijkstra): each bounds every distance, and weights above
-    the sentinel, which lie on no shortest path, start at it.  Raises
-    InvalidInput if that search leaves a point unreached."""
+    sentinel 1 + (n-1) * max w, above every distance of a connected graph (a
+    shortest path has at most n - 1 edges) and every weight.  A sum with a
+    sentinel is at least the sentinel, so a pair that no path joins keeps
+    it: raises InvalidInput if some entry ends at the sentinel."""
     if n < 2:
         return np.zeros((n, n), dtype=np.int8)
-    dist = _dijkstra(_adjacency(n, edges), [0], (), [0] * len(edges), [0] * n)[0]
-    if None in dist:
+    if not edges:
         raise InvalidInput("graph is not connected")
-    sentinel = 1 + min((n - 1) * max(w for _, _, w in edges), 2 * max(dist))
+    tails, heads, weights = zip(*edges)
+    sentinel = 1 + (n - 1) * max(weights)
     dtype = _int_dtype(sentinel)
     mat = np.full((n, n), sentinel, dtype=dtype)
-    tails, heads, weights = zip(*edges)
-    weights = [min(w, sentinel) for w in weights]
     np.minimum.at(mat, (tails + heads, heads + tails), np.array(weights + weights, dtype=dtype))
     np.fill_diagonal(mat, 0)
     via = np.empty_like(mat)
     for k in range(n):
         np.add(mat[:, k, None], mat[k], out=via)
         np.minimum(mat, via, out=mat)
+    if (mat == sentinel).any():
+        raise InvalidInput("graph is not connected")
     return mat
+
+
+def _substitute(h, h_edges, g, ports) -> tuple[np.ndarray, int]:
+    """The candidate path metric of H with every edge (u, v, w) replaced by
+    a copy of G scaled by w, G's bottom port at u and its top port at v,
+    from the metrics of H and G alone: (mat, D), the distances times D.
+
+    h and g are (scaled matrix, D) of H and G; h_edges are H's edges (u, v,
+    w), w a Fraction, in copy order; ports are G's (bottom, top) indices.
+    Points: H's, then each copy's inner points in G's order.  G must be
+    normalized (its ports at distance 1), so that H's vertices keep their
+    distances in the result.
+
+    A path from a point x of one copy to a point outside it leaves the copy
+    through one of its ports p, after at least w d_G(x, p); an H vertex is
+    its own port.  So d(x, y) is the least w d_G(x, p) + d_H(p, q) + w'
+    d_G(q, y) over the ports p of x and q of y, and within one copy the
+    path that never leaves it, w d_G(x, y), competes too.  No search: the
+    distances from H's vertices first, an n_H x N matrix, then the N x N
+    result and one temporary of its size, at the width _int_dtype of a
+    bound on every sum.  A candidate, not a proof: _graph_space certifies
+    it (_edge_mask).
+    """
+    dh, h_denom = h
+    dg, g_denom = g
+    tails, heads, weights = zip(*h_edges)
+    unit = lcm(h_denom, *(w.denominator for w in weights))
+    scale = [w.numerator * (unit // w.denominator) for w in weights]  # w times unit
+    denom = unit * g_denom
+    inner = [x for x in range(len(dg)) if x not in ports]
+    nh, k, m = len(dh), len(inner), len(h_edges)
+    dtype = _int_dtype(int(dh.max()) * (denom // h_denom) + 2 * max(scale) * int(dg.max()))
+    dh = dh.astype(dtype)
+    dh *= denom // h_denom
+    w = np.array(scale, dtype=dtype)
+    reach = (w[:, None, None] * dg[np.ix_(inner, ports)].astype(dtype)).reshape(m * k, 2)
+    own = np.arange(nh)
+    bottom = np.concatenate((own, np.repeat(tails, k)))  # each point's ports
+    top = np.concatenate((own, np.repeat(heads, k)))
+    zero = np.zeros(nh, dtype=dtype)
+    to_bottom = np.concatenate((zero, reach[:, 0]))  # and its distances to them
+    to_top = np.concatenate((zero, reach[:, 1]))
+    from_h = dh.take(bottom, axis=1)  # row by row, so that mat is too
+    from_h += to_bottom
+    np.minimum(from_h, dh.take(top, axis=1) + to_top, out=from_h)  # d(q, x), q in H
+    mat = from_h[bottom]
+    mat += to_bottom[:, None]
+    other = from_h[top]
+    other += to_top[:, None]
+    np.minimum(mat, other, out=mat)
+    first = nh + k * np.arange(m)[:, None, None]  # copy by copy, its inner block
+    rows, cols = first + np.arange(k)[:, None], first + np.arange(k)
+    within = w[:, None, None] * dg[np.ix_(inner, inner)].astype(dtype)
+    mat[rows, cols] = np.minimum(mat[rows, cols], within)
+    return mat, denom
 
 
 def _fraction_rows(rows: list[list[int]], denom: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -645,6 +714,16 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
     remembers only the metric: rebuilding the canonical graph may drop edges
     that lie on shortest paths through other vertices.
     """
+    return _graph_space(vertices, edges, base)
+
+
+def _graph_space(vertices, edges, base=None, metric=None) -> MetricSpace:
+    """space_from_weighted_graph, its path metric from _floyd_warshall, or,
+    for the family generators, the candidate metric = (mat, D) of the
+    distances times D, known from the graph's construction.  Either matrix
+    is certified with the weights at one unit in which all of them are
+    integers, by _violations and _edge_mask (a wrong one fails an
+    assertion), and then put in lowest terms (_int_matrix)."""
     try:
         names = tuple(str(v) for v in vertices)
     except TypeError as exc:
@@ -673,16 +752,36 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
         raise InvalidInput(invalid)
     idx_edges = [(u, v, w if type(w) is Fraction else values[w])
                  for (u, v), w in zip(pairs, weights)]
-    rows, denom, scaled = _path_rows(len(names), idx_edges)
+    if metric is None:
+        mat, denom, scaled = _path_rows(len(names), idx_edges)
+    else:
+        denom, scaled = _scaled_edges(idx_edges)
+        mat, unit = metric
+        assert mat.shape == (len(names),) * 2, "a candidate metric has a row per point"
+        denom, mat, scaled = _on_one_unit(denom, scaled, mat, unit)
     if len(names) < 2:
         raise InvalidInput("a metric space needs at least 2 points")
-    reduced, mat = _int_matrix(rows, denom)
-    unit = denom // reduced
-    if unit > 1:  # rounded up to the new unit, a weight is >= or == a distance iff it was
-        scaled = [(u, v, -(-w // unit)) for u, v, w in scaled]
-    mask = _checked(_violations(names, mat, scaled))
+    # Row-major: _min_plus gathers rows, at half the speed from a column-major matrix.
+    mat = mat.astype(_int_dtype(int(mat.max())), order="C", copy=False)
+    violations, mask = _violations(names, mat, scaled)
+    assert not violations, "a path metric is symmetric, zero on the diagonal, positive off it"
+    reduced, mat = _int_matrix(mat, denom)
     return MetricSpace(names, reduced, mat, _base_index(names, base), _deletion_mask=mask,
                        _mask_proven=True)
+
+
+def _on_one_unit(denom: int, scaled, mat: np.ndarray, unit: int):
+    """(D, mat, scaled) for edges scaled by denom and a matrix by unit, both
+    rescaled to D, the lcm of denom and unit."""
+    common = lcm(denom, unit)
+    if common > unit:
+        factor = common // unit
+        mat = mat.astype(_int_dtype(int(mat.max()) * factor))
+        mat *= factor
+    if common > denom:
+        factor = common // denom
+        scaled = [(u, v, w * factor) for u, v, w in scaled]
+    return common, mat, scaled
 
 
 def weighted_graph_json_to_space(obj: dict) -> MetricSpace:

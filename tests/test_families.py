@@ -12,11 +12,14 @@ from tcspace import (
     compose,
     cycle,
     diamond,
+    families,
     grid,
     k2n_two_port,
     metric,
     quadrilateral_two_port,
     recursive_family,
+    space_from_weighted_graph,
+    to_fraction,
     unit_edge_two_port,
 )
 
@@ -119,23 +122,30 @@ def test_two_port_validation():
 
 
 def test_a_two_port_graph_measures_itself_once(monkeypatch):
-    """Each TwoPortGraph made runs one Floyd-Warshall, for its space; the
-    NotNormalized checks of compose and recursive_family, and
-    as_metric_space, read that space and run none."""
-    runs, made = [], []
-    floyd_warshall, post_init = metric._floyd_warshall, TwoPortGraph.__post_init__
+    """Each TwoPortGraph made certifies its space once (one _edge_mask): by
+    Floyd-Warshall for B and the unit edge, which are made by hand, and
+    from the construction for each composed level.  The NotNormalized
+    checks of compose and recursive_family, and as_metric_space, read that
+    space and run neither."""
+    runs, certified, made = [], [], []
+    floyd_warshall, edge_mask = metric._floyd_warshall, metric._edge_mask
+    post_init = TwoPortGraph.__post_init__
     monkeypatch.setattr(metric, "_floyd_warshall",
                         lambda *a: runs.append(a) or floyd_warshall(*a))
+    monkeypatch.setattr(metric, "_edge_mask",
+                        lambda *a: certified.append(a) or edge_mask(*a))
     monkeypatch.setattr(TwoPortGraph, "__post_init__",
-                        lambda self: made.append(self) or post_init(self))
+                        lambda self, *a: made.append(self) or post_init(self, *a))
     space, _ = recursive_family(k2n_two_port(3), 3)
-    assert len(runs) == len(made) == 5  # B, the unit edge, and one per level
+    assert len(runs) == 2  # B and the unit edge
+    assert len(certified) == len(made) == 5  # B, the unit edge, and one per level
     runs.clear()
+    certified.clear()
     last = made[-1]
     assert last.as_metric_space() is last.space
     assert last.as_metric_space(base="b") == space
     assert last.top_bottom_distance() == 1
-    assert not runs
+    assert not runs and not certified
 
 
 def test_ports_and_normalization():
@@ -202,3 +212,113 @@ def test_descriptor_json_round_trip():
     assert again.family == desc.family
     assert again.generations == desc.generations
     assert again.level_label(2) == "D_2"
+
+
+# --- metrics from the construction ---------------------------------------------------
+
+def _floyd_warshall_of(points, edges):
+    """(the path metric of the named edges times D, D) by Floyd-Warshall."""
+    at = {p: i for i, p in enumerate(points)}
+    mat, denom, _ = metric._path_rows(len(points), [(at[u], at[v], to_fraction(w))
+                                                    for u, v, w in edges])
+    return mat, denom
+
+
+def _same_distances(a, b) -> bool:
+    """Whether two (scaled matrix, D) pairs hold the same distances."""
+    (x, dx), (y, dy) = a, b
+    return ([[v * dy for v in row] for row in x.tolist()]
+            == [[v * dx for v in row] for row in y.tolist()])
+
+
+def _two_ports():
+    """The unit edge, the quadrilateral, K_{2,4}, a graph whose port-to-port
+    edge is longer than the path beside it, and one with legs of unequal
+    weights over denominators 3, 4, 5 and 7, a rung between its legs and a
+    port-to-port edge: every one normalized."""
+    detour = TwoPortGraph(("b", "m", "t"),
+                          (("b", "m", Fraction(1, 2)), ("m", "t", Fraction(1, 2)),
+                           ("b", "t", Fraction(3, 2))), top="t", bottom="b")
+    uneven = TwoPortGraph(("b", "t", "x", "y"),
+                          (("b", "x", Fraction(1, 3)), ("x", "t", Fraction(2, 3)),
+                           ("b", "y", Fraction(3, 4)), ("y", "t", Fraction(1, 4)),
+                           ("x", "y", Fraction(5, 7)), ("b", "t", Fraction(7, 5))),
+                          top="t", bottom="b")
+    return [unit_edge_two_port(), quadrilateral_two_port(), k2n_two_port(4), detour, uneven]
+
+
+def test_the_kernel_is_floyd_warshall_on_compositions():
+    """Each of the two-ports composed with each: the substitution kernel's
+    candidate is Floyd-Warshall's matrix of the composed graph, and so is
+    the composed space."""
+    parts = _two_ports()
+    assert all(g.top_bottom_distance() == 1 for g in parts)
+    for H in parts:
+        at = H.space.index_of
+        for G in parts:
+            got = metric._substitute(
+                (H.space.scaled, H.space.denom),
+                [(at(u), at(v), to_fraction(w)) for u, v, w in H.edges],
+                (G.space.scaled, G.space.denom),
+                (G.space.index_of(G.bottom), G.space.index_of(G.top)))
+            composed = compose(H, G)
+            assert _same_distances(got, _floyd_warshall_of(composed.points, composed.edges))
+            assert composed.space == space_from_weighted_graph(composed.points, composed.edges)
+
+
+def test_the_kernel_is_floyd_warshall_on_every_level(monkeypatch):
+    """Every candidate the generators certify, D_0 to D_5 and each level of
+    the K_{2,3} recursion to depth 4, is Floyd-Warshall's matrix."""
+    seen = []
+    real = families._graph_space
+
+    def spy(points, edges, base=None, metric=None):
+        seen.append((points, edges, metric))
+        return real(points, edges, base, metric)
+
+    monkeypatch.setattr(families, "_graph_space", spy)
+    for n in range(6):
+        diamond(n)
+    recursive_family(k2n_two_port(3), 4)
+    candidates = [(points, edges, mat) for points, edges, mat in seen if mat is not None]
+    assert [len(points) for points, _, _ in candidates] == [2, 4, 12, 44, 172, 684,
+                                                             5, 23, 131, 779]
+    for points, edges, mat in candidates:
+        assert _same_distances(mat, _floyd_warshall_of(points, edges))
+
+
+def test_a_wrong_candidate_is_refused_by_the_certificate(monkeypatch):
+    """A construction's candidate with one distance (both entries) one unit
+    too high or too low fails an assertion, also where it drops to zero:
+    on compose(q, q), D_2 and the 3 x 3 grid."""
+    real = families._graph_space
+    shift = []  # (i, k, delta): d(i, k) and d(k, i) moved by delta
+    last = []
+
+    def off_by_one(points, edges, base=None, metric=None):
+        if metric is not None:
+            mat = metric[0].copy()
+            for i, k, delta in shift:
+                mat[i, k] += delta
+                mat[k, i] += delta
+            last[:] = [mat]
+            metric = (mat, metric[1])
+        return real(points, edges, base, metric)
+
+    monkeypatch.setattr(families, "_graph_space", off_by_one)
+    q = quadrilateral_two_port()
+    for make in (lambda: compose(q, q).space, lambda: diamond(2)[0], lambda: grid(3)):
+        shift.clear()
+        right = make()
+        n = len(last[0])
+        refused = 0
+        for i in range(n):
+            for k in range(i + 1, n):
+                for delta in (1, -1):
+                    shift[:] = [(i, k, delta)]
+                    with pytest.raises(AssertionError, match="path metric"):
+                        make()
+                    refused += 1
+        assert refused == n * (n - 1)
+        shift.clear()
+        assert make() == right

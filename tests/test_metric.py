@@ -251,7 +251,10 @@ def test_equal_values_written_differently_validate_and_rows_share_objects():
 
 def test_json_output_bytes_are_pinned(tmp_path, monkeypatch):
     """`gen` files and to_json_obj are byte for byte those of per-entry
-    formatting (digests recorded before the output was memoized)."""
+    formatting (digests recorded before the output was memoized), and the
+    benchmark's largest `gen` files are those of the Floyd-Warshall
+    generators (digests recorded before the families' metrics came from
+    their construction)."""
     monkeypatch.setenv("TCSPACE_MAX_POINTS", "64")
     digests = {
         "diamond --n 3": "1a5030a9beab4eba36ab9c427f491c3aa9d761c10363217dbe7ea9479ce785d7",
@@ -259,7 +262,15 @@ def test_json_output_bytes_are_pinned(tmp_path, monkeypatch):
             "bf14752eb4e20aae2239687fe0b016ff49d0bdad1bf206fcc82d73b1aa27b6af",
         "grid --n 5": "dd940b2af508400d2f765ebcfa240a1c7e1b2410024415d356f6c2e0a5c8a081",
     }
-    for args, digest in digests.items():
+    large = {
+        "diamond --n 5": "29dcf03f6c71a73b19208ed08e3e0e89648b906f918e0dcf39cc127460fd7ffb",
+        "recursive --base k2n --legs 3 --n 4":
+            "21124730ee277ad74f21c5041e4c79ebb62bc123d35295f7a20df67ef4ef3fc9",
+        "grid --n 16": "8427dd30c0e7c197e60f6255871b824aa90ae22b466eade8e9c1b3d6cf10803f",
+    }
+    for args, digest in [*digests.items(), *large.items()]:
+        if args in large:
+            monkeypatch.setenv("TCSPACE_MAX_POINTS", "1000")
         out = tmp_path / "space.json"
         assert main(["gen", *args.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
@@ -569,8 +580,8 @@ def test_a_wrong_path_metric_is_refused_by_the_certificate(monkeypatch, graph):
     too low where it stays positive: every such matrix fails an assertion.
     On the unit triangle, d(A,C) = 2 is the path metric of the other two
     edges, and only the weight of A-C refutes it.  On the chord graph,
-    d(A,C) = 2 instead of 7/3 puts every distance in whole units, and only
-    the chord's weight rounded up to that unit, 3, refutes it."""
+    d(A,C) = 2 instead of 7/3 puts every distance in whole units, and the
+    certificate, which runs at the unit of the weights, thirds, refutes it."""
     vertices, edges = {
         "triangle": (["A", "B", "C"], [("A", "B", "1"), ("B", "C", "1"), ("A", "C", "1")]),
         "chord": (["A", "B", "C"], [("A", "B", "1"), ("B", "C", "2"), ("A", "C", "7/3")]),
@@ -841,6 +852,22 @@ def test_a_non_geodesic_weight_leaves_no_trace_in_the_denominator():
     assert space != validate_metric(space.points, [[2 * x for x in row] for row in space.dist])
 
 
+def test_a_candidate_metric_is_certified_at_the_unit_of_the_weights():
+    """The generators' route takes a candidate at any unit and certifies it
+    where every weight is an integer: the non-geodesic graph's distances in
+    whole units (its chord weighs 7/3) and in sixths give Floyd-Warshall's
+    space.  An edge of weight 5/2 is no path of length 3, although 3 is
+    5/2 rounded up to the candidate's unit."""
+    vertices, edges = _non_geodesic_graph()
+    want = space_from_weighted_graph(vertices, edges)
+    assert want.denom == 1
+    for unit in (1, 6):
+        mat = np.array(want.scaled.tolist()) * unit
+        assert metric._graph_space(vertices, edges, metric=(mat, unit)) == want
+    with pytest.raises(AssertionError, match="path metric"):
+        metric._graph_space(["A", "B"], [("A", "B", "5/2")], metric=(np.array([[0, 3], [3, 0]]), 1))
+
+
 def test_a_restricted_space_is_in_lowest_terms():
     space = space_from_weighted_graph(["A", "B", "C"], [("A", "B", "1/2"), ("B", "C", "1/2")])
     assert space.denom == 2
@@ -885,11 +912,13 @@ def _graph_pool():
     return pool
 
 
-# The path 3-1-0-2-4: its diameter is twice the eccentricity of point 0.
+# The path 3-1-0-2-4, centred at point 0.
 _CENTRED_PATH = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 4, 1)]
 
 
 def test_floyd_warshall_matches_per_source_dijkstra_at_every_width():
+    """Each matrix runs at _int_dtype of its sentinel, 1 + (n - 1) * max w;
+    the pool's sentinels put the five scales at the five widths."""
     widths = set()
     disconnected = 0
     for n, edges in _graph_pool():
@@ -902,7 +931,8 @@ def test_floyd_warshall_matches_per_source_dijkstra_at_every_width():
                     metric._floyd_warshall(n, scaled)
                 continue
             got = metric._floyd_warshall(n, scaled)
-            assert got.dtype == width
+            sentinel = 1 + (n - 1) * max(w for _, _, w in scaled)
+            assert got.dtype == np.dtype(metric._int_dtype(sentinel)) == width
             assert got.tolist() == want
             widths.add(got.dtype)
     assert widths == set(WIDTHS) and disconnected
@@ -927,7 +957,7 @@ def test_path_metric_keeps_the_lightest_parallel_edge():
 
 
 def test_disconnected_and_tiny_weighted_graphs_keep_their_messages():
-    for n, edges in [(3, [(0, 1, 1)]), (3, [(1, 2, 1)]),  # point 0 (the search's source) alone
+    for n, edges in [(3, [(0, 1, 1)]), (3, [(1, 2, 1)]),  # point 2, then point 0, alone
                      (4, [(0, 1, 1), (1, 2, 5), (0, 2, 1000)]),
                      (5, [(0, 1, 1), (0, 1, 2), (2, 3, 1), (3, 4, 2**70)])]:
         with pytest.raises(InvalidInput, match="^graph is not connected$"):
@@ -947,35 +977,35 @@ def test_family_spaces_run_at_int8():
     assert [space.scaled.dtype for space in spaces] == [np.dtype(np.int8)] * len(spaces)
 
 
-def test_floyd_warshall_runs_at_int8_on_the_largest_families(monkeypatch):
-    """The sentinel is 1 + twice an eccentricity: the 779-point K_{2,3}
-    recursion of depth 4 and the 16 x 16 grid have scaled diameters 16 and
-    30, so every Floyd-Warshall of theirs runs in int8 (at 1 + (n-1) * max
-    weight, the largest would run in int16)."""
-    widths = []
+def test_no_floyd_warshall_runs_on_a_composed_level_or_a_grid(monkeypatch):
+    """The families know their metrics: no composed level of the 779-point
+    K_{2,3} recursion of depth 4 or of D_5, and no grid, runs Floyd-Warshall.
+    It runs only on the graphs made by hand: the base B and the unit edge of
+    the recursion, and the quadrilateral of the diamonds.  The three spaces
+    are in int8, at scaled diameters 16, 32 and 30."""
+    sizes = []
     real = metric._floyd_warshall
-
-    def spy(*args):
-        mat = real(*args)
-        widths.append(mat.dtype)
-        return mat
-
-    monkeypatch.setattr(metric, "_floyd_warshall", spy)
+    monkeypatch.setattr(metric, "_floyd_warshall", lambda n, *a: sizes.append(n) or real(n, *a))
     space, _ = recursive_family(k2n_two_port(3), 4)
-    assert space.n == 779 and len(widths) == 6
+    assert space.n == 779 and sorted(sizes) == [2, 5]
+    sizes.clear()
+    d5, _ = diamond(5)
+    assert d5.n == 684 and sizes == [4]
+    sizes.clear()
     big = grid(16)
-    assert big.n == 256 and len(widths) == 7
-    assert widths == [np.dtype(np.int8)] * 7
-    assert int(space.scaled.max()) == 16 and int(big.scaled.max()) == 30
+    assert big.n == 256 and sizes == []
+    assert {s.scaled.dtype for s in (space, d5, big)} == {np.dtype(np.int8)}
+    assert [int(s.scaled.max()) for s in (space, d5, big)] == [16, 32, 30]
 
 
-def test_a_weight_above_the_sentinel_is_clamped():
+def test_a_heavy_chord_widens_only_floyd_warshall():
     """A-B-C at weight 1 with a chord A-C of weight 1000: the sentinel is
-    1 + 2 * 2 = 5, so the chord starts at 5 in int8 and d(A,C) = 2."""
+    1 + 2 * 1000 = 2001, so Floyd-Warshall runs in int16, d(A,C) = 2, and
+    the space narrows to int8."""
     names = ["A", "B", "C"]
     edges = [("A", "B", "1"), ("B", "C", "1"), ("A", "C", "1000")]
     mat = metric._floyd_warshall(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1000)])
-    assert mat.dtype == np.int8 and mat.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert mat.dtype == np.int16 and mat.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     space = space_from_weighted_graph(names, edges)
     assert d_name(space, "A", "C") == 2
     assert space.scaled.dtype == np.int8
