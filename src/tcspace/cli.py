@@ -101,15 +101,13 @@ def _emit(obj, stream=None) -> None:
     (stream or sys.stdout).write("\n")
 
 
-def _space_text(obj: dict, literals: dict | None = None) -> str:
+def _space_text(obj: dict, literals: dict) -> str:
     """_emit's text for a metric-space JSON object ({"base", "dist",
     "points"}, at least two points), each distinct string encoded once: the
     standard library's indenting encoder is pure Python, and a generated
-    space can hold up to a million entries.  The entries of "dist" are its
-    strings, or keys of `literals`, which maps each to its string (`gen`
-    passes the integer matrix and metric._distance_literals)."""
-    if literals is None:
-        literals = {x: x for x in set().union(*obj["dist"])}
+    space can hold up to a million entries.  The entries of "dist" are keys
+    of `literals`, which maps each to its string (`gen` passes the integer
+    matrix and metric._distance_literals)."""
     code = {x: encode_basestring_ascii(text) for x, text in literals.items()}
     rows = ",\n".join("    [\n      " + ",\n      ".join(map(code.__getitem__, row)) + "\n    ]"
                       for row in obj["dist"])

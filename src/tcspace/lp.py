@@ -1,33 +1,29 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming in one form: minimize c.x subject to
+Ax = b and x >= 0.
 
 A dense two-phase simplex with Bland's pivoting rule, which guarantees
 termination without any tolerance machinery.  Speed is not the point: this
-backs the verification oracle only, on small instances.  Still, slack columns
-seed the initial basis, so artificial variables appear only for
-equality-like rows.
+backs the verification oracle only, on small instances, and takes the LP
+that oracle poses as it is: equality rows, nonnegative columns, a minimum.
 
 The simplex runs on one integer tableau.  Coefficients and right-hand sides
 given as ints stay ints; any other value is read by `to_fraction`.  A
 constraint row is negated if its right-hand side is negative, then scaled by
 the lcm L_i of its own denominators (1 for an all-int row) and filled in
-from its nonzero coefficients; its slack or artificial keeps coefficient +-1
-and stands for its value times L_i.  The phase-2 cost row, scaled by the lcm
-C of its denominators, is the last row.  Phase 1 appends its row after it,
-the column sums of the artificial rows, each weighed by L / L_i (L the lcm
-of the artificial rows' scales), so every reduced cost keeps the sign it has
-over Fractions and Bland's rule takes the same pivots.  Pivots are
-fraction-free (Edmonds 1967, Bareiss 1968): every entry is its value times a
-common divisor d > 0, which starts at 1.  A pivot on p leaves the pivot row
-as it is, maps every other row r to (p*r - r[j]*prow) // d, an exact
-division, and makes p the new d.  When p == d, a row with r[j] == 0 maps to
-itself, so it is skipped: on a totally unimodular LP with int data every
-pivot and every d is 1, and a pivot touches only the rows that change.  The
-ratio test compares by cross-multiplication, so Fractions are built only for
-the returned point (b_i / d) and value (-cost[-1] / (d*C)).
-
-Variables are nonnegative unless declared free (free variables are split
-into positive and negative parts internally).  Constraints are <= or ==
-with exact rational data.
+from its nonzero coefficients; its artificial keeps coefficient 1 and stands
+for its value times L_i.  The phase-2 cost row, scaled by the lcm C of its
+denominators, is the last row.  Phase 1 appends its row after it, the column
+sums of the constraint rows, each weighed by L / L_i (L the lcm of the
+rows' scales), so every reduced cost keeps the sign it has over Fractions
+and Bland's rule takes the same pivots.  Pivots are fraction-free (Edmonds
+1967, Bareiss 1968): every entry is its value times a common divisor d > 0,
+which starts at 1.  A pivot on p leaves the pivot row as it is, maps every
+other row r to (p*r - r[j]*prow) // d, an exact division, and makes p the
+new d.  When p == d, a row with r[j] == 0 maps to itself, so it is skipped:
+on a totally unimodular LP with int data every pivot and every d is 1, and a
+pivot touches only the rows that change.  The ratio test compares by
+cross-multiplication, so Fractions are built only for the returned point
+(b_i / d) and value (-cost[-1] / (d*C)).
 """
 
 from __future__ import annotations
@@ -62,66 +58,45 @@ def _exact(value) -> int | Fraction:
 
 
 class ExactLP:
-    """Incrementally built LP; solve() runs the two-phase simplex."""
+    """Incrementally built LP over nonnegative variables; solve() runs the
+    two-phase simplex."""
 
     def __init__(self):
-        self._free: list[bool] = []
-        self._cons: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
+        self._nvars = 0
+        self._cons: list[tuple[dict[int, int | Fraction], int | Fraction]] = []
         self._obj: dict[int, int | Fraction] = {}
-        self._maximize = False
 
-    def add_var(self, free: bool = False) -> int:
-        self._free.append(free)
-        return len(self._free) - 1
+    def add_var(self) -> int:
+        self._nvars += 1
+        return self._nvars - 1
 
     def _coeffs(self, coeffs: dict) -> dict[int, int | Fraction]:
         out = {}
         for var, c in coeffs.items():
-            if not 0 <= var < len(self._free):
+            if not 0 <= var < self._nvars:
                 raise IndexError(f"unknown variable {var}")
             c = _exact(c)
             if c != 0:
                 out[var] = c
         return out
 
-    def add_le(self, coeffs: dict, rhs) -> None:
-        self._cons.append((self._coeffs(coeffs), "<=", _exact(rhs)))
-
     def add_eq(self, coeffs: dict, rhs) -> None:
-        self._cons.append((self._coeffs(coeffs), "==", _exact(rhs)))
-
-    def maximize(self, coeffs: dict) -> None:
-        self._obj = self._coeffs(coeffs)
-        self._maximize = True
+        self._cons.append((self._coeffs(coeffs), _exact(rhs)))
 
     def minimize(self, coeffs: dict) -> None:
         self._obj = self._coeffs(coeffs)
-        self._maximize = False
 
     # -- the integer tableau ------------------------------------------------
 
     def _build(self):
-        """The integer tableau of min c.x, Ax = b, x >= 0, and its basis.
+        """The integer tableau of the LP and the scale of each row.
 
-        Each constraint row is [structural, slack, artificial, b].  A row
-        whose slack has coefficient +1 starts with that slack basic, any
-        other with an artificial of its own.  The cost row, scaled by C, is
-        last.  Returns the tableau, the basis, the scale L_i of each
-        artificial row i, C, the number of structural and slack columns,
-        and the variable-to-column maps.
+        Constraint row i is [structural, artificial, b] with b >= 0, and
+        starts with its artificial, column nvars + i, basic.  The cost row,
+        scaled by C, is last.  Returns the tableau, the scale L_i of each
+        constraint row, and C.
         """
-        col_pos: list[int] = []
-        col_neg: list[int | None] = []
-        ncols = 0
-        for free in self._free:
-            col_pos.append(ncols)
-            col_neg.append(ncols + 1 if free else None)
-            ncols += 2 if free else 1
-        # The slack's coefficient once the row is negated; 0 for none.
-        slack = [0 if sense == "==" else 1 if rhs >= 0 else -1
-                 for _, sense, rhs in self._cons]
-        total = ncols + sum(s != 0 for s in slack)
-        width = total + sum(s <= 0 for s in slack) + 1
+        width = self._nvars + len(self._cons) + 1
 
         def scaled(coeffs, rhs, sign):
             """sign * (coeffs, rhs) as an integer row of the tableau, scaled
@@ -130,30 +105,18 @@ class ExactLP:
             row = [0] * width
             row[-1] = sign * rhs.numerator * (scale // rhs.denominator)
             for var, c in coeffs.items():
-                row[col_pos[var]] = a = sign * c.numerator * (scale // c.denominator)
-                if col_neg[var] is not None:
-                    row[col_neg[var]] = -a
+                row[var] = sign * c.numerator * (scale // c.denominator)
             return row, scale
 
         t: list[list[int]] = []
-        basis: list[int] = []
-        art: dict[int, int] = {}
-        slack_at, art_at = ncols, total
-        for (coeffs, _, rhs), s in zip(self._cons, slack):
+        scales: list[int] = []
+        for i, (coeffs, rhs) in enumerate(self._cons):
             row, scale = scaled(coeffs, rhs, -1 if rhs < 0 else 1)
-            if s:
-                row[slack_at] = s
-                slack_at += 1
-            if s > 0:
-                basis.append(slack_at - 1)
-            else:
-                row[art_at] = 1
-                art[len(t)] = scale
-                basis.append(art_at)
-                art_at += 1
+            row[self._nvars + i] = 1
             t.append(row)
-        row, scale = scaled(self._obj, 0, -1 if self._maximize else 1)
-        return t + [row], basis, art, scale, total, col_pos, col_neg
+            scales.append(scale)
+        row, scale = scaled(self._obj, 0, 1)
+        return t + [row], scales, scale
 
     # -- simplex core --------------------------------------------------------
 
@@ -196,26 +159,28 @@ class ExactLP:
             d = ExactLP._pivot(t, basis, d, leave, enter)
 
     def solve(self) -> LPResult:
-        t, basis, art, scale, total, col_pos, col_neg = self._build()
+        t, scales, scale = self._build()
+        n = self._nvars
+        basis = list(range(n, n + len(scales)))
         d = 1
-        if art:
+        if basis:
             # Phase 1 minimizes weight times the sum of the artificials in
             # their rows' own units: row i's artificial stands for L_i times it.
-            weight = lcm(*art.values())
-            rows = [t[i] if s == weight else [weight // s * a for a in t[i]]
-                    for i, s in art.items()]
+            weight = lcm(*scales)
+            rows = [row if s == weight else [weight // s * a for a in row]
+                    for row, s in zip(t, scales)]
             p1 = [-sum(col) for col in zip(*rows)]
-            p1[total:-1] = [0] * len(art)
+            p1[n:-1] = [0] * len(scales)
             t.append(p1)
-            d = self._iterate(t, basis, d, total)
+            d = self._iterate(t, basis, d, n)
             assert d, "phase 1 is always bounded below"
             if t.pop()[-1] != 0:
                 return LPResult(LPStatus.INFEASIBLE, None, None)
             # Drive leftover artificials out; drop rows that went redundant.
             drop = []
             for i in range(len(basis)):
-                if basis[i] >= total:
-                    piv = next((j for j in range(total) if t[i][j] != 0), None)
+                if basis[i] >= n:
+                    piv = next((j for j in range(n) if t[i][j] != 0), None)
                     if piv is None:
                         drop.append(i)
                         continue
@@ -224,15 +189,10 @@ class ExactLP:
                     d = self._pivot(t, basis, d, i, piv)
             for i in reversed(drop):
                 del t[i], basis[i]
-        d = self._iterate(t, basis, d, total)
+        d = self._iterate(t, basis, d, n)
         if d is None:
             return LPResult(LPStatus.UNBOUNDED, None, None)
-        xcols = [0] * total
+        x = [Fraction(0)] * n
         for row, col in zip(t, basis):
-            xcols[col] = row[-1]
-        x = [Fraction(xcols[pos] - (0 if neg is None else xcols[neg]), d)
-             for pos, neg in zip(col_pos, col_neg)]
-        value = Fraction(-t[-1][-1], d * scale)
-        if self._maximize:
-            value = -value
-        return LPResult(LPStatus.OPTIMAL, value, x)
+            x[col] = Fraction(row[-1], d)
+        return LPResult(LPStatus.OPTIMAL, Fraction(-t[-1][-1], d * scale), x)

@@ -477,18 +477,11 @@ def validate_scaled(points, rows, denom: int) -> MetricSpace:
 def _validated(names, denom: int, mat: np.ndarray, base=None) -> MetricSpace:
     """The validated MetricSpace of a scaled matrix in canonical form; raises
     the first violation."""
-    mask = _checked(_violations(names, mat))
-    return MetricSpace(names, denom, mat, _base_index(names, base), _deletion_mask=mask,
-                       _mask_proven=True)
-
-
-def _checked(verdict) -> np.ndarray:
-    """The deletion mask of a _violations verdict (violations, mask); raises
-    the first violation."""
-    violations, mask = verdict
+    violations, mask = _violations(names, mat)
     if violations:
         raise violations[0]
-    return mask
+    return MetricSpace(names, denom, mat, _base_index(names, base), _deletion_mask=mask,
+                       _mask_proven=True)
 
 
 def _base_index(names, base) -> int:

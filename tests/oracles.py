@@ -9,17 +9,21 @@ They avoid the solver's code paths, as tcspace.oracle does:
 * the O(n^3) midpoint scan of a scaled distance matrix, with the deletion
   mask of its canonical graph.
 
-The LPs run on the exact simplex in tcspace.lp.
+The LPs run on the exact simplex in tcspace.lp, restated in its one form
+(equality rows, nonnegative columns, a minimum) by the helpers below: a <=
+row gains a slack column, a free variable is a pair of columns, and a
+maximum is the negated minimum of the negated objective.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from tcspace.errors import DomainError, NullProblem
-from tcspace.lp import ExactLP, LPStatus
+from tcspace.lp import ExactLP, LPResult, LPStatus
 from tcspace.oracle import oracle_tc_norm
 from tcspace.rational import ZERO
 from tcspace.vectors import TransportationProblem
@@ -67,6 +71,38 @@ def oracle_tree_norm(f: TransportationProblem) -> Fraction:
     return total
 
 
+# --- LPs in ExactLP's one form: equality rows, nonnegative columns, minimum ---
+
+def free_var(lp: ExactLP) -> tuple[int, int]:
+    """A free variable as a pair (p, q) of nonnegative columns: it is p - q."""
+    return lp.add_var(), lp.add_var()
+
+
+def on_columns(coeffs: dict) -> dict:
+    """Coefficients keyed by columns and free pairs, keyed by columns: c on
+    a pair (p, q) is c on p and -c on q."""
+    out = {}
+    for var, c in coeffs.items():
+        if isinstance(var, tuple):
+            out[var[0]], out[var[1]] = c, -c
+        else:
+            out[var] = c
+    return out
+
+
+def add_le(lp: ExactLP, coeffs: dict, rhs) -> None:
+    """coeffs . x <= rhs, as an equality with a slack column of its own (its
+    coefficient 1 in rhs's type)."""
+    lp.add_eq({**on_columns(coeffs), lp.add_var(): type(rhs)(1)}, rhs)
+
+
+def maximum(lp: ExactLP, coeffs: dict) -> LPResult:
+    """max coeffs . x over lp, as the negated minimum of -coeffs . x."""
+    lp.minimize({col: -c for col, c in on_columns(coeffs).items()})
+    res = lp.solve()
+    return res if res.value is None else replace(res, value=-res.value)
+
+
 def oracle_maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int, int]]:
     """Maximal optimal support and signs: an edge is in it iff some sign
     sigma has max sigma * p(edge) > 0 over roadmaps p for f (forward and
@@ -83,13 +119,12 @@ def oracle_maximal_support(f: TransportationProblem) -> tuple[frozenset[int], di
             s = 1 if graph.edges[eidx].tail == v else -1
             coeffs[fwd[eidx]], coeffs[bwd[eidx]] = Fraction(s), Fraction(-s)
         lp.add_eq(coeffs, f[v])
-    lp.add_le({col: graph.edges[i].weight for cols in (fwd, bwd)
-               for i, col in enumerate(cols)}, oracle_tc_norm(f))
+    add_le(lp, {col: graph.edges[i].weight for cols in (fwd, bwd)
+                for i, col in enumerate(cols)}, oracle_tc_norm(f))
     signs: dict[int, int] = {}
     for edge in range(graph.m):
         for sigma in (1, -1):
-            lp.maximize({fwd[edge]: Fraction(sigma), bwd[edge]: Fraction(-sigma)})
-            res = lp.solve()
+            res = maximum(lp, {fwd[edge]: Fraction(sigma), bwd[edge]: Fraction(-sigma)})
             assert res.status == LPStatus.OPTIMAL
             if res.value > 0:
                 assert edge not in signs, "optimal roadmaps disagree in sign"
@@ -100,24 +135,24 @@ def oracle_maximal_support(f: TransportationProblem) -> tuple[frozenset[int], di
 # --- the supporting (dual) LP -------------------------------------------------
 
 def _supporting_lp(f: TransportationProblem):
-    """max sum f(v) l(v) over 1-Lipschitz-on-edges l with l(base) = 0."""
+    """The 1-Lipschitz-on-edges l with l(base) = 0, each l(v) a free pair,
+    and the objective sum f(v) l(v) to maximize."""
     graph = f.graph
     lp = ExactLP()
-    lvar = [lp.add_var(free=True) for _ in range(graph.n)]
-    lp.add_eq({lvar[graph.space.base_point]: Fraction(1)}, 0)
+    lvar = [free_var(lp) for _ in range(graph.n)]
+    lp.add_eq(on_columns({lvar[graph.space.base_point]: Fraction(1)}), 0)
     for e in graph.edges:
-        lp.add_le({lvar[e.tail]: Fraction(1), lvar[e.head]: Fraction(-1)}, e.weight)
-        lp.add_le({lvar[e.tail]: Fraction(-1), lvar[e.head]: Fraction(1)}, e.weight)
-    lp.maximize({lvar[v]: f[v] for v in f.support()})
-    return lp, lvar
+        add_le(lp, {lvar[e.tail]: Fraction(1), lvar[e.head]: Fraction(-1)}, e.weight)
+        add_le(lp, {lvar[e.tail]: Fraction(-1), lvar[e.head]: Fraction(1)}, e.weight)
+    return lp, lvar, {lvar[v]: f[v] for v in f.support()}
 
 
 def dual_optimum(f: TransportationProblem) -> Fraction:
     """Optimum of the supporting LP (equals the TC norm: no duality gap)."""
     if f.is_zero():
         return ZERO
-    lp, _ = _supporting_lp(f)
-    res = lp.solve()
+    lp, _, obj = _supporting_lp(f)
+    res = maximum(lp, obj)
     assert res.status == LPStatus.OPTIMAL
     return res.value
 
@@ -132,30 +167,18 @@ def supporting_unique_probe(f: TransportationProblem) -> bool:
     if f.is_zero():
         raise NullProblem("uniqueness probe undefined for the zero problem")
     graph = f.graph
-    base = lambda: _supporting_lp(f)
-    lp0, _ = base()
-    res = lp0.solve()
+    lp, lvar, obj = _supporting_lp(f)
+    res = maximum(lp, obj)
     assert res.status == LPStatus.OPTIMAL
-    best = res.value
-    obj = {v: f[v] for v in f.support()}
+    lp.add_eq(on_columns(obj), res.value)
     for v in range(graph.n):
         if v == graph.space.base_point:
             continue
-        lo = hi = None
-        for sense in ("max", "min"):
-            lp, lvar = base()
-            lp.add_eq({lvar[u]: c for u, c in obj.items()}, best)
-            if sense == "max":
-                lp.maximize({lvar[v]: Fraction(1)})
-            else:
-                lp.minimize({lvar[v]: Fraction(1)})
-            r = lp.solve()
-            assert r.status == LPStatus.OPTIMAL
-            if sense == "max":
-                hi = r.value
-            else:
-                lo = r.value
-        if lo != hi:
+        hi = maximum(lp, {lvar[v]: Fraction(1)})
+        lp.minimize(on_columns({lvar[v]: Fraction(1)}))
+        lo = lp.solve()
+        assert hi.status == lo.status == LPStatus.OPTIMAL
+        if lo.value != hi.value:
             return False
     return True
 

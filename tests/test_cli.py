@@ -367,8 +367,10 @@ def test_gen_writes_the_bytes_of_json_dumps(capsys, monkeypatch, tmp_path):
     n = len(names)
     space = validate_metric(names, [["0" if i == j else f"{6 + i + j}/7" for j in range(n)]
                                     for i in range(n)], base="caf\u00e9")
-    obj = space.to_json_obj()
-    assert cli._space_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    rows = space.scaled.tolist()
+    text = cli._space_text({"base": space.points[space.base_point], "dist": rows,
+                            "points": space.points}, metric._distance_literals(rows, space.denom))
+    assert text == json.dumps(space.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
 def test_gen_over_the_cap_builds_nothing(capsys, monkeypatch):

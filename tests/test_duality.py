@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 
 from corpus import c4_graph, is_acyclic, is_potential, point_difference, random_lipschitz
-from oracles import oracle_tree_norm, supporting_unique_probe
+from oracles import (
+    add_le,
+    free_var,
+    maximum,
+    on_columns,
+    oracle_tree_norm,
+    supporting_unique_probe,
+)
 from tcspace import (
     DirectedSubgraph,
     ExactLP,
@@ -314,19 +321,19 @@ def _lp_realizable(H) -> bool:
     """Reference verdict: max t with H's arcs tight and slack >= t elsewhere."""
     graph = H.graph
     lp = ExactLP()
-    lvar = [lp.add_var(free=True) for _ in range(graph.n)]
-    t = lp.add_var(free=True)
-    lp.add_eq({lvar[graph.space.base_point]: 1}, 0)
-    lp.add_le({t: 1}, 1)
+    lvar = [free_var(lp) for _ in range(graph.n)]
+    t = free_var(lp)
+    lp.add_eq(on_columns({lvar[graph.space.base_point]: 1}), 0)
+    add_le(lp, {t: 1}, 1)
     used = H.edge_indices()
     for u, v in H.arcs:
-        lp.add_eq({lvar[u]: 1, lvar[v]: -1}, graph.edges[graph.edge_index(u, v)].weight)
+        lp.add_eq(on_columns({lvar[u]: 1, lvar[v]: -1}),
+                  graph.edges[graph.edge_index(u, v)].weight)
     for i, e in enumerate(graph.edges):
         if i not in used:
-            lp.add_le({lvar[e.tail]: 1, lvar[e.head]: -1, t: 1}, e.weight)
-            lp.add_le({lvar[e.tail]: -1, lvar[e.head]: 1, t: 1}, e.weight)
-    lp.maximize({t: 1})
-    res = lp.solve()
+            add_le(lp, {lvar[e.tail]: 1, lvar[e.head]: -1, t: 1}, e.weight)
+            add_le(lp, {lvar[e.tail]: -1, lvar[e.head]: 1, t: 1}, e.weight)
+    res = maximum(lp, {t: 1})
     return res.status == LPStatus.OPTIMAL and res.value > 0
 
 

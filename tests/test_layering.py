@@ -217,9 +217,6 @@ KEPT_FOR_TESTS = {
     "metric_violations": "every violation of a matrix, pinned against a brute-force "
                          "reference at every integer width (test_metric.py)",
     "Certificate.ruled_out": "the verdict as a boolean, which the acceptance criteria read",
-    "ExactLP.add_le": "the <= rows of the LP oracles in tests/oracles.py, whose slack "
-                      "columns test_lp.py pins against scipy and a Fraction simplex",
-    "ExactLP.maximize": "the objective sense of the LP oracles in tests/oracles.py",
 }
 
 

@@ -1,50 +1,51 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tcspace import ExactLP, InvalidInput, LPStatus
+from oracles import add_le, free_var, maximum, on_columns
+from tcspace import ExactLP, InvalidInput, LPResult, LPStatus
 
 
 def test_basic_maximization():
     lp = ExactLP()
     x = lp.add_var()
     y = lp.add_var()
-    lp.add_le({x: 1, y: 2}, 4)
-    lp.add_le({x: 3, y: 1}, 6)
-    lp.maximize({x: 1, y: 1})
-    res = lp.solve()
+    add_le(lp, {x: 1, y: 2}, 4)
+    add_le(lp, {x: 3, y: 1}, 6)
+    res = maximum(lp, {x: 1, y: 1})
     assert res.status == LPStatus.OPTIMAL
     assert res.value == Fraction(14, 5)
 
 
 def test_equality_and_free_variables():
     lp = ExactLP()
-    x = lp.add_var(free=True)
+    x = free_var(lp)
     y = lp.add_var()
-    lp.add_eq({x: 1, y: 1}, 1)
-    lp.minimize({x: 1})
+    lp.add_eq(on_columns({x: 1, y: 1}), 1)
+    lp.minimize(on_columns({x: 1}))
     res = lp.solve()
     assert res.status == LPStatus.UNBOUNDED
 
     lp = ExactLP()
-    x = lp.add_var(free=True)
+    x = free_var(lp)
     y = lp.add_var()
-    lp.add_eq({x: 1, y: 1}, 1)
-    lp.add_le({x: -1}, 3)
-    lp.minimize({x: 1})
+    lp.add_eq(on_columns({x: 1, y: 1}), 1)
+    add_le(lp, {x: -1}, 3)
+    lp.minimize(on_columns({x: 1}))
     res = lp.solve()
     assert res.value == -3
-    assert res[x] == -3 and res[y] == 4
+    assert res[x[0]] - res[x[1]] == -3 and res[y] == 4
 
 
 def test_infeasible():
     lp = ExactLP()
     x = lp.add_var()
-    lp.add_le({x: 1}, 1)
-    lp.add_le({x: -1}, -2)
+    add_le(lp, {x: 1}, 1)
+    add_le(lp, {x: -1}, -2)
     lp.minimize({x: 1})
     assert lp.solve().status == LPStatus.INFEASIBLE
 
@@ -52,9 +53,8 @@ def test_infeasible():
 def test_exact_rationals_survive():
     lp = ExactLP()
     x = lp.add_var()
-    lp.add_le({x: Fraction(3, 7)}, Fraction(1, 11))
-    lp.maximize({x: 1})
-    assert lp.solve().value == Fraction(7, 33)
+    add_le(lp, {x: Fraction(3, 7)}, Fraction(1, 11))
+    assert maximum(lp, {x: 1}).value == Fraction(7, 33)
 
 
 def test_degenerate_redundant_rows():
@@ -63,8 +63,7 @@ def test_degenerate_redundant_rows():
     y = lp.add_var()
     lp.add_eq({x: 1, y: 1}, 2)
     lp.add_eq({x: 2, y: 2}, 4)  # redundant copy
-    lp.maximize({x: 1})
-    res = lp.solve()
+    res = maximum(lp, {x: 1})
     assert res.status == LPStatus.OPTIMAL
     assert res.value == 2
 
@@ -73,11 +72,10 @@ def test_beale_cycling_example_terminates():
     # Classic cycling instance for naive pivoting; Bland's rule must finish.
     lp = ExactLP()
     x1, x2, x3, x4 = (lp.add_var() for _ in range(4))
-    lp.add_le({x1: Fraction(1, 4), x2: -8, x3: -1, x4: 9}, 0)
-    lp.add_le({x1: Fraction(1, 2), x2: -12, x3: Fraction(-1, 2), x4: 3}, 0)
-    lp.add_le({x3: 1}, 1)
-    lp.maximize({x1: Fraction(3, 4), x2: -20, x3: Fraction(1, 2), x4: -6})
-    res = lp.solve()
+    add_le(lp, {x1: Fraction(1, 4), x2: -8, x3: -1, x4: 9}, 0)
+    add_le(lp, {x1: Fraction(1, 2), x2: -12, x3: Fraction(-1, 2), x4: 3}, 0)
+    add_le(lp, {x3: 1}, 1)
+    res = maximum(lp, {x1: Fraction(3, 4), x2: -20, x3: Fraction(1, 2), x4: -6})
     assert res.status == LPStatus.OPTIMAL
     assert res.value == Fraction(5, 4)
 
@@ -85,27 +83,31 @@ def test_beale_cycling_example_terminates():
 def test_a_leftover_artificial_leaves_on_a_negative_entry():
     # Phase 1 ends with an artificial basic at 0 in a row whose first
     # nonzero structural entry is negative: the row is negated before the
-    # artificial is pivoted out, or the optimum comes back as 0.
+    # artificial is pivoted out, or the LP comes back unbounded.
     lp = ExactLP()
     x, y, z = (lp.add_var() for _ in range(3))
     lp.add_eq({x: 1, y: 1}, 0)
     lp.add_eq({x: 1, y: -1}, 0)
-    lp.add_le({z: 1}, 3)
-    lp.maximize({x: 1, y: 2, z: 1})
-    res = lp.solve()
+    add_le(lp, {z: 1}, 3)
+    res = maximum(lp, {x: 1, y: 2, z: 1})
     assert res.status == LPStatus.OPTIMAL
     assert res.value == 3
-    assert res.x == [0, 0, 3]
+    assert res.x[:3] == [0, 0, 3]
 
 
 def _assert_exact_optimum(res, obj, rows):
     """res.x satisfies every (coeffs, sense, rhs) row exactly, and the
-    objective at res.x is res.value, in Fractions."""
+    objective at res.x is res.value, in Fractions.  The coefficients are on
+    the structural part of x: its columns and free pairs."""
     assert all(isinstance(v, Fraction) for v in [res.value, *res.x])
+
+    def at(coeffs):
+        return sum(c * res.x[col] for col, c in on_columns(coeffs).items())
+
     for coeffs, sense, rhs in rows:
-        lhs = sum(c * res.x[var] for var, c in coeffs.items())
+        lhs = at(coeffs)
         assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
-    assert sum(c * res.x[var] for var, c in obj.items()) == res.value
+    assert at(obj) == res.value
 
 
 def test_the_tableau_holds_only_ints(monkeypatch):
@@ -119,12 +121,11 @@ def test_the_tableau_holds_only_ints(monkeypatch):
 
     monkeypatch.setattr(ExactLP, "_pivot", staticmethod(checked))
     lp = ExactLP()
-    x, y = lp.add_var(), lp.add_var(free=True)
-    lp.add_eq({x: Fraction(1, 3), y: Fraction(-2, 7)}, Fraction(5, 6))
-    lp.add_le({x: Fraction(-3, 4), y: -1}, Fraction(1, 2))
-    lp.add_le({x: 1}, Fraction(9, 2))
-    lp.maximize({x: Fraction(2, 5), y: Fraction(1, 9)})
-    res = lp.solve()
+    x, y = lp.add_var(), free_var(lp)
+    lp.add_eq(on_columns({x: Fraction(1, 3), y: Fraction(-2, 7)}), Fraction(5, 6))
+    add_le(lp, {x: Fraction(-3, 4), y: -1}, Fraction(1, 2))
+    add_le(lp, {x: 1}, Fraction(9, 2))
+    res = maximum(lp, {x: Fraction(2, 5), y: Fraction(1, 9)})
     assert res.status == LPStatus.OPTIMAL
     assert seen and all(seen)
     _assert_exact_optimum(res, {x: Fraction(2, 5), y: Fraction(1, 9)}, [
@@ -156,21 +157,20 @@ def test_random_instances_match_scipy(seed):
     for _ in range(nrows):
         coeffs = {c: Fraction(rng.randint(-4, 4)) for c in cols}
         rhs = Fraction(rng.randint(0, 8))
-        lp.add_le(coeffs, rhs)
+        add_le(lp, coeffs, rhs)
         rows.append((coeffs, "<=", rhs))
         A.append([float(coeffs[c]) for c in cols])
         b.append(float(rhs))
     # box bound keeps everything bounded and feasible (x = 0 works)
     for c in cols:
-        lp.add_le({c: 1}, 10)
+        add_le(lp, {c: 1}, 10)
         rows.append(({c: 1}, "<=", 10))
         row = [0.0] * nvars
         row[c] = 1.0
         A.append(row)
         b.append(10.0)
     obj = {c: Fraction(rng.randint(-5, 5)) for c in cols}
-    lp.maximize(obj)
-    res = lp.solve()
+    res = maximum(lp, obj)
     assert res.status == LPStatus.OPTIMAL
     ref = linprog(c=[-float(obj[c]) for c in cols], A_ub=np.array(A),
                   b_ub=np.array(b), bounds=[(0, None)] * nvars,
@@ -195,37 +195,37 @@ def test_random_mixed_instances_match_scipy(seed):
     x0 = [Fraction(rng.randint(-3, 3)) if free[i] else Fraction(rng.randint(0, 3))
           for i in range(nvars)]
     lp = ExactLP()
-    cols = [lp.add_var(free=free[i]) for i in range(nvars)]
+    cols = [free_var(lp) if free[i] else lp.add_var() for i in range(nvars)]
     A_eq, b_eq, A_ub, b_ub, rows = [], [], [], [], []
     for _ in range(rng.randint(1, 2)):
         coeffs = {c: Fraction(rng.randint(-3, 3)) for c in cols}
-        rhs = sum(coeffs[c] * x0[c] for c in cols)
-        lp.add_eq(coeffs, rhs)
+        rhs = sum(coeffs[c] * x0[i] for i, c in enumerate(cols))
+        lp.add_eq(on_columns(coeffs), rhs)
         rows.append((coeffs, "==", rhs))
         A_eq.append([float(coeffs[c]) for c in cols])
         b_eq.append(float(rhs))
     for _ in range(rng.randint(1, 3)):
         coeffs = {c: Fraction(rng.randint(-3, 3)) for c in cols}
         slack = Fraction(rng.randint(0, 4))
-        rhs = sum(coeffs[c] * x0[c] for c in cols) + slack
-        lp.add_le(coeffs, rhs)
+        rhs = sum(coeffs[c] * x0[i] for i, c in enumerate(cols)) + slack
+        add_le(lp, coeffs, rhs)
         rows.append((coeffs, "<=", rhs))
         A_ub.append([float(coeffs[c]) for c in cols])
         b_ub.append(float(rhs))
-    for c in cols:  # box to keep it bounded
-        lp.add_le({c: 1}, 20)
-        lp.add_le({c: -1}, 20)
+    for i, c in enumerate(cols):  # box to keep it bounded
+        add_le(lp, {c: 1}, 20)
+        add_le(lp, {c: -1}, 20)
         rows += [({c: 1}, "<=", 20), ({c: 1}, ">=", -20)]
-        if not free[c]:
+        if not free[i]:
             rows.append(({c: 1}, ">=", 0))
         row = [0.0] * nvars
-        row[c] = 1.0
+        row[i] = 1.0
         A_ub.append(row[:])
         b_ub.append(20.0)
         A_ub.append([-x for x in row])
         b_ub.append(20.0)
     obj = {c: Fraction(rng.randint(-4, 4)) for c in cols}
-    lp.minimize(obj)
+    lp.minimize(on_columns(obj))
     res = lp.solve()
     assert res.status == LPStatus.OPTIMAL
     bounds = [(None, None) if free[i] else (0, None) for i in range(nvars)]
@@ -244,31 +244,53 @@ def test_boolean_data_is_rejected():
     with pytest.raises(InvalidInput):
         lp.add_eq({x: True}, 1)
     with pytest.raises(InvalidInput):
-        lp.add_le({x: 1}, False)
+        lp.add_eq({x: 1}, False)
     with pytest.raises(InvalidInput):
-        lp.maximize({x: True})
+        lp.minimize({x: True})
+
+
+def test_unknown_variables_raise_and_an_lp_without_rows_solves_on_its_costs():
+    assert ExactLP().solve() == LPResult(LPStatus.OPTIMAL, 0, [])
+    lp = ExactLP()
+    x, y = lp.add_var(), lp.add_var()
+    for unknown in (-1, 2):
+        with pytest.raises(IndexError):
+            lp.add_eq({x: 1, unknown: 1}, 1)
+        with pytest.raises(IndexError):
+            lp.minimize({unknown: 1})
+    # The calls that raised added nothing: the LP has no rows.
+    lp.minimize({x: 2, y: 0})
+    assert lp.solve() == LPResult(LPStatus.OPTIMAL, 0, [0, 0])
+    lp.minimize({x: 2, y: -1})
+    assert lp.solve().status == LPStatus.UNBOUNDED
 
 
 def _random_lp(seed: int, number):
-    """A random LP of <=, >= (as negated <=) and == rows with small integer
-    data, each value passed through number (int or Fraction)."""
+    """A random LP of <=, >= (as negated <=) and == rows over free and
+    nonnegative variables, maximized or minimized, with small integer data,
+    each value passed through number (int or Fraction); restated in
+    ExactLP's form."""
     rng = random.Random(seed)
     lp = ExactLP()
-    cols = [lp.add_var(free=rng.random() < 0.3) for _ in range(rng.randint(2, 5))]
+    cols = [free_var(lp) if rng.random() < 0.3 else lp.add_var()
+            for _ in range(rng.randint(2, 5))]
 
     def add_ge(coeffs, rhs):  # as the negated <= row
-        lp.add_le({c: -a for c, a in coeffs.items()}, -rhs)
+        add_le(lp, {c: -a for c, a in coeffs.items()}, -rhs)
 
-    add = (lp.add_le, add_ge, lp.add_eq)
+    def add_eq(coeffs, rhs):
+        lp.add_eq(on_columns(coeffs), rhs)
+
+    add = (partial(add_le, lp), add_ge, add_eq)
     for _ in range(rng.randint(1, 5)):
         coeffs = {c: number(rng.randint(-3, 3)) for c in cols if rng.random() < 0.7}
         rng.choice(add)(coeffs, number(rng.randint(-4, 6)))
     for c in cols:
         if rng.random() < 0.8:
-            lp.add_le({c: number(1)}, number(rng.randint(5, 20)))
-            lp.add_le({c: -number(1)}, -number(-rng.randint(0, 20)))
-    (lp.maximize if rng.random() < 0.5 else lp.minimize)(
-        {c: number(rng.randint(-5, 5)) for c in cols})
+            add_le(lp, {c: number(1)}, number(rng.randint(5, 20)))
+            add_le(lp, {c: -number(1)}, -number(-rng.randint(0, 20)))
+    sign = -1 if rng.random() < 0.5 else 1  # -1: a maximum, as in maximum()
+    lp.minimize(on_columns({c: sign * number(rng.randint(-5, 5)) for c in cols}))
     return lp
 
 
@@ -291,7 +313,7 @@ def test_int_data_solves_as_its_fractions(monkeypatch):
             pivots.clear()
             lp = _random_lp(seed, number)
             data = [*lp._obj.values()]
-            for coeffs, _, rhs in lp._cons:
+            for coeffs, rhs in lp._cons:
                 data += [*coeffs.values(), rhs]
             assert {type(c) for c in data} == {number}
             res = lp.solve()
@@ -303,60 +325,45 @@ def test_int_data_solves_as_its_fractions(monkeypatch):
 
 def _bland_reference(lp):
     """The two-phase simplex with Bland's rule on a Fraction tableau, the
-    one the integer tableau stands for: the columns are the structural ones
-    (a free variable split in two), the slacks and the artificials, each in
-    row order; a row is negated if its right-hand side is negative; phase 1
-    minimizes the plain sum of the artificials; leftover artificials leave
-    on the first structural or slack column with a nonzero entry, and rows
-    without one are dropped.  Returns (status, value, x, the (row, column)
-    of every pivot)."""
-    ncols = sum(2 if free else 1 for free in lp._free)
-    slack = [0 if sense == "==" else 1 if rhs >= 0 else -1
-             for _, sense, rhs in lp._cons]
-    total = ncols + sum(s != 0 for s in slack)
-    width = total + sum(s <= 0 for s in slack) + 1
+    one the integer tableau stands for: the columns are the structural ones,
+    then one artificial per row, in row order; a row is negated if its
+    right-hand side is negative; phase 1 minimizes the plain sum of the
+    artificials; leftover artificials leave on the first structural column
+    with a nonzero entry, and rows without one are dropped.  Returns
+    (status, value, x, the (row, column) of every pivot)."""
+    n, m = lp._nvars, len(lp._cons)
+    width = n + m + 1
 
     def row_of(coeffs, rhs, sign):
         row = [Fraction(0)] * width
         row[-1] = sign * Fraction(rhs)
-        col = 0
-        for var, free in enumerate(lp._free):
-            c = sign * Fraction(coeffs.get(var, 0))
-            row[col] = c
-            if free:
-                row[col + 1] = -c
-            col += 2 if free else 1
+        for var, c in coeffs.items():
+            row[var] = sign * Fraction(c)
         return row
 
-    t, basis, arts = [], [], []
-    slack_at, art_at = ncols, total
-    for (coeffs, _, rhs), s in zip(lp._cons, slack):
-        row = row_of(coeffs, rhs, -1 if rhs < 0 else 1)
-        if s:
-            row[slack_at] = Fraction(s)
-            slack_at += 1
-        if s > 0:
-            basis.append(slack_at - 1)
-        else:
-            row[art_at] = Fraction(1)
-            arts.append(len(t))
-            basis.append(art_at)
-            art_at += 1
-        t.append(row)
-    t.append(row_of(lp._obj, 0, -1 if lp._maximize else 1))
+    t = []
+    for i, (coeffs, rhs) in enumerate(lp._cons):
+        t.append(row_of(coeffs, rhs, -1 if rhs < 0 else 1))
+        t[i][n + i] = Fraction(1)
+    t.append(row_of(lp._obj, 0, 1))
+    basis = list(range(n, n + m))
     pivots = []
 
     def pivot(i, j):
         pivots.append((i, j))
-        t[i] = [a / t[i][j] for a in t[i]]
+        p = t[i][j]
+        t[i] = [a / p if a else a for a in t[i]]
+        nonzero = [(k, b) for k, b in enumerate(t[i]) if b]
         for r, row in enumerate(t):
-            if r != i and row[j]:
-                t[r] = [a - row[j] * b for a, b in zip(row, t[i])]
+            f = row[j]
+            if r != i and f:
+                for k, b in nonzero:
+                    row[k] -= f * b
         basis[i] = j
 
     def iterate():
         while True:
-            enter = next((j for j in range(total) if t[-1][j] < 0), None)
+            enter = next((j for j in range(n) if t[-1][j] < 0), None)
             if enter is None:
                 return True
             ratios = [(t[i][-1] / t[i][enter], basis[i], i)
@@ -365,17 +372,17 @@ def _bland_reference(lp):
                 return False
             pivot(min(ratios)[2], enter)
 
-    if arts:
-        phase1 = [-sum(t[i][j] for i in arts) for j in range(width)]
-        phase1[total:-1] = [Fraction(0)] * len(arts)
+    if m:
+        phase1 = [-sum(t[i][j] for i in range(m)) for j in range(width)]
+        phase1[n:-1] = [Fraction(0)] * m
         t.append(phase1)
         iterate()
         if t.pop()[-1] != 0:
             return LPStatus.INFEASIBLE, None, None, pivots
         drop = []
         for i in range(len(basis)):
-            if basis[i] >= total:
-                j = next((j for j in range(total) if t[i][j] != 0), None)
+            if basis[i] >= n:
+                j = next((j for j in range(n) if t[i][j] != 0), None)
                 if j is None:
                     drop.append(i)
                 else:
@@ -384,15 +391,10 @@ def _bland_reference(lp):
             del t[i], basis[i]
     if not iterate():
         return LPStatus.UNBOUNDED, None, None, pivots
-    cols = [Fraction(0)] * total
+    x = [Fraction(0)] * n
     for row, col in zip(t, basis):
-        cols[col] = row[-1]
-    x, col = [], 0
-    for free in lp._free:
-        x.append(cols[col] - cols[col + 1] if free else cols[col])
-        col += 2 if free else 1
-    value = -t[-1][-1]
-    return LPStatus.OPTIMAL, -value if lp._maximize else value, x, pivots
+        x[col] = row[-1]
+    return LPStatus.OPTIMAL, -t[-1][-1], x, pivots
 
 
 def test_phase_one_takes_the_fraction_simplex_pivots(monkeypatch):
