@@ -3,12 +3,12 @@
 The canonical graph keeps exactly the pairs uv such that no third point w
 satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
 original metric.  The dropped pairs are the deletion mask that validation
-kept on the space, proven there by one min-plus step on the space's scaled
-matrix, which shows that the graph's path metric is the input metric: a
-distance matrix's from its sure edges (metric._matrix_mask), a weighted
-graph's path metric's from its input edges (metric._edge_mask).  A space
-without a mask (a restriction) gets one from metric._matrix_mask here; only
-a mask put on a space by hand is checked here (metric._is_path_metric).
+kept on the space, proven there by metric._matrix_mask, one min-plus step
+on the space's scaled matrix, which shows that the graph's path metric is
+the input metric, whether the space came from a distance matrix or from a
+weighted graph.  A space without a mask (a restriction) gets one from
+metric._matrix_mask here; only a mask put on a space by hand is checked
+here (metric._is_path_metric).
 Its one adjacency holds the integer weights of that matrix, in units of
 1/D for the space's D (the edges realise the metric, so D is their
 weights' lcm too); neighbourhoods, degrees, the solver and every path

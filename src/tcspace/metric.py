@@ -19,17 +19,17 @@ which runs only on a matrix that is not a metric, to report its first
 violation.  The validated space keeps the proven mask for
 graph.canonical_graph.
 
-Shortest-path metrics of weighted graphs enter the same checks, but a graph
-has edges and a matrix has none, so no scan runs: only an input edge can be
-a canonical edge, its midpoints are tested in O(n) each, and one min-plus
-step certifies the matrix and the mask together (_edge_mask), at a unit in
-which every weight is an integer.  Weighted-graph JSON, random graphs,
-path_metric and hand-made two-port graphs get their matrix from one integer
-Floyd-Warshall.  The family generators know theirs from the construction: a
-grid's from its coordinates, and a two-port composition's (diamonds, K_{2,n}
-recursions) from the metrics of its two parts (_substitute, no search).
-Both routes end in the same certificate (_graph_space), so a wrong
-candidate fails the assertion a wrong Floyd-Warshall would fail.
+Shortest-path metrics of weighted graphs meet the same certificate, at a
+unit in which every weight is an integer, and two O(m) checks on the input
+edges: no weight is below its distance, and every canonical pair is an edge
+whose weight is its distance (_graph_space).  Then the matrix is the
+graph's path metric, and the mask is right.  Weighted-graph JSON, random
+graphs, path_metric and hand-made two-port graphs get their matrix from one
+integer Floyd-Warshall.  The family generators know theirs from the
+construction: a grid's from its coordinates, and a two-port composition's
+(diamonds, K_{2,n} recursions) from the metrics of its two parts
+(_substitute, no search).  A wrong matrix from either fails an assertion,
+never a TriangleViolation.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class MetricSpace:
     built by :func:`validate_metric` (or by the family generators, which
     validate too); the constructor itself trusts its input.  Validated
     instances keep the canonical graph's deletion mask, proven by one
-    min-plus certificate (_mask_proven): a matrix's from _matrix_mask, a
-    weighted graph's path metric's from _edge_mask.
+    min-plus certificate (_matrix_mask; _mask_proven), whether the distances
+    came as a matrix or as a weighted graph's path metric.
     """
 
     points: tuple[str, ...]
@@ -142,6 +142,11 @@ class MetricSpace:
             dist = obj["dist"]
         except (TypeError, KeyError) as exc:
             raise InvalidInput("space JSON needs 'points' and 'dist'") from exc
+        # JSON arrays only: the Python API takes any iterable, which would
+        # split a string into characters.
+        if not (isinstance(points, list) and isinstance(dist, list)
+                and all(isinstance(row, list) for row in dist)):
+            raise InvalidInput("'points' must be a list of names and 'dist' a list of rows")
         return validate_metric(points, dist, base=obj.get("base"))
 
 
@@ -269,35 +274,6 @@ def _midpoint_free(mat: np.ndarray, us: np.ndarray, ks: np.ndarray) -> np.ndarra
     return free
 
 
-def _edge_mask(mat: np.ndarray, edges) -> np.ndarray:
-    """The _matrix_mask mask of mat, the path metric of a connected graph's
-    edges (u, v, w) (each pair at most once, w >= 1), in O(m n) instead of
-    O(n^3).  Only an edge can be a canonical edge: any other pair's shortest
-    path has an interior point, and that point is a midpoint.  So the mask
-    keeps the edges with w = mat[u, v] and no midpoint (_midpoint_free), and
-    drops every other pair.
-
-    Certified, not trusted (a wrong mat fails an assertion): every w must be
-    at least mat[u, v], and _is_path_metric(mat, kept) must hold.  The
-    latter makes mat the path metric of the kept edges, which are edges of
-    the graph at their own weights, so no distance of the graph exceeds
-    mat's; it also makes mat a metric, so with w >= mat[u, v] on every edge
-    no path of the graph is shorter than mat.  So mat is the graph's path
-    metric, and the mask is right.
-    """
-    n = len(mat)
-    tails, heads, weights = (np.array(x) for x in zip(*edges))
-    direct = mat[tails, heads]
-    assert (weights >= direct).all(), "a path metric is at most every edge weight"
-    kept = (weights == direct) & _midpoint_free(mat, tails, heads)
-    keep = np.zeros((n, n), dtype=bool)
-    keep[tails[kept], heads[kept]] = keep[heads[kept], tails[kept]] = True
-    assert _is_path_metric(mat, keep), "a graph's path metric must be that of its kept edges"
-    drop = np.logical_not(keep, out=keep)
-    np.fill_diagonal(drop, False)
-    return drop
-
-
 def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
     """Whether a scaled matrix mat, zero on the diagonal and positive
     elsewhere, is the path metric of the graph whose edges are the pairs
@@ -373,13 +349,11 @@ def metric_violations(points, dist) -> list:
     return _violations(names, mat)[0]
 
 
-def _violations(names, mat: np.ndarray, edges=None) -> tuple[list, np.ndarray | None]:
+def _violations(names, mat: np.ndarray) -> tuple[list, np.ndarray | None]:
     """(metric_violations, deletion mask or None) of a scaled matrix: the
     diagonal, then each pair i < j in row-major order (asymmetry before
     sign), then, on an otherwise clean matrix, the triangle inequality and
-    the mask: by the certified _matrix_mask of a matrix, or, for the path
-    metric of a graph's edges (u, v, w), integer weights in the matrix's
-    units, by their certified _edge_mask."""
+    the mask, both by the certified _matrix_mask."""
     out: list = [InvalidInput(f"self-distance of {names[i]!r} must be 0")
                  for i in np.flatnonzero(np.diagonal(mat) != 0)]
     bad = np.triu((mat != mat.T) | (mat <= 0), 1)
@@ -393,8 +367,6 @@ def _violations(names, mat: np.ndarray, edges=None) -> tuple[list, np.ndarray | 
             out.append(ZeroDistanceDistinctPoints(f"d({a},{b}) = 0 for distinct points", pair))
     if out:
         return out, None
-    if edges is not None:
-        return out, _edge_mask(mat, edges)
     hit, mask = _matrix_mask(mat)
     if hit is not None:
         i, j, k = (names[x] for x in hit)
@@ -657,7 +629,7 @@ def _substitute(h, h_edges, g, ports) -> tuple[np.ndarray, int]:
     distances from H's vertices first, an n_H x N matrix, then the N x N
     result and one temporary of its size, at the width _int_dtype of a
     bound on every sum.  A candidate, not a proof: _graph_space certifies
-    it (_edge_mask).
+    it.
     """
     dh, h_denom = h
     dg, g_denom = g
@@ -715,8 +687,9 @@ def _graph_space(vertices, edges, base=None, metric=None) -> MetricSpace:
     for the family generators, the candidate metric = (mat, D) of the
     distances times D, known from the graph's construction.  Either matrix
     is certified with the weights at one unit in which all of them are
-    integers, by _violations and _edge_mask (a wrong one fails an
-    assertion), and then put in lowest terms (_int_matrix)."""
+    integers, by _violations, the certificate of every distance matrix, and
+    two checks on the edges (a wrong one fails an assertion), and then put
+    in lowest terms (_int_matrix)."""
     try:
         names = tuple(str(v) for v in vertices)
     except TypeError as exc:
@@ -756,8 +729,18 @@ def _graph_space(vertices, edges, base=None, metric=None) -> MetricSpace:
         raise InvalidInput("a metric space needs at least 2 points")
     # Row-major: _min_plus gathers rows, at half the speed from a column-major matrix.
     mat = mat.astype(_int_dtype(int(mat.max())), order="C", copy=False)
-    violations, mask = _violations(names, mat, scaled)
-    assert not violations, "a path metric is symmetric, zero on the diagonal, positive off it"
+    violations, mask = _violations(names, mat)
+    assert not violations, "a path metric satisfies the metric axioms"
+    # _violations proved mat a metric and the path metric of its canonical
+    # pairs.  If each of them is an edge at its own weight (counted: the
+    # edges are distinct pairs), no distance of the graph exceeds mat's; if
+    # no weight is below mat, no path of the graph is shorter.
+    tails, heads, weights = (np.array(x) for x in zip(*scaled))
+    direct = mat[tails, heads]
+    assert (weights >= direct).all(), "a path metric is at most every edge weight"
+    tight = (weights == direct) & ~mask[tails, heads]
+    assert 2 * int(tight.sum()) + int(mask.sum()) + len(names) == len(names) ** 2, \
+        "each canonical pair of a path metric is an edge at its distance"
     reduced, mat = _int_matrix(mat, denom)
     return MetricSpace(names, reduced, mat, _base_index(names, base), _deletion_mask=mask,
                        _mask_proven=True)
@@ -784,6 +767,8 @@ def weighted_graph_json_to_space(obj: dict) -> MetricSpace:
         raw_edges = list(obj["edges"])
     except (TypeError, KeyError) as exc:
         raise InvalidInput("graph JSON needs 'vertices' and 'edges'") from exc
+    if not isinstance(vertices, list):  # as in MetricSpace.from_json_obj
+        raise InvalidInput("'vertices' must be a list of names")
     edges = []
     for e in raw_edges:
         try:

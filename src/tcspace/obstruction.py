@@ -104,29 +104,42 @@ def check_sign_pattern_disjointness(cand: LinftyCandidate) -> SignPatternReport:
     of overlapping supports.
     """
     k = cand.k
-    signs = list(itertools.product((1, -1), repeat=k))
-    combos = {theta: cand.combine(theta) for theta in signs}
+    last = (1 << k) - 1
+    # Pairs i < j of sign vectors (_sign_vector) in itertools.combinations'
+    # order, without all 2^k of them built first: a combination is built
+    # when a pair first reads it.  last ^ i is i's opposite, which agrees
+    # with it nowhere.
+    combos: dict[tuple[int, ...], TransportationProblem] = {}
     supports: dict[tuple[int, ...], frozenset[int]] = {}
     checked = 0
-    for a, b in itertools.combinations(signs, 2):
-        agree = any(x == y for x, y in zip(a, b))
-        disagree = any(x == -y for x, y in zip(a, b))
-        if not (agree and disagree):
-            continue
-        checked += 1
-        degenerate = [t for t in (a, b) if combos[t].is_zero()]
-        if degenerate:
-            return SignPatternReport(
-                False, checked, (a, b), None,
-                f"combination {degenerate[0]} is the zero problem")
-        for t in (a, b):
-            if t not in supports:
-                supports[t], _ = maximal_support(combos[t])
-        shared = supports[a] & supports[b]
-        if shared:
-            return SignPatternReport(False, checked, (a, b), frozenset(shared),
-                                     "maximal supports overlap")
+    for i in range(last):
+        a = _sign_vector(i, k)
+        for j in range(i + 1, last + 1):
+            if j == last ^ i:
+                continue
+            checked += 1
+            b = _sign_vector(j, k)
+            for t in (a, b):
+                if t not in combos:
+                    combos[t] = cand.combine(t)
+            degenerate = [t for t in (a, b) if combos[t].is_zero()]
+            if degenerate:
+                return SignPatternReport(
+                    False, checked, (a, b), None,
+                    f"combination {degenerate[0]} is the zero problem")
+            for t in (a, b):
+                if t not in supports:
+                    supports[t], _ = maximal_support(combos[t])
+            shared = supports[a] & supports[b]
+            if shared:
+                return SignPatternReport(False, checked, (a, b), frozenset(shared),
+                                         "maximal supports overlap")
     return SignPatternReport(True, checked, None, None)
+
+
+def _sign_vector(i: int, k: int) -> tuple[int, ...]:
+    """The i-th of itertools.product((1, -1), repeat=k)."""
+    return tuple(-1 if i >> (k - 1 - c) & 1 else 1 for c in range(k))
 
 
 def _sign_vectors_pass(cand: LinftyCandidate) -> bool:

@@ -670,6 +670,35 @@ def test_malformed_point_lists_are_still_invalid_input(capsys, tmp_path, obj):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+SPACE_SHAPE = "'points' must be a list of names and 'dist' a list of rows"
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"points": "abc", "dist": [["0", "1", "2"], ["1", "0", "2"], ["2", "2", "0"]]},
+     SPACE_SHAPE),
+    ({"points": ["a", "b", "c"], "dist": ["012", "102", "220"]}, SPACE_SHAPE),
+    ({"points": ["a", "b", "c"], "dist": [["0", "1", "2"], "102", ["2", "2", "0"]]},
+     SPACE_SHAPE),
+    ({"points": ["a", "b"], "dist": {"01": 1, "10": 1}}, SPACE_SHAPE),
+    ({"points": ["a", "b"], "dist": 5}, SPACE_SHAPE),
+    ({"points": {"a": 0, "b": 1}, "dist": [["0", "1"], ["1", "0"]]}, SPACE_SHAPE),
+    ({"points": ["a", "b"], "dist": [["0", "1"], {"1": 0, "0": 1}]}, SPACE_SHAPE),
+    ({"vertices": "ab", "edges": [{"u": "a", "v": "b", "w": "1"}]},
+     "'vertices' must be a list of names"),
+    ({"vertices": {"a": 0, "b": 1}, "edges": [{"u": "a", "v": "b", "w": "1"}]},
+     "'vertices' must be a list of names"),
+], ids=["points-string", "rows-strings", "one-row-string", "dist-object", "dist-number",
+        "points-object",
+        "row-object", "vertices-string", "vertices-object"])
+def test_json_names_and_rows_must_be_arrays(capsys, tmp_path, obj, message):
+    # A string or an object is iterable in Python; a JSON reader that took it
+    # would read a string's characters as names or distances.
+    space = _write(tmp_path / "in.json", obj)
+    code, out, err = _run(capsys, ["validate", "--space", space])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "InvalidInput", "message": message}
+
+
 def test_dual_runs_one_dijkstra_per_direction(capsys, monkeypatch, c4, tmp_path):
     """The residual distances of the optimal flow are one Dijkstra per
     direction on the solver's certificate: forward at (flow, pot), computed

@@ -122,18 +122,18 @@ def test_two_port_validation():
 
 
 def test_a_two_port_graph_measures_itself_once(monkeypatch):
-    """Each TwoPortGraph made certifies its space once (one _edge_mask): by
+    """Each TwoPortGraph made certifies its space once (one _matrix_mask): by
     Floyd-Warshall for B and the unit edge, which are made by hand, and
     from the construction for each composed level.  The NotNormalized
     checks of compose and recursive_family, and as_metric_space, read that
     space and run neither."""
     runs, certified, made = [], [], []
-    floyd_warshall, edge_mask = metric._floyd_warshall, metric._edge_mask
+    floyd_warshall, matrix_mask = metric._floyd_warshall, metric._matrix_mask
     post_init = TwoPortGraph.__post_init__
     monkeypatch.setattr(metric, "_floyd_warshall",
                         lambda *a: runs.append(a) or floyd_warshall(*a))
-    monkeypatch.setattr(metric, "_edge_mask",
-                        lambda *a: certified.append(a) or edge_mask(*a))
+    monkeypatch.setattr(metric, "_matrix_mask",
+                        lambda *a: certified.append(a) or matrix_mask(*a))
     monkeypatch.setattr(TwoPortGraph, "__post_init__",
                         lambda self, *a: made.append(self) or post_init(self, *a))
     space, _ = recursive_family(k2n_two_port(3), 3)

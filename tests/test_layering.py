@@ -199,6 +199,15 @@ def test_the_canonical_graph_checks_itself_without_all_pairs_paths():
     assert _definers(lambda name: name == "_is_path_metric") == {"metric.py"}
 
 
+def test_one_canonical_graph_certificate():
+    # A distance matrix and a weighted graph's path metric meet the same
+    # certificate in validation; canonical_graph runs it on a space that
+    # kept no mask.
+    assert _definers(lambda name: name == "_edge_mask") == set()
+    assert _definers(lambda name: name == "_matrix_mask") == {"metric.py"}
+    assert _callers("_matrix_mask") == {"_violations", "canonical_graph"}
+
+
 def test_one_adjacency_per_canonical_graph():
     # The integer arcs are the graph's only neighbourhood store; D is the
     # space's, and every path comes from a shortest-path tree.

@@ -622,49 +622,53 @@ def test_a_wrong_path_metric_is_refused_by_the_certificate(monkeypatch, graph):
 
 
 def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
-    """Every validated space carries a mask proven by one certificate, a
-    min-plus step (_min_plus) over its final edges, and canonical_graph
-    checks none of them again: a weighted graph's through _is_path_metric in
-    validation; a matrix's by step 2 over its sure edges, or, where step 3
-    decides open pairs, by one _is_path_metric over the final edges after
-    it; a restricted space's by the same routine in canonical_graph.  A
-    mask put on a space by hand is checked by one _is_path_metric
-    (test_graph's test of the self-check)."""
-    steps, certificates = [], []
-    real_step, real_check = metric._min_plus, metric._is_path_metric
+    """Every validated space carries a mask proven by one certificate,
+    _matrix_mask, whose min-plus step (_min_plus) runs over its final edges,
+    and canonical_graph checks none of them again: a matrix's or a weighted
+    graph's path metric's by step 2 over its sure edges (grid(4) stops
+    there), or, where step 3 decides open pairs, by one _is_path_metric over
+    the final edges after it; a restricted space's by the same routine in
+    canonical_graph.  A mask put on a space by hand is checked by one
+    _is_path_metric (test_graph's test of the self-check)."""
+    steps, certificates, masks = [], [], []
+    real_step, real_check, real_mask = metric._min_plus, metric._is_path_metric, metric._matrix_mask
     monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real_step(*a))
     check = lambda *a: certificates.append(a) or real_check(*a)  # noqa: E731
     monkeypatch.setattr(metric, "_is_path_metric", check)
     monkeypatch.setattr(graph_module, "_is_path_metric", check)
+    mask = lambda *a: masks.append(a) or real_mask(*a)  # noqa: E731
+    monkeypatch.setattr(metric, "_matrix_mask", mask)
+    monkeypatch.setattr(graph_module, "_matrix_mask", mask)
 
     step_three = _step_three_runs(monkeypatch)
 
     def counted(build):
-        steps.clear()
-        certificates.clear()
-        step_three.clear()
-        return build(), len(steps), len(certificates)
+        for seen in (steps, certificates, masks, step_three):
+            seen.clear()
+        return build(), len(steps), len(certificates), len(masks)
 
     space, *counts = counted(lambda: grid(4))
-    assert counts == [1, 1] and space._mask_proven
+    assert counts == [1, 0, 1] and space._mask_proven and sum(step_three) == 0
     path = space_from_weighted_graph(*_long_middle_path())
     for built, opened in ((lambda: validate_metric(space.points, space.dist), 0),
                           (lambda: validate_metric(path.points, path.dist), 1)):
         matrix, *counts = counted(built)
         assert matrix._mask_proven
-        assert counts == [1 + opened, opened] and sum(step_three) == opened
+        assert counts == [1 + opened, opened, 1] and sum(step_three) == opened
         _, *counts = counted(lambda: [canonical_graph(matrix),
                                       canonical_graph(matrix.with_base(matrix.points[1]))])
-        assert counts == [0, 0]
+        assert counts == [0, 0, 0]
+    _, *counts = counted(lambda: space_from_weighted_graph(*_long_middle_path()))
+    assert counts == [2, 1, 1] and sum(step_three) == 1
     _, *counts = counted(lambda: canonical_graph(space))
-    assert counts == [0, 0]
+    assert counts == [0, 0, 0]
     _, *counts = counted(lambda: canonical_graph(space.restrict([0, 1, 4, 5])))  # a unit square
-    assert counts == [1, 0]
+    assert counts == [1, 0, 1]
     _, *counts = counted(lambda: canonical_graph(space.restrict(list(range(0, 16, 2)))))
-    assert counts == [2, 1] and sum(step_three) > 0
+    assert counts == [2, 1, 1] and sum(step_three) > 0
     _, *counts = counted(lambda: canonical_graph(
         MetricSpace(space.points, space.denom, space.scaled, _deletion_mask=space._deletion_mask)))
-    assert counts == [1, 1]
+    assert counts == [1, 1, 0]
 
 
 # --- a matrix's mask: sure edges and one min-plus certificate ---------------

@@ -84,6 +84,60 @@ def test_duplicated_vector_fails_immediately():
     assert "zero problem" in report.reason
 
 
+def test_a_scan_builds_only_the_combinations_its_pairs_read(monkeypatch):
+    """At k = 16 the first pair, all +1 against all +1 but the last, is a
+    multiple of f against another: two combinations built, not 2^16."""
+    g = c4_graph()
+    f = point_difference(g, "c0", "c2").scale("1/2")
+    k = 16
+    cand = LinftyCandidate((f,) * k)
+    built = []
+    combine = LinftyCandidate.combine
+    monkeypatch.setattr(LinftyCandidate, "combine",
+                        lambda self, coeffs: built.append(coeffs) or combine(self, coeffs))
+    report = check_sign_pattern_disjointness(cand)
+    assert not report.ok and report.reason == "maximal supports overlap"
+    assert report.pairs_checked == 1
+    assert report.failing_pair == ((1,) * k, (1,) * (k - 1) + (-1,))
+    assert len(built) == 2
+
+
+def _reference_scan(cand):
+    """check_sign_pattern_disjointness as every sign combination built first,
+    then every pair of itertools.combinations that agrees somewhere and
+    disagrees somewhere, in order."""
+    signs = list(itertools.product((1, -1), repeat=cand.k))
+    combos = {theta: cand.combine(theta) for theta in signs}
+    checked = 0
+    for a, b in itertools.combinations(signs, 2):
+        if not (any(x == y for x, y in zip(a, b)) and any(x == -y for x, y in zip(a, b))):
+            continue
+        checked += 1
+        zero = [t for t in (a, b) if combos[t].is_zero()]
+        if zero:
+            return False, checked, (a, b), None, f"combination {zero[0]} is the zero problem"
+        support = {t: obstruction.maximal_support(combos[t])[0] for t in (a, b)}
+        shared = support[a] & support[b]
+        if shared:
+            return False, checked, (a, b), frozenset(shared), "maximal supports overlap"
+    return True, checked, None, None, None
+
+
+def test_the_scan_walks_the_pairs_in_itertools_order(c4_basis):
+    g = c4_graph()
+    pool = integer_problem_pool(g, bound=1)
+    cands = [c4_basis, LinftyCandidate((pool[0], pool[0]))]
+    cands += [LinftyCandidate(tuple(pool[i:i + k])) for k in (2, 3, 4) for i in range(0, 10 - k, 2)]
+    outcomes = set()
+    for cand in cands:
+        report = check_sign_pattern_disjointness(cand)
+        got = (report.ok, report.pairs_checked, report.failing_pair, report.shared_edges,
+               report.reason)
+        assert got == _reference_scan(cand)
+        outcomes.add((report.ok, report.reason, report.pairs_checked > 1))
+    assert len(outcomes) >= 3
+
+
 def test_norm_failure_and_disjointness_failure_coincide():
     g = c4_graph()
     f = point_difference(g, "c0", "c2").scale("1/2")
