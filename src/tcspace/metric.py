@@ -175,11 +175,11 @@ def _int_matrix(mat: np.ndarray, denom: int) -> tuple[int, np.ndarray]:
     return denom // g, mat.astype(_int_dtype(int(mat.max())), copy=False)
 
 
-def _midpoint_scan(mat: np.ndarray) -> tuple[int, int, int] | None:
+def _midpoint_scan(mat: np.ndarray) -> tuple[int, int, int]:
     """Over the midpoints j of a scaled matrix with zero diagonal and positive
     entries elsewhere, and then in row-major order: the first (i, j, k) with
-    d(i,k) > d(i,j) + d(j,k), or None.  O(n^3); it runs only on a matrix
-    that _matrix_mask could not certify."""
+    d(i,k) > d(i,j) + d(j,k).  O(n^3); it runs only on a matrix that
+    _matrix_mask could not certify, which is therefore not a metric."""
     n = len(mat)
     via = np.empty_like(mat)
     hit = np.empty((n, n), dtype=bool)
@@ -189,7 +189,7 @@ def _midpoint_scan(mat: np.ndarray) -> tuple[int, int, int] | None:
         if hit.any():
             i, k = divmod(int(hit.argmax()), n)  # first in row-major order
             return i, j, k
-    return None
+    raise AssertionError("a metric is the path metric of its canonical graph")
 
 
 def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:
@@ -246,9 +246,7 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
         keep[us[free], ks[free]] = keep[ks[free], us[free]] = True
         certified = _is_path_metric(mat, keep)
     if not certified:
-        hit = _midpoint_scan(mat)
-        assert hit is not None, "a metric is the path metric of its canonical graph"
-        return hit, None
+        return _midpoint_scan(mat), None
     drop = np.logical_not(keep, out=keep)
     np.fill_diagonal(drop, False)
     return None, drop
@@ -764,11 +762,13 @@ def weighted_graph_json_to_space(obj: dict) -> MetricSpace:
     """Parse {"vertices": [...], "edges": [{"u","v","w"}], "base": ...}."""
     try:
         vertices = obj["vertices"]
-        raw_edges = list(obj["edges"])
+        raw_edges = obj["edges"]
     except (TypeError, KeyError) as exc:
         raise InvalidInput("graph JSON needs 'vertices' and 'edges'") from exc
     if not isinstance(vertices, list):  # as in MetricSpace.from_json_obj
         raise InvalidInput("'vertices' must be a list of names")
+    if not isinstance(raw_edges, list):
+        raise InvalidInput("'edges' must be a list of edges")
     edges = []
     for e in raw_edges:
         try:

@@ -142,35 +142,21 @@ def _sign_vector(i: int, k: int) -> tuple[int, ...]:
     return tuple(-1 if i >> (k - 1 - c) & 1 else 1 for c in range(k))
 
 
-def _sign_vectors_pass(cand: LinftyCandidate) -> bool:
-    return all(
-        tc_norm(cand.combine(theta))[0] == 1
-        for theta in itertools.product((1, -1), repeat=cand.k)
-    )
+def verify_linfty_basis(cand: LinftyCandidate) -> bool:
+    """Whether ||sum a_i f_i|| = max |a_i| for all coefficients a, decided by
+    the norms of the sign vectors g_theta = sum theta_i f_i alone.
 
-
-def verify_linfty_basis(cand: LinftyCandidate, grid_resolution: int = 5) -> bool:
-    """Exact sign-vector norms plus a rational-grid lower-bound probe.
-
-    The norm equals 1 on all 2^k sign vectors iff (with the norm-1
-    normalization and convexity) every combination obeys the l_infty upper
-    bound; the grid then probes the lower bound ||sum a_i e_i|| >= max|a_i|
-    at grid_resolution rational values per axis.  A resolution below 2 is
-    refused before any norm is computed.
+    Every f_j has norm 1, so the claim holds iff every g_theta has norm 1.
+    Upper bound: a / max |a_i| is a convex combination of sign vectors.
+    Lower bound: take any 1-Lipschitz l_j with l_j(f_j) = 1 (the supporting
+    function of f_j is one).  The 2^(k-1) g_theta with theta_j = +1 average
+    to f_j and have norm <= 1, so l_j(g_theta) = 1 for each of them.
+    Flipping one theta_i then gives l_j(f_i) = delta_ij, so l_j and -l_j
+    give ||sum a_i f_i|| >= |a_j|.  Since ||-g|| = ||g||, only the 2^(k-1)
+    sign vectors with theta_0 = +1 are solved.
     """
-    if grid_resolution < 2:
-        raise PreconditionFailed("grid resolution must be at least 2")
-    if not _sign_vectors_pass(cand):
-        return False
-    axis = [Fraction(2 * i - (grid_resolution - 1), grid_resolution - 1)
-            for i in range(grid_resolution)]
-    for coeffs in itertools.product(axis, repeat=cand.k):
-        peak = max(abs(a) for a in coeffs)
-        if peak == 0:
-            continue
-        if tc_norm(cand.combine(coeffs))[0] < peak:
-            return False
-    return True
+    return all(tc_norm(cand.combine((1, *theta)))[0] == 1
+               for theta in itertools.product((1, -1), repeat=cand.k - 1))
 
 
 def count_disjoint_roadmaps(cand: LinftyCandidate, j: int) -> int:
@@ -180,12 +166,14 @@ def count_disjoint_roadmaps(cand: LinftyCandidate, j: int) -> int:
     at +1), half the difference of optimal roadmaps for the two combinations
     that flip coordinate j is itself an optimal roadmap for vector j; these
     are pairwise disjoint for a genuine candidate, giving 2^(k-2) of them.
+    The 2^(k-1) combinations solved are the sign vectors with the anchor at
+    +1, one of each +-theta pair, so their norms decide verify_linfty_basis:
+    any one of them off 1 raises PreconditionFailed, before a roadmap is
+    built from it.
     """
     k = cand.k
     if not 0 <= j < k:
         raise PreconditionFailed(f"index {j} out of range")
-    if not _sign_vectors_pass(cand):
-        raise PreconditionFailed("candidate fails the sign-vector norms")
     anchor = 0 if j != 0 else 1
     rest = [i for i in range(k) if i not in (anchor, j)]
     roadmaps: list[Roadmap] = []
@@ -195,9 +183,11 @@ def count_disjoint_roadmaps(cand: LinftyCandidate, j: int) -> int:
         for pos, s in zip(rest, theta):
             coeffs[pos] = Fraction(s)
         coeffs[j] = ONE
-        _, p_plus = tc_norm(cand.combine(coeffs))
+        norm_plus, p_plus = tc_norm(cand.combine(coeffs))
         coeffs[j] = -ONE
-        _, p_minus = tc_norm(cand.combine(coeffs))
+        norm_minus, p_minus = tc_norm(cand.combine(coeffs))
+        if norm_plus != 1 or norm_minus != 1:
+            raise PreconditionFailed("candidate fails the sign-vector norms")
         r = Roadmap((p_plus.vec - p_minus.vec).scale(Fraction(1, 2)))
         assert r.problem() == cand.problems[j]
         assert r.cost() == 1, "splitting produced a non-optimal roadmap"

@@ -261,6 +261,15 @@ def search_sign_basis(graph: CanonicalGraph, k: int,
     return LinftyCandidate(tuple(found)) if found else None
 
 
+def grid_probe(cand: LinftyCandidate, resolution: int) -> bool:
+    """Whether ||sum a_i f_i|| = max |a_i| at every point a of a rational grid
+    on [-1, 1]^k, resolution points per axis: a sampled reference for
+    verify_linfty_basis, one norm per grid point."""
+    axis = [Fraction(2 * i - (resolution - 1), resolution - 1) for i in range(resolution)]
+    return all(tc_norm(cand.combine(coeffs))[0] == max(map(abs, coeffs))
+               for coeffs in itertools.product(axis, repeat=cand.k))
+
+
 # --- metric isomorphism (small instances) --------------------------------------
 
 def metric_isomorphism(a: MetricSpace, b: MetricSpace,

@@ -183,7 +183,7 @@ def test_criterion_07_c4_linfty3_basis():
     assert cand is not None
     for theta in itertools.product((1, -1), repeat=3):
         assert tc_norm(cand.combine(theta))[0] == 1
-    assert verify_linfty_basis(cand, grid_resolution=5)
+    assert verify_linfty_basis(cand)
     assert count_disjoint_roadmaps(cand, 0) >= 2
     elapsed = time.monotonic() - start
     assert elapsed < 30

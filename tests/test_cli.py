@@ -687,15 +687,47 @@ SPACE_SHAPE = "'points' must be a list of names and 'dist' a list of rows"
      "'vertices' must be a list of names"),
     ({"vertices": {"a": 0, "b": 1}, "edges": [{"u": "a", "v": "b", "w": "1"}]},
      "'vertices' must be a list of names"),
+    ({"vertices": ["a", "b"], "edges": {}}, "'edges' must be a list of edges"),
+    ({"vertices": ["a", "b"], "edges": "ab"}, "'edges' must be a list of edges"),
 ], ids=["points-string", "rows-strings", "one-row-string", "dist-object", "dist-number",
         "points-object",
-        "row-object", "vertices-string", "vertices-object"])
+        "row-object", "vertices-string", "vertices-object", "edges-object", "edges-string"])
 def test_json_names_and_rows_must_be_arrays(capsys, tmp_path, obj, message):
     # A string or an object is iterable in Python; a JSON reader that took it
     # would read a string's characters as names or distances.
     space = _write(tmp_path / "in.json", obj)
     code, out, err = _run(capsys, ["validate", "--space", space])
     assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "InvalidInput", "message": message}
+
+
+def test_a_point_cap_that_is_no_integer_is_a_structured_error(capsys, monkeypatch, c4):
+    monkeypatch.setenv("TCSPACE_MAX_POINTS", "abc")
+    code, out, err = _run(capsys, ["validate", "--space", c4])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "InvalidInput",
+                               "message": "TCSPACE_MAX_POINTS must be an integer, got 'abc'"}
+
+
+@pytest.mark.parametrize("argv,files,message", [
+    (["disjoint", "--space", "{c4}"], {},
+     "disjoint needs --candidate or both --problem and --other"),
+    (["disjoint", "--space", "{c4}", "--problem", "{f}"], {"f": {"f": {"c0": 1, "c1": -1}}},
+     "disjoint needs --candidate or both --problem and --other"),
+    (["oracle-check"], {}, "oracle-check needs --space/--problem or --random N"),
+    (["oracle-check", "--random", "2", "--seed", "1", "--min-points", "5", "--max-points", "3"],
+     {}, "need 2 <= --min-points <= --max-points"),
+    (["downhill", "--space", "{c4}", "--lipschitz", "{l}"], {"l": {"l": {"c0": "1"}}},
+     "function must vanish at the base point"),
+    (["downhill", "--space", "{c4}", "--lipschitz", "{l}"], {"l": {"l": {}, "base": "c1"}},
+     "base in JSON differs from the space's base point"),
+], ids=["disjoint-alone", "disjoint-no-other", "oracle-check-no-mode",
+        "oracle-check-min-above-max", "downhill-l-at-base", "downhill-other-base"])
+def test_refusals_name_what_is_wrong(capsys, c4, tmp_path, argv, files, message):
+    paths = {"c4": c4, **{name: _write(tmp_path / f"{name}.json", obj)
+                          for name, obj in files.items()}}
+    code, out, err = _run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "InvalidInput", "message": message}
 
 

@@ -3,7 +3,13 @@ import json
 
 import pytest
 
-from corpus import c4_graph, integer_problem_pool, point_difference, search_sign_basis
+from corpus import (
+    c4_graph,
+    grid_probe,
+    integer_problem_pool,
+    point_difference,
+    search_sign_basis,
+)
 from tcspace import (
     LinftyCandidate,
     NullProblem,
@@ -18,9 +24,11 @@ from tcspace import (
     count_disjoint_roadmaps,
     cycle,
     diamond,
+    evaluate,
     grid,
     space_from_weighted_graph,
     strongly_disjoint,
+    supporting_function,
     tc_norm,
     verify_linfty_basis,
 )
@@ -153,7 +161,7 @@ def test_norm_failure_and_disjointness_failure_coincide():
 # --- basis verification ------------------------------------------------------------
 
 def test_c4_basis_verifies(c4_basis):
-    assert verify_linfty_basis(c4_basis, grid_resolution=5)
+    assert verify_linfty_basis(c4_basis)
 
 
 def test_equal_vectors_fail():
@@ -162,18 +170,41 @@ def test_equal_vectors_fail():
     assert not verify_linfty_basis(LinftyCandidate((f, f)))
 
 
-@pytest.mark.parametrize("resolution", [1, 0, -5])
-def test_a_grid_below_two_points_is_refused_before_any_norm(monkeypatch, resolution):
-    # Two copies of one vector fail the sign-vector norms, which used to
-    # return False before the resolution was read.
-    g = c4_graph()
-    f = point_difference(g, "c0", "c2").scale("1/2")
-    cand = LinftyCandidate((f, f))
+def test_one_norm_per_sign_vector_pair(monkeypatch, c4_basis):
+    """Both functions solve the 2^(k-1) sign vectors with one coordinate at
+    +1, one of each +-theta pair: 4 norms on the C_4 cube.  A pair off norm
+    1 is refused after its two norms, before a roadmap is built."""
     norms = []
     monkeypatch.setattr(obstruction, "tc_norm", lambda h: norms.append(h) or tc_norm(h))
-    with pytest.raises(PreconditionFailed, match="grid resolution"):
-        verify_linfty_basis(cand, grid_resolution=resolution)
-    assert norms == []
+    assert verify_linfty_basis(c4_basis)
+    assert len(norms) == 4
+    norms.clear()
+    assert count_disjoint_roadmaps(c4_basis, 0) == 2
+    assert len(norms) == 4
+    f = point_difference(c4_graph(), "c0", "c2").scale("1/2")
+    cand = LinftyCandidate((f, f))
+    norms.clear()
+    with pytest.raises(PreconditionFailed, match="sign-vector norms"):
+        count_disjoint_roadmaps(cand, 0)
+    assert len(norms) == 2
+
+
+@pytest.mark.parametrize("space,accepted", [(cycle(4), 6), (complete_bipartite(2, 3), 18)],
+                         ids=["C4", "K23"])
+def test_the_sign_vectors_agree_with_the_grid_probe(space, accepted):
+    """Every pair and triple of the bound-1 pool that verify_linfty_basis
+    accepts is an l_infty^k on a grid, and the supporting function l_j of
+    each f_j has l_j(f_i) = delta_ij: the dual certificate of the lower
+    bound, checked exactly."""
+    pool = integer_problem_pool(canonical_graph(space), bound=1)
+    hits = [cand for k in (2, 3) for cand in map(LinftyCandidate, itertools.combinations(pool, k))
+            if verify_linfty_basis(cand)]
+    assert len(hits) == accepted
+    for cand in hits:
+        assert grid_probe(cand, 3)
+        for j, fj in enumerate(cand.problems):
+            l = supporting_function(fj)
+            assert [evaluate(l, fi) for fi in cand.problems] == [int(i == j) for i in range(cand.k)]
 
 
 def test_tree_candidates_never_verify_for_k3():
@@ -183,7 +214,7 @@ def test_tree_candidates_never_verify_for_k3():
     pool = integer_problem_pool(g, bound=1)
     hits = 0
     for trio in itertools.combinations(pool[:12], 3):
-        if verify_linfty_basis(LinftyCandidate(tuple(trio)), grid_resolution=2):
+        if verify_linfty_basis(LinftyCandidate(tuple(trio))):
             hits += 1
     assert hits == 0
     assert search_sign_basis(g, 3) is None
@@ -197,6 +228,8 @@ def test_candidates_must_be_normalized():
     cand = LinftyCandidate.normalized(
         (f, point_difference(g, "c1", "c3")))
     assert all(tc_norm(p)[0] == 1 for p in cand.problems)
+    with pytest.raises(NullProblem):
+        LinftyCandidate.normalized((f, TransportationProblem.zero(g)))
 
 
 # --- disjoint roadmap counting ------------------------------------------------------
@@ -221,6 +254,12 @@ def test_invalid_candidate_is_rejected():
     cand = LinftyCandidate((f, f))
     with pytest.raises(PreconditionFailed):
         count_disjoint_roadmaps(cand, 0)
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_a_vector_index_out_of_range_is_refused(c4_basis, j):
+    with pytest.raises(PreconditionFailed, match="out of range"):
+        count_disjoint_roadmaps(c4_basis, j)
 
 
 # --- certificates -------------------------------------------------------------------
