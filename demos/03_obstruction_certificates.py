@@ -57,11 +57,11 @@ print()
 # the newest generation is always degree 2 and carries no support.
 space, descriptor = diamond(3)
 dgraph = canonical_graph(space)
-cert = certify_no_linfty(dgraph, 4, peel=True, family=descriptor)
+cert = certify_no_linfty(dgraph, 4, family=descriptor)
 print("diamond(3) vs l_infty^4, peeled:")
 print(json.dumps(cert.to_json_obj(), indent=2, sort_keys=True))
 
-sharp = certify_no_linfty(dgraph, 3, peel=True, family=descriptor)
+sharp = certify_no_linfty(dgraph, 3, family=descriptor)
 print(f"\nand for k = 3 the certificate stays {sharp.verdict!r}:"
       " diamonds really do contain l_infty^3.")
 

@@ -243,10 +243,9 @@ def _cmd_disjoint(args) -> int:
 def _cmd_certify(args) -> int:
     graph = _load_graph(args.space)
     family = None
-    if args.peel:
+    if args.peel is not None:
         family = FamilyDescriptor.from_json_obj(_load_json(args.peel))
-    cert = certify_no_linfty(graph, args.k, peel=args.peel is not None,
-                             family=family)
+    cert = certify_no_linfty(graph, args.k, family=family)
     _emit(cert.to_json_obj())
     return 0
 

@@ -6,12 +6,14 @@ two-port compositions.  Generators emit exact metric spaces; the recursive
 ones also emit generation metadata so certificates can peel back to earlier
 levels, whose vertex sets embed isometrically.
 
-A composition's metric comes from its construction, not from a search: the
-metrics of its two parts give it (metric._substitute), level by level for
-diamonds, and a grid's comes from its coordinates.  metric.py certifies each
-such candidate as the graph's path metric, as it does a Floyd-Warshall
-matrix, the route of cycles, complete bipartite graphs and two-port graphs
-made by hand.
+A composition's metric comes from its construction, not from a search: one
+step (_compose_step) replaces every edge by a copy of a two-port graph and
+takes the candidate metric from the metrics of its two parts
+(metric._substitute).  compose runs it once, and recursive_family and
+diamond once per level; a grid's metric comes from its coordinates.
+metric.py certifies each construction's last candidate as the graph's path
+metric, as it does a Floyd-Warshall matrix, the route of cycles, complete
+bipartite graphs and two-port graphs made by hand.
 """
 
 from __future__ import annotations
@@ -100,18 +102,6 @@ class TwoPortGraph:
             deg[v] += 1
         return max(deg.values())
 
-    def normalized(self) -> TwoPortGraph:
-        """Scale all weights so the top-bottom distance becomes 1."""
-        d = self.top_bottom_distance()
-        return TwoPortGraph(
-            self.points,
-            tuple((u, v, w / d) for u, v, w in self.edges),
-            self.top, self.bottom)
-
-    def as_metric_space(self, base: str | None = None) -> MetricSpace:
-        """`space`, based at `base` when one is named."""
-        return self.space if base is None else self.space.with_base(base)
-
 
 def compose(H: TwoPortGraph, G: TwoPortGraph, tag: str = "e") -> TwoPortGraph:
     """Replace each directed edge u->v of H by a copy of G (bottom at u,
@@ -124,10 +114,29 @@ def compose(H: TwoPortGraph, G: TwoPortGraph, tag: str = "e") -> TwoPortGraph:
     for g, who in ((H, "H"), (G, "G")):
         if g.top_bottom_distance() != 1:
             raise NotNormalized(f"{who} must have top-bottom distance 1")
-    points = list(H.points)
-    taken = set(points)
-    edges: list[tuple[str, str, Fraction]] = []
-    for i, (u, v, w) in enumerate(H.edges):
+    points, edges, metric = _compose_step(H.points, H.edges, (H.space.scaled, H.space.denom),
+                                          G, tag)
+    return TwoPortGraph(tuple(points), tuple(edges), H.top, H.bottom, _metric=metric)
+
+
+def _compose_step(points, edges, metric, G: TwoPortGraph, tag: str):
+    """One level of composition: H, given by its points, its edges (u, v, w)
+    in copy order and its candidate metric (mat, D), with every edge
+    replaced by a copy of G as compose describes.  Returns the composed
+    points (H's, then each copy's inner points in G's order), the composed
+    edges, and their candidate metric from _substitute.
+
+    No level needs a certificate of its own when G is normalized: H's
+    vertices keep their rows in _substitute, so each level's candidate is a
+    principal submatrix of the next one, and the path metric of the next
+    level restricts to H's, since a normalized G embeds H isometrically.  A
+    wrong distance at any level is therefore wrong in the last candidate,
+    whose certificate (_graph_space) fails its assertion.
+    """
+    out = list(points)
+    taken = set(out)
+    out_edges: list[tuple[str, str, Fraction]] = []
+    for i, (u, v, w) in enumerate(edges):
         rename = {G.bottom: u, G.top: v}
         for name in G.points:
             if name in rename:
@@ -137,19 +146,14 @@ def compose(H: TwoPortGraph, G: TwoPortGraph, tag: str = "e") -> TwoPortGraph:
                 raise InvalidInput(f"vertex name collision at {fresh!r}")
             taken.add(fresh)
             rename[name] = fresh
-            points.append(fresh)
+            out.append(fresh)
         for a, b, wg in G.edges:
-            edges.append((rename[a], rename[b], to_fraction(wg) * to_fraction(w)))
-    at = H.space.index_of
-    metric = _substitute((H.space.scaled, H.space.denom),
-                         [(at(u), at(v), to_fraction(w)) for u, v, w in H.edges],
-                         (G.space.scaled, G.space.denom), _ports(G))
-    return TwoPortGraph(tuple(points), tuple(edges), H.top, H.bottom, _metric=metric)
-
-
-def _ports(G: TwoPortGraph) -> tuple[int, int]:
-    """The indices of G's bottom and top in its space."""
-    return G.space.index_of(G.bottom), G.space.index_of(G.top)
+            out_edges.append((rename[a], rename[b], to_fraction(wg) * to_fraction(w)))
+    at = {p: i for i, p in enumerate(points)}
+    ports = G.space.index_of(G.bottom), G.space.index_of(G.top)
+    candidate = _substitute(metric, [(at[u], at[v], to_fraction(w)) for u, v, w in edges],
+                            (G.space.scaled, G.space.denom), ports)
+    return out, out_edges, candidate
 
 
 def unit_edge_two_port() -> TwoPortGraph:
@@ -176,20 +180,20 @@ def recursive_family(B: TwoPortGraph, n: int) -> tuple[MetricSpace, FamilyDescri
     """n-fold recursive composition of B (level 0 is a single unit edge).
 
     Each level replaces every edge of the previous graph by a copy of B;
-    vertices added at level j carry generation j in the descriptor.
+    vertices added at level j carry generation j in the descriptor.  Only
+    the last level is certified (_compose_step says why that suffices).
     """
     if n < 0:
         raise InvalidInput("n must be nonnegative")
     if B.top_bottom_distance() != 1:
         raise NotNormalized("B must have top-bottom distance 1")
-    current = unit_edge_two_port()
-    generations = {p: 0 for p in current.points}
+    unit = unit_edge_two_port()
+    points, edges, metric = unit.points, unit.edges, (unit.space.scaled, unit.space.denom)
+    generations = {p: 0 for p in points}
     for step in range(1, n + 1):
-        current = compose(current, B, tag=f"g{step}e")
-        for p in current.points:
-            if p not in generations:
-                generations[p] = step
-    space = current.as_metric_space(base="b")
+        points, edges, metric = _compose_step(points, edges, metric, B, f"g{step}e")
+        generations.update(dict.fromkeys(points[len(generations):], step))
+    space = _graph_space(points, edges, base="b", metric=metric)
     params = {"n": n, "base_vertices": len(B.points),
               "base_edges": len(B.edges), "delta": B.max_degree()}
     return space, FamilyDescriptor("recursive", params, generations)
@@ -200,32 +204,23 @@ def diamond(n: int) -> tuple[MetricSpace, FamilyDescriptor]:
 
     All level-n edges have weight 2^-n, so each level's vertex set embeds
     isometrically in the next and the total top-bottom distance stays 1.
-    Each level's metric comes from the last one's and the quadrilateral's.
+    A level is one _compose_step over the sorted edges of the last; the
+    quadrilateral's second side runs from top to bottom, which gives D_n
+    its vertex names.
     """
     if n < 0:
         raise InvalidInput("n must be nonnegative")
-    quad = quadrilateral_two_port()
-    points = ["v0", "v1"]
-    generations = {"v0": 0, "v1": 0}
-    edges: list[tuple[str, str]] = [("v0", "v1")]
+    half = Fraction(1, 2)
+    quad = TwoPortGraph(("s", "t", "a", "b"),
+                        (("s", "a", half), ("a", "t", half), ("t", "b", half), ("b", "s", half)),
+                        top="t", bottom="s")
+    points, edges = ["v0", "v1"], [("v0", "v1", ONE)]
     metric = (np.array([[0, 1], [1, 0]]), 1)
+    generations = {"v0": 0, "v1": 0}
     for level in range(1, n + 1):
-        at = {p: i for i, p in enumerate(points)}
-        weight = Fraction(1, 2**(level - 1))
-        edges = sorted(edges)
-        metric = _substitute(metric, [(at[u], at[v], weight) for u, v in edges],
-                             (quad.space.scaled, quad.space.denom), _ports(quad))
-        new_edges: list[tuple[str, str]] = []
-        for i, (u, v) in enumerate(edges):
-            a = f"g{level}e{i}.a"
-            b = f"g{level}e{i}.b"
-            points.extend((a, b))
-            generations[a] = level
-            generations[b] = level
-            new_edges.extend(((u, a), (a, v), (v, b), (b, u)))
-        edges = new_edges
-    weight = Fraction(1, 2**n)
-    space = _graph_space(points, [(u, v, weight) for u, v in edges], base="v0", metric=metric)
+        points, edges, metric = _compose_step(points, sorted(edges), metric, quad, f"g{level}e")
+        generations.update(dict.fromkeys(points[len(generations):], level))
+    space = _graph_space(points, edges, base="v0", metric=metric)
     return space, FamilyDescriptor("diamond", {"n": n}, generations)
 
 

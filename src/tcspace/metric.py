@@ -121,11 +121,6 @@ class MetricSpace:
         return MetricSpace(pts, *_int_matrix(self.scaled[np.ix_(indices, indices)],
                                              self.denom))
 
-    def with_base(self, name: str) -> MetricSpace:
-        return MetricSpace(self.points, self.denom, self.scaled, self.index_of(name),
-                           _deletion_mask=self._deletion_mask,
-                           _mask_proven=self._mask_proven)
-
     def to_json_obj(self) -> dict:
         rows = self.scaled.tolist()
         text = _distance_literals(rows, self.denom)
@@ -626,8 +621,9 @@ def _substitute(h, h_edges, g, ports) -> tuple[np.ndarray, int]:
     path that never leaves it, w d_G(x, y), competes too.  No search: the
     distances from H's vertices first, an n_H x N matrix, then the N x N
     result and one temporary of its size, at the width _int_dtype of a
-    bound on every sum.  A candidate, not a proof: _graph_space certifies
-    it.
+    bound on every sum.  A candidate, not a proof: a generator feeds it to
+    the next level or to _graph_space, whose certificate on the last
+    level's candidate covers every earlier one (families._compose_step).
     """
     dh, h_denom = h
     dg, g_denom = g

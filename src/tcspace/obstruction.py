@@ -231,17 +231,16 @@ class Certificate:
         }
 
 
-def certify_no_linfty(graph: CanonicalGraph, k: int, peel: bool = False,
-                      family=None) -> Certificate:
+def certify_no_linfty(graph: CanonicalGraph, k: int, family=None) -> Certificate:
     """Degree certificate that TC(X) has no isometric l_infty^k copy.
 
-    Without peeling: ruled out iff every vertex degree is below 2^(k-2).
-    With peeling (recursive families only, identified by the generation
-    metadata of a FamilyDescriptor): repeatedly restrict to the previous
-    generation while every high-degree vertex lies there, ruling out when
-    some level's maximum degree drops below the threshold.  On n points the
-    generations must lie between 0 and n - 1; a level that removes no point
-    is visited without rebuilding the graph.
+    Without a family: ruled out iff every vertex degree is below 2^(k-2).
+    With a family it peels (recursive families only, identified by the
+    generation metadata of a FamilyDescriptor): repeatedly restrict to the
+    previous generation while every high-degree vertex lies there, ruling
+    out when some level's maximum degree drops below the threshold.  On n
+    points the generations must lie between 0 and n - 1; a level that
+    removes no point is visited without rebuilding the graph.
 
     A k whose threshold has more than MAX_DIGITS digits raises
     OversizedResult: the certificate could not print it.
@@ -251,7 +250,7 @@ def certify_no_linfty(graph: CanonicalGraph, k: int, peel: bool = False,
     if k - 2 >= _PRINTABLE_BITS:  # decided before the power is built
         raise OversizedResult(f"threshold 2^{k - 2} has more than {MAX_DIGITS} digits")
     threshold = 2 ** (k - 2)
-    if not peel:
+    if family is None:
         md = graph.max_degree()
         if md < threshold:
             return Certificate(RULED_OUT, k, threshold, md, (),
@@ -259,7 +258,7 @@ def certify_no_linfty(graph: CanonicalGraph, k: int, peel: bool = False,
         return Certificate(INCONCLUSIVE, k, threshold, md, (),
                            f"max degree {md} reaches {threshold}")
 
-    if family is None or getattr(family, "generations", None) is None:
+    if getattr(family, "generations", None) is None:
         raise PeelNotApplicable("peeling needs a recursive family descriptor")
     gens = family.generations
     names = graph.space.points

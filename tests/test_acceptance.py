@@ -204,9 +204,9 @@ def test_criterion_09_diamond_certificates_and_sharpness():
     for n in range(1, 6):
         space, desc = diamond(n)
         graph = canonical_graph(space)
-        ruled = certify_no_linfty(graph, 4, peel=True, family=desc)
+        ruled = certify_no_linfty(graph, 4, family=desc)
         assert ruled.ruled_out, f"diamond({n}) k=4"
-        sharp = certify_no_linfty(graph, 3, peel=True, family=desc)
+        sharp = certify_no_linfty(graph, 3, family=desc)
         assert sharp.verdict == "inconclusive", f"diamond({n}) k=3"
     _report(9, "diamonds 1..5: k=4 ruled out by peeling, k=3 inconclusive")
 
@@ -219,7 +219,7 @@ def test_criterion_10_recursive_family_certificates():
             space, desc = recursive_family(base, n)
             graph = canonical_graph(space)
             for k in range(3, 7):
-                cert = certify_no_linfty(graph, k, peel=True, family=desc)
+                cert = certify_no_linfty(graph, k, family=desc)
                 # k > log2(delta) + 2, in exact integer arithmetic
                 expected = 2 ** (k - 2) > delta
                 assert cert.ruled_out == expected, (delta, n, k)

@@ -632,6 +632,28 @@ def test_unhashable_names_and_malformed_descriptors_are_structured_errors(
     _assert_invalid_input(capsys, [command, "--space", c4, *extra, option, path])
 
 
+@pytest.mark.parametrize("obj,message", [
+    ({"dist": [["0", "1"], ["1", "0"]]}, "space JSON needs 'points' and 'dist'"),
+    ({"vertices": ["a", "b"]}, "graph JSON needs 'vertices' and 'edges'"),
+    ({"vertices": ["a", "b", "a"], "edges": [{"u": "a", "v": "b", "w": "1"}]},
+     "vertex names must be distinct"),
+    ({"vertices": "ab", "edges": [{"u": "a", "v": "b", "w": "1"}]},
+     "'vertices' must be a list of names"),
+], ids=["dist-without-points", "graph-without-edges", "duplicate-vertices", "vertices-string"])
+def test_incomplete_space_and_graph_files_are_structured_errors(capsys, tmp_path, obj, message):
+    code, out, err = _run(capsys, ["validate", "--space", _write(tmp_path / "in.json", obj)])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "InvalidInput", "message": message}
+
+
+def test_an_empty_descriptor_path_is_read_like_any_other(capsys, c4):
+    """--peel names a file; an empty name is one that cannot be read."""
+    code, out, err = _run(capsys, ["certify", "--space", c4, "--k", "3", "--peel", ""])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+    assert "cannot read" in json.loads(err)["message"]
+
+
 def _never(*args, **kwargs):
     raise AssertionError("validation called")
 

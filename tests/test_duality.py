@@ -14,6 +14,7 @@ from oracles import (
 from tcspace import (
     DirectedSubgraph,
     ExactLP,
+    InvalidInput,
     LPStatus,
     LipschitzFunction,
     NotLipschitz,
@@ -353,3 +354,16 @@ def test_realizability_matches_an_lp_reference(small_corpus, rng):
                     assert (l is not None) == ok
                     verdicts.append(ok)
     assert any(verdicts) and not all(verdicts)
+
+
+# --- input checks -------------------------------------------------------------------
+
+@pytest.mark.parametrize("make,message", [
+    (lambda g: LipschitzFunction(g, (0, 1, 2)), "one value per point"),
+    (lambda g: evaluate(LipschitzFunction.zero(g),
+                        TransportationProblem.zero(canonical_graph(g.space))),
+     "different graphs"),
+], ids=["function-too-short", "evaluate-across-graphs"])
+def test_functions_refuse_the_wrong_graph(make, message):
+    with pytest.raises(InvalidInput, match=message):
+        make(c4_graph())

@@ -122,11 +122,12 @@ def test_two_port_validation():
 
 
 def test_a_two_port_graph_measures_itself_once(monkeypatch):
-    """Each TwoPortGraph made certifies its space once (one _matrix_mask): by
-    Floyd-Warshall for B and the unit edge, which are made by hand, and
-    from the construction for each composed level.  The NotNormalized
-    checks of compose and recursive_family, and as_metric_space, read that
-    space and run neither."""
+    """Each TwoPortGraph made certifies its space once (one _matrix_mask):
+    by Floyd-Warshall for B and the unit edge, which are made by hand, and
+    from the construction for a composition.  recursive_family makes no
+    other and certifies its last level alone, so 3 certificates at depth 3,
+    not one per level.  The NotNormalized checks read the space and run
+    neither."""
     runs, certified, made = [], [], []
     floyd_warshall, matrix_mask = metric._floyd_warshall, metric._matrix_mask
     post_init = TwoPortGraph.__post_init__
@@ -136,16 +137,17 @@ def test_a_two_port_graph_measures_itself_once(monkeypatch):
                         lambda *a: certified.append(a) or matrix_mask(*a))
     monkeypatch.setattr(TwoPortGraph, "__post_init__",
                         lambda self, *a: made.append(self) or post_init(self, *a))
-    space, _ = recursive_family(k2n_two_port(3), 3)
-    assert len(runs) == 2  # B and the unit edge
-    assert len(certified) == len(made) == 5  # B, the unit edge, and one per level
+    B = k2n_two_port(3)
+    recursive_family(B, 3)
+    assert len(runs) == len(made) == 2  # B and the unit edge
+    assert len(certified) == 3  # B, the unit edge and the last level
     runs.clear()
     certified.clear()
-    last = made[-1]
-    assert last.as_metric_space() is last.space
-    assert last.as_metric_space(base="b") == space
-    assert last.top_bottom_distance() == 1
+    assert B.top_bottom_distance() == 1
     assert not runs and not certified
+    composed = compose(B, B)
+    assert not runs and len(certified) == 1
+    assert composed.top_bottom_distance() == 1
 
 
 def test_ports_and_normalization():
@@ -155,11 +157,8 @@ def test_ports_and_normalization():
     k23 = k2n_two_port(3)
     assert k23.top_bottom_distance() == 1
     assert k23.max_degree() == 3
-    stretched = TwoPortGraph(q.points,
-                             tuple((u, v, w * 3) for u, v, w in q.edges),
-                             q.top, q.bottom)
+    stretched = _stretched_quadrilateral()
     assert stretched.top_bottom_distance() == 3
-    assert stretched.normalized().top_bottom_distance() == 1
     with pytest.raises(NotNormalized):
         compose(stretched, q)
 
@@ -167,11 +166,9 @@ def test_ports_and_normalization():
 def test_compose_with_unit_edge_is_identity_like():
     q = quadrilateral_two_port()
     left = compose(unit_edge_two_port(), q)
-    assert metric_isomorphism(left.as_metric_space(), q.as_metric_space()) \
-        is not None
+    assert metric_isomorphism(left.space, q.space) is not None
     right = compose(q, unit_edge_two_port())
-    assert metric_isomorphism(right.as_metric_space(), q.as_metric_space()) \
-        is not None
+    assert metric_isomorphism(right.space, q.space) is not None
 
 
 def test_compose_preserves_normalization():
@@ -184,8 +181,7 @@ def test_recursive_family_base_cases():
     space0, desc0 = recursive_family(k2n_two_port(3), 0)
     assert space0.n == 2 and space0.d(0, 1) == 1
     space1, desc1 = recursive_family(k2n_two_port(3), 1)
-    assert metric_isomorphism(
-        space1, k2n_two_port(3).as_metric_space()) is not None
+    assert metric_isomorphism(space1, k2n_two_port(3).space) is not None
     assert desc1.params["delta"] == 3
 
 
@@ -212,6 +208,40 @@ def test_descriptor_json_round_trip():
     assert again.family == desc.family
     assert again.generations == desc.generations
     assert again.level_label(2) == "D_2"
+
+
+# --- input checks -------------------------------------------------------------------
+
+def _stretched_quadrilateral():
+    q = quadrilateral_two_port()
+    return TwoPortGraph(q.points, tuple((u, v, w * 3) for u, v, w in q.edges), q.top, q.bottom)
+
+
+def _named_like_a_copy():
+    """A normalized path b - e0.m0 - t, whose middle vertex has the name
+    compose gives the first copy's first inner vertex."""
+    half = Fraction(1, 2)
+    return TwoPortGraph(("b", "t", "e0.m0"), (("b", "e0.m0", half), ("e0.m0", "t", half)),
+                        top="t", bottom="b")
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: TwoPortGraph(("a", "b"), (("a", "b", Fraction(1)),), top="x", bottom="a"),
+     InvalidInput, "must be vertices"),
+    (lambda: compose(_named_like_a_copy(), quadrilateral_two_port()),
+     InvalidInput, "name collision"),
+    (lambda: diamond(-1), InvalidInput, "nonnegative"),
+    (lambda: recursive_family(k2n_two_port(3), -1), InvalidInput, "nonnegative"),
+    (lambda: recursive_family(_stretched_quadrilateral(), 1), NotNormalized, "B must"),
+    (lambda: k2n_two_port(1), InvalidInput, "at least 2 legs"),
+    (lambda: grid(1), InvalidInput, "grid needs"),
+    (lambda: cycle(2), InvalidInput, "cycle needs"),
+    (lambda: complete_bipartite(0, 3), InvalidInput, "parts must be nonempty"),
+], ids=["ports-not-vertices", "name-collision", "diamond-negative", "recursive-negative",
+        "recursive-unnormalized", "k2n-one-leg", "grid-1", "cycle-2", "bipartite-empty"])
+def test_generators_refuse_what_they_cannot_build(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 # --- metrics from the construction ---------------------------------------------------
@@ -267,23 +297,23 @@ def test_the_kernel_is_floyd_warshall_on_compositions():
 
 
 def test_the_kernel_is_floyd_warshall_on_every_level(monkeypatch):
-    """Every candidate the generators certify, D_0 to D_5 and each level of
-    the K_{2,3} recursion to depth 4, is Floyd-Warshall's matrix."""
-    seen = []
-    real = families._graph_space
+    """Every level candidate the generators build, D_0 to D_5 and each level
+    of the K_{2,3} recursion to depth 4, is Floyd-Warshall's matrix: each
+    level enters a composition step or comes out of one."""
+    levels = {}
+    real = families._compose_step
 
-    def spy(points, edges, base=None, metric=None):
-        seen.append((points, edges, metric))
-        return real(points, edges, base, metric)
+    def spy(points, edges, metric, G, tag):
+        out = real(points, edges, metric, G, tag)
+        for level in ((points, edges, metric), out):
+            levels.setdefault(tuple(level[0]), level)
+        return out
 
-    monkeypatch.setattr(families, "_graph_space", spy)
-    for n in range(6):
-        diamond(n)
+    monkeypatch.setattr(families, "_compose_step", spy)
+    diamond(5)
     recursive_family(k2n_two_port(3), 4)
-    candidates = [(points, edges, mat) for points, edges, mat in seen if mat is not None]
-    assert [len(points) for points, _, _ in candidates] == [2, 4, 12, 44, 172, 684,
-                                                             5, 23, 131, 779]
-    for points, edges, mat in candidates:
+    assert [len(points) for points in levels] == [2, 4, 12, 44, 172, 684, 2, 5, 23, 131, 779]
+    for points, edges, mat in levels.values():
         assert _same_distances(mat, _floyd_warshall_of(points, edges))
 
 
@@ -322,3 +352,33 @@ def test_a_wrong_candidate_is_refused_by_the_certificate(monkeypatch):
         assert refused == n * (n - 1)
         shift.clear()
         assert make() == right
+
+
+def test_a_wrong_level_is_refused_by_the_last_certificate(monkeypatch):
+    """Only the last level is certified, and that covers the earlier ones: a
+    first level whose candidate has one distance (both entries) one unit
+    too high or too low makes D_3 and the depth-3 K_{2,3} recursion fail
+    the final assertion."""
+    real = families._compose_step
+    shift = []
+
+    def first_level_off_by_one(points, edges, metric, G, tag):
+        out_points, out_edges, (mat, unit) = real(points, edges, metric, G, tag)
+        if tag == "g1e":
+            mat = mat.copy()
+            for i, k, delta in shift:
+                mat[i, k] += delta
+                mat[k, i] += delta
+        return out_points, out_edges, (mat, unit)
+
+    monkeypatch.setattr(families, "_compose_step", first_level_off_by_one)
+    for make, n in ((lambda: diamond(3), 4), (lambda: recursive_family(k2n_two_port(3), 3), 5)):
+        right = make()[0]
+        for i in range(n):
+            for k in range(i + 1, n):
+                for delta in (1, -1):
+                    shift[:] = [(i, k, delta)]
+                    with pytest.raises(AssertionError, match="path metric"):
+                        make()
+        shift.clear()
+        assert make()[0] == right

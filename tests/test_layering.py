@@ -136,6 +136,13 @@ def _callers(name: str) -> set[str]:
     return out
 
 
+def test_one_composition_step():
+    # compose, recursive_family and diamond expand edges with one step,
+    # which alone asks the substitution kernel for a candidate.
+    assert _callers("_substitute") == {"_compose_step"}
+    assert _callers("_compose_step") == {"compose", "recursive_family", "diamond"}
+
+
 def test_one_bellman_ford():
     assert _definers(lambda name: name == "bellman_ford") == {"transport.py"}
     assert _definers(lambda name: name in {"_min_mean", "_potentials", "_extract_cycle"}) == set()
@@ -226,6 +233,51 @@ KEPT_FOR_TESTS = {
     "metric_violations": "every violation of a matrix, pinned against a brute-force "
                          "reference at every integer width (test_metric.py)",
     "Certificate.ruled_out": "the verdict as a boolean, which the acceptance criteria read",
+    "MetricSpace.to_json_obj": "the reference test_cli.py checks the writer of `gen` against",
+    "Roadmap.from_json_obj": "the roadmap reader a `check` command needs (ROADMAP item 1)",
+    "TransportationProblem.to_json_obj": "the writer of the problem files the command line "
+                                         "reads, which test_golden.py writes its inputs with",
+}
+
+# A method whose name another definition in src/ shares may owe its bare-name
+# uses to the other, so it names the function (path:qualname, or <module>)
+# outside the tests that reaches it.
+SHARED_NAME_CALLERS = {
+    "EdgeVector._size": "src/tcspace/vectors.py:_SparseVector.__post_init__",
+    "TransportationProblem._size": "src/tcspace/vectors.py:_SparseVector.__post_init__",
+    "TransportationPlan.cost": "src/tcspace/transport.py:plan_to_roadmap",
+    "Roadmap.cost": "src/tcspace/transport.py:Roadmap.to_json_obj",
+    "DomainError.details": "src/tcspace/cli.py:main",
+    "MetricViolation.details": "src/tcspace/cli.py:main",
+    "LipschitzFunction.from_json_obj": "src/tcspace/cli.py:_cmd_downhill",
+    "FamilyDescriptor.from_json_obj": "src/tcspace/cli.py:_cmd_certify",
+    "DirectedSubgraph.from_json_obj": "src/tcspace/cli.py:_cmd_realizable",
+    "MetricSpace.from_json_obj": "src/tcspace/cli.py:_load_space",
+    "TransportationProblem.from_json_obj": "src/tcspace/cli.py:_cmd_norm",
+    "TransportationPlan.from_names": "demos/01_norms_and_roadmaps.py:<module>",
+    "TransportationProblem.from_names":
+        "src/tcspace/vectors.py:TransportationProblem.from_json_obj",
+    "LinftyCandidate.graph": "src/tcspace/obstruction.py:LinftyCandidate.combine",
+    "Roadmap.graph": "src/tcspace/transport.py:_residual_digraph",
+    "TwoPortGraph.max_degree": "src/tcspace/families.py:recursive_family",
+    "CanonicalGraph.max_degree": "src/tcspace/obstruction.py:certify_no_linfty",
+    "CanonicalGraph.n": "src/tcspace/graph.py:CanonicalGraph.degrees",
+    "MetricSpace.n": "src/tcspace/cli.py:_cmd_validate",
+    "TransportationPlan.problem": "src/tcspace/transport.py:plan_to_roadmap",
+    "Roadmap.problem": "src/tcspace/transport.py:cancel_cycle",
+    "Roadmap.support": "src/tcspace/transport.py:maximal_support",
+    "_SparseVector.support": "src/tcspace/duality.py:evaluate",
+    "CanonicalGraph.to_dot": "src/tcspace/cli.py:_cmd_canon",
+    "DirectedSubgraph.to_dot": "src/tcspace/cli.py:_cmd_downhill",
+    "LipschitzFunction.to_json_obj": "src/tcspace/cli.py:_cmd_dual",
+    "FamilyDescriptor.to_json_obj": "src/tcspace/cli.py:_cmd_gen",
+    "CanonicalGraph.to_json_obj": "src/tcspace/cli.py:_cmd_canon",
+    "DirectedSubgraph.to_json_obj": "src/tcspace/cli.py:_cmd_downhill",
+    "Certificate.to_json_obj": "src/tcspace/cli.py:_cmd_certify",
+    "Roadmap.to_json_obj": "src/tcspace/cli.py:_cmd_roadmap",
+    "LipschitzFunction.zero": "src/tcspace/duality.py:_least_supporting",
+    "Roadmap.zero": "src/tcspace/transport.py:_optimum",
+    "_SparseVector.zero": "src/tcspace/obstruction.py:LinftyCandidate.combine",
 }
 
 
@@ -250,22 +302,44 @@ def _traced_names() -> set[str]:
             for part in node.value.split(".")}
 
 
+def _names_in(caller: str) -> set[str]:
+    """Every identifier of the function a SHARED_NAME_CALLERS entry names."""
+    path, qualname = caller.split(":")
+    tree = ast.parse((REPO / path).read_text(encoding="utf-8"))
+    node = tree if qualname == "<module>" else dict(_definitions(tree))[qualname]
+    return set(_identifiers(node))
+
+
 def test_every_definition_has_a_caller_outside_the_tests():
     """Every def and class of src/tcspace but the dunders is named in src/
-    outside itself and __init__.py, in demos/, or in bench/.  What only
-    tests use lives in tests/ (corpus.py, oracles.py)."""
+    outside itself and __init__.py, in demos/, or in bench/.  A name that
+    two definitions share counts only through the caller SHARED_NAME_CALLERS
+    names for it.  What only tests use lives in tests/ (corpus.py,
+    oracles.py)."""
     outside = _traced_names().union(*(_names_used(p) for folder in ("demos", "bench")
                                       for p in (REPO / folder).glob("*.py")))
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in SRC.glob("*.py") if p.name != "__init__.py"}
     uses = {p: Counter(_identifiers(tree)) for p, tree in trees.items()}
+    defined = Counter(node.name for tree in trees.values() for _, node in _definitions(tree))
+    sharing = set()
     orphans = set()
     for path, tree in trees.items():
         elsewhere = outside.union(*(c for p, c in uses.items() if p != path))
         for qualname, node in _definitions(tree):
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
+            if defined[node.name] > 1:
+                sharing.add(qualname)
+                caller = SHARED_NAME_CALLERS.get(qualname)
+                if caller is None or node.name not in _names_in(caller):
+                    orphans.add(qualname)
+                continue
             beside = uses[path] - Counter(_identifiers(node))
             if node.name not in elsewhere and not beside[node.name]:
                 orphans.add(qualname)
     assert orphans == set(KEPT_FOR_TESTS)
+    assert set(SHARED_NAME_CALLERS) <= sharing
+    for qualname, caller in SHARED_NAME_CALLERS.items():
+        assert caller.split("/")[0] in {"src", "demos", "bench"}
+        assert not caller.endswith(f":{qualname}")  # a definition is not its own caller

@@ -114,12 +114,23 @@ def test_base_point_selection():
         validate_metric(["A", "B"], rows, base="Z")
 
 
+@pytest.mark.parametrize("base,message", [
+    (2, "index 2 out of range"),
+    (-1, "index -1 out of range"),
+    (True, "boolean base True rejected"),
+])
+def test_a_base_point_outside_the_space_is_refused(base, message):
+    with pytest.raises(InvalidInput, match=message):
+        validate_metric(["A", "B"], [["0", "1"], ["1", "0"]], base=base)
+
+
 def test_json_round_trip():
     space = validate_metric(
         ["A", "B", "C"], [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
         base="B")
     again = MetricSpace.from_json_obj(space.to_json_obj())
     assert again == space
+    assert again is not space and len({space, again}) == 1  # equal spaces hash alike
 
 
 def test_weighted_graph_input_gives_path_metric():
@@ -251,29 +262,43 @@ def test_equal_values_written_differently_validate_and_rows_share_objects():
 
 def test_json_output_bytes_are_pinned(tmp_path, monkeypatch):
     """`gen` files and to_json_obj are byte for byte those of per-entry
-    formatting (digests recorded before the output was memoized), and the
+    formatting (digests recorded before the output was memoized), the
     benchmark's largest `gen` files are those of the Floyd-Warshall
     generators (digests recorded before the families' metrics came from
-    their construction)."""
+    their construction), and the recursive families' space and descriptor
+    files are those of per-level two-port graphs (digests recorded before
+    one composition step built every level)."""
     monkeypatch.setenv("TCSPACE_MAX_POINTS", "64")
-    digests = {
-        "diamond --n 3": "1a5030a9beab4eba36ab9c427f491c3aa9d761c10363217dbe7ea9479ce785d7",
+    digests = {  # args: (space file, descriptor file)
+        "diamond --n 3": ("1a5030a9beab4eba36ab9c427f491c3aa9d761c10363217dbe7ea9479ce785d7",
+                          "bcf0f8268b6b1ad624f02212ef12a0077cb26637171587f1075178e42d527bac"),
         "recursive --base k2n --legs 3 --n 2":
-            "bf14752eb4e20aae2239687fe0b016ff49d0bdad1bf206fcc82d73b1aa27b6af",
-        "grid --n 5": "dd940b2af508400d2f765ebcfa240a1c7e1b2410024415d356f6c2e0a5c8a081",
+            ("bf14752eb4e20aae2239687fe0b016ff49d0bdad1bf206fcc82d73b1aa27b6af",
+             "90dbe7509d54c7ba491b7d33e8a4e5feba1a0b7f7feb758d4c058da2e675133f"),
+        "recursive --base quadrilateral --n 3":
+            ("a90db1a7f005dea5bd4168fd2c0686e9796538951a6ac1514c1f507c1a82783f",
+             "1fab509068221f00fa1ad7d73f16de2d14c929d6a6309c89aa79996433506396"),
+        "grid --n 5": ("dd940b2af508400d2f765ebcfa240a1c7e1b2410024415d356f6c2e0a5c8a081", None),
     }
     large = {
-        "diamond --n 5": "29dcf03f6c71a73b19208ed08e3e0e89648b906f918e0dcf39cc127460fd7ffb",
+        "diamond --n 5": ("29dcf03f6c71a73b19208ed08e3e0e89648b906f918e0dcf39cc127460fd7ffb",
+                          "d4f5774d9675886da8977ca525e7df1e1d2d4217fe3fcc5dcf96e0bcd41457fa"),
         "recursive --base k2n --legs 3 --n 4":
-            "21124730ee277ad74f21c5041e4c79ebb62bc123d35295f7a20df67ef4ef3fc9",
-        "grid --n 16": "8427dd30c0e7c197e60f6255871b824aa90ae22b466eade8e9c1b3d6cf10803f",
+            ("21124730ee277ad74f21c5041e4c79ebb62bc123d35295f7a20df67ef4ef3fc9",
+             "61ce05305a1d74aeb6378b21e8ef10c4bd6d74b5d8e6fa30ed8fb40514c355de"),
+        "grid --n 16": ("8427dd30c0e7c197e60f6255871b824aa90ae22b466eade8e9c1b3d6cf10803f", None),
     }
-    for args, digest in [*digests.items(), *large.items()]:
+    for args, (digest, descriptor_digest) in [*digests.items(), *large.items()]:
         if args in large:
             monkeypatch.setenv("TCSPACE_MAX_POINTS", "1000")
-        out = tmp_path / "space.json"
-        assert main(["gen", *args.split(), "--out", str(out)]) == 0
+        out, desc = tmp_path / "space.json", tmp_path / "space.desc.json"
+        argv = ["gen", *args.split(), "--out", str(out)]
+        if descriptor_digest:
+            argv += ["--descriptor-out", str(desc)]
+        assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+        if descriptor_digest:
+            assert hashlib.sha256(desc.read_bytes()).hexdigest() == descriptor_digest, args
     n = 9
     # Distances in [1, 2) always form a metric.
     rows = tuple(tuple(Fraction(0) if i == j else Fraction(8 + (i + j) % 8, 8)
@@ -491,10 +516,9 @@ def _reference_edges(d):
             if all(d[i][j] + d[j][k] != d[i][k] for j in range(n) if j not in (i, k))]
 
 
-def test_the_mask_is_kept_by_with_base_and_dropped_by_restrict():
+def test_the_mask_is_dropped_by_restrict():
     space = cycle(6)
     assert space._deletion_mask is not None
-    assert space.with_base("c3")._deletion_mask is space._deletion_mask
     everything = space.restrict(list(range(space.n)))
     assert everything._deletion_mask is None
     assert canonical_graph(everything).edges == canonical_graph(space).edges
@@ -655,8 +679,7 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
         matrix, *counts = counted(built)
         assert matrix._mask_proven
         assert counts == [1 + opened, opened, 1] and sum(step_three) == opened
-        _, *counts = counted(lambda: [canonical_graph(matrix),
-                                      canonical_graph(matrix.with_base(matrix.points[1]))])
+        _, *counts = counted(lambda: canonical_graph(matrix))
         assert counts == [0, 0, 0]
     _, *counts = counted(lambda: space_from_weighted_graph(*_long_middle_path()))
     assert counts == [2, 1, 1] and sum(step_three) == 1
@@ -852,7 +875,7 @@ def test_a_non_geodesic_weight_leaves_no_trace_in_the_denominator():
     assert space.scaled.tolist() == [[x // 3 for x in row] for row in rows]
     assert space == MetricSpace.from_json_obj(space.to_json_obj())
     assert space == validate_metric(space.points, space.dist)
-    assert space != space.with_base("B")
+    assert space != validate_metric(space.points, space.dist, base="B")
     assert space != validate_metric(space.points, [[2 * x for x in row] for row in space.dist])
 
 

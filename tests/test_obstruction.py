@@ -11,6 +11,7 @@ from corpus import (
     search_sign_basis,
 )
 from tcspace import (
+    FamilyDescriptor,
     LinftyCandidate,
     NullProblem,
     OversizedResult,
@@ -272,7 +273,7 @@ def test_grid_rules_out_k5():
 
 def test_diamond_peeling_trace_shape():
     space, desc = diamond(3)
-    cert = certify_no_linfty(canonical_graph(space), 4, peel=True, family=desc)
+    cert = certify_no_linfty(canonical_graph(space), 4, family=desc)
     assert cert.ruled_out
     assert cert.peeling == ("D_3", "D_2", "D_1")
     assert cert.to_json_obj()["degrees"] == {"max": 2}
@@ -281,8 +282,7 @@ def test_diamond_peeling_trace_shape():
 def test_diamond_sharpness_for_k3():
     for n in (1, 2, 3):
         space, desc = diamond(n)
-        cert = certify_no_linfty(canonical_graph(space), 3, peel=True,
-                                 family=desc)
+        cert = certify_no_linfty(canonical_graph(space), 3, family=desc)
         assert not cert.ruled_out
 
 
@@ -297,12 +297,12 @@ def test_k2_is_always_rejected():
 
 
 def test_peel_needs_a_descriptor():
-    with pytest.raises(PeelNotApplicable):
-        certify_no_linfty(c4_graph(), 4, peel=True)
+    with pytest.raises(PeelNotApplicable, match="recursive family descriptor"):
+        certify_no_linfty(c4_graph(), 4, family=FamilyDescriptor("cycle", {"n": 4}))
     space, desc = diamond(1)
     with pytest.raises(PeelNotApplicable):
         # descriptor for a different vertex set
-        certify_no_linfty(c4_graph(), 4, peel=True, family=desc)
+        certify_no_linfty(c4_graph(), 4, family=desc)
 
 
 def test_the_largest_k_is_the_one_whose_threshold_prints():

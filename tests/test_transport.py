@@ -14,6 +14,7 @@ from corpus import (
 )
 from tcspace import (
     EdgeVector,
+    InvalidInput,
     Improving,
     NotImprovable,
     NullProblem,
@@ -39,6 +40,7 @@ from tcspace import (
     validate_metric,
 )
 from tcspace import transport
+from tcspace.transport import OrientedCycle
 from tcspace.randgen import random_metric_space, random_problem
 
 
@@ -705,3 +707,29 @@ def test_integer_karp_matches_brute_force_on_coprime_denominators(rng, offset, w
         f = random_problem(rng, graph, nonzero=True)
         assert tc_norm(f)[0] == oracle_tc_norm(f)
     assert denominators >= {7, 11, 13}
+
+
+# --- input checks -------------------------------------------------------------------
+
+# C_4's edges: 0 = c0-c1, 1 = c0-c3, 2 = c1-c2, 3 = c2-c3.
+@pytest.mark.parametrize("make,message", [
+    (lambda g: OrientedCycle(g, ()), "at least one arc"),
+    (lambda g: OrientedCycle(g, ((0, 1), (0, 1))), "repeat an edge"),
+    (lambda g: OrientedCycle(g, ((0, 1), (1, 1))), "repeat a vertex"),
+    (lambda g: OrientedCycle(g, ((0, 1), (3, 1))), "do not chain"),
+    (lambda g: TransportationPlan(g, ((0, 1, 1), (1, 2, -1))), "nonnegative"),
+    (lambda g: Roadmap.from_json_obj(g, {"roads": []}), "needs 'edges'"),
+    (lambda g: Roadmap.from_json_obj(g, {"edges": [{"u": "c0", "v": "c2", "p": "1"}]}),
+     "is not an edge"),
+], ids=["cycle-empty", "cycle-edge-twice", "cycle-vertex-twice", "cycle-unchained",
+        "plan-negative", "roadmap-no-edges", "roadmap-non-edge"])
+def test_malformed_cycles_plans_and_roadmaps_are_refused(make, message):
+    with pytest.raises(InvalidInput, match=message):
+        make(c4_graph())
+
+
+def test_a_cycle_lists_its_vertices_in_walk_order():
+    forward = OrientedCycle(c4_graph(), ((0, 1), (2, 1), (3, 1), (1, -1)))
+    assert forward.vertices() == [0, 1, 2, 3]
+    backward = OrientedCycle(c4_graph(), ((1, 1), (3, -1), (2, -1), (0, -1)))
+    assert backward.vertices() == [0, 3, 2, 1]

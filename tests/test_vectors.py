@@ -116,3 +116,17 @@ def test_booleans_are_not_masses():
             to_fraction(value)
     with pytest.raises(InvalidInput):
         TransportationProblem(c4_graph(), {0: True, 1: -1})
+
+
+# --- input checks -------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,message", [
+    (EdgeVector, "edge vectors live on different graphs"),
+    (TransportationProblem, "problems live on different graphs"),
+])
+def test_vectors_on_different_graphs_do_not_mix(kind, message):
+    g = c4_graph()
+    twin = canonical_graph(g.space)  # the same space, another graph
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(InvalidInput, match=message):
+            op(kind.zero(g), kind.zero(twin))
