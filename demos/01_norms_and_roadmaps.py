@@ -65,4 +65,4 @@ value, best = tc_norm(f)
 print(f"\nsolver says ||f||_tc = {value}; the LP oracle agrees: "
       f"{oracle_tc_norm(f)}")
 print("optimal roadmap as JSON:")
-print(json.dumps(best.to_json_obj(optimal=True), indent=2, sort_keys=True))
+print(json.dumps({**best.to_json_obj(), "optimal": True}, indent=2, sort_keys=True))

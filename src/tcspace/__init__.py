@@ -40,7 +40,7 @@ from .graph import (
     canonical_graph,
     connected_components,
 )
-from .vectors import EdgeVector, TransportationProblem, apply_incidence
+from .vectors import Roadmap, TransportationProblem
 from .lp import ExactLP, LPResult, LPStatus
 from .transport import (
     CycleBasis,
@@ -48,7 +48,6 @@ from .transport import (
     Optimal,
     OptimalityCertificate,
     OrientedCycle,
-    Roadmap,
     TransportationPlan,
     cancel_cycle,
     cycle_basis,

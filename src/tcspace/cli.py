@@ -153,7 +153,7 @@ def _cmd_roadmap(args) -> int:
     f = TransportationProblem.from_json_obj(graph, _load_json(args.problem))
     # Optimal by tc_norm's certificate; maximal_roadmap asserts its cost.
     rm = maximal_roadmap(f) if args.maximal else tc_norm(f)[1]
-    _emit(rm.to_json_obj(optimal=True))
+    _emit({**rm.to_json_obj(), "optimal": True})
     return 0
 
 
@@ -218,7 +218,7 @@ def _cmd_disjoint(args) -> int:
         if not isinstance(raw, list):
             raise InvalidInput("candidate file must be a JSON array of problems")
         problems = [TransportationProblem.from_json_obj(graph, o) for o in raw]
-        cand = LinftyCandidate.normalized(problems)
+        cand = LinftyCandidate(tuple(problems))
         report = check_sign_pattern_disjointness(cand)
         out = {"ok": report.ok, "pairs_checked": report.pairs_checked}
         if not report.ok:

@@ -5,10 +5,8 @@ satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
 original metric.  The dropped pairs are the deletion mask that validation
 kept on the space, proven there by metric._matrix_mask, one min-plus step
 on the space's scaled matrix, which shows that the graph's path metric is
-the input metric, whether the space came from a distance matrix or from a
-weighted graph.  A space without a mask (a restriction) gets one from
-metric._matrix_mask here; only a mask put on a space by hand is checked
-here (metric._is_path_metric).
+the input metric, whether the space came from a distance matrix, from a
+weighted graph or from restricting another space.
 Its one adjacency holds the integer weights of that matrix, in units of
 1/D for the space's D (the edges realise the metric, so D is their
 weights' lcm too); neighbourhoods, degrees, the solver and every path
@@ -26,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .metric import MetricSpace, _adjacency, _dijkstra, _is_path_metric, _matrix_mask
+from .metric import MetricSpace, _adjacency, _dijkstra
 from .rational import frac_str
 
 
@@ -142,21 +140,11 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     An unordered pair {u, v} is an edge iff no w outside {u, v} satisfies
     d(u,w) + d(w,v) = d(u,v).  Tails are the smaller point indices.  Its
     weighted path metric reproduces the input metric exactly (so it is
-    connected), proven by one min-plus step on the scaled matrix: in
-    validation for the mask the space keeps, here by metric._matrix_mask
-    for a space without one (a restricted space, say).  A mask put on a
-    space by hand is checked by that step here; a proven one is not
-    checked twice.
+    connected), proven by one min-plus step on the scaled matrix in
+    validation, for the deletion mask every space keeps.
     """
     mat = space.scaled
-    drop, proven = space._deletion_mask, space._mask_proven
-    if drop is None:
-        hit, drop = _matrix_mask(mat)
-        assert hit is None, "a metric space satisfies the triangle inequality"
-        proven = True
-    upper = np.triu(~drop, 1)
-    assert proven or _is_path_metric(mat, upper | upper.T), \
-        "canonical graph path metric must equal the input metric"
+    upper = np.triu(~space._deletion_mask, 1)
     tails, heads = np.nonzero(upper)  # row-major: by (tail, head)
     arcs = list(zip(tails.tolist(), heads.tolist(), mat[tails, heads].tolist()))
     exact = {w: Fraction(w, space.denom) for _, _, w in arcs}

@@ -70,11 +70,11 @@ class MetricSpace:
     `scaled` (read-only) is the distances times `denom`, the lcm of their
     denominators; `dist` is their Fraction view, one object per distinct
     value, built when first read.  Equality is by value.  Instances are
-    built by :func:`validate_metric` (or by the family generators, which
-    validate too); the constructor itself trusts its input.  Validated
-    instances keep the canonical graph's deletion mask, proven by one
-    min-plus certificate (_matrix_mask; _mask_proven), whether the distances
-    came as a matrix or as a weighted graph's path metric.
+    built by :func:`validate_metric` (or by the family generators and
+    :meth:`restrict`, which validate too); the constructor itself trusts its
+    input.  Every instance keeps the canonical graph's deletion mask, proven
+    by one min-plus certificate (_matrix_mask), whether the distances came
+    as a matrix or as a weighted graph's path metric.
     """
 
     points: tuple[str, ...]
@@ -82,8 +82,7 @@ class MetricSpace:
     scaled: np.ndarray
     base_point: int = 0
     _index: dict = field(default_factory=dict, repr=False)
-    _deletion_mask: np.ndarray | None = field(default=None, repr=False)
-    _mask_proven: bool = field(default=False, repr=False)
+    _deletion_mask: np.ndarray = field(repr=False, kw_only=True)
 
     def __post_init__(self):
         self.scaled.setflags(write=False)  # the flags.writeable setter leaks a little
@@ -116,10 +115,11 @@ class MetricSpace:
 
     def restrict(self, indices: list[int]) -> MetricSpace:
         """Submetric on the given point indices (order preserved), based at
-        the first of them."""
+        the first of them, validated like any matrix (_validated), so that
+        it carries its own proven mask."""
         pts = tuple(self.points[i] for i in indices)
-        return MetricSpace(pts, *_int_matrix(self.scaled[np.ix_(indices, indices)],
-                                             self.denom))
+        return _validated(pts, *_int_matrix(self.scaled[np.ix_(indices, indices)],
+                                            self.denom))
 
     def to_json_obj(self) -> dict:
         rows = self.scaled.tolist()
@@ -445,8 +445,7 @@ def _validated(names, denom: int, mat: np.ndarray, base=None) -> MetricSpace:
     violations, mask = _violations(names, mat)
     if violations:
         raise violations[0]
-    return MetricSpace(names, denom, mat, _base_index(names, base), _deletion_mask=mask,
-                       _mask_proven=True)
+    return MetricSpace(names, denom, mat, _base_index(names, base), _deletion_mask=mask)
 
 
 def _base_index(names, base) -> int:
@@ -736,8 +735,7 @@ def _graph_space(vertices, edges, base=None, metric=None) -> MetricSpace:
     assert 2 * int(tight.sum()) + int(mask.sum()) + len(names) == len(names) ** 2, \
         "each canonical pair of a path metric is an edge at its distance"
     reduced, mat = _int_matrix(mat, denom)
-    return MetricSpace(names, reduced, mat, _base_index(names, base), _deletion_mask=mask,
-                       _mask_proven=True)
+    return MetricSpace(names, reduced, mat, _base_index(names, base), _deletion_mask=mask)
 
 
 def _on_one_unit(denom: int, scaled, mat: np.ndarray, unit: int):

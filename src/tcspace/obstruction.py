@@ -20,8 +20,8 @@ from fractions import Fraction
 from .errors import NullProblem, OversizedResult, PeelNotApplicable, PreconditionFailed
 from .graph import CanonicalGraph, canonical_graph
 from .rational import MAX_DIGITS, ONE, ZERO
-from .transport import Roadmap, maximal_support, tc_norm
-from .vectors import TransportationProblem
+from .transport import maximal_support, tc_norm
+from .vectors import Roadmap, TransportationProblem
 
 # 2^b has at most MAX_DIGITS digits, so prints, iff b < this bit length.
 _PRINTABLE_BITS = (10**MAX_DIGITS).bit_length()
@@ -34,28 +34,22 @@ INCONCLUSIVE = "inconclusive"
 class LinftyCandidate:
     """k transportation problems proposed as an l_infty^k unit vector basis.
 
-    Vectors must be normalized; use :meth:`normalized` to build a candidate
-    from arbitrary nonzero problems.
+    Built from any k >= 2 nonzero problems, it keeps each divided by its
+    norm (one tc_norm each), so every vector it holds has norm 1.
     """
 
     problems: tuple[TransportationProblem, ...]
 
     def __post_init__(self):
-        if len(self.problems) < 2:
-            raise PreconditionFailed("need at least two vectors")
-        for f in self.problems:
-            if tc_norm(f)[0] != 1:
-                raise PreconditionFailed("candidate vectors must have norm 1")
-
-    @classmethod
-    def normalized(cls, problems) -> LinftyCandidate:
         scaled = []
-        for f in problems:
+        for f in self.problems:
             norm, _ = tc_norm(f)
             if norm == 0:
                 raise NullProblem("cannot normalize the zero problem")
             scaled.append(f.scale(1 / norm))
-        return cls(tuple(scaled))
+        if len(scaled) < 2:
+            raise PreconditionFailed("need at least two vectors")
+        object.__setattr__(self, "problems", tuple(scaled))
 
     @property
     def k(self) -> int:
@@ -188,7 +182,7 @@ def count_disjoint_roadmaps(cand: LinftyCandidate, j: int) -> int:
         norm_minus, p_minus = tc_norm(cand.combine(coeffs))
         if norm_plus != 1 or norm_minus != 1:
             raise PreconditionFailed("candidate fails the sign-vector norms")
-        r = Roadmap((p_plus.vec - p_minus.vec).scale(Fraction(1, 2)))
+        r = (p_plus - p_minus).scale(Fraction(1, 2))
         assert r.problem() == cand.problems[j]
         assert r.cost() == 1, "splitting produced a non-optimal roadmap"
         roadmaps.append(r)

@@ -39,8 +39,8 @@ from .graph import (
     tree_path,
 )
 from .metric import _dijkstra, _reduced_adjacency
-from .rational import ZERO, frac_str, to_fraction
-from .vectors import EdgeVector, TransportationProblem, apply_incidence
+from .rational import ZERO, to_fraction
+from .vectors import Roadmap, TransportationProblem
 
 
 @dataclass(frozen=True)
@@ -83,70 +83,6 @@ class TransportationPlan:
 
 
 @dataclass(frozen=True)
-class Roadmap:
-    """Edge-level transportation: a signed vector on oriented edges.
-
-    Positive values move along the reference orientation, negative against
-    it; the cost is the weighted l1 norm.
-    """
-
-    vec: EdgeVector
-
-    @property
-    def graph(self) -> CanonicalGraph:
-        return self.vec.graph
-
-    @classmethod
-    def zero(cls, graph: CanonicalGraph) -> Roadmap:
-        return cls(EdgeVector.zero(graph))
-
-    def cost(self) -> Fraction:
-        return self.vec.l1d_norm()
-
-    def problem(self) -> TransportationProblem:
-        return apply_incidence(self.vec)
-
-    def support(self) -> frozenset[int]:
-        return self.vec.support()
-
-    def induced_sign(self, idx: int) -> int:
-        v = self.vec[idx]
-        return 0 if v == 0 else (1 if v > 0 else -1)
-
-    def to_json_obj(self, optimal: bool | None = None) -> dict:
-        g = self.graph
-        out = {
-            "cost": frac_str(self.cost()),
-            "edges": [
-                {"u": g.space.points[g.edges[i].tail],
-                 "v": g.space.points[g.edges[i].head],
-                 "p": frac_str(v)}
-                for i, v in sorted(self.vec.values.items())
-            ],
-        }
-        if optimal is not None:
-            out["optimal"] = optimal
-        return out
-
-    @classmethod
-    def from_json_obj(cls, graph: CanonicalGraph, obj: dict) -> Roadmap:
-        try:
-            raw = obj["edges"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidInput("roadmap JSON needs 'edges'") from exc
-        vals: dict[int, Fraction] = {}
-        for e in raw:
-            u = graph.space.index_of(e["u"])
-            v = graph.space.index_of(e["v"])
-            idx = graph.edge_index(u, v)
-            if idx is None:
-                raise InvalidInput(f"({e['u']},{e['v']}) is not an edge")
-            p = to_fraction(e["p"])
-            vals[idx] = vals.get(idx, ZERO) + (p if graph.edges[idx].tail == u else -p)
-        return cls(EdgeVector(graph, vals))
-
-
-@dataclass(frozen=True)
 class OrientedCycle:
     """A directed cycle as (edge index, traversal sign) arcs.
 
@@ -181,9 +117,9 @@ class OrientedCycle:
     def vertices(self) -> list[int]:
         return [self._start(e, s) for e, s in self.arcs]
 
-    def indicator(self) -> EdgeVector:
+    def indicator(self) -> Roadmap:
         """Signed indicator: +-1 per traversed edge (a cycle-space element)."""
-        return EdgeVector(self.graph, {e: Fraction(s) for e, s in self.arcs})
+        return Roadmap(self.graph, {e: Fraction(s) for e, s in self.arcs})
 
     def weight(self) -> Fraction:
         return sum((self.graph.edges[e].weight for e, _ in self.arcs), ZERO)
@@ -236,7 +172,7 @@ def plan_to_roadmap(plan: TransportationPlan) -> Roadmap:
             continue
         for e, s in tree_path(plan.graph, shortest_path_tree(plan.graph, x)[1], y)[1]:
             vals[e] = vals.get(e, ZERO) + s * a
-    rm = Roadmap(EdgeVector(plan.graph, vals))
+    rm = Roadmap(plan.graph, vals)
     assert rm.cost() <= plan.cost()
     assert rm.problem() == plan.problem()
     return rm
@@ -350,7 +286,7 @@ def _cycle_gain(p: Roadmap, cycle: OrientedCycle) -> Fraction:
     gain = ZERO
     for e, s in cycle.arcs:
         w = p.graph.edges[e].weight
-        val = p.vec[e]
+        val = p[e]
         if val != 0 and (s > 0) == (val < 0):
             gain += w
         else:
@@ -372,15 +308,15 @@ def cancel_cycle(p: Roadmap, cert: OptimalityCertificate) -> Roadmap:
         raise NotImprovable("certificate does not improve this roadmap")
     alpha = None
     for e, s in cert.cycle.arcs:
-        val = p.vec[e]
+        val = p[e]
         if val != 0 and (s > 0) == (val < 0):
             if alpha is None or abs(val) < alpha:
                 alpha = abs(val)
     assert alpha is not None and alpha > 0
-    out = Roadmap(p.vec + cert.cycle.indicator().scale(alpha))
+    out = p + cert.cycle.indicator().scale(alpha)
     assert out.cost() == p.cost() - alpha * gain
     assert out.problem() == p.problem()
-    assert any(out.vec[e] == 0 and p.vec[e] != 0 for e, _ in cert.cycle.arcs)
+    assert any(out[e] == 0 and p[e] != 0 for e, _ in cert.cycle.arcs)
     return out
 
 
@@ -479,7 +415,7 @@ def _optimum(f: TransportationProblem) -> tuple[Fraction, Roadmap, list[int], li
         x = f[u]
         out = sum(flow[e] if u < v else -flow[e] for v, _, e in arcs)
         assert out * x.denominator == x.numerator * scale, "the flow must transport f"
-    p = Roadmap(EdgeVector(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x}))
+    p = Roadmap(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x})
     assert cost == p.cost()
     return cost, p, flow, pot
 
@@ -567,11 +503,10 @@ def maximal_roadmap(f: TransportationProblem) -> Roadmap:
         return Roadmap.zero(f.graph)
     tc, p, flow, pot = _optimum(f)
     cycles = zero_cost_cycles(f.graph, flow, pot)
-    eps = min(abs(x) for x in p.vec.values.values()) / (len(cycles) + 1)
-    acc = p.vec
+    eps = min(abs(x) for x in p.values.values()) / (len(cycles) + 1)
+    out = p
     for cyc in cycles.values():
-        acc = acc + cyc.indicator().scale(eps)
-    out = Roadmap(acc)
+        out = out + cyc.indicator().scale(eps)
     assert out.support() == p.support() | cycles.keys()
     assert out.problem() == f
     assert out.cost() == tc

@@ -1,9 +1,11 @@
 """Sparse exact vectors over a canonical graph.
 
-Two kinds live here: edge vectors (elements of the weighted l1 space on the
-edge set, i.e. roadmap data) and vertex vectors with zero sum
-(transportation problems).  Both are immutable, support exact linear
-arithmetic, and remember the graph they belong to.
+Two kinds live here: roadmaps (edge vectors, elements of the weighted l1
+space on the edge set) and transportation problems (vertex vectors with zero
+sum).  A roadmap's cost is its weighted l1 norm and its problem its
+incidence image, whose kernel is the cycle space.  Both kinds are
+immutable, support exact linear arithmetic within their kind, and remember
+the graph they belong to.
 """
 
 from __future__ import annotations
@@ -53,12 +55,14 @@ class _SparseVector:
     def is_zero(self) -> bool:
         return not self.values
 
-    def _same_graph(self, other):
+    def _check_operand(self, other):
+        if type(other) is not type(self):
+            raise InvalidInput(f"{self._plural} add only to {self._plural}")
         if self.graph is not other.graph:
             raise InvalidInput(f"{self._plural} live on different graphs")
 
     def __add__(self, other):
-        self._same_graph(other)
+        self._check_operand(other)
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out.get(k, ZERO) + v
@@ -78,23 +82,6 @@ class _SparseVector:
         return (isinstance(other, type(self))
                 and self.graph is other.graph
                 and self.values == other.values)
-
-
-class EdgeVector(_SparseVector):
-    """Sparse map edge index -> Fraction; an element of l_{1,d}(E)."""
-
-    _index_noun = "edge"
-    _plural = "edge vectors"
-
-    def _size(self) -> int:
-        return self.graph.m
-
-    def l1d_norm(self) -> Fraction:
-        """Weighted l1 norm: sum over edges of |value| * weight."""
-        total = ZERO
-        for k, v in self.values.items():
-            total += abs(v) * self.graph.edges[k].weight
-        return total
 
 
 class TransportationProblem(_SparseVector):
@@ -134,15 +121,70 @@ class TransportationProblem(_SparseVector):
         return cls.from_names(graph, named)
 
 
-def apply_incidence(p: EdgeVector) -> TransportationProblem:
-    """Vertex vector transported by p: at v, (flow out of v) - (flow into v).
+class Roadmap(_SparseVector):
+    """Edge-level transportation: a signed vector on the oriented edges, an
+    element of l_{1,d}(E).
 
-    Equals the negated incidence operator applied to p; its kernel is the
-    cycle space, so adding any cycle indicator leaves the result unchanged.
+    Positive values move along the reference orientation, negative against
+    it; the cost is the weighted l1 norm.
     """
-    acc: dict[int, Fraction] = {}
-    for idx, val in p.values.items():
-        e = p.graph.edges[idx]
-        acc[e.tail] = acc.get(e.tail, ZERO) + val
-        acc[e.head] = acc.get(e.head, ZERO) - val
-    return TransportationProblem(p.graph, _clean(acc))
+
+    _index_noun = "edge"
+    _plural = "roadmaps"
+
+    def _size(self) -> int:
+        return self.graph.m
+
+    def cost(self) -> Fraction:
+        """Weighted l1 norm: sum over edges of |value| * weight."""
+        total = ZERO
+        for k, v in self.values.items():
+            total += abs(v) * self.graph.edges[k].weight
+        return total
+
+    def problem(self) -> TransportationProblem:
+        """Vertex vector transported: at v, (flow out of v) - (flow into v).
+
+        Equals the negated incidence operator applied to the roadmap; its
+        kernel is the cycle space, so adding any cycle indicator leaves the
+        result unchanged.
+        """
+        acc: dict[int, Fraction] = {}
+        for idx, val in self.values.items():
+            e = self.graph.edges[idx]
+            acc[e.tail] = acc.get(e.tail, ZERO) + val
+            acc[e.head] = acc.get(e.head, ZERO) - val
+        return TransportationProblem(self.graph, _clean(acc))
+
+    def induced_sign(self, idx: int) -> int:
+        v = self[idx]
+        return 0 if v == 0 else (1 if v > 0 else -1)
+
+    def to_json_obj(self) -> dict:
+        g = self.graph
+        return {
+            "cost": frac_str(self.cost()),
+            "edges": [
+                {"u": g.space.points[g.edges[i].tail],
+                 "v": g.space.points[g.edges[i].head],
+                 "p": frac_str(v)}
+                for i, v in sorted(self.values.items())
+            ],
+        }
+
+    @classmethod
+    def from_json_obj(cls, graph: CanonicalGraph, obj: dict) -> Roadmap:
+        try:
+            raw = obj["edges"]
+        except (TypeError, KeyError) as exc:
+            raise InvalidInput("roadmap JSON needs 'edges'") from exc
+        vals: dict[int, Fraction] = {}
+        for e in raw:
+            u = graph.space.index_of(e["u"])
+            v = graph.space.index_of(e["v"])
+            idx = graph.edge_index(u, v)
+            if idx is None:
+                raise InvalidInput(f"({e['u']},{e['v']}) is not an edge")
+            p = to_fraction(e["p"])
+            vals[idx] = vals.get(idx, ZERO) + (p if graph.edges[idx].tail == u else -p)
+        return cls(graph, vals)

@@ -13,11 +13,11 @@ from tcspace import (
     CanonicalGraph,
     CycleBasis,
     DirectedSubgraph,
-    EdgeVector,
     InvalidInput,
     LinftyCandidate,
     LipschitzFunction,
     MetricSpace,
+    Roadmap,
     TransportationPlan,
     TransportationProblem,
     canonical_graph,
@@ -171,17 +171,17 @@ def random_tree_space(rng: random.Random, n_points: int) -> MetricSpace:
     return space_from_weighted_graph(names, edges)
 
 
-def random_roadmap(rng: random.Random, graph: CanonicalGraph) -> EdgeVector:
+def random_roadmap(rng: random.Random, graph: CanonicalGraph) -> Roadmap:
     vals = {}
     for idx in range(graph.m):
         if rng.random() < 0.6:
             vals[idx] = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-    return EdgeVector(graph, vals)
+    return Roadmap(graph, vals)
 
 
-def random_cycle_element(rng: random.Random, basis: CycleBasis) -> EdgeVector:
+def random_cycle_element(rng: random.Random, basis: CycleBasis) -> Roadmap:
     """Random rational combination of the fundamental cycles."""
-    out = EdgeVector.zero(basis.graph)
+    out = Roadmap.zero(basis.graph)
     for cyc in basis.cycles:
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         if c != 0:

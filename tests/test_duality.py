@@ -150,7 +150,7 @@ def test_optimal_plan_is_potential(small_corpus):
         _, rm = tc_norm(f)
         pts = inst.graph.space.points
         terms = []
-        for e, val in rm.vec.values.items():
+        for e, val in rm.values.items():
             edge = inst.graph.edges[e]
             x, y = (edge.tail, edge.head) if val > 0 else (edge.head, edge.tail)
             terms.append((pts[x], pts[y], abs(val)))

@@ -199,20 +199,34 @@ def test_distances_are_scaled_in_one_place():
 
 
 def test_the_canonical_graph_checks_itself_without_all_pairs_paths():
-    # Its self-check is metric._is_path_metric's min-plus step; the
-    # all-pairs search serves path metrics of input graphs only.
+    # Its check is metric._is_path_metric's min-plus step, run in validation;
+    # the all-pairs search serves path metrics of input graphs only.
     assert not {"_path_rows", "_floyd_warshall"} & _names_used(SRC / "graph.py")
-    assert "_is_path_metric" in _names_used(SRC / "graph.py")
     assert _definers(lambda name: name == "_is_path_metric") == {"metric.py"}
 
 
 def test_one_canonical_graph_certificate():
-    # A distance matrix and a weighted graph's path metric meet the same
-    # certificate in validation; canonical_graph runs it on a space that
-    # kept no mask.
+    # A distance matrix, a weighted graph's path metric and a restriction
+    # meet the same certificate in validation; canonical_graph only reads
+    # the mask it proved.
     assert _definers(lambda name: name == "_edge_mask") == set()
     assert _definers(lambda name: name == "_matrix_mask") == {"metric.py"}
-    assert _callers("_matrix_mask") == {"_violations", "canonical_graph"}
+    assert _callers("_matrix_mask") == {"_violations"}
+    assert not {"_matrix_mask", "_is_path_metric"} & _names_used(SRC / "graph.py")
+
+
+def test_one_edge_vector_class():
+    # A roadmap is its edge vector: its cost is the weighted l1 norm and its
+    # problem the incidence image, with no wrapper to unwrap.
+    gone = {"EdgeVector", "apply_incidence", "l1d_norm"}
+    assert {p.name for p in SRC.glob("*.py") if gone & _names_used(p)} == set()
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert not [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "vec"]
+    assert {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", None) == "_SparseVector" for base in node.bases)} \
+        == {("vectors.py", "Roadmap"), ("vectors.py", "TransportationProblem")}
 
 
 def test_one_adjacency_per_canonical_graph():
@@ -243,10 +257,10 @@ KEPT_FOR_TESTS = {
 # uses to the other, so it names the function (path:qualname, or <module>)
 # outside the tests that reaches it.
 SHARED_NAME_CALLERS = {
-    "EdgeVector._size": "src/tcspace/vectors.py:_SparseVector.__post_init__",
+    "Roadmap._size": "src/tcspace/vectors.py:_SparseVector.__post_init__",
     "TransportationProblem._size": "src/tcspace/vectors.py:_SparseVector.__post_init__",
     "TransportationPlan.cost": "src/tcspace/transport.py:plan_to_roadmap",
-    "Roadmap.cost": "src/tcspace/transport.py:Roadmap.to_json_obj",
+    "Roadmap.cost": "src/tcspace/vectors.py:Roadmap.to_json_obj",
     "DomainError.details": "src/tcspace/cli.py:main",
     "MetricViolation.details": "src/tcspace/cli.py:main",
     "LipschitzFunction.from_json_obj": "src/tcspace/cli.py:_cmd_downhill",
@@ -257,16 +271,12 @@ SHARED_NAME_CALLERS = {
     "TransportationPlan.from_names": "demos/01_norms_and_roadmaps.py:<module>",
     "TransportationProblem.from_names":
         "src/tcspace/vectors.py:TransportationProblem.from_json_obj",
-    "LinftyCandidate.graph": "src/tcspace/obstruction.py:LinftyCandidate.combine",
-    "Roadmap.graph": "src/tcspace/transport.py:_residual_digraph",
     "TwoPortGraph.max_degree": "src/tcspace/families.py:recursive_family",
     "CanonicalGraph.max_degree": "src/tcspace/obstruction.py:certify_no_linfty",
     "CanonicalGraph.n": "src/tcspace/graph.py:CanonicalGraph.degrees",
     "MetricSpace.n": "src/tcspace/cli.py:_cmd_validate",
     "TransportationPlan.problem": "src/tcspace/transport.py:plan_to_roadmap",
     "Roadmap.problem": "src/tcspace/transport.py:cancel_cycle",
-    "Roadmap.support": "src/tcspace/transport.py:maximal_support",
-    "_SparseVector.support": "src/tcspace/duality.py:evaluate",
     "CanonicalGraph.to_dot": "src/tcspace/cli.py:_cmd_canon",
     "DirectedSubgraph.to_dot": "src/tcspace/cli.py:_cmd_downhill",
     "LipschitzFunction.to_json_obj": "src/tcspace/cli.py:_cmd_dual",
@@ -276,7 +286,6 @@ SHARED_NAME_CALLERS = {
     "Certificate.to_json_obj": "src/tcspace/cli.py:_cmd_certify",
     "Roadmap.to_json_obj": "src/tcspace/cli.py:_cmd_roadmap",
     "LipschitzFunction.zero": "src/tcspace/duality.py:_least_supporting",
-    "Roadmap.zero": "src/tcspace/transport.py:_optimum",
     "_SparseVector.zero": "src/tcspace/obstruction.py:LinftyCandidate.combine",
 }
 

@@ -34,7 +34,6 @@ from tcspace import (
     path_metric,
     recursive_family,
 )
-from tcspace import graph as graph_module
 from tcspace.cli import main
 from tcspace.randgen import random_metric_space
 from tcspace.rational import frac_str
@@ -495,7 +494,7 @@ def test_canonical_edges_are_the_same_in_both_dtypes(monkeypatch):
         for scale in SCALES:
             seen.clear()
             scaled = validate_metric(space.points, [[x * scale for x in row] for row in space.dist])
-            assert scaled._mask_proven and seen and set(seen) == {scaled.scaled.dtype}
+            assert seen and set(seen) == {scaled.scaled.dtype}
             widths.add(scaled.scaled.dtype)
         big = scaled
         assert seen[0] == np.dtype(object)
@@ -517,14 +516,18 @@ def _reference_edges(d):
 
 
 def test_the_mask_is_dropped_by_restrict():
+    """A restriction carries a mask of its own, the scan's, not a slice of
+    its parent's: on C_6, 2 and 4 lose their midpoint 3 and become an edge."""
     space = cycle(6)
-    assert space._deletion_mask is not None
-    everything = space.restrict(list(range(space.n)))
-    assert everything._deletion_mask is None
-    assert canonical_graph(everything).edges == canonical_graph(space).edges
-    sub = space.restrict([0, 1, 2, 4])
-    again = validate_metric(sub.points, sub.dist)
-    assert canonical_graph(sub).edges == canonical_graph(again).edges
+    sliced = []
+    for keep in (list(range(space.n)), [0, 1, 2, 4], [0, 1, 2]):
+        sub = space.restrict(keep)
+        assert np.array_equal(sub._deletion_mask, midpoint_scan(sub.scaled)[1])
+        again = validate_metric(sub.points, sub.dist)
+        assert canonical_graph(sub).edges == canonical_graph(again).edges
+        sliced.append(np.array_equal(sub._deletion_mask, space._deletion_mask[np.ix_(keep, keep)]))
+    assert sliced == [True, False, True]
+    assert canonical_graph(space.restrict(list(range(space.n)))).edges == canonical_graph(space).edges
 
 
 def test_weighted_graphs_are_validated_without_a_fraction_round_trip(monkeypatch):
@@ -579,7 +582,6 @@ def test_a_graph_mask_is_the_scan_mask():
     for space in spaces:
         hit, mask = midpoint_scan(space.scaled)
         assert hit is None
-        assert space._mask_proven
         assert np.array_equal(space._deletion_mask, mask)
         edges = canonical_graph(space).edges
         assert [(e.tail, e.head) for e in edges] == _reference_edges(space.dist)
@@ -593,7 +595,7 @@ def test_weighted_graphs_run_no_midpoint_scan(monkeypatch):
     spaces = _graph_spaces()
     assert len(spaces) > 40
     for space in spaces:
-        assert validate_metric(space.points, space.dist)._mask_proven
+        assert validate_metric(space.points, space.dist) == space
     with pytest.raises(AssertionError, match="called"):
         validate_metric(["A", "B", "C"], [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]])
 
@@ -652,17 +654,13 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
     graph's path metric's by step 2 over its sure edges (grid(4) stops
     there), or, where step 3 decides open pairs, by one _is_path_metric over
     the final edges after it; a restricted space's by the same routine in
-    canonical_graph.  A mask put on a space by hand is checked by one
-    _is_path_metric (test_graph's test of the self-check)."""
+    restrict."""
     steps, certificates, masks = [], [], []
     real_step, real_check, real_mask = metric._min_plus, metric._is_path_metric, metric._matrix_mask
     monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real_step(*a))
-    check = lambda *a: certificates.append(a) or real_check(*a)  # noqa: E731
-    monkeypatch.setattr(metric, "_is_path_metric", check)
-    monkeypatch.setattr(graph_module, "_is_path_metric", check)
-    mask = lambda *a: masks.append(a) or real_mask(*a)  # noqa: E731
-    monkeypatch.setattr(metric, "_matrix_mask", mask)
-    monkeypatch.setattr(graph_module, "_matrix_mask", mask)
+    monkeypatch.setattr(metric, "_is_path_metric",
+                        lambda *a: certificates.append(a) or real_check(*a))
+    monkeypatch.setattr(metric, "_matrix_mask", lambda *a: masks.append(a) or real_mask(*a))
 
     step_three = _step_three_runs(monkeypatch)
 
@@ -672,12 +670,11 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
         return build(), len(steps), len(certificates), len(masks)
 
     space, *counts = counted(lambda: grid(4))
-    assert counts == [1, 0, 1] and space._mask_proven and sum(step_three) == 0
+    assert counts == [1, 0, 1] and sum(step_three) == 0
     path = space_from_weighted_graph(*_long_middle_path())
     for built, opened in ((lambda: validate_metric(space.points, space.dist), 0),
                           (lambda: validate_metric(path.points, path.dist), 1)):
         matrix, *counts = counted(built)
-        assert matrix._mask_proven
         assert counts == [1 + opened, opened, 1] and sum(step_three) == opened
         _, *counts = counted(lambda: canonical_graph(matrix))
         assert counts == [0, 0, 0]
@@ -685,13 +682,12 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
     assert counts == [2, 1, 1] and sum(step_three) == 1
     _, *counts = counted(lambda: canonical_graph(space))
     assert counts == [0, 0, 0]
-    _, *counts = counted(lambda: canonical_graph(space.restrict([0, 1, 4, 5])))  # a unit square
-    assert counts == [1, 0, 1]
-    _, *counts = counted(lambda: canonical_graph(space.restrict(list(range(0, 16, 2)))))
-    assert counts == [2, 1, 1] and sum(step_three) > 0
-    _, *counts = counted(lambda: canonical_graph(
-        MetricSpace(space.points, space.denom, space.scaled, _deletion_mask=space._deletion_mask)))
-    assert counts == [1, 1, 0]
+    # A unit square, then every other point of the 4 x 4 grid.
+    for keep, want, opened in (([0, 1, 4, 5], [1, 0, 1], 0), (list(range(0, 16, 2)), [2, 1, 1], 1)):
+        sub, *counts = counted(lambda: space.restrict(keep))
+        assert counts == want and (sum(step_three) > 0) == opened
+        _, *counts = counted(lambda: canonical_graph(sub))
+        assert counts == [0, 0, 0]
 
 
 # --- a matrix's mask: sure edges and one min-plus certificate ---------------
@@ -736,7 +732,6 @@ def test_a_matrix_mask_is_the_scan_mask_on_random_spaces(monkeypatch):
         assert _assert_the_scan_verdict(space.scaled) is None
         counts.append(sum(step_three))
         again = validate_metric(space.points, space.dist)
-        assert again._mask_proven
         assert np.array_equal(again._deletion_mask, midpoint_scan(space.scaled)[1])
     assert sum(c > 0 for c in counts) > len(sizes) // 5
     assert max(counts) > 100
@@ -838,7 +833,8 @@ def test_invalid_matrices_raise_the_scans_first_violation():
         hit = _assert_the_scan_verdict(np.array(rows, dtype=np.int64))
         verdicts[hit is None] += 1
         if hit is None:
-            assert validate_metric(names, rows)._mask_proven
+            mask = midpoint_scan(np.array(rows, dtype=np.int64))[1]
+            assert np.array_equal(validate_metric(names, rows)._deletion_mask, mask)
         else:
             with pytest.raises(TriangleViolation) as err:
                 validate_metric(names, rows)

@@ -221,16 +221,22 @@ def test_tree_candidates_never_verify_for_k3():
     assert search_sign_basis(g, 3) is None
 
 
-def test_candidates_must_be_normalized():
+def test_candidates_must_be_normalized(monkeypatch):
+    """The constructor normalizes: it keeps each problem divided by its
+    norm, one tc_norm per problem, so every vector it holds has norm 1."""
     g = c4_graph()
     f = point_difference(g, "c0", "c2")  # norm 2
-    with pytest.raises(PreconditionFailed):
-        LinftyCandidate((f, f.scale("1/2")))
-    cand = LinftyCandidate.normalized(
-        (f, point_difference(g, "c1", "c3")))
+    given = (f, f.scale("1/2"), point_difference(g, "c1", "c3"))
+    norms = []
+    monkeypatch.setattr(obstruction, "tc_norm", lambda h: norms.append(h) or tc_norm(h))
+    cand = LinftyCandidate(given)
+    assert norms == list(given)
+    assert cand.problems == (f.scale("1/2"), f.scale("1/2"), given[2].scale("1/2"))
     assert all(tc_norm(p)[0] == 1 for p in cand.problems)
     with pytest.raises(NullProblem):
-        LinftyCandidate.normalized((f, TransportationProblem.zero(g)))
+        LinftyCandidate((f, TransportationProblem.zero(g)))
+    with pytest.raises(PreconditionFailed, match="at least two vectors"):
+        LinftyCandidate((f,))
 
 
 # --- disjoint roadmap counting ------------------------------------------------------
@@ -243,7 +249,7 @@ def test_c4_basis_has_two_disjoint_roadmaps(c4_basis):
 def test_k2_counts_one():
     g = c4_graph()
     # opposite diagonals: an exact l_infty^2 pair, all four sign norms are 1
-    cand = LinftyCandidate.normalized((
+    cand = LinftyCandidate((
         point_difference(g, "c0", "c2"),
         point_difference(g, "c1", "c3")))
     assert count_disjoint_roadmaps(cand, 0) == 1

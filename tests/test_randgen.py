@@ -54,4 +54,3 @@ def test_random_spaces_are_the_fraction_spaces(sizes, seeds):
             assert got.scaled.dtype == want.scaled.dtype
             assert got.base_point == want.base_point
             assert np.array_equal(got._deletion_mask, want._deletion_mask)
-            assert got._mask_proven == want._mask_proven

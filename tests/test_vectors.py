@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from corpus import c4_graph, random_roadmap
 from tcspace import (
-    EdgeVector,
     InvalidInput,
+    Roadmap,
     TransportationProblem,
-    apply_incidence,
     canonical_graph,
     cycle_basis,
     to_fraction,
@@ -27,41 +26,41 @@ def _single_edge_graph(weight="1/2"):
 
 def test_l1d_norm_of_zero_is_zero():
     g = c4_graph()
-    assert EdgeVector.zero(g).l1d_norm() == 0
+    assert Roadmap.zero(g).cost() == 0
 
 
 def test_l1d_norm_single_edge():
     g = _single_edge_graph("1/2")
-    assert EdgeVector(g, {0: Fraction(-3)}).l1d_norm() == Fraction(3, 2)
+    assert Roadmap(g, {0: Fraction(-3)}).cost() == Fraction(3, 2)
 
 
 def test_l1d_norm_weighted_sum():
     g = canonical_graph(validate_metric(
         ["A", "B", "C"], [["0", "1", "3"], ["1", "0", "2"], ["3", "2", "0"]]))
-    vec = EdgeVector(g, {g.edge_index(0, 1): 1, g.edge_index(1, 2): -2})
-    assert vec.l1d_norm() == 5
+    vec = Roadmap(g, {g.edge_index(0, 1): 1, g.edge_index(1, 2): -2})
+    assert vec.cost() == 5
 
 
 def test_apply_incidence_on_one_edge():
     g = _single_edge_graph()
-    f = apply_incidence(EdgeVector(g, {0: 1}))
+    f = Roadmap(g, {0: 1}).problem()
     assert f.by_name() == {"A": 1, "B": -1}
 
 
 def test_cycle_indicators_transport_nothing():
     g = c4_graph()
     for cyc in cycle_basis(g).cycles:
-        assert apply_incidence(cyc.indicator()).is_zero()
+        assert cyc.indicator().problem().is_zero()
 
 
 def test_apply_incidence_of_zero():
-    assert apply_incidence(EdgeVector.zero(c4_graph())).is_zero()
+    assert Roadmap.zero(c4_graph()).problem().is_zero()
 
 
 def test_incidence_output_always_sums_to_zero(rng):
     g = c4_graph()
     for _ in range(25):
-        f = apply_incidence(random_roadmap(rng, g))
+        f = random_roadmap(rng, g).problem()
         assert sum(f.values.values(), Fraction(0)) == 0
 
 
@@ -72,8 +71,8 @@ def test_apply_incidence_is_linear(a, b, seed1, seed2):
     g = c4_graph()
     p = random_roadmap(random.Random(seed1), g)
     q = random_roadmap(random.Random(seed2), g)
-    left = apply_incidence(p.scale(a) + q.scale(b))
-    right = apply_incidence(p).scale(a) + apply_incidence(q).scale(b)
+    left = (p.scale(a) + q.scale(b)).problem()
+    right = p.problem().scale(a) + q.problem().scale(b)
     assert left == right
 
 
@@ -83,9 +82,9 @@ def test_l1d_norm_is_a_norm(seed1, seed2):
     g = c4_graph()
     p = random_roadmap(random.Random(seed1), g)
     q = random_roadmap(random.Random(seed2), g)
-    assert (p + q).l1d_norm() <= p.l1d_norm() + q.l1d_norm()
-    assert p.scale(-3).l1d_norm() == 3 * p.l1d_norm()
-    assert (p.l1d_norm() == 0) == p.is_zero()
+    assert (p + q).cost() <= p.cost() + q.cost()
+    assert p.scale(-3).cost() == 3 * p.cost()
+    assert (p.cost() == 0) == p.is_zero()
 
 
 def test_zero_sum_is_enforced():
@@ -107,7 +106,7 @@ def test_problem_arithmetic_and_json():
 def test_edge_vector_rejects_bad_index():
     g = c4_graph()
     with pytest.raises(InvalidInput):
-        EdgeVector(g, {99: Fraction(1)})
+        Roadmap(g, {99: Fraction(1)})
 
 
 def test_booleans_are_not_masses():
@@ -121,7 +120,7 @@ def test_booleans_are_not_masses():
 # --- input checks -------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind,message", [
-    (EdgeVector, "edge vectors live on different graphs"),
+    (Roadmap, "roadmaps live on different graphs"),
     (TransportationProblem, "problems live on different graphs"),
 ])
 def test_vectors_on_different_graphs_do_not_mix(kind, message):
@@ -130,3 +129,15 @@ def test_vectors_on_different_graphs_do_not_mix(kind, message):
     for op in (lambda a, b: a + b, lambda a, b: a - b):
         with pytest.raises(InvalidInput, match=message):
             op(kind.zero(g), kind.zero(twin))
+
+
+def test_vectors_of_different_kinds_do_not_mix():
+    # Added as edge values, the masses of f would give p + f = {0: 2, 1: -1}.
+    g = c4_graph()
+    p = Roadmap(g, {0: 1})
+    f = TransportationProblem(g, {0: 1, 1: -1})
+    for a, b, message in ((p, f, "roadmaps add only to roadmaps"),
+                          (f, p, "problems add only to problems")):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(InvalidInput, match=message):
+                op(a, b)
