@@ -135,8 +135,14 @@ def _compose_step(points, edges, metric, G: TwoPortGraph, tag: str):
     """
     out = list(points)
     taken = set(out)
+    at = {p: i for i, p in enumerate(points)}
+    g_weights = [to_fraction(wg) for _, _, wg in G.edges]
+    products: dict[Fraction, list[Fraction]] = {}  # G's weights times each H weight
+    h_edges = []
     out_edges: list[tuple[str, str, Fraction]] = []
     for i, (u, v, w) in enumerate(edges):
+        w = to_fraction(w)
+        h_edges.append((at[u], at[v], w))
         rename = {G.bottom: u, G.top: v}
         for name in G.points:
             if name in rename:
@@ -147,12 +153,11 @@ def _compose_step(points, edges, metric, G: TwoPortGraph, tag: str):
             taken.add(fresh)
             rename[name] = fresh
             out.append(fresh)
-        for a, b, wg in G.edges:
-            out_edges.append((rename[a], rename[b], to_fraction(wg) * to_fraction(w)))
-    at = {p: i for i, p in enumerate(points)}
+        if w not in products:
+            products[w] = [wg * w for wg in g_weights]
+        out_edges += ((rename[a], rename[b], x) for (a, b, _), x in zip(G.edges, products[w]))
     ports = G.space.index_of(G.bottom), G.space.index_of(G.top)
-    candidate = _substitute(metric, [(at[u], at[v], to_fraction(w)) for u, v, w in edges],
-                            (G.space.scaled, G.space.denom), ports)
+    candidate = _substitute(metric, h_edges, (G.space.scaled, G.space.denom), ports)
     return out, out_edges, candidate
 
 

@@ -3,9 +3,10 @@
 The canonical graph keeps exactly the pairs uv such that no third point w
 satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
 original metric.  The dropped pairs are the deletion mask that validation
-kept on the space, proven there by metric._matrix_mask, one min-plus step
-on the space's scaled matrix, which shows that the graph's path metric is
-the input metric, whether the space came from a distance matrix, from a
+kept on the space, proven there by metric._matrix_mask on the space's
+scaled matrix (the definition itself up to 40 points, one min-plus step
+above that), which shows that the graph's path metric is the input
+metric, whether the space came from a distance matrix, from a
 weighted graph or from restricting another space.
 Its one adjacency holds the integer weights of that matrix, in units of
 1/D for the space's D (the edges realise the metric, so D is their
@@ -140,12 +141,13 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     An unordered pair {u, v} is an edge iff no w outside {u, v} satisfies
     d(u,w) + d(w,v) = d(u,v).  Tails are the smaller point indices.  Its
     weighted path metric reproduces the input metric exactly (so it is
-    connected), proven by one min-plus step on the scaled matrix in
-    validation, for the deletion mask every space keeps.
+    connected), proven by metric._matrix_mask in validation, for the
+    deletion mask every space keeps.
     """
     mat = space.scaled
-    upper = np.triu(~space._deletion_mask, 1)
-    tails, heads = np.nonzero(upper)  # row-major: by (tail, head)
+    tails, heads = np.nonzero(~space._deletion_mask)  # row-major: by (tail, head)
+    upper = tails < heads  # each pair once, and no diagonal entry
+    tails, heads = tails[upper], heads[upper]
     arcs = list(zip(tails.tolist(), heads.tolist(), mat[tails, heads].tolist()))
     exact = {w: Fraction(w, space.denom) for _, _, w in arcs}
     edges = tuple(Edge(i, k, exact[w]) for i, k, w in arcs)

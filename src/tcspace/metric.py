@@ -10,19 +10,22 @@ Fractions live at the boundary: each distinct input literal is parsed once
 `dist` is a view built when read; integer distances given with their unit
 skip the literals (validate_scaled).  The diagonal, symmetry and sign tests
 are vectorized.  A distance matrix's triangle inequality and the canonical
-graph's deletion mask come from a certificate (_matrix_mask): the sure edges
-(pairs closer than the sum of their ends' least distances have no
-midpoint), one min-plus step over them, an exact midpoint test for the
-pairs that leaves open, and _is_path_metric on the final edges; on
-uniform-weight families that is O(m n) instead of the O(n^3) midpoint scan,
-which runs only on a matrix that is not a metric, to report its first
-violation.  The validated space keeps the proven mask for
+graph's deletion mask come from _matrix_mask.  Up to 40 points it computes
+the definition in one dense array of all n^3 sums d(i,j) + d(j,k) (the
+gate, _dense_fits, reuses the min-plus block size); above that, from a
+certificate: the sure edges (pairs closer than the sum of their ends' least
+distances have no midpoint), one min-plus step over them, an exact midpoint
+test for the pairs that leaves open, and _is_path_metric on the final
+edges; on uniform-weight families that is O(m n) instead of the O(n^3)
+midpoint scan, which runs only on a matrix that is not a metric, to report
+its first violation.  The validated space keeps the mask for
 graph.canonical_graph.
 
-Shortest-path metrics of weighted graphs meet the same certificate, at a
+Shortest-path metrics of weighted graphs meet the same _matrix_mask, at a
 unit in which every weight is an integer, and two O(m) checks on the input
 edges: no weight is below its distance, and every canonical pair is an edge
-whose weight is its distance (_graph_space).  Then the matrix is the
+whose weight is its distance (_path_space, for _graph_space and for the
+integer random graphs of randgen).  Then the matrix is the
 graph's path metric, and the mask is right.  Weighted-graph JSON, random
 graphs, path_metric and hand-made two-port graphs get their matrix from one
 integer Floyd-Warshall.  The family generators know theirs from the
@@ -73,8 +76,8 @@ class MetricSpace:
     built by :func:`validate_metric` (or by the family generators and
     :meth:`restrict`, which validate too); the constructor itself trusts its
     input.  Every instance keeps the canonical graph's deletion mask, proven
-    by one min-plus certificate (_matrix_mask), whether the distances came
-    as a matrix or as a weighted graph's path metric.
+    by _matrix_mask, whether the distances came as a matrix or as a
+    weighted graph's path metric.
     """
 
     points: tuple[str, ...]
@@ -191,8 +194,13 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
     """(_midpoint_scan(mat), None) for a scaled matrix with zero diagonal and
     positive entries elsewhere that is not a metric, else (None, mask),
     mask[i, k] true iff some j outside {i, k} gives d(i,j) + d(j,k) =
-    d(i,k): the pairs the canonical graph drops.  From a certificate instead
-    of an O(n^3) scan.
+    d(i,k): the pairs the canonical graph drops.
+
+    A small matrix (_dense_fits) is decided by the definition itself, in
+    one n x n x n array of sums via[i, j, k] = d(i,j) + d(j,k): it is a
+    metric iff no minimum over j lies below d(i,k), and then a pair is
+    dropped iff it has a third hit besides j = i and j = k.  A larger one
+    gets a certificate instead of an O(n^3) scan:
 
     1. Sure edges.  With delta_u the least distance from u, a pair with
        mat[u, v] < delta_u + delta_v has no midpoint: any third point j
@@ -220,6 +228,11 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
     n = len(mat)
     if n == 1:
         return None, np.zeros((1, 1), dtype=bool)  # the empty graph on one point
+    if _dense_fits(mat):
+        via = mat[:, :, None] + mat
+        if (via.min(axis=1) < mat).any():
+            return _midpoint_scan(mat), None
+        return None, (via == mat[:, None, :]).sum(axis=1) > 2
     near = mat.copy()
     np.fill_diagonal(near, mat.max())
     delta = near.min(axis=1)
@@ -245,6 +258,14 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
     drop = np.logical_not(keep, out=keep)
     np.fill_diagonal(drop, False)
     return None, drop
+
+
+def _dense_fits(mat: np.ndarray) -> bool:
+    """Whether _matrix_mask takes its dense kernel: when mat's n^3 sums fit
+    one block of _MIN_PLUS_BLOCK entries (n <= 40).  Up to there the kernel
+    ran faster than the certificate, at every width and on Python ints; the
+    certificate wins from about n = 48 on, by 3-4x at n = 96-128."""
+    return len(mat) * mat.size <= _MIN_PLUS_BLOCK
 
 
 def _block_rows(mat: np.ndarray, width: int) -> int:
@@ -349,15 +370,20 @@ def _violations(names, mat: np.ndarray) -> tuple[list, np.ndarray | None]:
     the mask, both by the certified _matrix_mask."""
     out: list = [InvalidInput(f"self-distance of {names[i]!r} must be 0")
                  for i in np.flatnonzero(np.diagonal(mat) != 0)]
-    bad = np.triu((mat != mat.T) | (mat <= 0), 1)
-    for i, j in zip(*np.nonzero(bad)):
-        a, b = pair = (names[i], names[j])
-        if mat[i, j] != mat[j, i]:
-            out.append(NonSymmetric(f"d({a},{b}) != d({b},{a})", pair))
-        elif mat[i, j] < 0:
-            out.append(NegativeDistance(f"d({a},{b}) < 0", pair))
-        else:
-            out.append(ZeroDistanceDistinctPoints(f"d({a},{b}) = 0 for distinct points", pair))
+    n = len(mat)
+    # With a zero diagonal, one all-clear test (symmetric, n^2 - n positive
+    # entries) is cheaper than the per-pair list it makes unnecessary.
+    if out or not ((mat == mat.T).all() and np.count_nonzero(mat > 0) == n * n - n):
+        bad = np.triu((mat != mat.T) | (mat <= 0), 1)
+        for i, j in zip(*np.nonzero(bad)):
+            a, b = pair = (names[i], names[j])
+            if mat[i, j] != mat[j, i]:
+                out.append(NonSymmetric(f"d({a},{b}) != d({b},{a})", pair))
+            elif mat[i, j] < 0:
+                out.append(NegativeDistance(f"d({a},{b}) < 0", pair))
+            else:
+                out.append(ZeroDistanceDistinctPoints(f"d({a},{b}) = 0 for distinct points",
+                                                      pair))
     if out:
         return out, None
     hit, mask = _matrix_mask(mat)
@@ -718,6 +744,13 @@ def _graph_space(vertices, edges, base=None, metric=None) -> MetricSpace:
         mat, unit = metric
         assert mat.shape == (len(names),) * 2, "a candidate metric has a row per point"
         denom, mat, scaled = _on_one_unit(denom, scaled, mat, unit)
+    return _path_space(names, mat, denom, scaled, base)
+
+
+def _path_space(names, mat: np.ndarray, denom: int, scaled, base=None) -> MetricSpace:
+    """The certified MetricSpace of a candidate path metric mat / denom of
+    the distinct edges scaled = (u, v, w), integers w: the weights times
+    denom (_graph_space, and random_metric_space's integer graphs)."""
     if len(names) < 2:
         raise InvalidInput("a metric space needs at least 2 points")
     # Row-major: _min_plus gathers rows, at half the speed from a column-major matrix.

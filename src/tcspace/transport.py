@@ -383,7 +383,9 @@ def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
     """
     graph = f.graph
     scale = lcm(*(x.denominator for x in f.values.values()))
-    excess = [int(f[v] * scale) for v in range(graph.n)]
+    excess = [0] * graph.n
+    for v, x in f.values.items():
+        excess[v] = x.numerator * (scale // x.denominator)
     flow, pot = _successive_shortest_paths(graph, excess)
     assert not any(excess)
     assert _certifies(graph.adjacency, flow, pot)

@@ -30,7 +30,7 @@ from tcspace import (
     validate_metric,
 )
 from tcspace.metric import _dijkstra
-from tcspace.randgen import _random_weight, random_metric_space, random_problem
+from tcspace.randgen import random_metric_space, random_problem
 from tcspace.rational import ZERO
 
 
@@ -166,7 +166,7 @@ def dijkstra_rows(adj):
 def random_tree_space(rng: random.Random, n_points: int) -> MetricSpace:
     """Path metric of a random weighted tree (canonical graph is the tree)."""
     names = [f"P{i}" for i in range(n_points)]
-    edges = [(names[rng.randrange(i)], names[i], _random_weight(rng))
+    edges = [(names[rng.randrange(i)], names[i], Fraction(rng.randint(1, 12), rng.randint(1, 4)))
              for i in range(1, n_points)]
     return space_from_weighted_graph(names, edges)
 

@@ -483,10 +483,13 @@ def test_scaled_matrix_matches_a_per_entry_reference():
 def test_canonical_edges_are_the_same_in_both_dtypes(monkeypatch):
     """Validating a matrix runs its min-plus kernel at the matrix's width
     (every width over SCALES, object for the copies scaled by BIG) and no
-    midpoint scan; the canonical graphs reuse the proven mask."""
+    midpoint scan; the canonical graphs reuse the proven mask.  (These
+    spaces are small enough for the dense kernel, so the test keeps them on
+    the certificate, which larger ones take.)"""
     rng = random.Random(11)
     spaces = [random_metric_space(rng, n) for n in (3, 5, 8, 12) for _ in range(3)]
     spaces += [cycle(6), complete_bipartite(2, 3)]
+    _certificate_route(monkeypatch)
     seen = _dtype_spy(monkeypatch, "_min_plus", 0)
     monkeypatch.setattr(metric, "_midpoint_scan", _forbidden)
     widths = set()
@@ -654,7 +657,8 @@ def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
     graph's path metric's by step 2 over its sure edges (grid(4) stops
     there), or, where step 3 decides open pairs, by one _is_path_metric over
     the final edges after it; a restricted space's by the same routine in
-    restrict."""
+    restrict.  All of them on the certificate route, as larger spaces take it."""
+    _certificate_route(monkeypatch)
     steps, certificates, masks = [], [], []
     real_step, real_check, real_mask = metric._min_plus, metric._is_path_metric, metric._matrix_mask
     monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real_step(*a))
@@ -710,6 +714,12 @@ def _peel_levels(space, generations):
             for j in range(max(gens))]
 
 
+def _certificate_route(monkeypatch):
+    """Send every matrix of any size to _matrix_mask's certificate (steps
+    1-3), not to its dense kernel."""
+    monkeypatch.setattr(metric, "_dense_fits", lambda mat: False)
+
+
 def _step_three_runs(monkeypatch):
     """The number of pairs each call of _matrix_mask passes to step 3."""
     pairs = []
@@ -722,7 +732,9 @@ def _step_three_runs(monkeypatch):
 def test_a_matrix_mask_is_the_scan_mask_on_random_spaces(monkeypatch):
     """random_metric_space at 2 to 64 points, matrix and graph branch: the
     mask is the scan's, validation keeps it proven, and the graph branch's
-    non-uniform path metrics send pairs to step 3."""
+    non-uniform path metrics send pairs to step 3.  All of them on the
+    certificate route, as spaces above the dense kernel's size take it."""
+    _certificate_route(monkeypatch)
     step_three = _step_three_runs(monkeypatch)
     sizes = [n for n in range(2, 25) for _ in range(8)] + [32, 40, 48, 64] * 3
     counts = []
@@ -793,7 +805,9 @@ def test_a_matrix_mask_is_the_scan_mask_at_int8_up_to_63():
 def test_step_three_decides_the_pairs_the_sure_edges_leave_open(monkeypatch):
     """Path metrics of weighted graphs with non-uniform weights, passed as
     matrices: their masks are the scan's (and the graph route's) although
-    steps 1 and 2 leave pairs open."""
+    steps 1 and 2 leave pairs open.  All of them on the certificate route,
+    as spaces above the dense kernel's size take it."""
+    _certificate_route(monkeypatch)
     step_three = _step_three_runs(monkeypatch)
     spaces = _graph_spaces() + [space_from_weighted_graph(*_long_middle_path())]
     opened = 0
@@ -805,6 +819,59 @@ def test_step_three_decides_the_pairs_the_sure_edges_leave_open(monkeypatch):
         assert np.array_equal(validate_metric(space.points, space.dist)._deletion_mask,
                               space._deletion_mask)
     assert opened > 20
+
+
+def test_the_dense_kernel_is_the_certificate_and_the_scan(monkeypatch):
+    """_matrix_mask by either route, forced through its size gate, gives
+    midpoint_scan's first violation or its mask, at every width: the
+    pool's matrices with a clean diagonal, symmetry and sign, random spaces
+    at 2 to 40 points, and copies of them with one distance moved by one
+    or tripled."""
+    mats = []
+    for rows in _matrix_pool():
+        n = len(rows)
+        if all(rows[i][k] == rows[k][i] and (rows[i][k] > 0) == (i != k)
+               for i in range(n) for k in range(n)):
+            denom = lcm(*(x.denominator for row in rows for x in row))
+            mats.append([[int(x * denom) for x in row] for row in rows])
+    rng = random.Random(41)
+    for n in range(2, 41):
+        rows = random_metric_space(rng, n).scaled.tolist()
+        mats.append(rows)
+        i, k = rng.sample(range(n), 2)
+        for moved in (max(1, rows[i][k] + rng.choice((1, -1))), 3 * rows[i][k]):
+            copy = [row[:] for row in rows]
+            copy[i][k] = copy[k][i] = moved
+            mats.append(copy)
+    widths, verdicts = set(), set()
+    for rows in mats:
+        for scale in SCALES:
+            mat = np.array([[x * scale for x in row] for row in rows], dtype=object)
+            mat = mat.astype(metric._int_dtype(int(mat.max())))
+            widths.add(mat.dtype)
+            hit, mask = midpoint_scan(mat)
+            verdicts.add(hit is None)
+            for dense in (True, False):
+                monkeypatch.setattr(metric, "_dense_fits", lambda mat, dense=dense: dense)
+                got_hit, got_mask = metric._matrix_mask(mat)
+                assert got_hit == hit
+                assert (got_mask is None) if mask is None else np.array_equal(got_mask, mask)
+    assert widths == set(WIDTHS)
+    assert verdicts == {True, False}
+
+
+def test_small_spaces_take_the_dense_kernel_and_large_ones_the_certificate(monkeypatch):
+    """The gate sends 10 and 40 points to the dense kernel, which runs no
+    min-plus step, and 41 and 64 points to the certificate."""
+    steps = []
+    real = metric._min_plus
+    monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real(*a))
+    for n, certified in ((10, False), (40, False), (41, True), (64, True)):
+        space = random_metric_space(random.Random(n), n)
+        steps.clear()
+        assert np.array_equal(validate_metric(space.points, space.dist)._deletion_mask,
+                              space._deletion_mask)
+        assert bool(steps) == certified, n
 
 
 def test_invalid_matrices_raise_the_scans_first_violation():
