@@ -10,22 +10,30 @@ A composition's metric comes from its construction, not from a search: one
 step (_compose_step) replaces every edge by a copy of a two-port graph and
 takes the candidate metric from the metrics of its two parts
 (metric._substitute).  compose runs it once, and recursive_family and
-diamond once per level; a grid's metric comes from its coordinates.
-metric.py certifies each construction's last candidate as the graph's path
-metric, as it does a Floyd-Warshall matrix, the route of cycles, complete
-bipartite graphs and two-port graphs made by hand.
+diamond once per level; a grid's metric comes from its coordinates.  A
+level is integers only, (mat, D, edges): edges (u, v, w) by point index,
+weights and distances both in units of 1/D, so no Fraction is built per
+edge.  metric._path_space certifies each construction's last level as the
+graph's path metric, as it does a Floyd-Warshall matrix, the route of
+cycles, complete bipartite graphs and two-port graphs made by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidInput, NotNormalized
-from .metric import MetricSpace, _graph_space, _substitute, space_from_weighted_graph
-from .rational import ONE, to_fraction
+from .metric import (
+    MetricSpace,
+    _graph_level,
+    _path_space,
+    _substitute,
+    space_from_weighted_graph,
+)
+from .rational import ONE
 
 
 @dataclass(frozen=True)
@@ -73,23 +81,29 @@ class TwoPortGraph:
     """Weighted directed graph with distinguished top and bottom vertices.
 
     `space` is the path metric of the underlying undirected graph
-    (directions dropped), built and validated once, when the graph is made.
-    compose passes the candidate it knows (_metric, certified, not trusted);
-    any other graph's is searched for."""
+    (directions dropped), built and validated once, when the graph is made,
+    from the graph's level (mat, D, edges): its distances and its edges by
+    point index, weights and distances in units of 1/D.  compose passes the
+    level it built (_level, certified, not trusted); any other graph's is
+    read from its named edges (metric._graph_level)."""
 
     points: tuple[str, ...]
     edges: tuple[tuple[str, str, Fraction], ...]
     top: str
     bottom: str
     space: MetricSpace = field(init=False, repr=False, compare=False)
-    _metric: InitVar[tuple | None] = None
+    _level: tuple | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self, _metric=None):
+    def __post_init__(self):
         if self.top not in self.points or self.bottom not in self.points:
             raise InvalidInput("top and bottom must be vertices")
         if self.top == self.bottom:
             raise InvalidInput("top and bottom must differ")
-        object.__setattr__(self, "space", _graph_space(self.points, self.edges, metric=_metric))
+        names = self.points
+        if self._level is None:
+            names, *level = _graph_level(self.points, self.edges)
+            object.__setattr__(self, "_level", tuple(level))
+        object.__setattr__(self, "space", _path_space(names, *self._level))
 
     def top_bottom_distance(self) -> Fraction:
         b, t = map(self.space.index_of, (self.bottom, self.top))
@@ -114,51 +128,43 @@ def compose(H: TwoPortGraph, G: TwoPortGraph, tag: str = "e") -> TwoPortGraph:
     for g, who in ((H, "H"), (G, "G")):
         if g.top_bottom_distance() != 1:
             raise NotNormalized(f"{who} must have top-bottom distance 1")
-    points, edges, metric = _compose_step(H.points, H.edges, (H.space.scaled, H.space.denom),
-                                          G, tag)
-    return TwoPortGraph(tuple(points), tuple(edges), H.top, H.bottom, _metric=metric)
+    points, level = _compose_step(H.points, H._level, G, tag)
+    _, denom, edges = level
+    named = tuple((points[u], points[v], Fraction(w, denom)) for u, v, w in edges)
+    return TwoPortGraph(points, named, H.top, H.bottom, _level=level)
 
 
-def _compose_step(points, edges, metric, G: TwoPortGraph, tag: str):
-    """One level of composition: H, given by its points, its edges (u, v, w)
-    in copy order and its candidate metric (mat, D), with every edge
-    replaced by a copy of G as compose describes.  Returns the composed
-    points (H's, then each copy's inner points in G's order), the composed
-    edges, and their candidate metric from _substitute.
+def _compose_step(points, level, G: TwoPortGraph, tag: str):
+    """One level of composition: H, given by its points and its level (mat,
+    D, edges), its edges (u, v, w) by point index in copy order, with every
+    edge replaced by a copy of G as compose describes.  Returns the composed
+    points (H's, then each copy's inner points in G's order) and their
+    level: the candidate metric from _substitute and the composed edges,
+    each of weight w * w_G, at D times G's D.
 
     No level needs a certificate of its own when G is normalized: H's
     vertices keep their rows in _substitute, so each level's candidate is a
     principal submatrix of the next one, and the path metric of the next
     level restricts to H's, since a normalized G embeds H isometrically.  A
     wrong distance at any level is therefore wrong in the last candidate,
-    whose certificate (_graph_space) fails its assertion.
+    whose certificate (metric._path_space) fails its assertion.
     """
+    ports = G.space.index_of(G.bottom), G.space.index_of(G.top)
+    inner = [x for x in range(len(G.points)) if x not in ports]
     out = list(points)
     taken = set(out)
-    at = {p: i for i, p in enumerate(points)}
-    g_weights = [to_fraction(wg) for _, _, wg in G.edges]
-    products: dict[Fraction, list[Fraction]] = {}  # G's weights times each H weight
-    h_edges = []
-    out_edges: list[tuple[str, str, Fraction]] = []
-    for i, (u, v, w) in enumerate(edges):
-        w = to_fraction(w)
-        h_edges.append((at[u], at[v], w))
-        rename = {G.bottom: u, G.top: v}
-        for name in G.points:
-            if name in rename:
-                continue
-            fresh = f"{tag}{i}.{name}"
+    out_edges = []
+    for i, (u, v, w) in enumerate(level[2]):
+        at = dict(zip(ports, (u, v)))
+        for x in inner:
+            fresh = f"{tag}{i}.{G.points[x]}"
             if fresh in taken:
                 raise InvalidInput(f"vertex name collision at {fresh!r}")
             taken.add(fresh)
-            rename[name] = fresh
+            at[x] = len(out)
             out.append(fresh)
-        if w not in products:
-            products[w] = [wg * w for wg in g_weights]
-        out_edges += ((rename[a], rename[b], x) for (a, b, _), x in zip(G.edges, products[w]))
-    ports = G.space.index_of(G.bottom), G.space.index_of(G.top)
-    candidate = _substitute(metric, h_edges, (G.space.scaled, G.space.denom), ports)
-    return out, out_edges, candidate
+        out_edges += ((at[a], at[b], w * wg) for a, b, wg in G._level[2])
+    return tuple(out), (*_substitute(level, G._level, ports), out_edges)
 
 
 def unit_edge_two_port() -> TwoPortGraph:
@@ -193,12 +199,12 @@ def recursive_family(B: TwoPortGraph, n: int) -> tuple[MetricSpace, FamilyDescri
     if B.top_bottom_distance() != 1:
         raise NotNormalized("B must have top-bottom distance 1")
     unit = unit_edge_two_port()
-    points, edges, metric = unit.points, unit.edges, (unit.space.scaled, unit.space.denom)
+    points, level = unit.points, unit._level
     generations = {p: 0 for p in points}
     for step in range(1, n + 1):
-        points, edges, metric = _compose_step(points, edges, metric, B, f"g{step}e")
+        points, level = _compose_step(points, level, B, f"g{step}e")
         generations.update(dict.fromkeys(points[len(generations):], step))
-    space = _graph_space(points, edges, base="b", metric=metric)
+    space = _path_space(points, *level, base="b")
     params = {"n": n, "base_vertices": len(B.points),
               "base_edges": len(B.edges), "delta": B.max_degree()}
     return space, FamilyDescriptor("recursive", params, generations)
@@ -219,13 +225,14 @@ def diamond(n: int) -> tuple[MetricSpace, FamilyDescriptor]:
     quad = TwoPortGraph(("s", "t", "a", "b"),
                         (("s", "a", half), ("a", "t", half), ("t", "b", half), ("b", "s", half)),
                         top="t", bottom="s")
-    points, edges = ["v0", "v1"], [("v0", "v1", ONE)]
-    metric = (np.array([[0, 1], [1, 0]]), 1)
+    points, level = ("v0", "v1"), (np.array([[0, 1], [1, 0]]), 1, [(0, 1, 1)])
     generations = {"v0": 0, "v1": 0}
-    for level in range(1, n + 1):
-        points, edges, metric = _compose_step(points, sorted(edges), metric, quad, f"g{level}e")
-        generations.update(dict.fromkeys(points[len(generations):], level))
-    space = _graph_space(points, edges, base="v0", metric=metric)
+    for step in range(1, n + 1):
+        mat, denom, edges = level
+        edges = sorted(edges, key=lambda e: (points[e[0]], points[e[1]]))
+        points, level = _compose_step(points, (mat, denom, edges), quad, f"g{step}e")
+        generations.update(dict.fromkeys(points[len(generations):], step))
+    space = _path_space(points, *level, base="v0")
     return space, FamilyDescriptor("diamond", {"n": n}, generations)
 
 
@@ -234,17 +241,15 @@ def grid(n: int) -> MetricSpace:
     the coordinates' differences."""
     if n < 2:
         raise InvalidInput("grid needs n >= 2")
-    points = [f"{r},{c}" for r in range(n) for c in range(n)]
+    points = tuple(f"{r},{c}" for r in range(n) for c in range(n))
     edges = []
-    for r in range(n):
-        for c in range(n):
-            if c + 1 < n:
-                edges.append((f"{r},{c}", f"{r},{c + 1}", ONE))
-            if r + 1 < n:
-                edges.append((f"{r},{c}", f"{r + 1},{c}", ONE))
+    for i in range(n * n):
+        if (i + 1) % n:
+            edges.append((i, i + 1, 1))
+        if i + n < n * n:
+            edges.append((i, i + n, 1))
     row, col = np.divmod(np.arange(n * n), n)
-    metric = (abs(row[:, None] - row) + abs(col[:, None] - col), 1)
-    return _graph_space(points, edges, metric=metric)
+    return _path_space(points, abs(row[:, None] - row) + abs(col[:, None] - col), 1, edges)
 
 
 def complete_bipartite(m: int, n: int) -> MetricSpace:

@@ -24,15 +24,16 @@ graph.canonical_graph.
 Shortest-path metrics of weighted graphs meet the same _matrix_mask, at a
 unit in which every weight is an integer, and two O(m) checks on the input
 edges: no weight is below its distance, and every canonical pair is an edge
-whose weight is its distance (_path_space, for _graph_space and for the
-integer random graphs of randgen).  Then the matrix is the
-graph's path metric, and the mask is right.  Weighted-graph JSON, random
-graphs, path_metric and hand-made two-port graphs get their matrix from one
-integer Floyd-Warshall.  The family generators know theirs from the
-construction: a grid's from its coordinates, and a two-port composition's
-(diamonds, K_{2,n} recursions) from the metrics of its two parts
-(_substitute, no search).  A wrong matrix from either fails an assertion,
-never a TriangleViolation.
+whose weight is its distance (_path_space).  Then the matrix is the
+graph's path metric, and the mask is right.  Every graph comes to
+_path_space in integers: its edges by point index, weights and distances
+both in units of 1/D.  Weighted-graph JSON, random graphs, path_metric and
+hand-made two-port graphs get their matrix from one integer
+Floyd-Warshall (named graphs through _graph_level).  The family generators
+know theirs from the construction: a grid's from its coordinates, and a
+two-port composition's (diamonds, K_{2,n} recursions) from the metrics of
+its two parts (_substitute, no search).  A wrong matrix from either fails
+an assertion, never a TriangleViolation.
 """
 
 from __future__ import annotations
@@ -628,16 +629,18 @@ def _floyd_warshall(n: int, edges: list[tuple[int, int, int]]) -> np.ndarray:
     return mat
 
 
-def _substitute(h, h_edges, g, ports) -> tuple[np.ndarray, int]:
+def _substitute(h, g, ports) -> tuple[np.ndarray, int]:
     """The candidate path metric of H with every edge (u, v, w) replaced by
     a copy of G scaled by w, G's bottom port at u and its top port at v,
     from the metrics of H and G alone: (mat, D), the distances times D.
 
-    h and g are (scaled matrix, D) of H and G; h_edges are H's edges (u, v,
-    w), w a Fraction, in copy order; ports are G's (bottom, top) indices.
-    Points: H's, then each copy's inner points in G's order.  G must be
-    normalized (its ports at distance 1), so that H's vertices keep their
-    distances in the result.
+    h and g are the levels (mat, D, edges) of H and G, their distances and
+    edge weights times their D, integers; only H's edges are read, in copy
+    order; ports are G's (bottom, top) indices.  The result's D is the
+    product of the two, the unit of each copy's weights w * w_G.  Points:
+    H's, then each copy's inner points in G's order.  G must be normalized
+    (its ports at distance 1), so that H's vertices keep their distances in
+    the result.
 
     A path from a point x of one copy to a point outside it leaves the copy
     through one of its ports p, after at least w d_G(x, p); an H vertex is
@@ -647,21 +650,18 @@ def _substitute(h, h_edges, g, ports) -> tuple[np.ndarray, int]:
     distances from H's vertices first, an n_H x N matrix, then the N x N
     result and one temporary of its size, at the width _int_dtype of a
     bound on every sum.  A candidate, not a proof: a generator feeds it to
-    the next level or to _graph_space, whose certificate on the last
+    the next level or to _path_space, whose certificate on the last
     level's candidate covers every earlier one (families._compose_step).
     """
-    dh, h_denom = h
-    dg, g_denom = g
+    dh, h_denom, h_edges = h
+    dg, g_denom, _ = g
     tails, heads, weights = zip(*h_edges)
-    unit = lcm(h_denom, *(w.denominator for w in weights))
-    scale = [w.numerator * (unit // w.denominator) for w in weights]  # w times unit
-    denom = unit * g_denom
     inner = [x for x in range(len(dg)) if x not in ports]
     nh, k, m = len(dh), len(inner), len(h_edges)
-    dtype = _int_dtype(int(dh.max()) * (denom // h_denom) + 2 * max(scale) * int(dg.max()))
+    dtype = _int_dtype(int(dh.max()) * g_denom + 2 * max(weights) * int(dg.max()))
     dh = dh.astype(dtype)
-    dh *= denom // h_denom
-    w = np.array(scale, dtype=dtype)
+    dh *= g_denom
+    w = np.array(weights, dtype=dtype)
     reach = (w[:, None, None] * dg[np.ix_(inner, ports)].astype(dtype)).reshape(m * k, 2)
     own = np.arange(nh)
     bottom = np.concatenate((own, np.repeat(tails, k)))  # each point's ports
@@ -681,7 +681,7 @@ def _substitute(h, h_edges, g, ports) -> tuple[np.ndarray, int]:
     rows, cols = first + np.arange(k)[:, None], first + np.arange(k)
     within = w[:, None, None] * dg[np.ix_(inner, inner)].astype(dtype)
     mat[rows, cols] = np.minimum(mat[rows, cols], within)
-    return mat, denom
+    return mat, h_denom * g_denom
 
 
 def _fraction_rows(rows: list[list[int]], denom: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -698,17 +698,15 @@ def space_from_weighted_graph(vertices, edges, base=None) -> MetricSpace:
     remembers only the metric: rebuilding the canonical graph may drop edges
     that lie on shortest paths through other vertices.
     """
-    return _graph_space(vertices, edges, base)
+    return _path_space(*_graph_level(vertices, edges), base)
 
 
-def _graph_space(vertices, edges, base=None, metric=None) -> MetricSpace:
-    """space_from_weighted_graph, its path metric from _floyd_warshall, or,
-    for the family generators, the candidate metric = (mat, D) of the
-    distances times D, known from the graph's construction.  Either matrix
-    is certified with the weights at one unit in which all of them are
-    integers, by _violations, the certificate of every distance matrix, and
-    two checks on the edges (a wrong one fails an assertion), and then put
-    in lowest terms (_int_matrix)."""
+def _graph_level(vertices, edges) -> tuple[tuple[str, ...], np.ndarray, int, list]:
+    """The named graph of space_from_weighted_graph as (names, mat, D,
+    edges): its edges (u, v, w) by point index with their weights times D,
+    the lcm of the weight denominators, and its path metric times D from
+    _floyd_warshall.  Raises InvalidInput on repeated names, an unknown
+    vertex, a repeated pair, an invalid weight or a disconnected graph."""
     try:
         names = tuple(str(v) for v in vertices)
     except TypeError as exc:
@@ -737,20 +735,14 @@ def _graph_space(vertices, edges, base=None, metric=None) -> MetricSpace:
         raise InvalidInput(invalid)
     idx_edges = [(u, v, w if type(w) is Fraction else values[w])
                  for (u, v), w in zip(pairs, weights)]
-    if metric is None:
-        mat, denom, scaled = _path_rows(len(names), idx_edges)
-    else:
-        denom, scaled = _scaled_edges(idx_edges)
-        mat, unit = metric
-        assert mat.shape == (len(names),) * 2, "a candidate metric has a row per point"
-        denom, mat, scaled = _on_one_unit(denom, scaled, mat, unit)
-    return _path_space(names, mat, denom, scaled, base)
+    return (names, *_path_rows(len(names), idx_edges))
 
 
-def _path_space(names, mat: np.ndarray, denom: int, scaled, base=None) -> MetricSpace:
+def _path_space(names, mat: np.ndarray, denom: int, edges, base=None) -> MetricSpace:
     """The certified MetricSpace of a candidate path metric mat / denom of
-    the distinct edges scaled = (u, v, w), integers w: the weights times
-    denom (_graph_space, and random_metric_space's integer graphs)."""
+    the edges (u, v, w), distinct pairs by point index with integer weights
+    w, the weights times denom (space_from_weighted_graph, two-port graphs,
+    the family generators and random_metric_space's integer graphs)."""
     if len(names) < 2:
         raise InvalidInput("a metric space needs at least 2 points")
     # Row-major: _min_plus gathers rows, at half the speed from a column-major matrix.
@@ -758,10 +750,13 @@ def _path_space(names, mat: np.ndarray, denom: int, scaled, base=None) -> Metric
     violations, mask = _violations(names, mat)
     assert not violations, "a path metric satisfies the metric axioms"
     # _violations proved mat a metric and the path metric of its canonical
-    # pairs.  If each of them is an edge at its own weight (counted: the
-    # edges are distinct pairs), no distance of the graph exceeds mat's; if
-    # no weight is below mat, no path of the graph is shorter.
-    tails, heads, weights = (np.array(x) for x in zip(*scaled))
+    # pairs.  If each of them is an edge at its own weight (counted, so the
+    # edges must be distinct pairs), no distance of the graph exceeds mat's;
+    # if no weight is below mat, no path of the graph is shorter.
+    tails, heads, weights = (np.array(x) for x in zip(*edges))
+    seen = np.zeros_like(mask)
+    seen[tails, heads] = seen[heads, tails] = True
+    assert int(seen.sum()) == 2 * len(tails), "the edges of a path metric are distinct pairs"
     direct = mat[tails, heads]
     assert (weights >= direct).all(), "a path metric is at most every edge weight"
     tight = (weights == direct) & ~mask[tails, heads]
@@ -769,20 +764,6 @@ def _path_space(names, mat: np.ndarray, denom: int, scaled, base=None) -> Metric
         "each canonical pair of a path metric is an edge at its distance"
     reduced, mat = _int_matrix(mat, denom)
     return MetricSpace(names, reduced, mat, _base_index(names, base), _deletion_mask=mask)
-
-
-def _on_one_unit(denom: int, scaled, mat: np.ndarray, unit: int):
-    """(D, mat, scaled) for edges scaled by denom and a matrix by unit, both
-    rescaled to D, the lcm of denom and unit."""
-    common = lcm(denom, unit)
-    if common > unit:
-        factor = common // unit
-        mat = mat.astype(_int_dtype(int(mat.max()) * factor))
-        mat *= factor
-    if common > denom:
-        factor = common // denom
-        scaled = [(u, v, w * factor) for u, v, w in scaled]
-    return common, mat, scaled
 
 
 def weighted_graph_json_to_space(obj: dict) -> MetricSpace:

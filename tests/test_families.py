@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corpus import metric_isomorphism
@@ -284,63 +285,60 @@ def test_the_kernel_is_floyd_warshall_on_compositions():
     parts = _two_ports()
     assert all(g.top_bottom_distance() == 1 for g in parts)
     for H in parts:
-        at = H.space.index_of
         for G in parts:
-            got = metric._substitute(
-                (H.space.scaled, H.space.denom),
-                [(at(u), at(v), to_fraction(w)) for u, v, w in H.edges],
-                (G.space.scaled, G.space.denom),
-                (G.space.index_of(G.bottom), G.space.index_of(G.top)))
+            got = metric._substitute(H._level, G._level,
+                                     (G.space.index_of(G.bottom), G.space.index_of(G.top)))
             composed = compose(H, G)
             assert _same_distances(got, _floyd_warshall_of(composed.points, composed.edges))
             assert composed.space == space_from_weighted_graph(composed.points, composed.edges)
 
 
 def test_the_kernel_is_floyd_warshall_on_every_level(monkeypatch):
-    """Every level candidate the generators build, D_0 to D_5 and each level
-    of the K_{2,3} recursion to depth 4, is Floyd-Warshall's matrix: each
-    level enters a composition step or comes out of one."""
+    """Every level the generators build, D_0 to D_5 and each level of the
+    K_{2,3} recursion to depth 4, is Floyd-Warshall's matrix of its edges at
+    its unit: each level enters a composition step or comes out of one."""
     levels = {}
     real = families._compose_step
 
-    def spy(points, edges, metric, G, tag):
-        out = real(points, edges, metric, G, tag)
-        for level in ((points, edges, metric), out):
-            levels.setdefault(tuple(level[0]), level)
+    def spy(points, level, G, tag):
+        out = real(points, level, G, tag)
+        for named in ((points, level), out):
+            levels.setdefault(tuple(named[0]), named[1])
         return out
 
     monkeypatch.setattr(families, "_compose_step", spy)
     diamond(5)
     recursive_family(k2n_two_port(3), 4)
     assert [len(points) for points in levels] == [2, 4, 12, 44, 172, 684, 2, 5, 23, 131, 779]
-    for points, edges, mat in levels.values():
-        assert _same_distances(mat, _floyd_warshall_of(points, edges))
+    for points, (mat, _, edges) in levels.items():
+        assert np.array_equal(mat, metric._floyd_warshall(len(points), edges))
 
 
 def test_a_wrong_candidate_is_refused_by_the_certificate(monkeypatch):
     """A construction's candidate with one distance (both entries) one unit
     too high or too low fails an assertion, also where it drops to zero:
     on compose(q, q), D_2 and the 3 x 3 grid."""
-    real = families._graph_space
+    real = families._path_space
     shift = []  # (i, k, delta): d(i, k) and d(k, i) moved by delta
     last = []
+    final = []  # the points of the construction's last level, not of a part made by hand
 
-    def off_by_one(points, edges, base=None, metric=None):
-        if metric is not None:
-            mat = metric[0].copy()
+    def off_by_one(names, mat, denom, edges, base=None):
+        if tuple(names) in final:
+            mat = mat.copy()
             for i, k, delta in shift:
                 mat[i, k] += delta
                 mat[k, i] += delta
-            last[:] = [mat]
-            metric = (mat, metric[1])
-        return real(points, edges, base, metric)
+        last[:] = [tuple(names), mat]
+        return real(names, mat, denom, edges, base)
 
-    monkeypatch.setattr(families, "_graph_space", off_by_one)
+    monkeypatch.setattr(families, "_path_space", off_by_one)
     q = quadrilateral_two_port()
     for make in (lambda: compose(q, q).space, lambda: diamond(2)[0], lambda: grid(3)):
         shift.clear()
         right = make()
-        n = len(last[0])
+        final[:] = [last[0]]
+        n = len(last[1])
         refused = 0
         for i in range(n):
             for k in range(i + 1, n):
@@ -362,14 +360,14 @@ def test_a_wrong_level_is_refused_by_the_last_certificate(monkeypatch):
     real = families._compose_step
     shift = []
 
-    def first_level_off_by_one(points, edges, metric, G, tag):
-        out_points, out_edges, (mat, unit) = real(points, edges, metric, G, tag)
+    def first_level_off_by_one(points, level, G, tag):
+        out_points, (mat, denom, edges) = real(points, level, G, tag)
         if tag == "g1e":
             mat = mat.copy()
             for i, k, delta in shift:
                 mat[i, k] += delta
                 mat[k, i] += delta
-        return out_points, out_edges, (mat, unit)
+        return out_points, (mat, denom, edges)
 
     monkeypatch.setattr(families, "_compose_step", first_level_off_by_one)
     for make, n in ((lambda: diamond(3), 4), (lambda: recursive_family(k2n_two_port(3), 3), 5)):

@@ -143,6 +143,17 @@ def test_one_composition_step():
     assert _callers("_compose_step") == {"compose", "recursive_family", "diamond"}
 
 
+def test_every_generated_graph_is_certified_in_integers():
+    # A level is (mat, D, edges) in integers, and every graph meets one
+    # certificate: no second entry point, no rescaling to a common unit, and
+    # no Fraction arithmetic in the generators.
+    assert _definers(lambda name: name in {"_graph_space", "_on_one_unit"}) == set()
+    assert not {"to_fraction", "lcm"} & _names_used(SRC / "families.py")
+    assert _callers("_path_space") == {"space_from_weighted_graph", "__post_init__",
+                                       "recursive_family", "diamond", "grid",
+                                       "random_metric_space"}
+
+
 def test_one_bellman_ford():
     assert _definers(lambda name: name == "bellman_ford") == {"transport.py"}
     assert _definers(lambda name: name in {"_min_mean", "_potentials", "_extract_cycle"}) == set()

@@ -266,7 +266,9 @@ def test_json_output_bytes_are_pinned(tmp_path, monkeypatch):
     generators (digests recorded before the families' metrics came from
     their construction), and the recursive families' space and descriptor
     files are those of per-level two-port graphs (digests recorded before
-    one composition step built every level)."""
+    one composition step built every level), and the cycle and complete
+    bipartite files are those of the named-graph reader before it was
+    split from the generators' certificate."""
     monkeypatch.setenv("TCSPACE_MAX_POINTS", "64")
     digests = {  # args: (space file, descriptor file)
         "diamond --n 3": ("1a5030a9beab4eba36ab9c427f491c3aa9d761c10363217dbe7ea9479ce785d7",
@@ -278,6 +280,9 @@ def test_json_output_bytes_are_pinned(tmp_path, monkeypatch):
             ("a90db1a7f005dea5bd4168fd2c0686e9796538951a6ac1514c1f507c1a82783f",
              "1fab509068221f00fa1ad7d73f16de2d14c929d6a6309c89aa79996433506396"),
         "grid --n 5": ("dd940b2af508400d2f765ebcfa240a1c7e1b2410024415d356f6c2e0a5c8a081", None),
+        "cycle --n 7": ("a4df6accb39384dc065ae9c3715a01aaed44f238d64417aac720f695e7e87b2d", None),
+        "complete-bipartite --m 2 --n 4":
+            ("3d34fd711f1417ef408e30326740c5243d3c670a1c76bb6aefd4d6fa68a94e96", None),
     }
     large = {
         "diamond --n 5": ("29dcf03f6c71a73b19208ed08e3e0e89648b906f918e0dcf39cc127460fd7ffb",
@@ -943,19 +948,31 @@ def test_a_non_geodesic_weight_leaves_no_trace_in_the_denominator():
 
 
 def test_a_candidate_metric_is_certified_at_the_unit_of_the_weights():
-    """The generators' route takes a candidate at any unit and certifies it
-    where every weight is an integer: the non-geodesic graph's distances in
-    whole units (its chord weighs 7/3) and in sixths give Floyd-Warshall's
-    space.  An edge of weight 5/2 is no path of length 3, although 3 is
-    5/2 rounded up to the candidate's unit."""
+    """A candidate comes with its edges at one unit in which every weight is
+    an integer, and is certified there: the non-geodesic graph's distances
+    in thirds (its chord weighs 7/3) give Floyd-Warshall's space, in lowest
+    terms.  An edge of weight 5/2 is no path of length 3, although 3 is 5/2
+    rounded up to a whole unit."""
     vertices, edges = _non_geodesic_graph()
     want = space_from_weighted_graph(vertices, edges)
     assert want.denom == 1
-    for unit in (1, 6):
-        mat = np.array(want.scaled.tolist()) * unit
-        assert metric._graph_space(vertices, edges, metric=(mat, unit)) == want
+    names, _, denom, scaled = metric._graph_level(vertices, edges)
+    assert denom == 3 and (0, 2, 7) in scaled
+    assert metric._path_space(names, np.array(want.scaled.tolist()) * 3, 3, scaled) == want
     with pytest.raises(AssertionError, match="path metric"):
-        metric._graph_space(["A", "B"], [("A", "B", "5/2")], metric=(np.array([[0, 3], [3, 0]]), 1))
+        metric._path_space(("A", "B"), np.array([[0, 6], [6, 0]]), 2, [(0, 1, 5)])
+
+
+def test_a_path_space_takes_distinct_pairs_only():
+    """The certificate counts the canonical pairs among the edges, so a
+    repeated pair is refused: C_4's matrix with the path 0-1-2-3 and its
+    first edge again is no path metric, since the path's d(0, 3) is 3."""
+    c4 = cycle(4)
+    path = [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+    assert metric._path_space(c4.points, c4.scaled, 1, path + [(3, 0, 1)]) == c4
+    for again in ((0, 1, 1), (1, 0, 1)):
+        with pytest.raises(AssertionError, match="distinct pairs"):
+            metric._path_space(c4.points, c4.scaled, 1, path + [again])
 
 
 def test_a_restricted_space_is_in_lowest_terms():
