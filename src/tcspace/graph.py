@@ -4,9 +4,9 @@ The canonical graph keeps exactly the pairs uv such that no third point w
 satisfies d(u,w) + d(w,v) = d(u,v); its weighted path metric reproduces the
 original metric.  The dropped pairs are the deletion mask that validation
 kept on the space, proven there by metric._matrix_mask on the space's
-scaled matrix (the definition itself up to 40 points, one min-plus step
-above that), which shows that the graph's path metric is the input
-metric, whether the space came from a distance matrix, from a
+scaled matrix: above 40 points by one min-plus step over the sure edges
+when that step closes, otherwise by the definition itself.  Either shows
+that the graph's path metric is the input metric, whether the space came from a distance matrix, from a
 weighted graph or from restricting another space.
 Its one adjacency holds the integer weights of that matrix, in units of
 1/D for the space's D (the edges realise the metric, so D is their

@@ -10,16 +10,16 @@ Fractions live at the boundary: each distinct input literal is parsed once
 `dist` is a view built when read; integer distances given with their unit
 skip the literals (validate_scaled).  The diagonal, symmetry and sign tests
 are vectorized.  A distance matrix's triangle inequality and the canonical
-graph's deletion mask come from _matrix_mask.  Up to 40 points it computes
-the definition in one dense array of all n^3 sums d(i,j) + d(j,k) (the
-gate, _dense_fits, reuses the min-plus block size); above that, from a
-certificate: the sure edges (pairs closer than the sum of their ends' least
-distances have no midpoint), one min-plus step over them, an exact midpoint
-test for the pairs that leaves open, and _is_path_metric on the final
-edges; on uniform-weight families that is O(m n) instead of the O(n^3)
-midpoint scan, which runs only on a matrix that is not a metric, to report
-its first violation.  The validated space keeps the mask for
-graph.canonical_graph.
+graph's deletion mask come from _matrix_mask, by one of two routes.  Above
+40 points (the gate, _dense_fits, reuses the min-plus block size) it first
+tries a certificate: the sure edges (pairs closer than the sum of their
+ends' least distances have no midpoint) and one min-plus step over them;
+if that step gives the matrix back, the mask is the complement of the sure
+edges, O(m n) on uniform-weight families instead of O(n^3).  Otherwise,
+and up to 40 points, the definition decides, over blocks of the n^3 sums
+d(i,j) + d(j,k).  The midpoint scan runs only on a matrix that is not a
+metric, to report its first violation.  The validated space keeps the mask
+for graph.canonical_graph.
 
 Shortest-path metrics of weighted graphs meet the same _matrix_mask, at a
 unit in which every weight is an integer, and two O(m) checks on the input
@@ -178,7 +178,7 @@ def _midpoint_scan(mat: np.ndarray) -> tuple[int, int, int]:
     """Over the midpoints j of a scaled matrix with zero diagonal and positive
     entries elsewhere, and then in row-major order: the first (i, j, k) with
     d(i,k) > d(i,j) + d(j,k).  O(n^3); it runs only on a matrix that
-    _matrix_mask could not certify, which is therefore not a metric."""
+    _matrix_mask found not to be a metric."""
     n = len(mat)
     via = np.empty_like(mat)
     hit = np.empty((n, n), dtype=bool)
@@ -195,77 +195,74 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
     """(_midpoint_scan(mat), None) for a scaled matrix with zero diagonal and
     positive entries elsewhere that is not a metric, else (None, mask),
     mask[i, k] true iff some j outside {i, k} gives d(i,j) + d(j,k) =
-    d(i,k): the pairs the canonical graph drops.
+    d(i,k): the pairs the canonical graph drops.  Two routes decide it.
 
-    A small matrix (_dense_fits) is decided by the definition itself, in
-    one n x n x n array of sums via[i, j, k] = d(i,j) + d(j,k): it is a
-    metric iff no minimum over j lies below d(i,k), and then a pair is
-    dropped iff it has a third hit besides j = i and j = k.  A larger one
-    gets a certificate instead of an O(n^3) scan:
+    A matrix above the _dense_fits gate first tries a certificate.  With
+    delta_u the least distance from u, a pair with mat[u, v] < delta_u +
+    delta_v has no midpoint (any third point j has mat[u, j] + mat[j, v] >=
+    delta_u + delta_v): a sure edge, and each point's nearest neighbour is
+    one.  One min-plus step over the sure edges (_min_plus) then checks
+    Bellman's equation: mat[u, k] is the least w + mat[v, k] over the sure
+    edges (u, v, w) at u, for every k != u.  If it holds, each pair has a
+    first edge whose far end v has mat[v, k] < mat[u, k] (w > 0), so by
+    induction some path from u to k has length mat[u, k]; along any path
+    the step gives mat[x_i, k] <= w(x_i, x_i+1) + mat[x_i+1, k], so none is
+    shorter.  Then mat is the path metric of the sure edges (the
+    positive-weight Bellman fixpoint; Ahuja-Magnanti-Orlin, Network Flows,
+    ch. 4-5), hence a metric, and every other pair has a midpoint: the mask
+    is the complement of the sure edges, in O(m n) instead of O(n^3).
+    Uniform-weight families (diamonds, grids, K_{2,n} recursions) end here.
 
-    1. Sure edges.  With delta_u the least distance from u, a pair with
-       mat[u, v] < delta_u + delta_v has no midpoint: any third point j
-       has mat[u, j] + mat[j, v] >= delta_u + delta_v.  Each point's nearest
-       neighbour is one, so no point is left without an edge.
-    2. One min-plus step over the sure edges (_min_plus).  A minimum below
-       mat[u, k] is a triangle violation.  Where it equals mat[u, k] on a
-       pair that is not a sure edge, the minimizing neighbour lies outside
-       {u, k}: a midpoint, so the pair is dropped.  If it equals mat
-       everywhere, mat is the path metric of the sure edges
-       (_is_path_metric), so it is a metric and every other pair has a
-       midpoint: the step is the certificate, O(m n) instead of O(n^3).
-    3. The pairs that neither of their two rows decided get an exact
-       midpoint test (_midpoint_free), and _is_path_metric certifies the
-       final edge set: a metric is the path metric of its canonical graph,
-       and the edge set is exactly that graph (each pair was decided by a
-       midpoint, or by its absence), so the certificate fails only on a
-       matrix that is not a metric.
+    Otherwise, and for every matrix up to the gate, the definition decides,
+    over blocks of rows i (_block_rows; one block up to 40 points) of the
+    sums via[i, j, k] = d(i,j) + d(j,k): mat is a metric iff no minimum over
+    j lies below d(i,k), and then a pair is dropped iff it has a third hit
+    besides j = i and j = k.  The scan runs only on a matrix that is not a
+    metric, to report the first violation in its own order.
 
-    The scan runs only when the certificate fails, to report the first
-    violation in its own order.  Uniform-weight families (diamonds, grids,
-    K_{2,n} recursions) stop after step 2; a matrix with entries in [D, 2D]
-    sends step 3 only its pairs at 2D with no point at D from both.
+    The certificate fails on uneven path metrics, whose sure edges miss
+    canonical pairs; above the gate they pay one min-plus step and the
+    O(n^3) definition.  Of the benchmark's workloads at seeds 1, 2, 3 and
+    12, only norm-large's 64-point space at seed 2 leaves the step open.
+    Per matrix, against the earlier route (an exact test of the pairs left
+    open, then a second min-plus step over the final edges; medians of five
+    alternating runs on a shared 2-core machine): random_metric_space at 3,
+    10, 40 and 64 points 0.018 -> 0.020, 0.031 -> 0.032, 0.24 -> 0.23 and
+    1.2 -> 0.85 ms; diamond(5) 4.3 -> 3.8 ms, the depth-4 K_{2,3}
+    recursion 7.7 -> 4.2 ms, grid(16) 0.81 -> 0.52 ms; uneven path metrics
+    (integer weights 1-9 on a random tree plus a tenth of the other pairs)
+    1.4 -> 3.2 ms at 128 points, 2.7 -> 15 ms at 200, 8.8 -> 73 ms at 400
+    and 51 -> 660 ms at 800, above the command line's default cap of 64
+    and small beside a solve at that size.
     """
     n = len(mat)
-    if n == 1:
-        return None, np.zeros((1, 1), dtype=bool)  # the empty graph on one point
-    if _dense_fits(mat):
-        via = mat[:, :, None] + mat
-        if (via.min(axis=1) < mat).any():
+    if not _dense_fits(mat):
+        near = mat.copy()
+        np.fill_diagonal(near, mat.max())
+        delta = near.min(axis=1)
+        keep = mat < np.add(delta[:, None], delta, out=near)
+        np.fill_diagonal(keep, False)
+        if all(np.array_equal(best, mat[rows]) for rows, best in _min_plus(mat, keep)):
+            drop = np.logical_not(keep, out=keep)
+            np.fill_diagonal(drop, False)
+            return None, drop
+    drop = np.empty((n, n), dtype=bool)
+    step = _block_rows(mat, mat.size)
+    for lo in range(0, n, step):
+        rows = mat[lo:lo + step]
+        via = rows[:, :, None] + mat
+        if (via.min(axis=1) < rows).any():
             return _midpoint_scan(mat), None
-        return None, (via == mat[:, None, :]).sum(axis=1) > 2
-    near = mat.copy()
-    np.fill_diagonal(near, mat.max())
-    delta = near.min(axis=1)
-    keep = mat < np.add(delta[:, None], delta, out=near)
-    np.fill_diagonal(keep, False)
-    above = np.empty((n, n), dtype=bool)  # step 2's minimum exceeds mat
-    certified = True
-    for rows, best in _min_plus(mat, keep):
-        direct = mat[rows]
-        if (best < direct).any():
-            certified = False
-            break
-        above[rows] = best > direct
-    if certified and above.any():
-        us, ks = np.nonzero(above)
-        undecided = (us < ks) & above[ks, us]  # by neither row
-        us, ks = us[undecided], ks[undecided]
-        free = _midpoint_free(mat, us, ks)
-        keep[us[free], ks[free]] = keep[ks[free], us[free]] = True
-        certified = _is_path_metric(mat, keep)
-    if not certified:
-        return _midpoint_scan(mat), None
-    drop = np.logical_not(keep, out=keep)
-    np.fill_diagonal(drop, False)
+        drop[lo:lo + step] = (via == rows[:, None, :]).sum(axis=1) > 2
     return None, drop
 
 
 def _dense_fits(mat: np.ndarray) -> bool:
-    """Whether _matrix_mask takes its dense kernel: when mat's n^3 sums fit
-    one block of _MIN_PLUS_BLOCK entries (n <= 40).  Up to there the kernel
-    ran faster than the certificate, at every width and on Python ints; the
-    certificate wins from about n = 48 on, by 3-4x at n = 96-128."""
+    """Whether _matrix_mask goes straight to the definition: when mat's n^3
+    sums fit one block of _MIN_PLUS_BLOCK entries (n <= 40).  Up to there
+    the definition ran faster than the certificate, at every width and on
+    Python ints; the certificate wins from about n = 48 on, by 3-4x at
+    n = 96-128, wherever it closes."""
     return len(mat) * mat.size <= _MIN_PLUS_BLOCK
 
 
@@ -273,48 +270,6 @@ def _block_rows(mat: np.ndarray, width: int) -> int:
     """How many rows of width entries one block of sums holds: at most the
     larger of mat's size and _MIN_PLUS_BLOCK entries, and at least one row."""
     return max(1, max(mat.size, _MIN_PLUS_BLOCK) // width)
-
-
-def _midpoint_free(mat: np.ndarray, us: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """For each pair (us[i], ks[i]) of distinct points: whether no third
-    point j has mat[u, j] + mat[j, k] = mat[u, k] (j = u and j = k always
-    do).  O(n) per pair, over blocks of pairs (_block_rows)."""
-    direct = mat[us, ks]
-    free = np.empty(len(us), dtype=bool)
-    step = _block_rows(mat, len(mat))
-    for lo in range(0, len(us), step):
-        via = mat[us[lo:lo + step]]
-        via += mat[ks[lo:lo + step]]
-        free[lo:lo + step] = (via == direct[lo:lo + step, None]).sum(axis=1) == 2
-    return free
-
-
-def _is_path_metric(mat: np.ndarray, keep: np.ndarray) -> bool:
-    """Whether a scaled matrix mat, zero on the diagonal and positive
-    elsewhere, is the path metric of the graph whose edges are the pairs
-    {u, v} with keep[u, v] (keep symmetric, false on the diagonal), each of
-    weight mat[u, v]; then mat is a metric.
-
-    One min-plus step decides it: for every u and every k != u, mat[u, k]
-    must equal the least w + mat[v, k] over the edges (u, v, w) at u
-    (_min_plus), which is Bellman's equation; nothing else, the triangle
-    inequality included, is assumed.  If it holds, each pair has a first
-    edge whose far end v has mat[v, k] < mat[u, k] (w > 0), so by induction
-    on mat[u, k] some path from u to k has length mat[u, k].  Along any
-    path u = x_0, ..., x_r = k the step gives mat[x_i, k] <= w(x_i, x_i+1)
-    + mat[x_i+1, k], and these add up to mat[u, k] <= the path's length.
-    So mat is the path metric (the positive-weight Bellman fixpoint;
-    Ahuja-Magnanti-Orlin, Network Flows, ch. 4-5).  Conversely a path
-    metric satisfies the step: no edge beats the distance, and the first
-    edge of a shortest path attains it.  A canonical graph missing one of
-    its edges {u, k} leaves that pair a strict >, since no third point lies
-    between u and k.
-    """
-    if len(mat) == 1:
-        return True  # the empty graph on one point
-    if not keep.any(axis=1).all():
-        return False  # a point without edges
-    return all(np.array_equal(best, mat[rows]) for rows, best in _min_plus(mat, keep))
 
 
 def _min_plus(mat: np.ndarray, keep: np.ndarray):

@@ -3,10 +3,11 @@ transportation LP over supply x demand pairs, with no graph at all.  It
 avoids the solver's code paths and runs on the exact simplex in
 :mod:`tcspace.lp`.
 
-The transportation LP is posed on integer masses: f times M, M the lcm of
-its denominators, with the value divided by M at the end.  It has one row
-per source and one per sink but the first; that row is implied, since f
-sums to zero.  Its constraint matrix, the incidence matrix of a complete
+The transportation LP is posed in integers: the masses f times M, M the
+lcm of their denominators, and the costs the space's distances times its
+D (its `scaled` matrix), with the value divided by M D at the end.  It has
+one row per source and one per sink but the first; that row is implied,
+since f sums to zero.  Its constraint matrix, the incidence matrix of a complete
 bipartite graph, is totally unimodular, and so is the matrix with the
 artificial columns beside it.  With integer masses every row keeps
 scale 1, and the divisor of the fraction-free simplex, the determinant of
@@ -28,13 +29,16 @@ def oracle_tc_norm(f: TransportationProblem) -> Fraction:
 
     Minimizes sum a_xy * d(x,y) over nonnegative moves between the supply
     and demand supports with the marginals prescribed by f, in units of 1/M
-    (M the lcm of f's denominators).  The first sink's row is left out: the
-    other rows imply it.  No shortest paths, no edges: this shares nothing
-    with the shortest-path solver.
+    (M the lcm of f's denominators) and distances in units of 1/D (D the
+    space's denom).  Bland's rule reads only the signs of the cost row, so
+    the pivots are those of the LP on the Fraction distances.  The first
+    sink's row is left out: the other rows imply it.  No shortest paths, no
+    edges: this shares nothing with the shortest-path solver.
     """
     if f.is_zero():
         return ZERO
-    dist = f.graph.space.dist
+    space = f.graph.space
+    dist = space.scaled.tolist()  # Python ints, which the LP keeps as they are
     scale = lcm(*(x.denominator for x in f.values.values()))
     mass = {v: x.numerator * (scale // x.denominator) for v, x in f.values.items()}
     sources = sorted(v for v, a in mass.items() if a > 0)
@@ -48,4 +52,4 @@ def oracle_tc_norm(f: TransportationProblem) -> Fraction:
     lp.minimize({cell[x, y]: dist[x][y] for x in sources for y in sinks})
     res = lp.solve()
     assert res.status == LPStatus.OPTIMAL
-    return res.value / scale
+    return res.value / (scale * space.denom)

@@ -121,9 +121,6 @@ class OrientedCycle:
         """Signed indicator: +-1 per traversed edge (a cycle-space element)."""
         return Roadmap(self.graph, {e: Fraction(s) for e, s in self.arcs})
 
-    def weight(self) -> Fraction:
-        return sum((self.graph.edges[e].weight for e, _ in self.arcs), ZERO)
-
 
 @dataclass(frozen=True)
 class CycleBasis:

@@ -18,10 +18,6 @@ from .graph import CanonicalGraph
 from .rational import ZERO, frac_str, to_fraction
 
 
-def _clean(values: dict) -> dict:
-    return {k: v for k, v in values.items() if v != 0}
-
-
 @dataclass(frozen=True)
 class _SparseVector:
     """Sparse map index -> nonzero Fraction on a graph, with exact linear
@@ -66,7 +62,7 @@ class _SparseVector:
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out.get(k, ZERO) + v
-        return type(self)(self.graph, _clean(out))
+        return type(self)(self.graph, out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -154,7 +150,7 @@ class Roadmap(_SparseVector):
             e = self.graph.edges[idx]
             acc[e.tail] = acc.get(e.tail, ZERO) + val
             acc[e.head] = acc.get(e.head, ZERO) - val
-        return TransportationProblem(self.graph, _clean(acc))
+        return TransportationProblem(self.graph, acc)
 
     def induced_sign(self, idx: int) -> int:
         v = self[idx]

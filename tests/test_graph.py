@@ -26,7 +26,8 @@ from tcspace.graph import shortest_path_tree, tree_path
 from tcspace.metric import (
     _adjacency,
     _dijkstra,
-    _is_path_metric,
+    _matrix_mask,
+    _min_plus,
     _scaled_edges,
 )
 from tcspace.randgen import random_metric_space
@@ -262,16 +263,29 @@ def test_adjacency_is_the_reference_arc_for_arc():
             assert graph.degree(v) == len(want)
 
 
+def _closes(mat, keep):
+    """Whether one min-plus step over the graph of keep gives mat back
+    (Bellman's equation), as _matrix_mask asks of its sure edges.  A graph
+    with an isolated point is no path metric on two or more points; sure
+    edges never leave one (each point's nearest neighbour is one), and
+    _min_plus takes none."""
+    if not keep.any(axis=1).all():
+        return False
+    return all(np.array_equal(best, mat[rows]) for rows, best in _min_plus(mat, keep))
+
+
 def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
-    """_is_path_metric accepts a graph (edges weighted by the metric) exactly
-    when its all-pairs distances (per-source _dijkstra) are the metric: on the
-    canonical edges with some dropped, with non-edges added, or both, with
-    every edge at one point dropped, and with no edges at all (which is the
-    path metric of a one-point space)."""
+    """The min-plus step gives the metric back on a graph (edges weighted
+    by the metric) exactly when its all-pairs distances (per-source
+    _dijkstra) are the metric: on the canonical edges with some dropped,
+    with non-edges added, or both, with every edge at one point dropped, and
+    with no edges at all.  No edges at all is the path metric of a
+    one-point space, whose mask _matrix_mask leaves empty."""
     rng = random.Random(13)
     point = cycle(5).restrict([2])  # validation wants two points; restrict does not
     assert canonical_graph(point).m == 0
-    assert _is_path_metric(point.scaled, np.zeros((1, 1), dtype=bool))
+    hit, mask = _matrix_mask(point.scaled)
+    assert hit is None and mask.tolist() == [[False]]
     assert dijkstra_rows(_adjacency(1, [])) == point.scaled.tolist()
     spaces = [cycle(5), grid(3), diamond(2)[0]]
     spaces += [random_metric_space(rng, n) for n in (3, 4, 6, 9, 12, 16) for _ in range(3)]
@@ -297,7 +311,7 @@ def test_the_min_plus_step_agrees_with_all_pairs_shortest_paths():
             tails, heads = np.nonzero(np.triu(keep, 1))
             adj = _adjacency(n, list(zip(tails.tolist(), heads.tolist(),
                                          mat[tails, heads].tolist())))
-            verdict = _is_path_metric(mat, keep)
+            verdict = _closes(mat, keep)
             assert verdict == (dijkstra_rows(adj) == mat.tolist())
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
@@ -318,7 +332,7 @@ def test_the_self_check_stays_within_a_few_matrices_of_memory():
     assert keep.sum() == n * (n - 1)
     tracemalloc.start()
     try:
-        assert _is_path_metric(space.scaled, keep)
+        assert _closes(space.scaled, keep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

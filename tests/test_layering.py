@@ -210,10 +210,19 @@ def test_distances_are_scaled_in_one_place():
 
 
 def test_the_canonical_graph_checks_itself_without_all_pairs_paths():
-    # Its check is metric._is_path_metric's min-plus step, run in validation;
-    # the all-pairs search serves path metrics of input graphs only.
+    # Its check is metric._matrix_mask's min-plus step, or the definition,
+    # run in validation; the all-pairs search serves path metrics of input
+    # graphs only.
     assert not {"_path_rows", "_floyd_warshall"} & _names_used(SRC / "graph.py")
-    assert _definers(lambda name: name == "_is_path_metric") == {"metric.py"}
+    assert _definers(lambda name: name == "_min_plus") == {"metric.py"}
+
+
+def test_two_routes_decide_the_deletion_mask():
+    # The sure edges' min-plus step when it closes, the definition otherwise:
+    # no exact midpoint test of open pairs, and no second min-plus pass over
+    # the final edges.
+    assert _definers(lambda name: name in {"_midpoint_free", "_is_path_metric"}) == set()
+    assert _callers("_min_plus") == {"_matrix_mask"}
 
 
 def test_one_canonical_graph_certificate():
@@ -223,7 +232,7 @@ def test_one_canonical_graph_certificate():
     assert _definers(lambda name: name == "_edge_mask") == set()
     assert _definers(lambda name: name == "_matrix_mask") == {"metric.py"}
     assert _callers("_matrix_mask") == {"_violations"}
-    assert not {"_matrix_mask", "_is_path_metric"} & _names_used(SRC / "graph.py")
+    assert not {"_matrix_mask", "_min_plus"} & _names_used(SRC / "graph.py")
 
 
 def test_one_edge_vector_class():
@@ -298,6 +307,10 @@ SHARED_NAME_CALLERS = {
     "Roadmap.to_json_obj": "src/tcspace/cli.py:_cmd_roadmap",
     "LipschitzFunction.zero": "src/tcspace/duality.py:_least_supporting",
     "_SparseVector.zero": "src/tcspace/obstruction.py:LinftyCandidate.combine",
+    "cycle": "src/tcspace/cli.py:_cmd_gen",
+    "ExactLP._build.scaled": "src/tcspace/lp.py:ExactLP._build",
+    "LinftyCandidate.k": "src/tcspace/obstruction.py:check_sign_pattern_disjointness",
+    "LinftyCandidate.graph": "src/tcspace/obstruction.py:LinftyCandidate.combine",
 }
 
 
@@ -309,6 +322,19 @@ def _definitions(tree: ast.AST, prefix: str = ""):
             yield from _definitions(node, f"{prefix}{node.name}.")
         else:
             yield from _definitions(node, prefix)
+
+
+def _fields(tree: ast.AST):
+    """The field names of every dataclass and NamedTuple class in tree: an
+    attribute read by a field's name may be the field's, not a method's."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and (
+                any(getattr(d, "id", None) == "dataclass"
+                    or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+                    for d in node.decorator_list)
+                or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)):
+            yield from (item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
 
 
 def _traced_names() -> set[str]:
@@ -333,15 +359,16 @@ def _names_in(caller: str) -> set[str]:
 def test_every_definition_has_a_caller_outside_the_tests():
     """Every def and class of src/tcspace but the dunders is named in src/
     outside itself and __init__.py, in demos/, or in bench/.  A name that
-    two definitions share counts only through the caller SHARED_NAME_CALLERS
-    names for it.  What only tests use lives in tests/ (corpus.py,
-    oracles.py)."""
+    two definitions share, a dataclass or NamedTuple field counting as one,
+    counts only through the caller SHARED_NAME_CALLERS names for it.  What
+    only tests use lives in tests/ (corpus.py, oracles.py)."""
     outside = _traced_names().union(*(_names_used(p) for folder in ("demos", "bench")
                                       for p in (REPO / folder).glob("*.py")))
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in SRC.glob("*.py") if p.name != "__init__.py"}
     uses = {p: Counter(_identifiers(tree)) for p, tree in trees.items()}
     defined = Counter(node.name for tree in trees.values() for _, node in _definitions(tree))
+    defined.update(name for tree in trees.values() for name in _fields(tree))
     sharing = set()
     orphans = set()
     for path, tree in trees.items():

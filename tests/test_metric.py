@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -597,8 +598,9 @@ def test_a_graph_mask_is_the_scan_mask():
 
 def test_weighted_graphs_run_no_midpoint_scan(monkeypatch):
     """Neither a weighted graph nor a valid matrix (the graphs' path
-    metrics, many of them through the exact midpoint test of step 3) runs
-    the scan; an invalid matrix runs it for its first violation."""
+    metrics, the 90-point one decided by the definition after its sure
+    edges leave pairs open) runs the scan; an invalid matrix runs it for
+    its first violation."""
     monkeypatch.setattr(metric, "_midpoint_scan", _forbidden)
     spaces = _graph_spaces()
     assert len(spaces) > 40
@@ -656,45 +658,42 @@ def test_a_wrong_path_metric_is_refused_by_the_certificate(monkeypatch, graph):
 
 
 def test_each_mask_is_checked_by_one_min_plus_step(monkeypatch):
-    """Every validated space carries a mask proven by one certificate,
-    _matrix_mask, whose min-plus step (_min_plus) runs over its final edges,
-    and canonical_graph checks none of them again: a matrix's or a weighted
-    graph's path metric's by step 2 over its sure edges (grid(4) stops
-    there), or, where step 3 decides open pairs, by one _is_path_metric over
-    the final edges after it; a restricted space's by the same routine in
+    """Every validated space carries a mask proven by one _matrix_mask, whose
+    min-plus step (_min_plus) runs once over the sure edges, and
+    canonical_graph checks none of them again: a matrix's or a weighted
+    graph's path metric's mask by that step alone when it closes (grid(4)),
+    or by the definition after it, where the sure edges leave a pair open
+    (the path P-A-B-Q); a restricted space's by the same routine in
     restrict.  All of them on the certificate route, as larger spaces take it."""
     _certificate_route(monkeypatch)
-    steps, certificates, masks = [], [], []
-    real_step, real_check, real_mask = metric._min_plus, metric._is_path_metric, metric._matrix_mask
+    steps, masks = [], []
+    real_step, real_mask = metric._min_plus, metric._matrix_mask
     monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real_step(*a))
-    monkeypatch.setattr(metric, "_is_path_metric",
-                        lambda *a: certificates.append(a) or real_check(*a))
     monkeypatch.setattr(metric, "_matrix_mask", lambda *a: masks.append(a) or real_mask(*a))
-
-    step_three = _step_three_runs(monkeypatch)
+    definitions = _definition_runs(monkeypatch)
 
     def counted(build):
-        for seen in (steps, certificates, masks, step_three):
+        for seen in (steps, definitions, masks):
             seen.clear()
-        return build(), len(steps), len(certificates), len(masks)
+        return build(), len(steps), len(definitions), len(masks)
 
     space, *counts = counted(lambda: grid(4))
-    assert counts == [1, 0, 1] and sum(step_three) == 0
+    assert counts == [1, 0, 1]
     path = space_from_weighted_graph(*_long_middle_path())
     for built, opened in ((lambda: validate_metric(space.points, space.dist), 0),
                           (lambda: validate_metric(path.points, path.dist), 1)):
         matrix, *counts = counted(built)
-        assert counts == [1 + opened, opened, 1] and sum(step_three) == opened
+        assert counts == [1, opened, 1]
         _, *counts = counted(lambda: canonical_graph(matrix))
         assert counts == [0, 0, 0]
     _, *counts = counted(lambda: space_from_weighted_graph(*_long_middle_path()))
-    assert counts == [2, 1, 1] and sum(step_three) == 1
+    assert counts == [1, 1, 1]
     _, *counts = counted(lambda: canonical_graph(space))
     assert counts == [0, 0, 0]
     # A unit square, then every other point of the 4 x 4 grid.
-    for keep, want, opened in (([0, 1, 4, 5], [1, 0, 1], 0), (list(range(0, 16, 2)), [2, 1, 1], 1)):
+    for keep, opened in (([0, 1, 4, 5], 0), (list(range(0, 16, 2)), 1)):
         sub, *counts = counted(lambda: space.restrict(keep))
-        assert counts == want and (sum(step_three) > 0) == opened
+        assert counts == [1, opened, 1]
         _, *counts = counted(lambda: canonical_graph(sub))
         assert counts == [0, 0, 0]
 
@@ -720,38 +719,42 @@ def _peel_levels(space, generations):
 
 
 def _certificate_route(monkeypatch):
-    """Send every matrix of any size to _matrix_mask's certificate (steps
-    1-3), not to its dense kernel."""
+    """Send every matrix of any size first to _matrix_mask's certificate
+    (the sure edges and one min-plus step), as larger ones go."""
     monkeypatch.setattr(metric, "_dense_fits", lambda mat: False)
 
 
-def _step_three_runs(monkeypatch):
-    """The number of pairs each call of _matrix_mask passes to step 3."""
-    pairs = []
-    real = metric._midpoint_free
-    monkeypatch.setattr(metric, "_midpoint_free",
-                        lambda mat, us, ks: pairs.append(len(us)) or real(mat, us, ks))
-    return pairs
+def _definition_runs(monkeypatch):
+    """The sizes of the matrices whose mask the definition decided, one
+    entry per run: it alone asks _block_rows for rows of n^2 sums (a row of
+    a min-plus block holds degree x n < n^2)."""
+    runs = []
+    real = metric._block_rows
+    monkeypatch.setattr(metric, "_block_rows", lambda mat, width: (
+        width == mat.size and runs.append(len(mat))) or real(mat, width))
+    return runs
 
 
 def test_a_matrix_mask_is_the_scan_mask_on_random_spaces(monkeypatch):
     """random_metric_space at 2 to 64 points, matrix and graph branch: the
-    mask is the scan's, validation keeps it proven, and the graph branch's
-    non-uniform path metrics send pairs to step 3.  All of them on the
-    certificate route, as spaces above the dense kernel's size take it."""
+    mask is the scan's, validation keeps it proven, and the definition
+    decides the graph branch's non-uniform path metrics, whose sure edges
+    leave pairs open, at every size.  All of them on the certificate route,
+    as spaces above the dense kernel's size take it."""
     _certificate_route(monkeypatch)
-    step_three = _step_three_runs(monkeypatch)
+    definitions = _definition_runs(monkeypatch)
     sizes = [n for n in range(2, 25) for _ in range(8)] + [32, 40, 48, 64] * 3
-    counts = []
+    decided = []
     for seed, n in enumerate(sizes):
         space = random_metric_space(random.Random(seed), n)
-        step_three.clear()
+        definitions.clear()
         assert _assert_the_scan_verdict(space.scaled) is None
-        counts.append(sum(step_three))
+        decided.append(len(definitions))
         again = validate_metric(space.points, space.dist)
         assert np.array_equal(again._deletion_mask, midpoint_scan(space.scaled)[1])
-    assert sum(c > 0 for c in counts) > len(sizes) // 5
-    assert max(counts) > 100
+    assert set(decided) == {0, 1}
+    assert sum(decided) > len(sizes) // 5
+    assert {n for n, runs in zip(sizes, decided) if runs} >= {32, 40, 48, 64}
 
 
 def test_a_matrix_mask_is_the_scan_mask_on_the_families_and_their_peel_levels():
@@ -807,19 +810,20 @@ def test_a_matrix_mask_is_the_scan_mask_at_int8_up_to_63():
     assert verdicts == {True, False}
 
 
-def test_step_three_decides_the_pairs_the_sure_edges_leave_open(monkeypatch):
+def test_the_definition_decides_the_pairs_the_sure_edges_leave_open(monkeypatch):
     """Path metrics of weighted graphs with non-uniform weights, passed as
     matrices: their masks are the scan's (and the graph route's) although
-    steps 1 and 2 leave pairs open.  All of them on the certificate route,
-    as spaces above the dense kernel's size take it."""
+    the sure edges and their min-plus step leave pairs open.  All of them
+    on the certificate route, as spaces above the dense kernel's size take
+    it."""
     _certificate_route(monkeypatch)
-    step_three = _step_three_runs(monkeypatch)
+    definitions = _definition_runs(monkeypatch)
     spaces = _graph_spaces() + [space_from_weighted_graph(*_long_middle_path())]
     opened = 0
     for space in spaces:
-        step_three.clear()
+        definitions.clear()
         assert _assert_the_scan_verdict(space.scaled) is None
-        opened += sum(step_three) > 0
+        opened += len(definitions)
         assert validate_metric(space.points, space.dist) == space
         assert np.array_equal(validate_metric(space.points, space.dist)._deletion_mask,
                               space._deletion_mask)
@@ -879,11 +883,70 @@ def test_small_spaces_take_the_dense_kernel_and_large_ones_the_certificate(monke
         assert bool(steps) == certified, n
 
 
+def _uneven_path_metric(rng, n, most=3):
+    """The path metric of a random connected graph on n points, a random
+    tree plus a tenth of the other pairs, with integer weights in 1..most:
+    uneven weights, so its sure edges leave canonical pairs open."""
+    edges = [(rng.randrange(i), i, rng.randint(1, most)) for i in range(1, n)]
+    edges += [(i, j, rng.randint(1, most)) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.1]
+    return metric._floyd_warshall(n, edges)
+
+
+def test_above_the_gate_the_definition_decides_what_the_sure_edges_leave_open(monkeypatch):
+    """Uneven path metrics on 41 to 64 points at int8, copies with one
+    distance moved by one either way, and all of them at object dtype
+    (scaled by BIG): each runs one min-plus step over its sure edges, which
+    does not close, then the definition, and gives midpoint_scan's mask or
+    first violation."""
+    rng = random.Random(47)
+    mats = []
+    for n in range(41, 65):
+        mat = _uneven_path_metric(rng, n)
+        assert int(mat.max()) <= 63
+        mat = mat.astype(np.int8)
+        i, k = rng.sample(range(n), 2)
+        for delta in (0, 1, -1):
+            copy = mat.copy()
+            copy[i, k] = copy[k, i] = max(1, int(mat[i, k]) + delta)
+            mats += [copy, copy.astype(object) * BIG]
+    steps = []
+    real = metric._min_plus
+    monkeypatch.setattr(metric, "_min_plus", lambda *a: steps.append(a) or real(*a))
+    definitions = _definition_runs(monkeypatch)
+    verdicts = set()
+    for mat in mats:
+        steps.clear()
+        definitions.clear()
+        verdicts.add(_assert_the_scan_verdict(mat) is None)
+        assert len(steps) == 1 and definitions == [len(mat)]
+    assert {mat.dtype for mat in mats} == {np.dtype(np.int8), np.dtype(object)}
+    assert verdicts == {True, False}
+
+
+def test_the_definition_holds_one_row_of_sums_at_a_time(monkeypatch):
+    """On an uneven 200-point path metric the definition decides the mask
+    (after the min-plus step), over blocks of one row each: a few times the
+    matrix at its peak, not the n^3 sums (200 times as much)."""
+    mat = _uneven_path_metric(random.Random(5), 200, most=9)
+    assert metric._block_rows(mat, mat.size) == 1
+    want = midpoint_scan(mat)
+    definitions = _definition_runs(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = metric._matrix_mask(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] is None and np.array_equal(got[1], want[1])
+    assert definitions == [200]
+    assert peak <= 6 * mat.nbytes
+
+
 def test_invalid_matrices_raise_the_scans_first_violation():
     """Random integer matrices, and valid ones with one distance moved by
     one either way: accepted or rejected exactly as the scan does, with its
-    first TriangleViolation.  Rejections include matrices on which step 2
-    sees no violation and only the final certificate does."""
+    first TriangleViolation.  Each verdict comes more than 200 times."""
     rng = random.Random(31)
     mats = []
     for _ in range(2000):
@@ -917,7 +980,7 @@ def test_invalid_matrices_raise_the_scans_first_violation():
 def _long_middle_path():
     """The path P-A-B-Q with weights 1, 2, 1: d(A,B) = 2 is the sum of the
     least distances from A and from B, so {A, B} is no sure edge, and no
-    sure neighbour of A or B lies between them: step 3 decides it."""
+    sure neighbour of A or B lies between them: the definition decides it."""
     return ["P", "A", "B", "Q"], [("P", "A", "1"), ("A", "B", "2"), ("B", "Q", "1")]
 
 

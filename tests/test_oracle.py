@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -101,6 +102,47 @@ def test_the_reduced_lp_is_the_full_lp(small_corpus, monkeypatch):
     monkeypatch.setattr(ExactLP, "_pivot", staticmethod(recorded))
     assert [oracle_tc_norm(f) for f in problems] == want
     assert pivots and set(pivots) == {(1, 1)}
+
+
+def _fraction_cost_lp(f):
+    """The oracle's LP (integer masses, the first sink's row left out) with
+    the space's Fraction distances as costs: (value, pivots (row, column))."""
+    dist = f.graph.space.dist
+    scale = lcm(*(x.denominator for x in f.values.values()))
+    mass = {v: x * scale for v, x in f.values.items()}
+    sources = sorted(v for v, a in mass.items() if a > 0)
+    sinks = sorted(v for v, a in mass.items() if a < 0)
+    lp = ExactLP()
+    cell = {(x, y): lp.add_var() for x in sources for y in sinks}
+    for x in sources:
+        lp.add_eq({cell[x, y]: 1 for y in sinks}, int(mass[x]))
+    for y in sinks[1:]:
+        lp.add_eq({cell[x, y]: 1 for x in sources}, int(-mass[y]))
+    lp.minimize({cell[x, y]: dist[x][y] for x in sources for y in sinks})
+    return lp.solve().value / scale
+
+
+def test_integer_costs_take_the_pivots_of_fraction_costs(small_corpus, monkeypatch):
+    """The oracle's costs are the distances times D, a positive multiple of
+    the Fraction distances' cost row: Bland's rule, which reads its signs,
+    takes the same pivots, and the value divided by D is the same."""
+    pivots = []
+    pivot = ExactLP._pivot
+
+    def recorded(t, basis, d, i, j):
+        pivots.append((i, j))
+        return pivot(t, basis, d, i, j)
+
+    monkeypatch.setattr(ExactLP, "_pivot", staticmethod(recorded))
+    problems = _oracle_problems(small_corpus)
+    assert {f.graph.space.denom for f in problems} > {1}
+    for f in problems:
+        pivots.clear()
+        want = _fraction_cost_lp(f)
+        taken = pivots[:]
+        pivots.clear()
+        assert oracle_tc_norm(f) == want
+        assert pivots == taken
 
 
 def test_tree_cut_formula_by_hand():
