@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, NotLipschitz, NotRealizable, NullProblem, PreconditionFailed
+from .errors import (
+    InvalidInput, NotLipschitz, NotRealizable, NullProblem, PreconditionFailed, json_fields,
+)
 from .graph import CanonicalGraph, DirectedSubgraph, connected_components
 from .rational import ZERO, frac_str, to_fraction
 from .transport import _optimum, bellman_ford, residual_distances, zero_cost_cycles
@@ -75,10 +77,7 @@ class LipschitzFunction:
 
     @classmethod
     def from_json_obj(cls, graph: CanonicalGraph, obj: dict) -> LipschitzFunction:
-        try:
-            named = obj["l"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidInput("lipschitz JSON needs 'l'") from exc
+        (named,) = json_fields(obj, "lipschitz JSON needs 'l'", "l")
         base = obj.get("base")
         if base is not None and graph.space.index_of(base) != graph.space.base_point:
             raise InvalidInput("base in JSON differs from the space's base point")

@@ -4,6 +4,10 @@ Every error that corresponds to a violated contract of the toolkit derives
 from :class:`DomainError`, so callers (and the CLI) can distinguish domain
 failures from programming errors.  The class name doubles as the stable
 error code emitted in structured error output.
+
+Every JSON reader takes the fields of an input object through json_fields,
+so a non-object, a missing key or a list element that is not an object
+raises InvalidInput with the reader's message, never KeyError or TypeError.
 """
 
 from __future__ import annotations
@@ -19,6 +23,16 @@ class DomainError(Exception):
 
 class InvalidInput(DomainError):
     """Malformed input: wrong shapes, unknown names, bad literals."""
+
+
+def json_fields(obj, message: str, *keys: str) -> tuple:
+    """obj[key] for each of keys, in order: the one reader of a JSON input
+    object's fields.  Raises InvalidInput(message) when obj is not an object
+    holding them all (a list, a string or a number has no named fields)."""
+    try:
+        return tuple(obj[key] for key in keys)
+    except (TypeError, KeyError) as exc:
+        raise InvalidInput(message) from exc
 
 
 # --- metric axiom violations -------------------------------------------------

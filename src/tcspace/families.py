@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInput, NotNormalized
+from .errors import InvalidInput, NotNormalized, json_fields
 from .metric import (
     MetricSpace,
     _graph_level,
@@ -60,10 +60,7 @@ class FamilyDescriptor:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> FamilyDescriptor:
-        try:
-            family = obj["family"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidInput("descriptor JSON needs 'family'") from exc
+        (family,) = json_fields(obj, "descriptor JSON needs 'family'", "family")
         gens = obj.get("generations")
         if gens is not None:
             # JSON integers only: int() would also take 1.5, true, " 0" or "0_1".
@@ -117,18 +114,18 @@ class TwoPortGraph:
         return max(deg.values())
 
 
-def compose(H: TwoPortGraph, G: TwoPortGraph, tag: str = "e") -> TwoPortGraph:
+def compose(H: TwoPortGraph, G: TwoPortGraph) -> TwoPortGraph:
     """Replace each directed edge u->v of H by a copy of G (bottom at u,
     top at v), scaling the copy's weights by the replaced edge's weight.
 
     Both graphs must be normalized (top-bottom distance 1), so the natural
     embedding of H's vertices into the result is isometric.  Inner vertices
-    of the i-th copy are named "<tag><i>.<name>".
+    of the i-th copy are named "e<i>.<name>".
     """
     for g, who in ((H, "H"), (G, "G")):
         if g.top_bottom_distance() != 1:
             raise NotNormalized(f"{who} must have top-bottom distance 1")
-    points, level = _compose_step(H.points, H._level, G, tag)
+    points, level = _compose_step(H.points, H._level, G, "e")
     _, denom, edges = level
     named = tuple((points[u], points[v], Fraction(w, denom)) for u, v, w in edges)
     return TwoPortGraph(points, named, H.top, H.bottom, _level=level)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, json_fields
 from .metric import MetricSpace, _adjacency, _dijkstra
 from .rational import frac_str
 
@@ -229,18 +229,13 @@ class DirectedSubgraph:
 
     @classmethod
     def from_json_obj(cls, graph: CanonicalGraph, obj: dict) -> DirectedSubgraph:
-        try:
-            raw = obj["edges"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidInput("directed subgraph JSON needs 'edges'") from exc
+        (raw,) = json_fields(obj, "directed subgraph JSON needs 'edges'", "edges")
         if not isinstance(raw, list):
             raise InvalidInput("directed subgraph 'edges' must be a list")
         arcs = []
         for e in raw:
-            try:
-                arcs.append((graph.space.index_of(e["u"]), graph.space.index_of(e["v"])))
-            except (TypeError, KeyError) as exc:
-                raise InvalidInput("each directed edge needs 'u' and 'v'") from exc
+            u, v = json_fields(e, "each directed edge needs 'u' and 'v'", "u", "v")
+            arcs.append((graph.space.index_of(u), graph.space.index_of(v)))
         return cls(graph, tuple(arcs))
 
     def to_dot(self) -> str:

@@ -53,6 +53,7 @@ from .errors import (
     NonSymmetric,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
+    json_fields,
 )
 from .rational import frac_str, to_fraction
 
@@ -136,11 +137,7 @@ class MetricSpace:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> MetricSpace:
-        try:
-            points = obj["points"]
-            dist = obj["dist"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidInput("space JSON needs 'points' and 'dist'") from exc
+        points, dist = json_fields(obj, "space JSON needs 'points' and 'dist'", "points", "dist")
         # JSON arrays only: the Python API takes any iterable, which would
         # split a string into characters.
         if not (isinstance(points, list) and isinstance(dist, list)
@@ -723,19 +720,11 @@ def _path_space(names, mat: np.ndarray, denom: int, edges, base=None) -> MetricS
 
 def weighted_graph_json_to_space(obj: dict) -> MetricSpace:
     """Parse {"vertices": [...], "edges": [{"u","v","w"}], "base": ...}."""
-    try:
-        vertices = obj["vertices"]
-        raw_edges = obj["edges"]
-    except (TypeError, KeyError) as exc:
-        raise InvalidInput("graph JSON needs 'vertices' and 'edges'") from exc
+    vertices, raw_edges = json_fields(obj, "graph JSON needs 'vertices' and 'edges'",
+                                      "vertices", "edges")
     if not isinstance(vertices, list):  # as in MetricSpace.from_json_obj
         raise InvalidInput("'vertices' must be a list of names")
     if not isinstance(raw_edges, list):
         raise InvalidInput("'edges' must be a list of edges")
-    edges = []
-    for e in raw_edges:
-        try:
-            edges.append((e["u"], e["v"], e["w"]))
-        except (TypeError, KeyError) as exc:
-            raise InvalidInput("each edge needs 'u', 'v', 'w'") from exc
+    edges = [json_fields(e, "each edge needs 'u', 'v', 'w'", "u", "v", "w") for e in raw_edges]
     return space_from_weighted_graph(vertices, edges, base=obj.get("base"))

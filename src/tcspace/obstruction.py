@@ -9,17 +9,23 @@ host such a copy.  For recursive families (diamonds, edge-of-composition
 graphs) the argument peels generations: newest-generation vertices have
 small degree, so supports live in the previous generation, which embeds
 isometrically.
+
+The sign vectors theta of the combinations g_theta = sum theta_i f_i come in
+one order, itertools.product((1, -1), repeat=k), read lazily and filtered
+where coordinates are fixed at +1 (_signs), so that no scan holds all 2^k
+of them at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NullProblem, OversizedResult, PeelNotApplicable, PreconditionFailed
 from .graph import CanonicalGraph, canonical_graph
-from .rational import MAX_DIGITS, ONE, ZERO
+from .rational import MAX_DIGITS
 from .transport import maximal_support, tc_norm
 from .vectors import Roadmap, TransportationProblem
 
@@ -97,43 +103,35 @@ def check_sign_pattern_disjointness(cand: LinftyCandidate) -> SignPatternReport:
     fails the pair on the spot; otherwise the scan stops at the first pair
     of overlapping supports.
     """
-    k = cand.k
-    last = (1 << k) - 1
-    # Pairs i < j of sign vectors (_sign_vector) in itertools.combinations'
-    # order, without all 2^k of them built first: a combination is built
-    # when a pair first reads it.  last ^ i is i's opposite, which agrees
-    # with it nowhere.
-    combos: dict[tuple[int, ...], TransportationProblem] = {}
-    supports: dict[tuple[int, ...], frozenset[int]] = {}
+    # Pairs of sign vectors in itertools.combinations' order, but without
+    # its pool of all 2^k of them: each pair's partner is read from a fresh
+    # product, and a combination is built when a pair first reads it.
+    combo = functools.cache(cand.combine)
+    support = functools.cache(lambda theta: maximal_support(combo(theta))[0])
     checked = 0
-    for i in range(last):
-        a = _sign_vector(i, k)
-        for j in range(i + 1, last + 1):
-            if j == last ^ i:
+    for i, a in enumerate(_signs(cand.k)):
+        opposite = tuple(-s for s in a)  # agrees with a nowhere
+        for b in itertools.islice(_signs(cand.k), i + 1, None):
+            if b == opposite:
                 continue
             checked += 1
-            b = _sign_vector(j, k)
-            for t in (a, b):
-                if t not in combos:
-                    combos[t] = cand.combine(t)
-            degenerate = [t for t in (a, b) if combos[t].is_zero()]
+            degenerate = [t for t in (a, b) if combo(t).is_zero()]
             if degenerate:
                 return SignPatternReport(
                     False, checked, (a, b), None,
                     f"combination {degenerate[0]} is the zero problem")
-            for t in (a, b):
-                if t not in supports:
-                    supports[t], _ = maximal_support(combos[t])
-            shared = supports[a] & supports[b]
+            shared = support(a) & support(b)
             if shared:
                 return SignPatternReport(False, checked, (a, b), frozenset(shared),
                                          "maximal supports overlap")
     return SignPatternReport(True, checked, None, None)
 
 
-def _sign_vector(i: int, k: int) -> tuple[int, ...]:
-    """The i-th of itertools.product((1, -1), repeat=k)."""
-    return tuple(-1 if i >> (k - 1 - c) & 1 else 1 for c in range(k))
+def _signs(k: int, *plus: int):
+    """itertools.product((1, -1), repeat=k), lazily, without the sign
+    vectors that are -1 at a coordinate of plus."""
+    return (theta for theta in itertools.product((1, -1), repeat=k)
+            if all(theta[i] == 1 for i in plus))
 
 
 def verify_linfty_basis(cand: LinftyCandidate) -> bool:
@@ -149,19 +147,18 @@ def verify_linfty_basis(cand: LinftyCandidate) -> bool:
     give ||sum a_i f_i|| >= |a_j|.  Since ||-g|| = ||g||, only the 2^(k-1)
     sign vectors with theta_0 = +1 are solved.
     """
-    return all(tc_norm(cand.combine((1, *theta)))[0] == 1
-               for theta in itertools.product((1, -1), repeat=cand.k - 1))
+    return all(tc_norm(cand.combine(theta))[0] == 1 for theta in _signs(cand.k, 0))
 
 
 def count_disjoint_roadmaps(cand: LinftyCandidate, j: int) -> int:
     """Pairwise-disjoint optimal roadmaps for vector j from sign splittings.
 
-    For each assignment of signs to the other coordinates (one anchor fixed
-    at +1), half the difference of optimal roadmaps for the two combinations
-    that flip coordinate j is itself an optimal roadmap for vector j; these
-    are pairwise disjoint for a genuine candidate, giving 2^(k-2) of them.
-    The 2^(k-1) combinations solved are the sign vectors with the anchor at
-    +1, one of each +-theta pair, so their norms decide verify_linfty_basis:
+    For each sign vector theta with an anchor coordinate and j at +1, half
+    the difference of optimal roadmaps for theta and its j-flip is itself an
+    optimal roadmap for vector j; these are pairwise disjoint for a genuine
+    candidate, giving 2^(k-2) of them, kept greedily as they come.  The
+    2^(k-1) combinations solved are the sign vectors with the anchor at +1,
+    one of each +-theta pair, so their norms decide verify_linfty_basis:
     any one of them off 1 raises PreconditionFailed, before a roadmap is
     built from it.
     """
@@ -169,25 +166,15 @@ def count_disjoint_roadmaps(cand: LinftyCandidate, j: int) -> int:
     if not 0 <= j < k:
         raise PreconditionFailed(f"index {j} out of range")
     anchor = 0 if j != 0 else 1
-    rest = [i for i in range(k) if i not in (anchor, j)]
-    roadmaps: list[Roadmap] = []
-    for theta in itertools.product((1, -1), repeat=len(rest)):
-        coeffs = [ZERO] * k
-        coeffs[anchor] = ONE
-        for pos, s in zip(rest, theta):
-            coeffs[pos] = Fraction(s)
-        coeffs[j] = ONE
-        norm_plus, p_plus = tc_norm(cand.combine(coeffs))
-        coeffs[j] = -ONE
-        norm_minus, p_minus = tc_norm(cand.combine(coeffs))
+    kept: list[Roadmap] = []
+    for theta in _signs(k, anchor, j):
+        norm_plus, p_plus = tc_norm(cand.combine(theta))
+        norm_minus, p_minus = tc_norm(cand.combine(theta[:j] + (-1,) + theta[j + 1:]))
         if norm_plus != 1 or norm_minus != 1:
             raise PreconditionFailed("candidate fails the sign-vector norms")
         r = (p_plus - p_minus).scale(Fraction(1, 2))
         assert r.problem() == cand.problems[j]
         assert r.cost() == 1, "splitting produced a non-optimal roadmap"
-        roadmaps.append(r)
-    kept: list[Roadmap] = []
-    for r in roadmaps:
         if all(not (r.support() & other.support()) for other in kept):
             kept.append(r)
     return len(kept)

@@ -71,8 +71,9 @@ class TransportationPlan:
         return cls(graph, tuple((idx(x), idx(y), to_fraction(a)) for x, y, a in terms))
 
     def cost(self) -> Fraction:
-        d = self.graph.space.dist
-        return sum((a * d[x][y] for x, y, a in self.terms), ZERO)
+        """Sum of a * d(x, y), from the integer distances, divided once by D."""
+        space = self.graph.space
+        return sum((a * int(space.scaled[x, y]) for x, y, a in self.terms), ZERO) / space.denom
 
     def problem(self) -> TransportationProblem:
         acc: dict[int, Fraction] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput
+from .errors import InvalidInput, json_fields
 from .graph import CanonicalGraph
 from .rational import ZERO, frac_str, to_fraction
 
@@ -110,10 +110,7 @@ class TransportationProblem(_SparseVector):
 
     @classmethod
     def from_json_obj(cls, graph: CanonicalGraph, obj: dict) -> TransportationProblem:
-        try:
-            named = obj["f"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidInput("problem JSON needs 'f'") from exc
+        (named,) = json_fields(obj, "problem JSON needs 'f'", "f")
         return cls.from_names(graph, named)
 
 
@@ -170,17 +167,16 @@ class Roadmap(_SparseVector):
 
     @classmethod
     def from_json_obj(cls, graph: CanonicalGraph, obj: dict) -> Roadmap:
-        try:
-            raw = obj["edges"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidInput("roadmap JSON needs 'edges'") from exc
+        (raw,) = json_fields(obj, "roadmap JSON needs 'edges'", "edges")
+        if not isinstance(raw, list):
+            raise InvalidInput("roadmap 'edges' must be a list")
         vals: dict[int, Fraction] = {}
         for e in raw:
-            u = graph.space.index_of(e["u"])
-            v = graph.space.index_of(e["v"])
-            idx = graph.edge_index(u, v)
+            u, v, p = json_fields(e, "each roadmap edge needs 'u', 'v', 'p'", "u", "v", "p")
+            tail = graph.space.index_of(u)
+            idx = graph.edge_index(tail, graph.space.index_of(v))
             if idx is None:
-                raise InvalidInput(f"({e['u']},{e['v']}) is not an edge")
-            p = to_fraction(e["p"])
-            vals[idx] = vals.get(idx, ZERO) + (p if graph.edges[idx].tail == u else -p)
+                raise InvalidInput(f"({u},{v}) is not an edge")
+            p = to_fraction(p)
+            vals[idx] = vals.get(idx, ZERO) + (p if graph.edges[idx].tail == tail else -p)
         return cls(graph, vals)

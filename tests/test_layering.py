@@ -116,24 +116,28 @@ def test_the_solver_has_no_dijkstra_of_its_own():
     assert _definers(lambda name: name == "_reduced_adjacency") == {"metric.py"}
 
 
-def _callers(name: str) -> set[str]:
+def _enclosing(matches) -> set[str]:
     """The functions (innermost enclosing def, or <module>) of every source
-    file that call name, as a bare name or an attribute."""
+    file that hold a node that matches."""
     out = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                out.add(where)
+        if matches(node):
+            out.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for p in SRC.glob("*.py"):
         visit(ast.parse(p.read_text(encoding="utf-8")), "<module>")
     return out
+
+
+def _callers(name: str) -> set[str]:
+    """The functions that call name, as a bare name or an attribute."""
+    return _enclosing(lambda node: isinstance(node, ast.Call) and name in {
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)})
 
 
 def test_one_composition_step():
@@ -223,6 +227,32 @@ def test_two_routes_decide_the_deletion_mask():
     # the final edges.
     assert _definers(lambda name: name in {"_midpoint_free", "_is_path_metric"}) == set()
     assert _callers("_min_plus") == {"_matrix_mask"}
+
+
+def test_sign_vectors_come_from_one_product():
+    # itertools.product((1, -1), repeat=k), read lazily (_signs), is the one
+    # enumeration: no bit decoding, no hand-built coefficient lists, and no
+    # itertools.combinations, which would pool all 2^k sign vectors first.
+    assert _definers(lambda name: name == "_sign_vector") == set()
+    tree = ast.parse((SRC / "obstruction.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.LShift, ast.RShift))]
+    assert not {"ONE", "ZERO", "combinations"} & _names_used(SRC / "obstruction.py")
+    assert _callers("product") == {"_signs"}
+
+
+def _catchers(*errors: str) -> set[str]:
+    """The functions with an except clause naming exactly errors, as a tuple."""
+    return _enclosing(lambda node: isinstance(node, ast.ExceptHandler)
+                      and isinstance(node.type, ast.Tuple)
+                      and {getattr(e, "id", None) for e in node.type.elts} == set(errors))
+
+
+def test_one_reader_of_json_fields():
+    # Every JSON reader takes an object's fields through errors.json_fields;
+    # a name lookup is the one other place a missing key or a list-valued
+    # name becomes InvalidInput.
+    assert _catchers("KeyError", "TypeError") == {"json_fields", "index_of"}
+    assert _definers(lambda name: name == "json_fields") == {"errors.py"}
 
 
 def test_one_canonical_graph_certificate():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -111,6 +112,22 @@ def test_a_scan_builds_only_the_combinations_its_pairs_read(monkeypatch):
     assert len(built) == 2
 
 
+def test_the_scan_holds_no_pool_of_sign_vectors():
+    """At k = 20 all sign vectors, as itertools.combinations would pool them
+    before the first pair, take about 200 MB; the scan reads them lazily and
+    stops at this degenerate candidate's first pair."""
+    f = point_difference(c4_graph(), "c0", "c2").scale("1/2")
+    cand = LinftyCandidate((f,) * 20)
+    tracemalloc.start()
+    try:
+        report = check_sign_pattern_disjointness(cand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == 1
+    assert peak < 2**21
+
+
 def _reference_scan(cand):
     """check_sign_pattern_disjointness as every sign combination built first,
     then every pair of itertools.combinations that agrees somewhere and
@@ -173,21 +190,30 @@ def test_equal_vectors_fail():
 
 def test_one_norm_per_sign_vector_pair(monkeypatch, c4_basis):
     """Both functions solve the 2^(k-1) sign vectors with one coordinate at
-    +1, one of each +-theta pair: 4 norms on the C_4 cube.  A pair off norm
-    1 is refused after its two norms, before a roadmap is built."""
+    +1, one of each +-theta pair: 4 norms on the C_4 cube, in the order of
+    itertools.product((1, -1), repeat=k), each of count_disjoint_roadmaps'
+    followed by its j-flip.  A pair off norm 1 is refused after its two
+    norms, before a roadmap is built."""
     norms = []
     monkeypatch.setattr(obstruction, "tc_norm", lambda h: norms.append(h) or tc_norm(h))
+
+    def solved(cand, *signs):
+        return [cand.combine(theta) for theta in signs]
+
     assert verify_linfty_basis(c4_basis)
-    assert len(norms) == 4
+    assert norms == solved(c4_basis, (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1))
     norms.clear()
-    assert count_disjoint_roadmaps(c4_basis, 0) == 2
-    assert len(norms) == 4
+    assert count_disjoint_roadmaps(c4_basis, 0) == 2  # the anchor is coordinate 1
+    assert norms == solved(c4_basis, (1, 1, 1), (-1, 1, 1), (1, 1, -1), (-1, 1, -1))
+    norms.clear()
+    assert count_disjoint_roadmaps(c4_basis, 2) == 2
+    assert norms == solved(c4_basis, (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1))
     f = point_difference(c4_graph(), "c0", "c2").scale("1/2")
     cand = LinftyCandidate((f, f))
     norms.clear()
     with pytest.raises(PreconditionFailed, match="sign-vector norms"):
         count_disjoint_roadmaps(cand, 0)
-    assert len(norms) == 2
+    assert norms == solved(cand, (1, 1), (-1, 1))
 
 
 @pytest.mark.parametrize("space,accepted", [(cycle(4), 6), (complete_bipartite(2, 3), 18)],

@@ -15,6 +15,7 @@ from corpus import (
 from tcspace import (
     InvalidInput,
     Improving,
+    MetricSpace,
     NotImprovable,
     NullProblem,
     Optimal,
@@ -113,6 +114,18 @@ def test_plan_cost_dominates_roadmap_cost(rng):
         assert rm.cost() <= plan.cost()
         assert rm.problem() == plan.problem()
 
+
+
+def test_a_plan_is_priced_from_the_integer_distances(rng):
+    """cost() reads the space's integer matrix and divides once by D: it
+    builds no Fraction view (space.dist), and equals sum a * d(x, y)."""
+    for inst in CORPUS:
+        space = MetricSpace.from_json_obj(inst.graph.space.to_json_obj())  # nothing cached
+        terms = tuple((*rng.sample(range(space.n), 2),
+                       Fraction(rng.randint(1, 6), rng.randint(1, 4))) for _ in range(3))
+        cost = TransportationPlan(canonical_graph(space), terms).cost()
+        assert "dist" not in space.__dict__, inst.name
+        assert cost == sum(a * inst.graph.space.d(x, y) for x, y, a in terms), inst.name
 
 # --- cycle basis ------------------------------------------------------------------
 

@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from corpus import c4_graph, random_roadmap
 from tcspace import (
+    DirectedSubgraph,
+    FamilyDescriptor,
     InvalidInput,
+    LipschitzFunction,
+    MetricSpace,
     Roadmap,
     TransportationProblem,
     canonical_graph,
     cycle_basis,
     to_fraction,
     validate_metric,
+    weighted_graph_json_to_space,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -141,3 +146,39 @@ def test_vectors_of_different_kinds_do_not_mix():
         for op in (lambda a, b: a + b, lambda a, b: a - b):
             with pytest.raises(InvalidInput, match=message):
                 op(a, b)
+
+
+# Each JSON reader, fed a non-object, an object without its key, a wrong
+# container, and an element that is not an object or lacks a key.
+ROW = [["0", "1"], ["1", "0"]]
+READER_CASES = {
+    "space": (MetricSpace.from_json_obj, [
+        ["points", "dist"], {"points": ["a", "b"]}, {"points": "ab", "dist": ROW},
+        {"points": ["a", "b"], "dist": ["01", "10"]}]),
+    "graph": (weighted_graph_json_to_space, [
+        "vertices", {"edges": []}, {"vertices": ["a", "b"], "edges": {"u": "a"}},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}]},
+        {"vertices": ["a", "b"], "edges": [["a", "b", "1"]]}]),
+    "problem": (lambda obj: TransportationProblem.from_json_obj(c4_graph(), obj), [
+        5, {"g": {}}, {"f": ["c0", "c1"]}, {"f": {"c0": ["1"], "c1": "-1"}}]),
+    "roadmap": (lambda obj: Roadmap.from_json_obj(c4_graph(), obj), [
+        ["edges"], {"roads": []}, {"edges": "ab"}, {"edges": 5}, {"edges": {"u": "c0"}},
+        {"edges": [{"u": "c0"}]}, {"edges": [{"u": "c0", "v": "c1"}]},
+        {"edges": [["c0", "c1", "1"]]}, {"edges": ["c0"]}]),
+    "lipschitz": (lambda obj: LipschitzFunction.from_json_obj(c4_graph(), obj), [
+        "l", {"base": "c0"}, {"l": ["c0"]}, {"l": {"c1": {"v": "1"}}}]),
+    "subgraph": (lambda obj: DirectedSubgraph.from_json_obj(c4_graph(), obj), [
+        None, {"arcs": []}, {"edges": {"u": "c0", "v": "c1"}},
+        {"edges": [{"u": "c0"}]}, {"edges": [["c0", "c1"]]}]),
+    "descriptor": (FamilyDescriptor.from_json_obj, [
+        ["diamond"], {"params": {}}, {"family": "diamond", "params": []},
+        {"family": "recursive", "generations": {"a": "0"}}]),
+}
+
+
+@pytest.mark.parametrize("read,obj", [
+    pytest.param(read, obj, id=f"{name}-{i}")
+    for name, (read, objs) in READER_CASES.items() for i, obj in enumerate(objs)])
+def test_every_json_reader_refuses_malformed_objects_as_invalid_input(read, obj):
+    with pytest.raises(InvalidInput):
+        read(obj)
