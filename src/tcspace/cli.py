@@ -17,7 +17,6 @@ import os
 import random
 import sys
 from collections.abc import Sized
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 from .duality import (
@@ -50,7 +49,7 @@ from .obstruction import (
 from .oracle import oracle_tc_norm
 from .rational import frac_str
 from .randgen import random_metric_space, random_problem
-from .transport import _optimum, cycle_basis, maximal_roadmap, tc_norm
+from .transport import _norm, _optimum, cycle_basis, maximal_roadmap, tc_norm
 from .vectors import TransportationProblem
 
 
@@ -143,8 +142,7 @@ def _cmd_canon(args) -> int:
 def _cmd_norm(args) -> int:
     graph = _load_graph(args.space)
     f = TransportationProblem.from_json_obj(graph, _load_json(args.problem))
-    value, _ = tc_norm(f)
-    _emit({"tc_norm": frac_str(value)})
+    _emit({"tc_norm": frac_str(_norm(f))})
     return 0
 
 
@@ -177,7 +175,7 @@ def _cmd_basis(args) -> int:
 def _cmd_dual(args) -> int:
     graph = _load_graph(args.space)
     f = TransportationProblem.from_json_obj(graph, _load_json(args.problem))
-    _, _, flow, pot = _optimum(f)  # one solve serves the potential and --unique
+    flow, pot, _, _ = _optimum(f)  # one solve serves the potential and --unique
     s = _least_supporting(graph, flow, pot)
     out = s.to_json_obj()
     out["value"] = frac_str(evaluate(s, f))
@@ -319,7 +317,7 @@ def _cmd_gen(args) -> int:
 
 def _compare_with_oracle(f: TransportationProblem) -> tuple[bool, str, str]:
     """Whether the solver's and the LP oracle's norms of f agree, and both."""
-    solver_value, _ = tc_norm(f)
+    solver_value = _norm(f)
     oracle_value = oracle_tc_norm(f)
     return solver_value == oracle_value, frac_str(solver_value), frac_str(oracle_value)
 
@@ -356,6 +354,8 @@ def _cmd_oracle_check(args) -> int:
     # A pool starts all its workers at its first task.
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it pulls in multiprocessing, which no other command needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = sorted(pool.map(_oracle_check_one, tasks))
     else:

@@ -98,7 +98,7 @@ def supporting_function(f: TransportationProblem) -> LipschitzFunction:
     Returns the zero function for f = 0 (every feasible function pairs to
     zero with it).
     """
-    return _least_supporting(f.graph, *_optimum(f)[2:])
+    return _least_supporting(f.graph, *_optimum(f)[:2])
 
 
 def _least_supporting(graph: CanonicalGraph, flow: list[int], pot: list[int]) -> LipschitzFunction:
@@ -131,7 +131,7 @@ def is_unique_supporting(f: TransportationProblem) -> tuple[bool, LipschitzFunct
     l(v) = dist(v -> base) in the residual digraph, which differs from the
     least (supporting_function) exactly when the support is disconnected.
     """
-    _, _, flow, pot = _optimum(f)
+    flow, pot, _, _ = _optimum(f)
     return _uniqueness(f.graph, flow, pot, _least_supporting(f.graph, flow, pot))
 
 

@@ -18,10 +18,12 @@ rows' scales), so every reduced cost keeps the sign it has over Fractions
 and Bland's rule takes the same pivots.  Pivots are fraction-free (Edmonds
 1967, Bareiss 1968): every entry is its value times a common divisor d > 0,
 which starts at 1.  A pivot on p leaves the pivot row as it is, maps every
-other row r to (p*r - r[j]*prow) // d, an exact division, and makes p the
-new d.  When p == d, a row with r[j] == 0 maps to itself, so it is skipped:
-on a totally unimodular LP with int data every pivot and every d is 1, and a
-pivot touches only the rows that change.  The ratio test compares by
+other row r, in place, to (p*r - r[j]*prow) // d, an exact division, and
+makes p the new d.  When p == d, an entry over a zero of the pivot row maps
+to itself, so only the rows with r[j] != 0 are computed, and in them only
+the pivot row's nonzero columns: on a totally unimodular LP with int data
+every pivot and every d is 1, and a pivot touches only the entries that can
+change (the oracle's pivot rows are mostly zeros).  The ratio test compares by
 cross-multiplication, so Fractions are built only for the returned point
 (b_i / d) and value (-cost[-1] / (d*C)).
 """
@@ -122,15 +124,18 @@ class ExactLP:
 
     @staticmethod
     def _pivot(t, basis, d, i, j):
-        """Pivot every row of t on t[i][j] > 0; return the new divisor.  A
-        row with 0 in column j is left as it is when p == d: it maps to
-        itself."""
+        """Pivot every row of t on t[i][j] > 0, in place; return the new
+        divisor.  When p == d, an entry a over a 0 of the pivot row maps to
+        (d*a) // d = a: only the rows with r[j] != 0 change, and only in the
+        pivot row's nonzero columns."""
         prow = t[i]
         p = prow[j]
+        cols = [(k, b) for k, b in enumerate(prow) if b or p != d]
         for r, row in enumerate(t):
             f = row[j]
             if r != i and (f or p != d):
-                t[r] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                for k, b in cols:
+                    row[k] = (p * row[k] - f * b) // d
         basis[i] = j
         return p
 

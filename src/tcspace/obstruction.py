@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import NullProblem, OversizedResult, PeelNotApplicable, PreconditionFailed
 from .graph import CanonicalGraph, canonical_graph
 from .rational import MAX_DIGITS
-from .transport import maximal_support, tc_norm
+from .transport import _norm, maximal_support, tc_norm
 from .vectors import Roadmap, TransportationProblem
 
 # 2^b has at most MAX_DIGITS digits, so prints, iff b < this bit length.
@@ -41,7 +41,7 @@ class LinftyCandidate:
     """k transportation problems proposed as an l_infty^k unit vector basis.
 
     Built from any k >= 2 nonzero problems, it keeps each divided by its
-    norm (one tc_norm each), so every vector it holds has norm 1.
+    norm (one _norm each), so every vector it holds has norm 1.
     """
 
     problems: tuple[TransportationProblem, ...]
@@ -49,7 +49,7 @@ class LinftyCandidate:
     def __post_init__(self):
         scaled = []
         for f in self.problems:
-            norm, _ = tc_norm(f)
+            norm = _norm(f)
             if norm == 0:
                 raise NullProblem("cannot normalize the zero problem")
             scaled.append(f.scale(1 / norm))
@@ -147,7 +147,7 @@ def verify_linfty_basis(cand: LinftyCandidate) -> bool:
     give ||sum a_i f_i|| >= |a_j|.  Since ||-g|| = ||g||, only the 2^(k-1)
     sign vectors with theta_0 = +1 are solved.
     """
-    return all(tc_norm(cand.combine(theta))[0] == 1 for theta in _signs(cand.k, 0))
+    return all(_norm(cand.combine(theta)) == 1 for theta in _signs(cand.k, 0))
 
 
 def count_disjoint_roadmaps(cand: LinftyCandidate, j: int) -> int:

@@ -390,34 +390,59 @@ def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
     return flow, pot, graph.space.denom, scale
 
 
-def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
-    """Exact TC norm of f and an optimal roadmap achieving it.
+def _optimum(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
+    """The one result of a solve: _solve's certified (flow, pot, D, M),
+    checked in integers to transport f (all zero, with M = 1, for f = 0).
 
-    The min-cost flow of _solve, on weights scaled by D and masses scaled by
-    M, is certified optimal in integers before any Fraction of the result
-    is built.
+    Each reader builds from it only what it reads: the norm (_norm), a
+    roadmap (tc_norm, maximal_roadmap) or the optimal face (maximal_support
+    and the supporting functions of duality).
     """
-    return _optimum(f)[:2]
-
-
-def _optimum(f: TransportationProblem) -> tuple[Fraction, Roadmap, list[int], list[int]]:
-    """tc_norm's (norm, roadmap) with _solve's certified integer flow and
-    potentials, from which the optimal face is read (all zero for f = 0)."""
     graph = f.graph
     if f.is_zero():
-        return ZERO, Roadmap.zero(graph), [0] * graph.m, [0] * graph.n
+        return [0] * graph.m, [0] * graph.n, graph.space.denom, 1
     flow, pot, denom, scale = _solve(f)
-    total = sum(abs(flow[e]) * w for u, arcs in enumerate(graph.adjacency)
-                for v, w, e in arcs if u < v)
-    cost = Fraction(total, denom * scale)
     # The flow transports f: its divergence at each vertex is f times M.
     for u, arcs in enumerate(graph.adjacency):
         x = f[u]
         out = sum(flow[e] if u < v else -flow[e] for v, _, e in arcs)
         assert out * x.denominator == x.numerator * scale, "the flow must transport f"
+    return flow, pot, denom, scale
+
+
+def _flow_cost(graph: CanonicalGraph, flow: list[int], denom: int, scale: int) -> Fraction:
+    """The cost of an _optimum flow: the integer total of |flow| times the
+    scaled weight over the edges, divided once by D M."""
+    total = sum(abs(flow[e]) * w for u, arcs in enumerate(graph.adjacency)
+                for v, w, e in arcs if u < v)
+    return Fraction(total, denom * scale)
+
+
+def _norm(f: TransportationProblem) -> Fraction:
+    """tc_norm's norm alone, with no roadmap built."""
+    flow, _, denom, scale = _optimum(f)
+    return _flow_cost(f.graph, flow, denom, scale)
+
+
+def _roadmap(graph: CanonicalGraph, flow: list[int], denom: int,
+             scale: int) -> tuple[Fraction, Roadmap]:
+    """The norm and the roadmap of an _optimum flow, whose Fraction cost
+    must be that norm."""
+    cost = _flow_cost(graph, flow, denom, scale)
     p = Roadmap(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x})
     assert cost == p.cost()
-    return cost, p, flow, pot
+    return cost, p
+
+
+def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
+    """Exact TC norm of f and an optimal roadmap achieving it.
+
+    The min-cost flow of _solve, on weights scaled by D and masses scaled by
+    M, is certified optimal and checked to transport f in integers (see
+    _optimum) before the Fractions of the result are built.
+    """
+    flow, _, denom, scale = _optimum(f)
+    return _roadmap(f.graph, flow, denom, scale)
 
 
 # --- the optimal face, from the solver's certificate --------------------------
@@ -485,8 +510,8 @@ def maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int,
     Empty for f = 0: at zero flow and potentials every residual arc costs
     its weight, which is positive.
     """
-    _, p, flow, pot = _optimum(f)
-    signs = {e: p.induced_sign(e) for e in p.support()}
+    flow, pot, _, _ = _optimum(f)
+    signs = {e: 1 if x > 0 else -1 for e, x in enumerate(flow) if x}
     cycles = zero_cost_cycles(f.graph, flow, pot)
     signs.update((e, cyc.arcs[0][1]) for e, cyc in cycles.items())
     return frozenset(signs), signs
@@ -501,7 +526,8 @@ def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     """
     if f.is_zero():
         return Roadmap.zero(f.graph)
-    tc, p, flow, pot = _optimum(f)
+    flow, pot, denom, scale = _optimum(f)
+    tc, p = _roadmap(f.graph, flow, denom, scale)
     cycles = zero_cost_cycles(f.graph, flow, pot)
     eps = min(abs(x) for x in p.values.values()) / (len(cycles) + 1)
     out = p

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import InvalidInput, json_fields
 from .graph import CanonicalGraph
@@ -91,7 +93,10 @@ class TransportationProblem(_SparseVector):
 
     def __post_init__(self):
         super().__post_init__()
-        if sum(self.values.values(), ZERO) != 0:
+        # Zero sum in integers: the numerators scaled to the lcm of the denominators.
+        masses = self.values.values()
+        scale = lcm(*(x.denominator for x in masses))
+        if sum(x.numerator * (scale // x.denominator) for x in masses):
             raise InvalidInput("transportation problem must have zero sum")
 
     @classmethod
@@ -130,6 +135,11 @@ class Roadmap(_SparseVector):
 
     def cost(self) -> Fraction:
         """Weighted l1 norm: sum over edges of |value| * weight."""
+        return self._cost
+
+    @cached_property
+    def _cost(self) -> Fraction:
+        """cost(), computed once: a roadmap is immutable."""
         total = ZERO
         for k, v in self.values.items():
             total += abs(v) * self.graph.edges[k].weight

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tcspace import cli, duality, metric, transport, validate_metric
+from tcspace import Roadmap, cli, duality, metric, transport, validate_metric
 from tcspace.cli import main
 
 
@@ -447,7 +451,8 @@ def test_oracle_check_starts_no_more_workers_than_tasks_and_cores(capsys, monkey
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # cli imports the pool class from concurrent.futures when it starts one.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     cases = [(4, "2", "10000", [2]), (4, "8", "3", [3]), (4, "8", "10000", [4]),
              (4, "0", "8", []), (4, "5", "1", []), (1, "8", "4", []), (None, "8", "4", [])]
     for cores, batch, jobs, want in cases:
@@ -482,6 +487,39 @@ def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_pat
     assert counts[0] == counts[1] and counts[0][0] > 0
     assert counts[0][1] == 0
     assert counts[2][1] == 0
+
+
+def test_commands_that_print_no_roadmap_build_none(capsys, monkeypatch, c4, tmp_path):
+    """`norm`, `oracle-check --random` and `dual --unique` read the norm, or
+    the flow and potentials, straight from the solver's certified integers
+    and construct no Roadmap; `roadmap` constructs the one it prints."""
+    built = []
+    post_init = Roadmap.__post_init__
+    monkeypatch.setattr(Roadmap, "__post_init__", lambda p: built.append(p) or post_init(p))
+    problem = _write(tmp_path / "f.json", {"f": {"c0": "1", "c2": "-1"}})
+    for argv in (["norm", "--space", c4, "--problem", problem],
+                 ["oracle-check", "--random", "20", "--seed", "5"],
+                 ["dual", "--space", c4, "--problem", problem, "--unique"]):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and out, argv
+        assert built == [], argv
+    code, out, _ = _run(capsys, ["roadmap", "--space", c4, "--problem", problem])
+    assert code == 0 and json.loads(out)["cost"] == "2"
+    assert len(built) == 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only `oracle-check` with more than one worker needs a process pool:
+    importing the command line loads neither concurrent.futures nor
+    multiprocessing."""
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, tcspace.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120, check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_dual_unique_solves_once(capsys, monkeypatch, c4, tmp_path):

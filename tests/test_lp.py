@@ -435,3 +435,52 @@ def test_a_pivot_with_p_equal_to_d_skips_the_rows_it_leaves_alone():
     t = [[3, 1, 4], [0, 3, 5]]
     ExactLP._pivot(t, [0, 1], 1, 0, 0)
     assert t[1] == [0, 9, 15]
+
+
+def _dense_pivot(t, d, i, j):
+    """The fraction-free pivot on t[i][j] as a new tableau: every row but
+    the pivot row rebuilt as (p*r - r[j]*prow) / d, each division exact."""
+    prow, p = t[i], t[i][j]
+    out = []
+    for r, row in enumerate(t):
+        if r == i:
+            out.append(list(row))
+            continue
+        new = []
+        for a, b in zip(row, prow):
+            q, rem = divmod(p * a - row[j] * b, d)
+            assert rem == 0
+            new.append(q)
+        out.append(new)
+    return out
+
+
+def test_a_pivot_equals_the_dense_pivot_on_random_exact_tableaux():
+    """Chains of pivots from random integer tableaux, unimodular ones (every
+    pivot and divisor 1) and general ones: each pivot gives the dense
+    formula's tableau, and keeps the row objects of the pivot row and, when
+    p == d, of every row with 0 in the pivot column."""
+    rng = random.Random(32)
+    seen = {"p == d": 0, "p == d > 1": 0, "p != d": 0}
+    for _ in range(400):
+        rows, cols = rng.randint(2, 6), rng.randint(2, 9)
+        unimodular = rng.random() < 0.5
+        t = [[rng.choice((-1, 0, 0, 1)) if unimodular else rng.randint(-3, 3)
+              for _ in range(cols)] for _ in range(rows)]
+        basis, d = [None] * rows, 1
+        for _ in range(rng.randint(1, 5)):
+            entries = [(i, j) for i in range(rows) for j in range(cols) if t[i][j] > 0]
+            if not entries:
+                break
+            i, j = rng.choice(entries)
+            p = t[i][j]
+            want = _dense_pivot(t, d, i, j)
+            before = list(t)
+            kept = [r for r, row in enumerate(t) if r == i or (p == d and row[j] == 0)]
+            assert ExactLP._pivot(t, basis, d, i, j) == p
+            assert t == want and basis[i] == j
+            assert all(t[r] is before[r] for r in kept)
+            seen["p == d" if p == d else "p != d"] += 1
+            seen["p == d > 1"] += p == d > 1
+            d = p
+    assert min(seen.values()) > 0 and seen["p == d"] > 300 and seen["p != d"] > 300, seen

@@ -35,6 +35,7 @@ from tcspace import (
     verify_linfty_basis,
 )
 from tcspace import obstruction
+from tcspace.transport import _norm
 
 
 @pytest.fixture(scope="module")
@@ -188,14 +189,22 @@ def test_equal_vectors_fail():
     assert not verify_linfty_basis(LinftyCandidate((f, f)))
 
 
+def _recorded_norms(monkeypatch) -> list:
+    """The problems obstruction solves from now on, in order, by tc_norm
+    (with a roadmap) or by _norm (the norm alone)."""
+    norms = []
+    monkeypatch.setattr(obstruction, "tc_norm", lambda h: norms.append(h) or tc_norm(h))
+    monkeypatch.setattr(obstruction, "_norm", lambda h: norms.append(h) or _norm(h))
+    return norms
+
+
 def test_one_norm_per_sign_vector_pair(monkeypatch, c4_basis):
     """Both functions solve the 2^(k-1) sign vectors with one coordinate at
     +1, one of each +-theta pair: 4 norms on the C_4 cube, in the order of
     itertools.product((1, -1), repeat=k), each of count_disjoint_roadmaps'
     followed by its j-flip.  A pair off norm 1 is refused after its two
     norms, before a roadmap is built."""
-    norms = []
-    monkeypatch.setattr(obstruction, "tc_norm", lambda h: norms.append(h) or tc_norm(h))
+    norms = _recorded_norms(monkeypatch)
 
     def solved(cand, *signs):
         return [cand.combine(theta) for theta in signs]
@@ -249,12 +258,11 @@ def test_tree_candidates_never_verify_for_k3():
 
 def test_candidates_must_be_normalized(monkeypatch):
     """The constructor normalizes: it keeps each problem divided by its
-    norm, one tc_norm per problem, so every vector it holds has norm 1."""
+    norm, one solve per problem, so every vector it holds has norm 1."""
     g = c4_graph()
     f = point_difference(g, "c0", "c2")  # norm 2
     given = (f, f.scale("1/2"), point_difference(g, "c1", "c3"))
-    norms = []
-    monkeypatch.setattr(obstruction, "tc_norm", lambda h: norms.append(h) or tc_norm(h))
+    norms = _recorded_norms(monkeypatch)
     cand = LinftyCandidate(given)
     assert norms == list(given)
     assert cand.problems == (f.scale("1/2"), f.scale("1/2"), given[2].scale("1/2"))

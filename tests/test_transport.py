@@ -396,7 +396,13 @@ def test_one_solve_builds_the_residual_digraph_once(monkeypatch):
 
 def test_the_transport_check_fails_a_bad_flow(monkeypatch):
     """A flow one unit off on one edge, the potentials unchanged, does not
-    transport f: _optimum's integer divergence check refuses it."""
+    transport f: _optimum's integer divergence check refuses it, on every
+    reader of a solve (tc_norm, the norm alone, the maximal support and the
+    supporting functions of `dual`)."""
+    from tcspace.duality import is_unique_supporting, supporting_function
+
+    readers = (tc_norm, transport._norm, maximal_support, supporting_function,
+               is_unique_supporting)
     solve = transport._solve
     rng = random.Random(19)
     c4 = c4_graph()
@@ -414,8 +420,9 @@ def test_the_transport_check_fails_a_bad_flow(monkeypatch):
                     return flow, pot, denom, scale
 
                 monkeypatch.setattr(transport, "_solve", off)
-                with pytest.raises(AssertionError, match="the flow must transport f"):
-                    tc_norm(f)
+                for read in readers:
+                    with pytest.raises(AssertionError, match="the flow must transport f"):
+                        read(f)
         monkeypatch.undo()
         assert tc_norm(f)[1].problem() == f
 
@@ -561,12 +568,13 @@ def test_the_optimal_face_from_the_certificate_matches_bellman_ford():
     arcs pot prices at 0 the same zero-cost cycles as the arcs tight under
     those distances; on connected and disconnected maximal supports."""
     from tcspace.graph import connected_components
-    from tcspace.transport import _optimum, residual_distances, zero_cost_cycles
+    from tcspace.transport import _optimum, _roadmap, residual_distances, zero_cost_cycles
 
     disconnected = connected = cycles_seen = 0
     for name, f in _face_cases():
         graph = f.graph
-        _, p, flow, pot = _optimum(f)
+        flow, pot, denom, scale = _optimum(f)
+        _, p = _roadmap(graph, flow, denom, scale)
         forward, backward = _bellman_ford_distances(p)
         assert residual_distances(graph, flow, pot) == forward, name
         negated = [-x for x in flow], [-x for x in pot]

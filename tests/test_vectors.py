@@ -94,8 +94,20 @@ def test_l1d_norm_is_a_norm(seed1, seed2):
 
 def test_zero_sum_is_enforced():
     g = c4_graph()
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="must have zero sum"):
         TransportationProblem(g, {0: Fraction(1)})
+    # Decided in integers over the lcm of the denominators (here 30).
+    TransportationProblem(g, {0: Fraction(1, 3), 1: Fraction(1, 5), 2: Fraction(-8, 15)})
+    for off in (Fraction(1, 30), Fraction(-1, 30), Fraction(1, 31)):
+        with pytest.raises(InvalidInput, match="must have zero sum"):
+            TransportationProblem(g, {0: Fraction(1, 3), 1: Fraction(1, 5),
+                                      2: Fraction(-8, 15), 3: off})
+
+
+def test_a_roadmap_computes_its_cost_once():
+    p = Roadmap(c4_graph(), {0: Fraction(1, 3), 2: Fraction(-1, 2)})
+    assert p.cost() == Fraction(5, 6)
+    assert p.cost() is p.cost()
 
 
 def test_problem_arithmetic_and_json():
