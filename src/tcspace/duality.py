@@ -27,7 +27,7 @@ from .errors import (
 from .graph import CanonicalGraph, DirectedSubgraph, connected_components
 from .rational import ZERO, frac_str, to_fraction
 from .transport import _optimum, bellman_ford, residual_distances, zero_cost_cycles
-from .vectors import TransportationProblem
+from .vectors import TransportationProblem, _net_moves
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,4 @@ def downhill_to_problem(H: DirectedSubgraph) -> TransportationProblem:
     ok, _ = realizable_as_downhill(H)
     if not ok:
         raise NotRealizable("subgraph is not a downhill graph")
-    acc: dict[int, Fraction] = {}
-    for u, v in H.arcs:
-        acc[u] = acc.get(u, ZERO) + 1
-        acc[v] = acc.get(v, ZERO) - 1
-    return TransportationProblem(H.graph, acc)
+    return _net_moves(H.graph, ((u, v, 1) for u, v in H.arcs))

@@ -10,16 +10,18 @@ that the graph's path metric is the input metric, whether the space came from a 
 weighted graph or from restricting another space.
 Its one adjacency holds the integer weights of that matrix, in units of
 1/D for the space's D (the edges realise the metric, so D is their
-weights' lcm too); neighbourhoods, degrees, the solver and every path
-read it.
+weights' lcm too); neighbourhoods, degrees, edge lookup, the solver and
+every path read it.
 Each edge carries a fixed reference orientation (tail = smaller point
 index) so that signed edge vectors are well defined.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -39,21 +41,16 @@ class Edge(NamedTuple):
 class CanonicalGraph:
     """Weighted graph on a metric space with a fixed reference orientation.
 
-    Built by :func:`canonical_graph`; the constructor only prepares the
-    lookup by pair.  Edges are ordered lexicographically by (tail, head).
-    adjacency[u] holds the (v, weight times D, edge index) arcs at u, D the
-    space's denom (see metric._adjacency and metric._scaled_edges).  By the
-    edge order, adjacency[u] is sorted by neighbour: smaller tails, then heads.
+    Built by :func:`canonical_graph`.  Edges are ordered lexicographically
+    by (tail, head).  adjacency[u] holds the (v, weight times D, edge index)
+    arcs at u, D the space's denom (see metric._adjacency).  By the edge
+    order, adjacency[u] is sorted by neighbour: smaller tails, then heads,
+    which edge_index bisects.
     """
 
     space: MetricSpace
     edges: tuple[Edge, ...]
     adjacency: list = field(repr=False, compare=False)
-    _pair_index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        for idx, e in enumerate(self.edges):
-            self._pair_index[(e.tail, e.head)] = idx
 
     @property
     def n(self) -> int:
@@ -65,7 +62,9 @@ class CanonicalGraph:
 
     def edge_index(self, u: int, v: int) -> int | None:
         """Index of the edge {u, v}, or None if not an edge."""
-        return self._pair_index.get((u, v) if u < v else (v, u))
+        arcs = self.adjacency[u] if 0 <= u < self.n else ()
+        at = bisect_left(arcs, v, key=itemgetter(0))
+        return arcs[at][2] if at < len(arcs) and arcs[at][0] == v else None
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

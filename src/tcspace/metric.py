@@ -17,9 +17,8 @@ ends' least distances have no midpoint) and one min-plus step over them;
 if that step gives the matrix back, the mask is the complement of the sure
 edges, O(m n) on uniform-weight families instead of O(n^3).  Otherwise,
 and up to 40 points, the definition decides, over blocks of the n^3 sums
-d(i,j) + d(j,k).  The midpoint scan runs only on a matrix that is not a
-metric, to report its first violation.  The validated space keeps the mask
-for graph.canonical_graph.
+d(i,j) + d(j,k), which also give a matrix that is not a metric its first
+violation.  The validated space keeps the mask for graph.canonical_graph.
 
 Shortest-path metrics of weighted graphs meet the same _matrix_mask, at a
 unit in which every weight is an integer, and two O(m) checks on the input
@@ -171,26 +170,11 @@ def _int_matrix(mat: np.ndarray, denom: int) -> tuple[int, np.ndarray]:
     return denom // g, mat.astype(_int_dtype(int(mat.max())), copy=False)
 
 
-def _midpoint_scan(mat: np.ndarray) -> tuple[int, int, int]:
-    """Over the midpoints j of a scaled matrix with zero diagonal and positive
-    entries elsewhere, and then in row-major order: the first (i, j, k) with
-    d(i,k) > d(i,j) + d(j,k).  O(n^3); it runs only on a matrix that
-    _matrix_mask found not to be a metric."""
-    n = len(mat)
-    via = np.empty_like(mat)
-    hit = np.empty((n, n), dtype=bool)
-    for j in range(n):
-        np.add(mat[:, j, None], mat[j], out=via)
-        np.greater(mat, via, out=hit)
-        if hit.any():
-            i, k = divmod(int(hit.argmax()), n)  # first in row-major order
-            return i, j, k
-    raise AssertionError("a metric is the path metric of its canonical graph")
-
-
 def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarray | None]:
-    """(_midpoint_scan(mat), None) for a scaled matrix with zero diagonal and
-    positive entries elsewhere that is not a metric, else (None, mask),
+    """((i, j, k), None) for a scaled matrix with zero diagonal and positive
+    entries elsewhere that is not a metric, (i, j, k) its first triangle
+    violation d(i,k) > d(i,j) + d(j,k) over the midpoints j and then in
+    row-major order, else (None, mask),
     mask[i, k] true iff some j outside {i, k} gives d(i,j) + d(j,k) =
     d(i,k): the pairs the canonical graph drops.  Two routes decide it.
 
@@ -214,23 +198,14 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
     over blocks of rows i (_block_rows; one block up to 40 points) of the
     sums via[i, j, k] = d(i,j) + d(j,k): mat is a metric iff no minimum over
     j lies below d(i,k), and then a pair is dropped iff it has a third hit
-    besides j = i and j = k.  The scan runs only on a matrix that is not a
-    metric, to report the first violation in its own order.
+    besides j = i and j = k.  A block with a minimum below d(i,k) gives its
+    first violation, least j, then least i and k; a later block, of larger
+    i, can only win with a smaller j, so it is searched below that j alone.
 
     The certificate fails on uneven path metrics, whose sure edges miss
     canonical pairs; above the gate they pay one min-plus step and the
     O(n^3) definition.  Of the benchmark's workloads at seeds 1, 2, 3 and
     12, only norm-large's 64-point space at seed 2 leaves the step open.
-    Per matrix, against the earlier route (an exact test of the pairs left
-    open, then a second min-plus step over the final edges; medians of five
-    alternating runs on a shared 2-core machine): random_metric_space at 3,
-    10, 40 and 64 points 0.018 -> 0.020, 0.031 -> 0.032, 0.24 -> 0.23 and
-    1.2 -> 0.85 ms; diamond(5) 4.3 -> 3.8 ms, the depth-4 K_{2,3}
-    recursion 7.7 -> 4.2 ms, grid(16) 0.81 -> 0.52 ms; uneven path metrics
-    (integer weights 1-9 on a random tree plus a tenth of the other pairs)
-    1.4 -> 3.2 ms at 128 points, 2.7 -> 15 ms at 200, 8.8 -> 73 ms at 400
-    and 51 -> 660 ms at 800, above the command line's default cap of 64
-    and small beside a solve at that size.
     """
     n = len(mat)
     if not _dense_fits(mat):
@@ -244,14 +219,21 @@ def _matrix_mask(mat: np.ndarray) -> tuple[tuple[int, int, int] | None, np.ndarr
             np.fill_diagonal(drop, False)
             return None, drop
     drop = np.empty((n, n), dtype=bool)
+    hit = None
     step = _block_rows(mat, mat.size)
     for lo in range(0, n, step):
         rows = mat[lo:lo + step]
         via = rows[:, :, None] + mat
-        if (via.min(axis=1) < rows).any():
-            return _midpoint_scan(mat), None
-        drop[lo:lo + step] = (via == rows[:, None, :]).sum(axis=1) > 2
-    return None, drop
+        if hit is None and not (via.min(axis=1) < rows).any():
+            drop[lo:lo + step] = (via == rows[:, None, :]).sum(axis=1) > 2
+            continue
+        bad = via[:, :n if hit is None else hit[1]] < rows[:, None, :]  # [i, j, k]
+        js = np.flatnonzero(bad.any(axis=(0, 2)))
+        if len(js):
+            j = int(js[0])
+            i, k = divmod(int(bad[:, j].argmax()), n)  # first in row-major order
+            hit = (lo + i, j, k)
+    return (None, drop) if hit is None else (hit, None)
 
 
 def _dense_fits(mat: np.ndarray) -> bool:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import lcm
 
 from .lp import ExactLP, LPStatus
-from .rational import ZERO
 from .vectors import TransportationProblem
 
 
@@ -33,10 +32,9 @@ def oracle_tc_norm(f: TransportationProblem) -> Fraction:
     space's denom).  Bland's rule reads only the signs of the cost row, so
     the pivots are those of the LP on the Fraction distances.  The first
     sink's row is left out: the other rows imply it.  No shortest paths, no
-    edges: this shares nothing with the shortest-path solver.
+    edges: this shares nothing with the shortest-path solver.  The zero
+    problem poses an LP with no rows, whose value is 0.
     """
-    if f.is_zero():
-        return ZERO
     space = f.graph.space
     dist = space.scaled.tolist()  # Python ints, which the LP keeps as they are
     scale = lcm(*(x.denominator for x in f.values.values()))

@@ -40,7 +40,7 @@ from .graph import (
 )
 from .metric import _dijkstra, _reduced_adjacency
 from .rational import ZERO, to_fraction
-from .vectors import Roadmap, TransportationProblem
+from .vectors import Roadmap, TransportationProblem, _net_moves
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,7 @@ class TransportationPlan:
         return sum((a * int(space.scaled[x, y]) for x, y, a in self.terms), ZERO) / space.denom
 
     def problem(self) -> TransportationProblem:
-        acc: dict[int, Fraction] = {}
-        for x, y, a in self.terms:
-            acc[x] = acc.get(x, ZERO) + a
-            acc[y] = acc.get(y, ZERO) - a
-        return TransportationProblem(self.graph, acc)
+        return _net_moves(self.graph, self.terms)
 
 
 @dataclass(frozen=True)
@@ -275,21 +271,26 @@ def improving_cycle(p: Roadmap) -> OptimalityCertificate:
     if arcs is None:
         return Optimal()
     cycle = OrientedCycle(p.graph, tuple(arcs))
-    gain = _cycle_gain(p, cycle)
+    gain, _ = _cycle_gain(p, cycle)
     assert gain > 0
     return Improving(cycle, gain)
 
 
-def _cycle_gain(p: Roadmap, cycle: OrientedCycle) -> Fraction:
-    gain = ZERO
+def _cycle_gain(p: Roadmap, cycle: OrientedCycle) -> tuple[Fraction, Fraction | None]:
+    """(gain, step) of a cycle on p: the weight of the arcs that run against
+    p's flow minus that of the others, and the least |p(e)| over the former
+    (None if there is none)."""
+    gain, step = ZERO, None
     for e, s in cycle.arcs:
         w = p.graph.edges[e].weight
         val = p[e]
         if val != 0 and (s > 0) == (val < 0):
             gain += w
+            if step is None or abs(val) < step:
+                step = abs(val)
         else:
             gain -= w
-    return gain
+    return gain, step
 
 
 def cancel_cycle(p: Roadmap, cert: OptimalityCertificate) -> Roadmap:
@@ -301,15 +302,9 @@ def cancel_cycle(p: Roadmap, cert: OptimalityCertificate) -> Roadmap:
     """
     if not isinstance(cert, Improving):
         raise NotImprovable("roadmap is already optimal")
-    gain = _cycle_gain(p, cert.cycle)
+    gain, alpha = _cycle_gain(p, cert.cycle)
     if gain <= 0:
         raise NotImprovable("certificate does not improve this roadmap")
-    alpha = None
-    for e, s in cert.cycle.arcs:
-        val = p[e]
-        if val != 0 and (s > 0) == (val < 0):
-            if alpha is None or abs(val) < alpha:
-                alpha = abs(val)
     assert alpha is not None and alpha > 0
     out = p + cert.cycle.indicator().scale(alpha)
     assert out.cost() == p.cost() - alpha * gain
@@ -392,15 +387,14 @@ def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
 
 def _optimum(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
     """The one result of a solve: _solve's certified (flow, pot, D, M),
-    checked in integers to transport f (all zero, with M = 1, for f = 0).
+    checked in integers to transport f (all zero, with M = 1, for f = 0:
+    the lcm of no denominators is 1, and no round runs).
 
     Each reader builds from it only what it reads: the norm (_norm), a
     roadmap (tc_norm, maximal_roadmap) or the optimal face (maximal_support
     and the supporting functions of duality).
     """
     graph = f.graph
-    if f.is_zero():
-        return [0] * graph.m, [0] * graph.n, graph.space.denom, 1
     flow, pot, denom, scale = _solve(f)
     # The flow transports f: its divergence at each vertex is f times M.
     for u, arcs in enumerate(graph.adjacency):
@@ -520,22 +514,26 @@ def maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int,
 def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     """An optimal roadmap whose support is the whole maximal support.
 
-    Adds eps times each zero-cost cycle to an optimal roadmap p.  With eps
-    below min |p(e)| / (number of cycles), no support edge empties or flips,
-    and added edges are traversed one way only, so the cost stays the norm.
+    Adds eps times each zero-cost cycle to the optimal flow.  With eps
+    min |flow| / (c + 1), c the number of cycles, no support edge empties or
+    flips, and added edges are traversed one way only, so the cost stays the
+    norm.  In integers, in units of 1/(M (c + 1)): flow times c + 1 plus
+    min |flow| times each cycle's signs.  Zero for f = 0, which has neither
+    flow nor zero-cost cycles (see maximal_support).
     """
-    if f.is_zero():
-        return Roadmap.zero(f.graph)
+    graph = f.graph
     flow, pot, denom, scale = _optimum(f)
-    tc, p = _roadmap(f.graph, flow, denom, scale)
-    cycles = zero_cost_cycles(f.graph, flow, pot)
-    eps = min(abs(x) for x in p.values.values()) / (len(cycles) + 1)
-    out = p
+    cycles = zero_cost_cycles(graph, flow, pot)
+    parts = len(cycles) + 1
+    eps = min((abs(x) for x in flow if x), default=0)
+    wide = [x * parts for x in flow]
     for cyc in cycles.values():
-        out = out + cyc.indicator().scale(eps)
-    assert out.support() == p.support() | cycles.keys()
+        for e, s in cyc.arcs:
+            wide[e] += s * eps
+    cost, out = _roadmap(graph, wide, denom, scale * parts)
+    assert out.support() == {e for e, x in enumerate(flow) if x} | cycles.keys()
     assert out.problem() == f
-    assert out.cost() == tc
+    assert cost == _flow_cost(graph, flow, denom, scale)
     return out
 
 

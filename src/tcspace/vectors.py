@@ -119,6 +119,15 @@ class TransportationProblem(_SparseVector):
         return cls.from_names(graph, named)
 
 
+def _net_moves(graph: CanonicalGraph, moves) -> TransportationProblem:
+    """The problem of signed moves (x, y, a): a leaves x and arrives at y."""
+    acc: dict[int, Fraction] = {}
+    for x, y, a in moves:
+        acc[x] = acc.get(x, ZERO) + a
+        acc[y] = acc.get(y, ZERO) - a
+    return TransportationProblem(graph, acc)
+
+
 class Roadmap(_SparseVector):
     """Edge-level transportation: a signed vector on the oriented edges, an
     element of l_{1,d}(E).
@@ -152,12 +161,9 @@ class Roadmap(_SparseVector):
         kernel is the cycle space, so adding any cycle indicator leaves the
         result unchanged.
         """
-        acc: dict[int, Fraction] = {}
-        for idx, val in self.values.items():
-            e = self.graph.edges[idx]
-            acc[e.tail] = acc.get(e.tail, ZERO) + val
-            acc[e.head] = acc.get(e.head, ZERO) - val
-        return TransportationProblem(self.graph, acc)
+        edges = self.graph.edges
+        return _net_moves(self.graph, ((edges[idx].tail, edges[idx].head, val)
+                                       for idx, val in self.values.items()))
 
     def induced_sign(self, idx: int) -> int:
         v = self[idx]

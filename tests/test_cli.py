@@ -163,6 +163,30 @@ def test_disjoint_pair_and_candidate(capsys, c4, tmp_path):
     assert obj["ok"] is True and obj["pairs_checked"] == 24
 
 
+@pytest.mark.parametrize("names,problems,report", [
+    ("c0 c1 c2 c3", [{"c0": "1", "c1": "-1"}, {"c1": "1", "c2": "-1"}],
+     {"reason": "maximal supports overlap", "shared_edges": [["c0", "c1"], ["c1", "c2"]]}),
+    ("z y x w", [{"z": "1", "y": "-1"}, {"y": "1", "x": "-1"}],
+     {"reason": "maximal supports overlap", "shared_edges": [["y", "x"], ["z", "y"]]}),
+    ("c0 c1 c2 c3", [{"c0": "1", "c1": "-1"}, {"c0": "1", "c1": "-1"}],
+     {"reason": "combination (1, -1) is the zero problem"}),
+], ids=["overlap", "overlap-sorted-by-name", "degenerate"])
+def test_disjoint_candidate_failures_name_the_pair(capsys, tmp_path, names, problems, report):
+    """A failing scan prints its first failing pair of sign vectors and the
+    reason; overlapping supports add the shared edges as (tail, head) name
+    pairs, sorted by name, and a combination that is the zero problem adds
+    none.  The space is the unit 4-cycle on names, in order."""
+    v = names.split()
+    space = _write(tmp_path / "c4.json", {
+        "vertices": v,
+        "edges": [{"u": v[i], "v": v[(i + 1) % 4], "w": "1"} for i in range(4)]})
+    cand = _write(tmp_path / "cand.json", [{"f": f} for f in problems])
+    code, out, err = _run(capsys, ["disjoint", "--space", space, "--candidate", cand])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"ok": False, "pairs_checked": 1,
+                               "failing_pair": [[1, 1], [1, -1]], **report}
+
+
 def test_certify_plain_and_peeled(capsys, tmp_path):
     code, out, _ = _run(capsys, ["gen", "grid", "--n", "4",
                                  "--out", str(tmp_path / "grid.json")])
@@ -492,7 +516,8 @@ def test_roadmap_runs_no_karp_beyond_the_solver(capsys, monkeypatch, c4, tmp_pat
 def test_commands_that_print_no_roadmap_build_none(capsys, monkeypatch, c4, tmp_path):
     """`norm`, `oracle-check --random` and `dual --unique` read the norm, or
     the flow and potentials, straight from the solver's certified integers
-    and construct no Roadmap; `roadmap` constructs the one it prints."""
+    and construct no Roadmap; `roadmap` constructs the one it prints, and
+    so does `roadmap --maximal`, whose problem has two optimal roadmaps."""
     built = []
     post_init = Roadmap.__post_init__
     monkeypatch.setattr(Roadmap, "__post_init__", lambda p: built.append(p) or post_init(p))
@@ -505,6 +530,11 @@ def test_commands_that_print_no_roadmap_build_none(capsys, monkeypatch, c4, tmp_
         assert built == [], argv
     code, out, _ = _run(capsys, ["roadmap", "--space", c4, "--problem", problem])
     assert code == 0 and json.loads(out)["cost"] == "2"
+    assert len(built) == 1
+    built.clear()
+    code, out, _ = _run(capsys, ["roadmap", "--space", c4, "--problem", problem, "--maximal"])
+    assert code == 0 and json.loads(out)["cost"] == "2"
+    assert len(json.loads(out)["edges"]) == 4
     assert len(built) == 1
 
 
@@ -756,6 +786,18 @@ def test_json_names_and_rows_must_be_arrays(capsys, tmp_path, obj, message):
     # A string or an object is iterable in Python; a JSON reader that took it
     # would read a string's characters as names or distances.
     space = _write(tmp_path / "in.json", obj)
+    code, out, err = _run(capsys, ["validate", "--space", space])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "InvalidInput", "message": message}
+
+
+@pytest.mark.parametrize("dist,message", [
+    ([["0", "1", "2"], ["1", "0"], ["2", "1", "0"]],
+     "distance matrix must be square, one row per point"),
+    ([["0", "x", "2"], ["1", "0"], ["2", "1", "0"]], "cannot parse rational literal 'x'"),
+], ids=["short-row", "literal-first"])
+def test_a_row_of_the_wrong_length_is_a_structured_error(capsys, tmp_path, dist, message):
+    space = _write(tmp_path / "in.json", {"points": ["A", "B", "C"], "dist": dist})
     code, out, err = _run(capsys, ["validate", "--space", space])
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "InvalidInput", "message": message}

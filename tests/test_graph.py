@@ -130,6 +130,8 @@ def test_directed_subgraph_validation():
         DirectedSubgraph(graph, ((0, 2),))  # diagonal is not an edge
     with pytest.raises(InvalidInput):
         DirectedSubgraph(graph, ((0, 1), (0, 1)))
+    with pytest.raises(InvalidInput):
+        DirectedSubgraph(graph, ((-1, 0),))  # no wrap-around: 3 is not -1
     sub = DirectedSubgraph(graph, ((0, 1), (1, 2)))
     assert is_acyclic(sub)
     assert len(sub) == 2
@@ -238,8 +240,8 @@ def test_dijkstra_from_several_sources_with_an_early_stop():
 def test_adjacency_is_the_reference_arc_for_arc():
     """canonical_graph keeps its self-check's integer adjacency; it is the
     one metric._adjacency builds over metric._scaled_edges, because the
-    edges realise the metric and so their lcm is the space's D.  incident
-    and degree() read the same arcs, sorted by neighbour."""
+    edges realise the metric and so their lcm is the space's D.  incident,
+    degree() and edge_index read the same arcs, sorted by neighbour."""
     big = 2**60
     rng = random.Random(29)
     spaces = [inst.graph.space for inst in CORPUS]
@@ -261,6 +263,10 @@ def test_adjacency_is_the_reference_arc_for_arc():
                           for idx, e in enumerate(graph.edges) if v in (e.tail, e.head))
             assert incident(graph, v) == tuple((idx, u) for u, idx in want)
             assert graph.degree(v) == len(want)
+        index = {(e.tail, e.head): idx for idx, e in enumerate(graph.edges)}
+        for u in range(-1, graph.n + 1):  # out-of-range points are no edge's
+            for v in range(-1, graph.n + 1):
+                assert graph.edge_index(u, v) == index.get((min(u, v), max(u, v)))
 
 
 def _closes(mat, keep):

@@ -229,6 +229,27 @@ def test_two_routes_decide_the_deletion_mask():
     assert _callers("_min_plus") == {"_matrix_mask"}
 
 
+def test_each_job_is_done_once():
+    # The definition's blocks of sums report the first triangle violation:
+    # no second cubic scan.
+    assert _definers(lambda name: name == "_midpoint_scan") == set()
+    assert {p.name for p in SRC.glob("*.py") if "_midpoint_scan" in _names_used(p)} == set()
+    # The zero problem takes the general path where it gives the same result.
+    assert not {"_optimum", "maximal_roadmap", "oracle_tc_norm"} & _callers("is_zero")
+    # One rule nets signed moves into a problem: no other function takes
+    # an amount off a dict entry it reads with get.
+    assert _enclosing(_nets_a_move) == {"_net_moves"}
+    assert _callers("_net_moves") == {"problem", "downhill_to_problem"}
+
+
+def _nets_a_move(node) -> bool:
+    """Whether node assigns to an entry acc.get(...) minus something."""
+    return (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Subscript)
+            and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Sub)
+            and isinstance(node.value.left, ast.Call)
+            and getattr(node.value.left.func, "attr", None) == "get")
+
+
 def test_sign_vectors_come_from_one_product():
     # itertools.product((1, -1), repeat=k), read lazily (_signs), is the one
     # enumeration: no bit decoding, no hand-built coefficient lists, and no
@@ -286,6 +307,7 @@ def test_one_adjacency_per_canonical_graph():
     assert _definers(lambda name: name == "shortest_path_arcs") == set()
     graph = tcspace.canonical_graph(tcspace.cycle(4))
     assert not hasattr(graph, "_adjacency")
+    assert not hasattr(graph, "_pair_index")  # edge_index bisects the adjacency
 
 
 # --- every definition in src/ has a caller outside the tests ---------------------

@@ -6,7 +6,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from corpus import d_name, dijkstra_rows
@@ -243,6 +243,24 @@ def test_a_graph_reports_its_first_invalid_edge(edges, message):
     assert str(err.value) == message
 
 
+SQUARE = "distance matrix must be square, one row per point"
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([["0", "1", "2"], ["1", "0"], ["2", "1", "0"]], SQUARE),
+    ([["0", "1", "2"], ["1", "0", "1", "1"], ["2", "1", "0"]], SQUARE),
+    ([["0", "x", "2"], ["1", "0"], ["2", "1", "0"]], "cannot parse rational literal 'x'"),
+    ([["0", "1", "2"], ["1", "0"], ["x", "1", "0"]], SQUARE),
+], ids=["short", "long", "literal-first", "row-first"])
+def test_a_matrix_reports_its_first_invalid_row(rows, message):
+    """Rows are read in order up to the first of the wrong length: an
+    invalid literal before it raises first, one after it is never read."""
+    for check in (validate_metric, metric_violations):
+        with pytest.raises(InvalidInput) as err:
+            check(["A", "B", "C"], rows)
+        assert str(err.value) == message
+
+
 def test_equal_values_written_differently_validate_and_rows_share_objects():
     space = validate_metric(["A", "B", "C"],
                             [[0, 1, "2"], ["2/2", "0", "1"], ["4/2", Fraction(1), "0"]])
@@ -411,8 +429,22 @@ def test_violations_match_a_brute_force_reference_at_every_width(monkeypatch):
                      ZeroDistanceDistinctPoints, TriangleViolation}
 
 
+def _verdict_spy(monkeypatch):
+    """(dtype, first violation or None) of each call of metric._matrix_mask."""
+    seen = []
+    real = metric._matrix_mask
+
+    def spy(mat):
+        hit, mask = real(mat)
+        seen.append((mat.dtype, hit))
+        return hit, mask
+
+    monkeypatch.setattr(metric, "_matrix_mask", spy)
+    return seen
+
+
 def test_first_triangle_violation_is_the_same_at_every_width(monkeypatch):
-    seen = _dtype_spy(monkeypatch, "_midpoint_scan")
+    seen = _verdict_spy(monkeypatch)
     rows = [[0, 1, 5, 9], [1, 0, 1, 3], [5, 1, 0, 1], [9, 3, 1, 0]]
     found = []
     for scale in SCALES:
@@ -420,7 +452,40 @@ def test_first_triangle_violation_is_the_same_at_every_width(monkeypatch):
             validate_metric(["A", "B", "C", "D"], [[x * scale for x in r] for r in rows])
         found.append(err.value.points)
     assert found == [("A", "B", "C")] * len(SCALES)
-    assert seen == WIDTHS
+    assert seen == [(width, (0, 1, 2)) for width in WIDTHS]
+
+
+# No shrinking: each example validates up to 90 points at five widths, and a
+# failure took minutes to shrink; the failing n and random state are printed.
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.integers(3, 90), st.randoms(use_true_random=False))
+def test_triangle_violations_are_the_scans_at_every_width(n, rng):
+    """Random non-metrics of up to 90 points (above 40 the certificate is
+    tried first and falls back to the definition, over several blocks of
+    rows): at every width the violation names midpoint_scan's triple.
+    Distances in 4..7 form a metric; one to three pairs are then set
+    above a path through a third point, so the violations are few and the
+    least midpoint may lie in any block."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i):
+            rows[i][k] = rows[k][i] = rng.randint(4, 7)
+    for _ in range(rng.randint(1, 3)):
+        i, j, k = rng.sample(range(n), 3)
+        rows[i][k] = rows[k][i] = rows[i][j] + rows[j][k] + 1
+    names = [f"P{x}" for x in range(n)]
+    widths = []
+    for scale in SCALES:
+        mat = np.array([[x * scale for x in row] for row in rows], dtype=object)
+        mat = mat.astype(metric._int_dtype(int(mat.max())))
+        widths.append(mat.dtype)
+        hit, _ = midpoint_scan(mat)
+        assert hit is not None
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric(names, mat.tolist())
+        assert err.value.points == tuple(names[x] for x in hit)
+    assert widths == WIDTHS
 
 
 def _peak_metrics(peak):
@@ -488,8 +553,8 @@ def test_scaled_matrix_matches_a_per_entry_reference():
 
 def test_canonical_edges_are_the_same_in_both_dtypes(monkeypatch):
     """Validating a matrix runs its min-plus kernel at the matrix's width
-    (every width over SCALES, object for the copies scaled by BIG) and no
-    midpoint scan; the canonical graphs reuse the proven mask.  (These
+    (every width over SCALES, object for the copies scaled by BIG) and
+    reports no violation; the canonical graphs reuse the proven mask.  (These
     spaces are small enough for the dense kernel, so the test keeps them on
     the certificate, which larger ones take.)"""
     rng = random.Random(11)
@@ -497,7 +562,7 @@ def test_canonical_edges_are_the_same_in_both_dtypes(monkeypatch):
     spaces += [cycle(6), complete_bipartite(2, 3)]
     _certificate_route(monkeypatch)
     seen = _dtype_spy(monkeypatch, "_min_plus", 0)
-    monkeypatch.setattr(metric, "_midpoint_scan", _forbidden)
+    verdicts = _verdict_spy(monkeypatch)
     widths = set()
     for space in spaces:
         for scale in SCALES:
@@ -514,6 +579,8 @@ def test_canonical_edges_are_the_same_in_both_dtypes(monkeypatch):
         assert [(e.tail, e.head, e.weight * BIG) for e in edges] == list(big_edges)
         assert [(e.tail, e.head) for e in edges] == _reference_edges(space.dist)
     assert widths == set(WIDTHS)
+    assert len(verdicts) == len(spaces) * len(SCALES)
+    assert {hit for _, hit in verdicts} == {None}
 
 
 def _reference_edges(d):
@@ -599,15 +666,24 @@ def test_a_graph_mask_is_the_scan_mask():
 def test_weighted_graphs_run_no_midpoint_scan(monkeypatch):
     """Neither a weighted graph nor a valid matrix (the graphs' path
     metrics, the 90-point one decided by the definition after its sure
-    edges leave pairs open) runs the scan; an invalid matrix runs it for
-    its first violation."""
-    monkeypatch.setattr(metric, "_midpoint_scan", _forbidden)
+    edges leave pairs open) finds a violation, and each matrix gives its
+    graph's mask; an invalid matrix reports its first violation."""
+    verdicts = _verdict_spy(monkeypatch)
     spaces = _graph_spaces()
     assert len(spaces) > 40
+    built = len(verdicts)
+    assert built >= len(spaces)
     for space in spaces:
-        assert validate_metric(space.points, space.dist) == space
-    with pytest.raises(AssertionError, match="called"):
+        again = validate_metric(space.points, space.dist)
+        assert again == space
+        assert np.array_equal(again._deletion_mask, space._deletion_mask)
+    assert len(verdicts) == built + len(spaces)
+    assert {hit for _, hit in verdicts} == {None}
+    verdicts.clear()
+    with pytest.raises(TriangleViolation) as err:
         validate_metric(["A", "B", "C"], [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]])
+    assert err.value.points == ("A", "B", "C")
+    assert verdicts == [(np.dtype(np.int8), (0, 1, 2))]
 
 
 @pytest.mark.parametrize("graph", ["triangle", "chord", "non-geodesic", "cycle", "diamond"])
