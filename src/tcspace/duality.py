@@ -47,9 +47,9 @@ class LipschitzFunction:
             raise InvalidInput("need one value per point")
         if self.values[self.graph.space.base_point] != 0:
             raise InvalidInput("function must vanish at the base point")
-        for idx, e in enumerate(self.graph.edges):
+        for e in self.graph.edges:
             if abs(self.values[e.tail] - self.values[e.head]) > e.weight:
-                u, v = self.graph.endpoints_name(idx)
+                u, v = self.graph.space.points[e.tail], self.graph.space.points[e.head]
                 raise NotLipschitz(f"|l({u}) - l({v})| exceeds d({u},{v})")
 
     @classmethod
@@ -131,7 +131,7 @@ def is_unique_supporting(f: TransportationProblem) -> tuple[bool, LipschitzFunct
     l(v) = dist(v -> base) in the residual digraph, which differs from the
     least (supporting_function) exactly when the support is disconnected.
     """
-    flow, pot, _, _ = _optimum(f)
+    flow, pot, _ = _optimum(f)
     return _uniqueness(f.graph, flow, pot, _least_supporting(f.graph, flow, pot))
 
 

@@ -9,13 +9,14 @@ levels, whose vertex sets embed isometrically.
 A composition's metric comes from its construction, not from a search: one
 step (_compose_step) replaces every edge by a copy of a two-port graph and
 takes the candidate metric from the metrics of its two parts
-(metric._substitute).  compose runs it once, and recursive_family and
-diamond once per level; a grid's metric comes from its coordinates.  A
-level is integers only, (mat, D, edges): edges (u, v, w) by point index,
-weights and distances both in units of 1/D, so no Fraction is built per
-edge.  metric._path_space certifies each construction's last level as the
-graph's path metric, as it does a Floyd-Warshall matrix, the route of
-cycles, complete bipartite graphs and two-port graphs made by hand.
+(metric._substitute).  compose runs it once, and _levels, the one level
+loop of recursive_family and diamond, once per level; a grid's metric
+comes from its coordinates.  A level is integers only, (mat, D, edges):
+edges (u, v, w) by point index, weights and distances both in units of
+1/D, so no Fraction is built per edge.  metric._path_space certifies each
+construction's last level as the graph's path metric, as it does a
+Floyd-Warshall matrix, the route of cycles, complete bipartite graphs and
+two-port graphs made by hand.
 """
 
 from __future__ import annotations
@@ -188,20 +189,10 @@ def recursive_family(B: TwoPortGraph, n: int) -> tuple[MetricSpace, FamilyDescri
     """n-fold recursive composition of B (level 0 is a single unit edge).
 
     Each level replaces every edge of the previous graph by a copy of B;
-    vertices added at level j carry generation j in the descriptor.  Only
-    the last level is certified (_compose_step says why that suffices).
+    vertices added at level j carry generation j in the descriptor.
     """
-    if n < 0:
-        raise InvalidInput("n must be nonnegative")
-    if B.top_bottom_distance() != 1:
-        raise NotNormalized("B must have top-bottom distance 1")
     unit = unit_edge_two_port()
-    points, level = unit.points, unit._level
-    generations = {p: 0 for p in points}
-    for step in range(1, n + 1):
-        points, level = _compose_step(points, level, B, f"g{step}e")
-        generations.update(dict.fromkeys(points[len(generations):], step))
-    space = _path_space(points, *level, base="b")
+    space, generations = _levels(unit.points, unit._level, B, n, by_name=False)
     params = {"n": n, "base_vertices": len(B.points),
               "base_edges": len(B.edges), "delta": B.max_degree()}
     return space, FamilyDescriptor("recursive", params, generations)
@@ -212,25 +203,36 @@ def diamond(n: int) -> tuple[MetricSpace, FamilyDescriptor]:
 
     All level-n edges have weight 2^-n, so each level's vertex set embeds
     isometrically in the next and the total top-bottom distance stays 1.
-    A level is one _compose_step over the sorted edges of the last; the
-    quadrilateral's second side runs from top to bottom, which gives D_n
-    its vertex names.
+    Each level's edges are sorted by name; the quadrilateral's second side
+    runs from top to bottom, which gives D_n its vertex names.
     """
-    if n < 0:
-        raise InvalidInput("n must be nonnegative")
     half = Fraction(1, 2)
     quad = TwoPortGraph(("s", "t", "a", "b"),
                         (("s", "a", half), ("a", "t", half), ("t", "b", half), ("b", "s", half)),
                         top="t", bottom="s")
-    points, level = ("v0", "v1"), (np.array([[0, 1], [1, 0]]), 1, [(0, 1, 1)])
-    generations = {"v0": 0, "v1": 0}
-    for step in range(1, n + 1):
-        mat, denom, edges = level
-        edges = sorted(edges, key=lambda e: (points[e[0]], points[e[1]]))
-        points, level = _compose_step(points, (mat, denom, edges), quad, f"g{step}e")
-        generations.update(dict.fromkeys(points[len(generations):], step))
-    space = _path_space(points, *level, base="v0")
+    unit = np.array([[0, 1], [1, 0]]), 1, [(0, 1, 1)]
+    space, generations = _levels(("v0", "v1"), unit, quad, n, by_name=True)
     return space, FamilyDescriptor("diamond", {"n": n}, generations)
+
+
+def _levels(points, level, B: TwoPortGraph, n: int, by_name: bool):
+    """The n levels of recursive_family and diamond from level 0, its points
+    and level (mat, D, edges): one _compose_step with B each, over the edges
+    of the last, sorted by their names first when by_name.  Returns the last
+    level's space, based at the first point and alone certified
+    (_compose_step says why that suffices), and each point's generation."""
+    if n < 0:
+        raise InvalidInput("n must be nonnegative")
+    if B.top_bottom_distance() != 1:
+        raise NotNormalized("B must have top-bottom distance 1")
+    generations = dict.fromkeys(points, 0)
+    for step in range(1, n + 1):
+        if by_name:
+            mat, denom, edges = level
+            level = mat, denom, sorted(edges, key=lambda e: (points[e[0]], points[e[1]]))
+        points, level = _compose_step(points, level, B, f"g{step}e")
+        generations.update(dict.fromkeys(points[len(generations):], step))
+    return _path_space(points, *level, base=points[0]), generations
 
 
 def grid(n: int) -> MetricSpace:

@@ -31,6 +31,13 @@ from .metric import MetricSpace, _adjacency, _dijkstra
 from .rational import frac_str
 
 
+def _check_index(k, size: int, noun: str) -> None:
+    """The one rule for an index given through the Python API: an int, not a
+    bool, in range(size); anything else raises InvalidInput naming it."""
+    if type(k) is not int or not 0 <= k < size:
+        raise InvalidInput(f"{noun} index {k!r} out of range")
+
+
 class Edge(NamedTuple):
     tail: int
     head: int
@@ -75,10 +82,6 @@ class CanonicalGraph:
     def max_degree(self) -> int:
         return max(self.degrees())
 
-    def endpoints_name(self, idx: int) -> tuple[str, str]:
-        e = self.edges[idx]
-        return self.space.points[e.tail], self.space.points[e.head]
-
     def to_json_obj(self) -> dict:
         return {
             "vertices": list(self.space.points),
@@ -93,14 +96,17 @@ class CanonicalGraph:
 
     def to_dot(self) -> str:
         """DOT digraph; arrowheads show the reference orientation."""
-        lines = ["digraph canonical {"]
-        for name in self.space.points:
-            lines.append(f'  "{name}";')
+        pts = self.space.points
+        statements = [f'"{name}";' for name in pts]
         for e in self.edges:
-            u, v = self.space.points[e.tail], self.space.points[e.head]
-            lines.append(f'  "{u}" -> "{v}" [label="{frac_str(e.weight)}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            u, v = pts[e.tail], pts[e.head]
+            statements.append(f'"{u}" -> "{v}" [label="{frac_str(e.weight)}"];')
+        return _dot("canonical", statements)
+
+
+def _dot(name: str, statements: list[str]) -> str:
+    """The DOT digraph `name` of the statements, one to an indented line."""
+    return "".join([f"digraph {name} {{\n", *(f"  {s}\n" for s in statements), "}\n"])
 
 
 class UnionFind:
@@ -205,6 +211,8 @@ class DirectedSubgraph:
     def __post_init__(self):
         seen = set()
         for u, v in self.arcs:
+            _check_index(u, self.graph.n, "vertex")
+            _check_index(v, self.graph.n, "vertex")
             if self.graph.edge_index(u, v) is None:
                 pu, pv = self.graph.space.points[u], self.graph.space.points[v]
                 raise InvalidInput(f"({pu},{pv}) is not a canonical-graph edge")
@@ -239,8 +247,4 @@ class DirectedSubgraph:
 
     def to_dot(self) -> str:
         pts = self.graph.space.points
-        lines = ["digraph directed {"]
-        for u, v in self.arcs:
-            lines.append(f'  "{pts[u]}" -> "{pts[v]}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot("directed", [f'"{pts[u]}" -> "{pts[v]}";' for u, v in self.arcs])

@@ -435,19 +435,6 @@ def _adjacency(n: int, edges) -> list[list[tuple[int, int, int]]]:
     return adj
 
 
-def _scaled_edges(edges) -> tuple[int, list[tuple[int, int, int]]]:
-    """(D, the edges (u, v, w) with weights times D), D the lcm of the weight
-    denominators, so every weight is an exact integer.  Raises InvalidInput
-    on a self-loop or a weight that is not positive."""
-    for u, v, w in edges:
-        if u == v:
-            raise InvalidInput("self-loops are not allowed")
-        if w <= 0:
-            raise InvalidInput("edge weights must be positive")
-    denom = lcm(*{w.denominator for _, _, w in edges})
-    return denom, [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges]
-
-
 def _reduced_adjacency(adj, flow: list[int], pot: list[int]):
     """The min-cost-flow residual digraph on _adjacency arcs at reduced
     costs, built whole (for transport's certificate and residual digraphs;
@@ -531,8 +518,16 @@ def path_metric(n: int, edges: list[tuple[int, int, Fraction]]) -> list[list[Fra
 
 def _path_rows(n: int, edges) -> tuple[np.ndarray, int, list[tuple[int, int, int]]]:
     """path_metric as (integer matrix, D, scaled edges): the distances and
-    the edges' weights times D, the lcm of the weight denominators."""
-    denom, scaled = _scaled_edges(edges)
+    the edges' weights times D, the lcm of the weight denominators, so
+    every weight is an exact integer.  Raises InvalidInput on a self-loop
+    or a weight that is not positive."""
+    for u, v, w in edges:
+        if u == v:
+            raise InvalidInput("self-loops are not allowed")
+        if w <= 0:
+            raise InvalidInput("edge weights must be positive")
+    denom = lcm(*{w.denominator for _, _, w in edges})
+    scaled = [(u, v, w.numerator * (denom // w.denominator)) for u, v, w in edges]
     return _floyd_warshall(n, scaled), denom, scaled
 
 

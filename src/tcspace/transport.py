@@ -34,6 +34,7 @@ from .graph import (
     CanonicalGraph,
     DirectedSubgraph,
     UnionFind,
+    _check_index,
     connected_components,
     shortest_path_tree,
     tree_path,
@@ -49,7 +50,8 @@ class TransportationPlan:
 
     Plans may be "fake": the amount moved from a point does not need to be
     available there.  Only the induced problem (sum of signed indicators)
-    matters.  Zero-amount terms are dropped; negative amounts are rejected.
+    matters.  Zero-amount terms are dropped; negative amounts and points out
+    of range are rejected.
     """
 
     graph: CanonicalGraph
@@ -58,6 +60,8 @@ class TransportationPlan:
     def __post_init__(self):
         kept = []
         for x, y, a in self.terms:
+            _check_index(x, self.graph.n, "vertex")
+            _check_index(y, self.graph.n, "vertex")
             a = to_fraction(a)
             if a < 0:
                 raise InvalidInput("plan amounts must be nonnegative")
@@ -83,8 +87,9 @@ class TransportationPlan:
 class OrientedCycle:
     """A directed cycle as (edge index, traversal sign) arcs.
 
-    The sign is +1 when the arc follows the edge's reference orientation.
-    Consecutive arcs chain head-to-tail and the walk is closed and simple.
+    The sign is +1 when the arc follows the edge's reference orientation
+    and -1 against it.  Consecutive arcs chain head-to-tail and the walk is
+    closed and simple.
     """
 
     graph: CanonicalGraph
@@ -93,6 +98,10 @@ class OrientedCycle:
     def __post_init__(self):
         if not self.arcs:
             raise InvalidInput("a cycle needs at least one arc")
+        for e, s in self.arcs:
+            _check_index(e, self.graph.m, "edge")
+            if type(s) is not int or s not in (1, -1):
+                raise InvalidInput(f"arc sign {s!r} must be 1 or -1")
         if len({e for e, _ in self.arcs}) != len(self.arcs):
             raise InvalidInput("a cycle may not repeat an edge")
         starts = [self._start(e, s) for e, s in self.arcs]
@@ -203,12 +212,12 @@ def cycle_basis(graph: CanonicalGraph) -> CycleBasis:
 # --- improving cycles ---------------------------------------------------------
 
 def _residual_digraph(p: Roadmap) -> list:
-    """p's residual digraph: _reduced_adjacency at zero potentials, arcs
-    (v, cost times D, edge) that cost -weight against p's flow on an edge
-    and +weight otherwise, D the space's denom.  Only the sign of each edge
-    value matters."""
-    signs = [p.induced_sign(e) for e in range(p.graph.m)]
-    return _reduced_adjacency(p.graph.adjacency, signs, [0] * p.graph.n)
+    """p's residual digraph: _reduced_adjacency at p's own values as the
+    flow and zero potentials, arcs (v, cost times D, edge) that cost -weight
+    against p's flow on an edge and +weight otherwise, D the space's denom.
+    The pricing rule reads only the sign of each value."""
+    flow = [p.values.get(e, 0) for e in range(p.graph.m)]
+    return _reduced_adjacency(p.graph.adjacency, flow, [0] * p.graph.n)
 
 
 def bellman_ford(adj, source: int | None = None):
@@ -332,23 +341,33 @@ def _augment(flow: list[int], excess: list[int], source: int, sink: int, path) -
     return amount
 
 
-def _successive_shortest_paths(graph: CanonicalGraph,
-                               excess: list[int]) -> tuple[list[int], list[int]]:
-    """Min-cost flow routing excess (integer supplies > 0, demands < 0):
-    (flow per edge along its reference orientation, potentials), integers
-    on the integer weights of graph.adjacency.
+def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int]:
+    """The min-cost flow behind tc_norm, certified: (flow, pot, M).
 
-    Each round runs one Dijkstra on reduced costs from every vertex with
-    excess left, stops at the first deficit vertex settled, augments along
-    that shortest path and adds min(dist, dist[sink]) to the potentials,
-    which keeps every reduced cost >= 0 (Ahuja-Magnanti-Orlin, ch. 9).
-    The Dijkstra reads the residual digraph through its (flow, pot) view,
-    pricing each arc it relaxes, so a round costs the arcs it reaches, not
-    a rebuild of all of them (_reduced_adjacency, which it equals).  Each
-    round lowers the total excess, so the loop ends; excess is updated in
-    place and ends zero.
+    Weights are scaled by D, the space's denom (graph.adjacency), and masses
+    by M, the lcm of f's denominators, so flow (per edge, along its
+    reference orientation, in units of 1/M) and pot (in units of 1/D) are
+    integers.  Each round runs one Dijkstra on reduced costs from every
+    vertex with excess left, stops at the first deficit vertex settled,
+    augments along that shortest path and adds min(dist, dist[sink]) to the
+    potentials, which keeps every reduced cost >= 0 (Ahuja-Magnanti-Orlin,
+    ch. 9).  The Dijkstra reads the residual digraph through its (flow, pot)
+    view, pricing each arc it relaxes, so a round costs the arcs it reaches,
+    not a rebuild of all of them (_reduced_adjacency, which it equals).
+    Each round lowers the total excess, so the loop ends.
+
+    Certified in integers before it returns: the excess is zero everywhere,
+    and pot leaves every residual arc a reduced cost >= 0, which is
+    optimality.  Then l(v) = (pot[base] - pot[v]) / D is 1-Lipschitz on the
+    edges, drops by the weight along the flow on every support edge, and
+    pairs with f to the norm: the dual side of the certificate.
     """
+    graph = f.graph
     adj = graph.adjacency
+    scale = lcm(*(x.denominator for x in f.values.values()))
+    excess = [0] * graph.n
+    for v, x in f.values.items():
+        excess[v] = x.numerator * (scale // x.denominator)
     flow = [0] * graph.m
     pot = [0] * graph.n
     while sources := [v for v, x in enumerate(excess) if x > 0]:
@@ -359,34 +378,13 @@ def _successive_shortest_paths(graph: CanonicalGraph,
         _augment(flow, excess, source, sink, path)
         reach = dist[sink]
         pot = [p + (reach if d is None else d) for p, d in zip(pot, dist)]
-    return flow, pot
-
-
-def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
-    """The min-cost flow behind tc_norm, certified: (flow, pot, D, M).
-
-    Weights are scaled by D (graph.adjacency) and masses by M, the
-    lcm of f's denominators, so flow (per edge, along its reference
-    orientation, in units of 1/M) and pot (in units of 1/D) are integers.
-    Certified in integers before it returns: the excess is zero everywhere,
-    and pot leaves every residual arc a reduced cost >= 0, which is
-    optimality.  Then l(v) = (pot[base] - pot[v]) / D is 1-Lipschitz on the
-    edges, drops by the weight along the flow on every support edge, and
-    pairs with f to the norm: the dual side of the certificate.
-    """
-    graph = f.graph
-    scale = lcm(*(x.denominator for x in f.values.values()))
-    excess = [0] * graph.n
-    for v, x in f.values.items():
-        excess[v] = x.numerator * (scale // x.denominator)
-    flow, pot = _successive_shortest_paths(graph, excess)
     assert not any(excess)
-    assert _certifies(graph.adjacency, flow, pot)
-    return flow, pot, graph.space.denom, scale
+    assert _certifies(adj, flow, pot)
+    return flow, pot, scale
 
 
-def _optimum(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
-    """The one result of a solve: _solve's certified (flow, pot, D, M),
+def _optimum(f: TransportationProblem) -> tuple[list[int], list[int], int]:
+    """The one result of a solve: _solve's certified (flow, pot, M),
     checked in integers to transport f (all zero, with M = 1, for f = 0:
     the lcm of no denominators is 1, and no round runs).
 
@@ -395,34 +393,33 @@ def _optimum(f: TransportationProblem) -> tuple[list[int], list[int], int, int]:
     and the supporting functions of duality).
     """
     graph = f.graph
-    flow, pot, denom, scale = _solve(f)
+    flow, pot, scale = _solve(f)
     # The flow transports f: its divergence at each vertex is f times M.
     for u, arcs in enumerate(graph.adjacency):
         x = f[u]
         out = sum(flow[e] if u < v else -flow[e] for v, _, e in arcs)
         assert out * x.denominator == x.numerator * scale, "the flow must transport f"
-    return flow, pot, denom, scale
+    return flow, pot, scale
 
 
-def _flow_cost(graph: CanonicalGraph, flow: list[int], denom: int, scale: int) -> Fraction:
+def _flow_cost(graph: CanonicalGraph, flow: list[int], scale: int) -> Fraction:
     """The cost of an _optimum flow: the integer total of |flow| times the
-    scaled weight over the edges, divided once by D M."""
+    scaled weight over the edges, divided once by D M, D the space's denom."""
     total = sum(abs(flow[e]) * w for u, arcs in enumerate(graph.adjacency)
                 for v, w, e in arcs if u < v)
-    return Fraction(total, denom * scale)
+    return Fraction(total, graph.space.denom * scale)
 
 
 def _norm(f: TransportationProblem) -> Fraction:
     """tc_norm's norm alone, with no roadmap built."""
-    flow, _, denom, scale = _optimum(f)
-    return _flow_cost(f.graph, flow, denom, scale)
+    flow, _, scale = _optimum(f)
+    return _flow_cost(f.graph, flow, scale)
 
 
-def _roadmap(graph: CanonicalGraph, flow: list[int], denom: int,
-             scale: int) -> tuple[Fraction, Roadmap]:
+def _roadmap(graph: CanonicalGraph, flow: list[int], scale: int) -> tuple[Fraction, Roadmap]:
     """The norm and the roadmap of an _optimum flow, whose Fraction cost
     must be that norm."""
-    cost = _flow_cost(graph, flow, denom, scale)
+    cost = _flow_cost(graph, flow, scale)
     p = Roadmap(graph, {e: Fraction(x, scale) for e, x in enumerate(flow) if x})
     assert cost == p.cost()
     return cost, p
@@ -435,16 +432,17 @@ def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
     M, is certified optimal and checked to transport f in integers (see
     _optimum) before the Fractions of the result are built.
     """
-    flow, _, denom, scale = _optimum(f)
-    return _roadmap(f.graph, flow, denom, scale)
+    flow, _, scale = _optimum(f)
+    return _roadmap(f.graph, flow, scale)
 
 
 # --- the optimal face, from the solver's certificate --------------------------
 
 def residual_distances(graph: CanonicalGraph, flow: list[int], pot: list[int]) -> list[Fraction]:
     """Distances from the base point in the residual digraph of an optimal
-    flow, pot certifying it (as _solve's do).  One Dijkstra runs at the
-    reduced costs, all >= 0, and each distance is shifted back by pot.  With
+    flow, pot certifying it (an _optimum result, pot in units of 1/D, D the
+    space's denom).  One Dijkstra runs at the reduced costs, all >= 0, and
+    each distance is shifted back by pot and divided by D.  With
     (-flow, -pot) they are the distances to the base point: the transposed
     digraph is that of -flow, and -pot leaves its arcs the same reduced costs.
     """
@@ -504,7 +502,7 @@ def maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int,
     Empty for f = 0: at zero flow and potentials every residual arc costs
     its weight, which is positive.
     """
-    flow, pot, _, _ = _optimum(f)
+    flow, pot, _ = _optimum(f)
     signs = {e: 1 if x > 0 else -1 for e, x in enumerate(flow) if x}
     cycles = zero_cost_cycles(f.graph, flow, pot)
     signs.update((e, cyc.arcs[0][1]) for e, cyc in cycles.items())
@@ -522,7 +520,7 @@ def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     flow nor zero-cost cycles (see maximal_support).
     """
     graph = f.graph
-    flow, pot, denom, scale = _optimum(f)
+    flow, pot, scale = _optimum(f)
     cycles = zero_cost_cycles(graph, flow, pot)
     parts = len(cycles) + 1
     eps = min((abs(x) for x in flow if x), default=0)
@@ -530,10 +528,10 @@ def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     for cyc in cycles.values():
         for e, s in cyc.arcs:
             wide[e] += s * eps
-    cost, out = _roadmap(graph, wide, denom, scale * parts)
+    cost, out = _roadmap(graph, wide, scale * parts)
     assert out.support() == {e for e, x in enumerate(flow) if x} | cycles.keys()
     assert out.problem() == f
-    assert cost == _flow_cost(graph, flow, denom, scale)
+    assert cost == _flow_cost(graph, flow, scale)
     return out
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import InvalidInput, json_fields
-from .graph import CanonicalGraph
+from .graph import CanonicalGraph, _check_index
 from .rational import ZERO, frac_str, to_fraction
 
 
@@ -33,8 +33,7 @@ class _SparseVector:
         size = self._size()
         vals = {}
         for k, v in self.values.items():
-            if not isinstance(k, int) or not 0 <= k < size:
-                raise InvalidInput(f"{self._index_noun} index {k!r} out of range")
+            _check_index(k, size, self._index_noun)
             f = to_fraction(v)
             if f != 0:
                 vals[k] = f
@@ -164,10 +163,6 @@ class Roadmap(_SparseVector):
         edges = self.graph.edges
         return _net_moves(self.graph, ((edges[idx].tail, edges[idx].head, val)
                                        for idx, val in self.values.items()))
-
-    def induced_sign(self, idx: int) -> int:
-        v = self[idx]
-        return 0 if v == 0 else (1 if v > 0 else -1)
 
     def to_json_obj(self) -> dict:
         g = self.graph

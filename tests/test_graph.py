@@ -28,7 +28,7 @@ from tcspace.metric import (
     _dijkstra,
     _matrix_mask,
     _min_plus,
-    _scaled_edges,
+    _path_rows,
 )
 from tcspace.randgen import random_metric_space
 
@@ -239,8 +239,9 @@ def test_dijkstra_from_several_sources_with_an_early_stop():
 
 def test_adjacency_is_the_reference_arc_for_arc():
     """canonical_graph keeps its self-check's integer adjacency; it is the
-    one metric._adjacency builds over metric._scaled_edges, because the
-    edges realise the metric and so their lcm is the space's D.  incident,
+    one metric._adjacency builds over the scaled edges of metric._path_rows,
+    because the edges realise the metric and so their lcm is the space's D
+    (and their path metric the space's matrix).  incident,
     degree() and edge_index read the same arcs, sorted by neighbour."""
     big = 2**60
     rng = random.Random(29)
@@ -255,9 +256,10 @@ def test_adjacency_is_the_reference_arc_for_arc():
     assert any(s.scaled.dtype == object for s in spaces)
     for space in spaces:
         graph = canonical_graph(space)
-        denom, scaled = _scaled_edges(graph.edges)
+        mat, denom, scaled = _path_rows(graph.n, graph.edges)
         assert graph.adjacency == _adjacency(graph.n, scaled)
         assert denom == space.denom
+        assert mat.tolist() == space.scaled.tolist()
         for v in range(graph.n):  # incident reads the same arcs
             want = sorted((e.head if e.tail == v else e.tail, idx)
                           for idx, e in enumerate(graph.edges) if v in (e.tail, e.head))

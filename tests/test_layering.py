@@ -141,10 +141,12 @@ def _callers(name: str) -> set[str]:
 
 
 def test_one_composition_step():
-    # compose, recursive_family and diamond expand edges with one step,
-    # which alone asks the substitution kernel for a candidate.
+    # compose and the one level loop expand edges with one step, which alone
+    # asks the substitution kernel for a candidate; recursive_family and
+    # diamond share that loop.
     assert _callers("_substitute") == {"_compose_step"}
-    assert _callers("_compose_step") == {"compose", "recursive_family", "diamond"}
+    assert _callers("_compose_step") == {"compose", "_levels"}
+    assert _callers("_levels") == {"recursive_family", "diamond"}
 
 
 def test_every_generated_graph_is_certified_in_integers():
@@ -154,8 +156,7 @@ def test_every_generated_graph_is_certified_in_integers():
     assert _definers(lambda name: name in {"_graph_space", "_on_one_unit"}) == set()
     assert not {"to_fraction", "lcm"} & _names_used(SRC / "families.py")
     assert _callers("_path_space") == {"space_from_weighted_graph", "__post_init__",
-                                       "recursive_family", "diamond", "grid",
-                                       "random_metric_space"}
+                                       "_levels", "grid", "random_metric_space"}
 
 
 def test_one_bellman_ford():
@@ -284,6 +285,21 @@ def test_one_canonical_graph_certificate():
     assert _definers(lambda name: name == "_matrix_mask") == {"metric.py"}
     assert _callers("_matrix_mask") == {"_violations"}
     assert not {"_matrix_mask", "_min_plus"} & _names_used(SRC / "graph.py")
+
+
+def test_each_value_and_loop_has_one_home():
+    # A solve returns (flow, pot, M): D is the graph's, read where it is
+    # needed.  A user roadmap's residual digraph reads the roadmap's values,
+    # the path metric of a graph scales its edges where it reads them, and
+    # a lookup of an edge's names reads the space's points.
+    gone = {"_successive_shortest_paths", "_scaled_edges", "induced_sign", "endpoints_name"}
+    assert _definers(gone.__contains__) == set()
+    assert {p.name for p in SRC.glob("*.py") if gone & _names_used(p)} == set()
+    assert _callers("_solve") == {"_optimum"}
+    # One function writes the DOT digraph framing for both exports.
+    assert _enclosing(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value.startswith("digraph ")) == {"_dot"}
+    assert _callers("_dot") == {"to_dot"}
 
 
 def test_one_edge_vector_class():

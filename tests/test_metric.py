@@ -124,6 +124,22 @@ def test_a_base_point_outside_the_space_is_refused(base, message):
         validate_metric(["A", "B"], [["0", "1"], ["1", "0"]], base=base)
 
 
+@pytest.mark.parametrize("points,dist", [(3, [[0]]), (["a", "b"], [0, 1])],
+                         ids=["points-not-iterable", "rows-not-iterable"])
+def test_a_matrix_that_is_not_lists_is_invalid_input(points, dist):
+    # The Python API's readers turn the TypeError of a non-iterable into
+    # InvalidInput, for validation and for the violation report alike.
+    for check in (validate_metric, metric_violations):
+        with pytest.raises(InvalidInput, match="^'points' must be a list of names "
+                                               "and 'dist' a list of rows$"):
+            check(points, dist)
+
+
+def test_vertices_that_are_not_a_list_are_invalid_input():
+    with pytest.raises(InvalidInput, match="^'vertices' must be a list of names$"):
+        space_from_weighted_graph(3, [])
+
+
 def test_json_round_trip():
     space = validate_metric(
         ["A", "B", "C"], [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],

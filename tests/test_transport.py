@@ -292,15 +292,15 @@ def test_potential_certificate_holds_exactly_for_optimal_roadmaps():
     """The final potentials certify the solver's flow, and an optimal
     roadmap plus one basis-cycle indicator exactly when it is optimal too
     (complementary slackness holds for every optimal flow)."""
-    from tcspace.transport import _certifies, _successive_shortest_paths
+    from tcspace.transport import _certifies, _solve
 
     rejected = 0
     for name, f in _solver_cases():
         graph = f.graph
         if graph.n > 16:
             continue
-        scale = lcm(*(x.denominator for x in f.values.values()))
-        flow, pot = _successive_shortest_paths(graph, [int(f[v] * scale) for v in range(graph.n)])
+        flow, pot, scale = _solve(f)
+        assert scale == lcm(*(x.denominator for x in f.values.values())), name
         adj = graph.adjacency
         assert _certifies(adj, flow, pot), name
         value, rm = tc_norm(f)
@@ -326,8 +326,8 @@ def test_final_potentials_are_a_supporting_function():
     tight = 0
     for name, f in cases:
         graph = f.graph
-        flow, pot, denom, scale = _solve(f)
-        assert denom == graph.space.denom, name
+        flow, pot, scale = _solve(f)
+        denom = graph.space.denom
         lip = [pot[graph.space.base_point] - x for x in pot]  # l times D
         assert lip[graph.space.base_point] == 0
         total = 0
@@ -414,10 +414,10 @@ def test_the_transport_check_fails_a_bad_flow(monkeypatch):
         for edge in range(graph.m):
             for delta in (1, -1):
                 def off(f, edge=edge, delta=delta):
-                    flow, pot, denom, scale = solve(f)
+                    flow, pot, scale = solve(f)
                     flow = list(flow)
                     flow[edge] += delta
-                    return flow, pot, denom, scale
+                    return flow, pot, scale
 
                 monkeypatch.setattr(transport, "_solve", off)
                 for read in readers:
@@ -573,8 +573,8 @@ def test_the_optimal_face_from_the_certificate_matches_bellman_ford():
     disconnected = connected = cycles_seen = 0
     for name, f in _face_cases():
         graph = f.graph
-        flow, pot, denom, scale = _optimum(f)
-        _, p = _roadmap(graph, flow, denom, scale)
+        flow, pot, scale = _optimum(f)
+        _, p = _roadmap(graph, flow, scale)
         forward, backward = _bellman_ford_distances(p)
         assert residual_distances(graph, flow, pot) == forward, name
         negated = [-x for x in flow], [-x for x in pot]

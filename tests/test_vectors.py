@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from tcspace import (
     InvalidInput,
     LipschitzFunction,
     MetricSpace,
+    OrientedCycle,
     Roadmap,
+    TransportationPlan,
     TransportationProblem,
     canonical_graph,
     cycle_basis,
@@ -132,6 +135,37 @@ def test_booleans_are_not_masses():
             to_fraction(value)
     with pytest.raises(InvalidInput):
         TransportationProblem(c4_graph(), {0: True, 1: -1})
+
+
+# The C_4 cycle c0 -> c1 -> c2 -> c3 -> c0: edges (c0,c1), (c1,c2) and (c2,c3)
+# along their reference orientation, then (c0,c3) against it.
+C4_CYCLE = ((0, 1), (2, 1), (3, 1), (1, -1))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda g: DirectedSubgraph(g, ((4, 0),)), "vertex index 4 out of range"),
+    (lambda g: DirectedSubgraph(g, ((-1, 1),)), "vertex index -1 out of range"),
+    (lambda g: DirectedSubgraph(g, ((0, True),)), "vertex index True out of range"),
+    (lambda g: TransportationPlan(g, ((-1, 0, 1),)), "vertex index -1 out of range"),
+    (lambda g: TransportationPlan(g, ((9, 0, 1),)), "vertex index 9 out of range"),
+    (lambda g: TransportationPlan(g, ((0, True, 1),)), "vertex index True out of range"),
+    (lambda g: OrientedCycle(g, ((9, 1),)), "edge index 9 out of range"),
+    (lambda g: OrientedCycle(g, ((-1, 1),)), "edge index -1 out of range"),
+    (lambda g: OrientedCycle(g, ((0, 0), *C4_CYCLE[1:])), "arc sign 0 must be 1 or -1"),
+    (lambda g: OrientedCycle(g, ((0, 2), *C4_CYCLE[1:])), "arc sign 2 must be 1 or -1"),
+    (lambda g: OrientedCycle(g, ((0, True), *C4_CYCLE[1:])), "arc sign True must be 1 or -1"),
+    (lambda g: TransportationProblem(g, {True: 1, 0: -1}), "vertex index True out of range"),
+    (lambda g: Roadmap(g, {False: 1}), "edge index False out of range"),
+], ids=["arc-head-4", "arc-tail-minus-1", "arc-head-true", "plan-minus-1", "plan-9",
+        "plan-true", "cycle-edge-9", "cycle-edge-minus-1", "sign-0", "sign-2", "sign-true",
+        "problem-true", "roadmap-false"])
+def test_indices_and_signs_follow_one_rule(make, message):
+    """Every vertex index, edge index and sign the Python API takes is an
+    int, not a bool, in range (signs +-1), or InvalidInput names it: no
+    numpy wrap-around of -1, no IndexError and no wrong complaint later."""
+    g = c4_graph()
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        make(g)
 
 
 # --- input checks -------------------------------------------------------------------
