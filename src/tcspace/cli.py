@@ -175,7 +175,7 @@ def _cmd_basis(args) -> int:
 def _cmd_dual(args) -> int:
     graph = _load_graph(args.space)
     f = TransportationProblem.from_json_obj(graph, _load_json(args.problem))
-    flow, pot, _ = _optimum(f)  # one solve serves the potential and --unique
+    flow, pot = _optimum(f)  # one solve serves the potential and --unique
     s = _least_supporting(graph, flow, pot)
     out = s.to_json_obj()
     out["value"] = frac_str(evaluate(s, f))

@@ -154,7 +154,7 @@ def canonical_graph(space: MetricSpace) -> CanonicalGraph:
     upper = tails < heads  # each pair once, and no diagonal entry
     tails, heads = tails[upper], heads[upper]
     arcs = list(zip(tails.tolist(), heads.tolist(), mat[tails, heads].tolist()))
-    exact = {w: Fraction(w, space.denom) for _, _, w in arcs}
+    exact = {w: Fraction(w, space.denom) for w in {w for _, _, w in arcs}}
     edges = tuple(Edge(i, k, exact[w]) for i, k, w in arcs)
     return CanonicalGraph(space, edges, _adjacency(space.n, arcs))
 

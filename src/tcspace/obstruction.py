@@ -47,14 +47,14 @@ class LinftyCandidate:
     problems: tuple[TransportationProblem, ...]
 
     def __post_init__(self):
+        if len(self.problems) < 2:
+            raise PreconditionFailed("need at least two vectors")
         scaled = []
         for f in self.problems:
             norm = _norm(f)
             if norm == 0:
                 raise NullProblem("cannot normalize the zero problem")
             scaled.append(f.scale(1 / norm))
-        if len(scaled) < 2:
-            raise PreconditionFailed("need at least two vectors")
         object.__setattr__(self, "problems", tuple(scaled))
 
     @property
@@ -252,7 +252,6 @@ def certify_no_linfty(graph: CanonicalGraph, k: int, family=None) -> Certificate
         raise PeelNotApplicable(
             f"descriptor generations must lie between 0 and {len(names) - 1}")
     current = graph
-    gen_of = [gens[name] for name in names]
     visited: list[str] = []
     while True:
         label = family.level_label(level)
@@ -264,16 +263,16 @@ def certify_no_linfty(graph: CanonicalGraph, k: int, family=None) -> Certificate
         if level == 0:
             return Certificate(INCONCLUSIVE, k, threshold, md, tuple(visited),
                                f"base level {label} still has degree {md}")
-        newest = [v for v in range(current.n) if gen_of[v] == level]
+        pts = current.space.points
+        newest = [v for v, name in enumerate(pts) if gens[name] == level]
         blockers = [v for v in newest if current.degree(v) >= threshold]
         if blockers:
-            name = current.space.points[blockers[0]]
+            name = pts[blockers[0]]
             return Certificate(
                 INCONCLUSIVE, k, threshold, md, tuple(visited),
                 f"generation-{level} vertex {name} has degree "
                 f"{current.degree(blockers[0])} >= {threshold}")
         if newest:  # a level that removes no point leaves the graph as it is
-            keep = [v for v in range(current.n) if gen_of[v] < level]
-            gen_of = [gen_of[v] for v in keep]
+            keep = [v for v, name in enumerate(pts) if gens[name] < level]
             current = canonical_graph(current.space.restrict(keep))
         level -= 1

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvalidInput, NotImprovable, NullProblem
 from .graph import (
@@ -341,13 +340,13 @@ def _augment(flow: list[int], excess: list[int], source: int, sink: int, path) -
     return amount
 
 
-def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int]:
-    """The min-cost flow behind tc_norm, certified: (flow, pot, M).
+def _solve(f: TransportationProblem) -> tuple[list[int], list[int]]:
+    """The min-cost flow behind tc_norm, certified: (flow, pot).
 
     Weights are scaled by D, the space's denom (graph.adjacency), and masses
-    by M, the lcm of f's denominators, so flow (per edge, along its
-    reference orientation, in units of 1/M) and pot (in units of 1/D) are
-    integers.  Each round runs one Dijkstra on reduced costs from every
+    by M, f's denom (f.scaled is the first excess), so flow (per edge, along
+    its reference orientation, in units of 1/M) and pot (in units of 1/D)
+    are integers.  Each round runs one Dijkstra on reduced costs from every
     vertex with excess left, stops at the first deficit vertex settled,
     augments along that shortest path and adds min(dist, dist[sink]) to the
     potentials, which keeps every reduced cost >= 0 (Ahuja-Magnanti-Orlin,
@@ -364,10 +363,7 @@ def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int]:
     """
     graph = f.graph
     adj = graph.adjacency
-    scale = lcm(*(x.denominator for x in f.values.values()))
-    excess = [0] * graph.n
-    for v, x in f.values.items():
-        excess[v] = x.numerator * (scale // x.denominator)
+    excess = [f.scaled.get(v, 0) for v in range(graph.n)]
     flow = [0] * graph.m
     pot = [0] * graph.n
     while sources := [v for v, x in enumerate(excess) if x > 0]:
@@ -380,26 +376,25 @@ def _solve(f: TransportationProblem) -> tuple[list[int], list[int], int]:
         pot = [p + (reach if d is None else d) for p, d in zip(pot, dist)]
     assert not any(excess)
     assert _certifies(adj, flow, pot)
-    return flow, pot, scale
+    return flow, pot
 
 
-def _optimum(f: TransportationProblem) -> tuple[list[int], list[int], int]:
-    """The one result of a solve: _solve's certified (flow, pot, M),
-    checked in integers to transport f (all zero, with M = 1, for f = 0:
-    the lcm of no denominators is 1, and no round runs).
+def _optimum(f: TransportationProblem) -> tuple[list[int], list[int]]:
+    """The one result of a solve: _solve's certified (flow, pot), checked
+    in integers to transport f: the flow's divergence at each vertex is
+    f.scaled there (all zero for f = 0, where no round runs).  Its units,
+    D and M, are the space's denom and the problem's.
 
     Each reader builds from it only what it reads: the norm (_norm), a
     roadmap (tc_norm, maximal_roadmap) or the optimal face (maximal_support
     and the supporting functions of duality).
     """
     graph = f.graph
-    flow, pot, scale = _solve(f)
-    # The flow transports f: its divergence at each vertex is f times M.
+    flow, pot = _solve(f)
     for u, arcs in enumerate(graph.adjacency):
-        x = f[u]
         out = sum(flow[e] if u < v else -flow[e] for v, _, e in arcs)
-        assert out * x.denominator == x.numerator * scale, "the flow must transport f"
-    return flow, pot, scale
+        assert out == f.scaled.get(u, 0), "the flow must transport f"
+    return flow, pot
 
 
 def _flow_cost(graph: CanonicalGraph, flow: list[int], scale: int) -> Fraction:
@@ -412,8 +407,8 @@ def _flow_cost(graph: CanonicalGraph, flow: list[int], scale: int) -> Fraction:
 
 def _norm(f: TransportationProblem) -> Fraction:
     """tc_norm's norm alone, with no roadmap built."""
-    flow, _, scale = _optimum(f)
-    return _flow_cost(f.graph, flow, scale)
+    flow, _ = _optimum(f)
+    return _flow_cost(f.graph, flow, f.denom)
 
 
 def _roadmap(graph: CanonicalGraph, flow: list[int], scale: int) -> tuple[Fraction, Roadmap]:
@@ -428,12 +423,12 @@ def _roadmap(graph: CanonicalGraph, flow: list[int], scale: int) -> tuple[Fracti
 def tc_norm(f: TransportationProblem) -> tuple[Fraction, Roadmap]:
     """Exact TC norm of f and an optimal roadmap achieving it.
 
-    The min-cost flow of _solve, on weights scaled by D and masses scaled by
-    M, is certified optimal and checked to transport f in integers (see
-    _optimum) before the Fractions of the result are built.
+    The min-cost flow of _solve, on weights scaled by D, the space's denom,
+    and masses by M, f's denom, is certified optimal and checked to transport
+    f in integers (see _optimum) before the Fractions of the result are built.
     """
-    flow, _, scale = _optimum(f)
-    return _roadmap(f.graph, flow, scale)
+    flow, _ = _optimum(f)
+    return _roadmap(f.graph, flow, f.denom)
 
 
 # --- the optimal face, from the solver's certificate --------------------------
@@ -502,7 +497,7 @@ def maximal_support(f: TransportationProblem) -> tuple[frozenset[int], dict[int,
     Empty for f = 0: at zero flow and potentials every residual arc costs
     its weight, which is positive.
     """
-    flow, pot, _ = _optimum(f)
+    flow, pot = _optimum(f)
     signs = {e: 1 if x > 0 else -1 for e, x in enumerate(flow) if x}
     cycles = zero_cost_cycles(f.graph, flow, pot)
     signs.update((e, cyc.arcs[0][1]) for e, cyc in cycles.items())
@@ -515,12 +510,12 @@ def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     Adds eps times each zero-cost cycle to the optimal flow.  With eps
     min |flow| / (c + 1), c the number of cycles, no support edge empties or
     flips, and added edges are traversed one way only, so the cost stays the
-    norm.  In integers, in units of 1/(M (c + 1)): flow times c + 1 plus
-    min |flow| times each cycle's signs.  Zero for f = 0, which has neither
-    flow nor zero-cost cycles (see maximal_support).
+    norm.  In integers, in units of 1/(M (c + 1)), M f's denom: flow times
+    c + 1 plus min |flow| times each cycle's signs.  Zero for f = 0, which
+    has neither flow nor zero-cost cycles (see maximal_support).
     """
     graph = f.graph
-    flow, pot, scale = _optimum(f)
+    flow, pot = _optimum(f)
     cycles = zero_cost_cycles(graph, flow, pot)
     parts = len(cycles) + 1
     eps = min((abs(x) for x in flow if x), default=0)
@@ -528,10 +523,10 @@ def maximal_roadmap(f: TransportationProblem) -> Roadmap:
     for cyc in cycles.values():
         for e, s in cyc.arcs:
             wide[e] += s * eps
-    cost, out = _roadmap(graph, wide, scale * parts)
+    cost, out = _roadmap(graph, wide, f.denom * parts)
     assert out.support() == {e for e, x in enumerate(flow) if x} | cycles.keys()
     assert out.problem() == f
-    assert cost == _flow_cost(graph, flow, scale)
+    assert cost == _flow_cost(graph, flow, f.denom)
     return out
 
 

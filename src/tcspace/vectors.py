@@ -5,7 +5,8 @@ space on the edge set) and transportation problems (vertex vectors with zero
 sum).  A roadmap's cost is its weighted l1 norm and its problem its
 incidence image, whose kernel is the cycle space.  Both kinds are
 immutable, support exact linear arithmetic within their kind, and remember
-the graph they belong to.
+the graph they belong to.  A problem keeps its masses in integers too, as a
+metric space keeps its distances: `denom` and `scaled`.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ class _SparseVector:
 
 
 class TransportationProblem(_SparseVector):
-    """Zero-sum sparse vertex vector: supplies (>0) and demands (<0)."""
+    """Zero-sum sparse vertex vector: supplies (>0) and demands (<0).
+
+    Its integer form, built once with the zero-sum check: `denom`, M, the
+    lcm of the denominators (1 for f = 0), and `scaled`, each mass times M.
+    """
 
     _index_noun = "vertex"
     _plural = "problems"
@@ -92,11 +97,12 @@ class TransportationProblem(_SparseVector):
 
     def __post_init__(self):
         super().__post_init__()
-        # Zero sum in integers: the numerators scaled to the lcm of the denominators.
-        masses = self.values.values()
-        scale = lcm(*(x.denominator for x in masses))
-        if sum(x.numerator * (scale // x.denominator) for x in masses):
+        denom = lcm(*(x.denominator for x in self.values.values()))
+        scaled = {v: x.numerator * (denom // x.denominator) for v, x in self.values.items()}
+        if sum(scaled.values()):
             raise InvalidInput("transportation problem must have zero sum")
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "scaled", scaled)
 
     @classmethod
     def from_names(cls, graph: CanonicalGraph, named: dict) -> TransportationProblem:

@@ -844,7 +844,7 @@ def test_dual_runs_one_dijkstra_per_direction(capsys, monkeypatch, c4, tmp_path)
     bellman_ford, residual = transport.bellman_ford, transport.residual_distances
 
     def counting_residual(graph, flow, pot):
-        solved_flow, solved_pot, _ = solves[-1]
+        solved_flow, solved_pot = solves[-1]
         if (flow, pot) == (solved_flow, solved_pot):
             directions.append("forward")
         elif (flow, pot) == ([-x for x in solved_flow], [-x for x in solved_pot]):

@@ -364,3 +364,28 @@ def test_canonical_graph_runs_no_shortest_path_search(monkeypatch):
     spaces += [space.restrict(list(range(0, space.n, 2))) for space in spaces]
     for space in spaces:
         assert canonical_graph(space).m > 0
+
+
+def test_canonical_graph_builds_one_fraction_per_distinct_weight(monkeypatch):
+    """Edges of equal weight share one Fraction: canonical_graph builds as
+    many as the graph has distinct weights, not one per edge."""
+    rng = random.Random(1)
+    spaces = [cycle(4), grid(4), diamond(3)[0]]
+    spaces += [random_metric_space(rng, n) for n in (3, 6, 10)]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(graph_module, "Fraction", counting)
+    shared = 0
+    for space in spaces:
+        built.clear()
+        graph = canonical_graph(space)
+        weights = {e.weight for e in graph.edges}
+        assert len(built) == len(weights)
+        assert weights == {Fraction(*args) for args in built}
+        assert len({id(e.weight) for e in graph.edges}) == len(weights)
+        shared += graph.m > len(weights)
+    assert shared >= 3

@@ -287,15 +287,28 @@ def test_one_canonical_graph_certificate():
     assert not {"_matrix_mask", "_min_plus"} & _names_used(SRC / "graph.py")
 
 
+def _returned_lengths(path: Path, *names: str) -> set:
+    """The length of each tuple the named functions of a source file return
+    (None for a return of anything else)."""
+    return {len(ret.value.elts) if isinstance(ret.value, ast.Tuple) else None
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.name in names
+            for ret in ast.walk(node) if isinstance(ret, ast.Return)}
+
+
 def test_each_value_and_loop_has_one_home():
-    # A solve returns (flow, pot, M): D is the graph's, read where it is
-    # needed.  A user roadmap's residual digraph reads the roadmap's values,
-    # the path metric of a graph scales its edges where it reads them, and
-    # a lookup of an edge's names reads the space's points.
+    # A solve returns (flow, pot): D is the space's denom and M the
+    # problem's, each read where it is needed, and neither the solver nor
+    # the oracle takes an lcm of masses of its own.  A user roadmap's
+    # residual digraph reads the roadmap's values, the path metric of a
+    # graph scales its edges where it reads them, and a lookup of an edge's
+    # names reads the space's points.
     gone = {"_successive_shortest_paths", "_scaled_edges", "induced_sign", "endpoints_name"}
     assert _definers(gone.__contains__) == set()
     assert {p.name for p in SRC.glob("*.py") if gone & _names_used(p)} == set()
     assert _callers("_solve") == {"_optimum"}
+    assert "lcm" not in _names_used(SRC / "transport.py") | _names_used(SRC / "oracle.py")
+    assert _returned_lengths(SRC / "transport.py", "_solve", "_optimum") == {2}
     # One function writes the DOT digraph framing for both exports.
     assert _enclosing(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
                       and node.value.startswith("digraph ")) == {"_dot"}

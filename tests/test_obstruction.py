@@ -269,8 +269,17 @@ def test_candidates_must_be_normalized(monkeypatch):
     assert all(tc_norm(p)[0] == 1 for p in cand.problems)
     with pytest.raises(NullProblem):
         LinftyCandidate((f, TransportationProblem.zero(g)))
-    with pytest.raises(PreconditionFailed, match="at least two vectors"):
-        LinftyCandidate((f,))
+
+
+def test_fewer_than_two_problems_are_refused_before_any_norm(monkeypatch):
+    """A lone problem, the zero one included, is refused before it is
+    solved: the spy records no norm."""
+    g = c4_graph()
+    norms = _recorded_norms(monkeypatch)
+    for given in ((point_difference(g, "c0", "c2"),), (TransportationProblem.zero(g),), ()):
+        with pytest.raises(PreconditionFailed, match="at least two vectors"):
+            LinftyCandidate(given)
+    assert norms == []
 
 
 # --- disjoint roadmap counting ------------------------------------------------------

@@ -1,16 +1,18 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import c4_graph, random_roadmap
+from corpus import CORPUS, c4_graph, random_roadmap
 from tcspace import (
     DirectedSubgraph,
     FamilyDescriptor,
     InvalidInput,
+    LinftyCandidate,
     LipschitzFunction,
     MetricSpace,
     OrientedCycle,
@@ -23,6 +25,7 @@ from tcspace import (
     validate_metric,
     weighted_graph_json_to_space,
 )
+from tcspace.randgen import random_metric_space, random_problem
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -105,6 +108,40 @@ def test_zero_sum_is_enforced():
         with pytest.raises(InvalidInput, match="must have zero sum"):
             TransportationProblem(g, {0: Fraction(1, 3), 1: Fraction(1, 5),
                                       2: Fraction(-8, 15), 3: off})
+
+
+def _assert_integer_form(f, label):
+    """f.denom is the lcm of the masses' denominators (1 for f = 0), and
+    f.scaled maps exactly the support to each mass times it, summing to 0."""
+    assert f.denom == lcm(*(x.denominator for x in f.values.values())), label
+    assert set(f.scaled) == f.support(), label
+    for v, x in f.scaled.items():
+        assert type(x) is int and x == f[v] * f.denom, label
+    assert sum(f.scaled.values()) == 0, label
+
+
+def test_a_problem_keeps_its_integer_form():
+    """The corpus problems, random ones, and what
+    +, -, scale and a candidate's combinations build."""
+    rng = random.Random(35)
+    problems = [(inst.name, f) for inst in CORPUS for f in inst.problems]
+    for n in (3, 6, 10):
+        graph = canonical_graph(random_metric_space(rng, n))
+        problems += [(f"random-{n}", random_problem(rng, graph)) for _ in range(4)]
+    g = c4_graph()
+    zero = TransportationProblem.zero(g)
+    assert (zero.denom, zero.scaled) == (1, {})
+    f = TransportationProblem.from_names(g, {"c0": "1/3", "c1": "1/5", "c2": "-8/15"})
+    h = TransportationProblem.from_names(g, {"c1": "2/7", "c3": "-2/7"})
+    assert (f.denom, f.scaled) == (15, {0: 5, 1: 3, 2: -8})
+    cand = LinftyCandidate((f, h))
+    built = [f + h, f - h, h - h, f.scale("3/2"), h.scale(0), -f, zero + f]
+    built += [cand.combine(theta) for theta in ((1, 1), (1, -1), (-1, 1), (0, 1))]
+    assert (f - f).denom == 1 and (f + h).denom == 105
+    problems += [(f"built/{i}", x) for i, x in enumerate(built)]
+    for label, x in problems:
+        _assert_integer_form(x, label)
+    assert {x.denom for _, x in problems} > {1, 15, 105}
 
 
 def test_a_roadmap_computes_its_cost_once():
